@@ -1,8 +1,10 @@
 """Single command-line entry point wiring all modules.
 
-Subcommands: pipeline, train, generate, eval, predict-durations. Every
-command takes one JSON config (--config) plus dotted-key overrides (--set),
-writes its artifacts into --out-dir, and records them in run_manifest.json.
+Subcommands: pipeline, train, generate, eval, predict-durations. The
+pipeline stages are pretrain, finetune, lyric-edit, duration-dataset and
+dpo-pairs. Every command takes one JSON config (--config) plus dotted-key
+overrides (--set), writes its artifacts into --out-dir, and records them in
+run_manifest.json.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error, 3 numeric abort.
 """
@@ -28,6 +30,7 @@ from .pipeline import (
     build_duration_dataset,
     dpo_pair_select,
     finetune_filter,
+    lyric_edit_filter,
     pretrain_filter,
     read_manifest,
 )
@@ -72,7 +75,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--stage",
         required=True,
-        choices=["pretrain", "finetune", "dpo-pairs", "duration-dataset"],
+        choices=["pretrain", "finetune", "lyric-edit", "dpo-pairs", "duration-dataset"],
     )
     p.add_argument("--manifest", required=True, help="JSONL input (records, or scores for dpo-pairs)")
 
@@ -172,6 +175,9 @@ def cmd_pipeline(args) -> int:
                 min_sampling_rate=pc.finetune_min_sampling_rate,
                 required_channels=pc.finetune_channels,
             )
+            payload = report.to_json()
+        elif args.stage == "lyric-edit":
+            report = lyric_edit_filter(records, max_normalized_distance=pc.lyric_edit_max_distance)
             payload = report.to_json()
         else:  # duration-dataset
             entries, skipped = build_duration_dataset(records)

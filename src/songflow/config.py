@@ -206,6 +206,9 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             data["seed"] = derive_seed(seed, "generate")
         sections[name] = _build_section(cls, data, name)
     negative_raw = raw.get("negative", {})
+    unknown = set(negative_raw) - {"global", "segment"}
+    if unknown:
+        raise ValidationError(f"unknown negative config keys: {sorted(unknown)}")
     negative = NegativeSection(
         global_text=negative_raw.get("global", NegativeSection.global_text),
         segment_text=negative_raw.get("segment", NegativeSection.segment_text),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conditioning import PromptSpec
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ParseError, ValidationError
 from .lrc import BOUNDARY, SegmentSpec, parse_lrc, serialize_lrc, time_to_frame
 
 __all__ = [
@@ -240,20 +240,35 @@ def finetune_filter(
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance, two-row dynamic programming."""
+    """Character-level edit distance by the bit-parallel algorithm of Myers
+    (J. ACM 1999) in Hyyrö's 2003 formulation, with Python ints as bit
+    vectors. The vectors span the longer string and the loop runs over the
+    shorter one: each iteration costs interpreter overhead, while a wider
+    int costs little at song-lyric lengths."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a):
-        current = [i + 1]
-        for j, cb in enumerate(b):
-            current.append(
-                min(previous[j + 1] + 1, current[j] + 1, previous[j] + (ca != cb))
-            )
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    high = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1  # row 0 of the DP grows by one per column
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalize_lyric_text(text: str) -> str:
@@ -267,13 +282,11 @@ def normalize_lyric_text(text: str) -> str:
     return " ".join("".join(kept).split())
 
 
-def _lyric_text(record: RecordManifest) -> str | None:
+def _lyric_text(record: RecordManifest) -> str:
     if record.lyrics is not None:
         return " ".join(record.lyrics)
-    if record.lyrics_lrc is not None:
-        doc = parse_lrc(record.lyrics_lrc, total_duration=record.duration)
-        return " ".join(line.text for line in doc.lines if line.text)
-    return None
+    doc = parse_lrc(record.lyrics_lrc, total_duration=record.duration)
+    return " ".join(line.text for line in doc.lines if line.text)
 
 
 def lyric_edit_filter(
@@ -281,16 +294,21 @@ def lyric_edit_filter(
 ) -> FilterReport:
     """Normalized character edit distance between lyrics and transcript,
     divided by max(lengths); above the threshold the record is discarded.
-    Records without a transcript pass flagged "unverified"."""
+    Records without lyrics pass; records without a transcript pass flagged
+    "unverified"; LRC lyrics that do not parse are rejected "invalid-lrc"."""
     report = FilterReport()
     for rec in records:
-        lyric = _lyric_text(rec)
-        if lyric is None:
+        if rec.lyrics is None and rec.lyrics_lrc is None:
             report.kept.append(rec.id)
             continue
         if rec.transcript is None:
             report.kept.append(rec.id)
             report.flagged.setdefault(rec.id, []).append("unverified")
+            continue
+        try:
+            lyric = _lyric_text(rec)
+        except (ParseError, ValidationError):
+            report.rejected.append((rec.id, "invalid-lrc"))
             continue
         a = normalize_lyric_text(lyric)
         b = normalize_lyric_text(" ".join(rec.transcript))
@@ -428,8 +446,8 @@ def build_duration_dataset(
 
     The instruction renders the template with the record's global description
     and caption-bracketed lyrics; the target is the canonical LRC text of the
-    ground-truth document. Records lacking timestamps or captions are
-    skipped with a reason."""
+    ground-truth document. Records lacking timestamps or captions, or whose
+    LRC does not parse, are skipped with a reason."""
     entries: list[dict] = []
     skipped: list[tuple[str, str]] = []
     for rec in records:
@@ -445,7 +463,11 @@ def build_duration_dataset(
         except KeyError as exc:
             skipped.append((rec.id, f"missing-caption:{exc.args[0]}"))
             continue
-        doc = parse_lrc(rec.lyrics_lrc, total_duration=rec.duration)
+        try:
+            doc = parse_lrc(rec.lyrics_lrc, total_duration=rec.duration)
+        except (ParseError, ValidationError):
+            skipped.append((rec.id, "invalid-lrc"))
+            continue
         entries.append(
             {
                 "instruction": DURATION_INSTRUCTION_TEMPLATE.format(

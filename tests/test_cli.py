@@ -196,6 +196,73 @@ def test_duration_dataset_stage(tmp_path):
     assert entry["target"] == "[00:02.00] hello there\n"
 
 
+def test_duration_dataset_stage_skips_overrunning_lrc(tmp_path):
+    def song(rid, lrc):
+        return RecordManifest(
+            id=rid,
+            duration=30.0,
+            sampling_rate=44100.0,
+            channels=2,
+            quality_scores={"q": 1.0},
+            lyrics=["hello there"],
+            lyrics_lrc=lrc,
+            segments=[{"kind": "lyric", "label": "verse", "lines": [0, 1]}],
+            captions={"global": "desc", "0": "verse cap"},
+        )
+
+    records = [
+        song("a", "[00:02.00] hello there\n"),
+        song("overrun", "[00:45.00] hello there\n"),  # past the 30 s duration
+        song("b", "[00:03.00] hello there\n"),
+    ]
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(records, manifest)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--stage", "duration-dataset", "--manifest", str(manifest),
+                 "--out-dir", str(out)]) == EXIT_OK
+    report = json.loads((out / "duration_dataset_report.json").read_text())
+    assert report["emitted"] == 2
+    assert report["skipped"] == [["overrun", "invalid-lrc"]]
+    targets = [json.loads(line)["target"] for line in
+               (out / "duration_dataset.jsonl").read_text().splitlines()]
+    assert targets == ["[00:02.00] hello there\n", "[00:03.00] hello there\n"]
+
+
+def test_lyric_edit_stage_reports_kept_rejected_and_flagged(tmp_path):
+    def rec(rid, **kw):
+        return RecordManifest(id=rid, duration=30.0, sampling_rate=44100.0, channels=2, **kw)
+
+    records = [
+        rec("match", lyrics=["hello world"], transcript=["Hello, world!"]),
+        rec("far", lyrics=["hello world"], transcript=["zzzz qqqq"]),
+        rec("bad-lrc", lyrics_lrc="[00:45.00] too late\n", transcript=["too late"]),
+        rec("no-transcript", lyrics_lrc="[00:01.00] la la\n"),
+        rec("instrumental"),
+    ]
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(records, manifest)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--stage", "lyric-edit", "--manifest", str(manifest),
+                 "--out-dir", str(out)]) == EXIT_OK
+    report = json.loads((out / "lyric_edit_report.json").read_text())
+    assert report["kept"] == ["match", "no-transcript", "instrumental"]
+    assert report["rejected"] == [
+        {"id": "far", "reason": "edit-distance"},
+        {"id": "bad-lrc", "reason": "invalid-lrc"},
+    ]
+    assert report["flagged"] == {"no-transcript": ["unverified"]}
+    assert [r["line"] for r in report["schema_rejects"]] == [6]
+    manifest_files = json.loads((out / "run_manifest.json").read_text())["files"]
+    assert manifest_files == ["lyric_edit_report.json"]
+    # The threshold comes from pipeline.lyric_edit_max_distance.
+    wide = tmp_path / "wide"
+    assert main(["pipeline", "--stage", "lyric-edit", "--manifest", str(manifest),
+                 "--set", "pipeline.lyric_edit_max_distance=1.0", "--out-dir", str(wide)]) == EXIT_OK
+    assert "far" in json.loads((wide / "lyric_edit_report.json").read_text())["kept"]
+
+
 # -----------------------------------------------------------------------------
 # train / generate determinism
 # -----------------------------------------------------------------------------

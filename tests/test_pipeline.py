@@ -222,6 +222,59 @@ def test_levenshtein_matches_recursive_oracle(rng):
         assert levenshtein(a, b) == _brute_levenshtein(a, b)
 
 
+def _dp_levenshtein(a, b):
+    """Two-row dynamic programming, the reference for the bit-parallel
+    distance on strings too long for the recursive oracle."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a):
+        current = [i + 1]
+        for j, cb in enumerate(b):
+            current.append(
+                min(previous[j + 1] + 1, current[j] + 1, previous[j] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
+
+
+def test_levenshtein_matches_dp_oracle_across_int_widths(rng):
+    # Lengths straddle the 30-bit digits of Python ints and 64-bit words.
+    lengths = [0, 1, 29, 30, 31, 63, 64, 65, 127, 128, 129, 300]
+    alphabets = [list("ab春𝄞"), list("abcdefgh 春夏秋冬𝄞𝄢")]
+    for n in lengths:
+        for m in lengths:
+            alphabet = alphabets[(n + m) % 2]
+            a = "".join(rng.choice(alphabet, size=n))
+            b = "".join(rng.choice(alphabet, size=m))
+            assert levenshtein(a, b) == _dp_levenshtein(a, b), (n, m)
+
+
+@pytest.mark.parametrize(
+    "alphabet, novel",
+    [
+        ("abcdefghijklmnopqrstuvwxyz ", "ABCDEFG0123456789"),
+        ("春夏秋冬雨雪風花𝄞𝄢𠀀𠀁", "月星空海山川xyz𝄪"),
+    ],
+    ids=["latin", "cjk-astral"],
+)
+def test_levenshtein_counts_planted_edits_exactly(rng, alphabet, novel):
+    base = list(rng.choice(list(alphabet), size=1500))
+    for k in (1, 7, 40, 150):
+        edited = list(base)
+        subs = rng.choice(len(base), size=k // 2, replace=False)
+        for pos in subs:
+            edited[pos] = str(rng.choice(list(novel)))
+        for _ in range(k - len(subs)):
+            edited.insert(int(rng.integers(0, len(edited) + 1)), str(rng.choice(list(novel))))
+        a, b = "".join(base), "".join(edited)
+        # Every novel character costs one edit and no edit is needed elsewhere.
+        assert levenshtein(a, b) == k
+        assert levenshtein(b, a) == k
+
+
 def test_normalize_lyric_text():
     assert normalize_lyric_text("Hello,   World!") == "hello world"
     assert normalize_lyric_text("春眠、不覚暁。") == "春眠不覚暁"
@@ -237,11 +290,36 @@ def test_lyric_filter_identity_and_threshold():
     assert wide.kept == ["near"]
 
 
-def test_lyric_filter_missing_transcript_flags_unverified():
+def test_lyric_filter_missing_transcript_flags_unverified(monkeypatch):
     rec = _record("u", lyrics=["la la"])
-    report = lyric_edit_filter([rec])
-    assert report.kept == ["u"]
-    assert report.flagged["u"] == ["unverified"]
+    timed = _record("t", lyrics_lrc="[00:01.00] la la\n")
+    bare = _record("b")
+    report = lyric_edit_filter([rec, timed, bare])
+    assert report.kept == ["u", "t", "b"]
+    assert report.flagged == {"u": ["unverified"], "t": ["unverified"]}
+
+    # Without a transcript the decision is made from the fields alone: no LRC is parsed.
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parse_lrc called without a transcript")
+
+    monkeypatch.setattr("songflow.pipeline.parse_lrc", no_parse)
+    assert lyric_edit_filter([rec, timed, bare]).to_json() == report.to_json()
+
+
+def test_lyric_filter_rejects_invalid_lrc():
+    records = [
+        _record("overrun", duration=30.0, lyrics_lrc="[00:45.00] la\n", transcript=["la"]),
+        _record("malformed", lyrics_lrc="no timestamp\n", transcript=["la"]),
+        _record("decreasing", lyrics_lrc="[00:05.00] a\n[00:02.00] b\n", transcript=["a b"]),
+        _record("good", lyrics_lrc="[00:01.00] la\n", transcript=["la"]),
+    ]
+    report = lyric_edit_filter(records)
+    assert report.kept == ["good"]
+    assert report.rejected == [
+        ("overrun", "invalid-lrc"),
+        ("malformed", "invalid-lrc"),
+        ("decreasing", "invalid-lrc"),
+    ]
 
 
 # -----------------------------------------------------------------------------
@@ -410,6 +488,16 @@ def test_duration_dataset_skips_missing_captions():
     rec2.lyrics_lrc = None
     _, skipped2 = build_duration_dataset([rec2])
     assert skipped2 == [("no-lrc", "missing-timestamps")]
+
+
+def test_duration_dataset_skips_invalid_lrc():
+    overrun = _lrc_record("overrun")
+    overrun.lyrics_lrc = "[00:02.00] hey there friend\n[00:45.00] take this song along\n"
+    malformed = _lrc_record("malformed")
+    malformed.lyrics_lrc = "hey there friend\n"
+    entries, skipped = build_duration_dataset([_lrc_record("a"), overrun, malformed, _lrc_record("b")])
+    assert len(entries) == 2
+    assert skipped == [("overrun", "invalid-lrc"), ("malformed", "invalid-lrc")]
 
 
 # -----------------------------------------------------------------------------
