@@ -18,10 +18,8 @@ from .conditioning import (
     apply_condition_dropout,
     assemble_input,
     encode_lyrics,
-    encode_prompts,
     prompt_spec_from_json,
     prompt_spec_to_json,
-    stub_embedder,
 )
 from .config import RunConfig, derive_seed, load_config
 from .durations import DurationHeuristic, predict_durations, syllable_count
@@ -34,13 +32,11 @@ from .errors import (
 )
 from .evaluate import (
     PatternOracleScorer,
-    ab_accuracy,
     duration_mae,
     global_alignment_score,
     segment_alignment_score,
 )
 from .flow import (
-    FixedDataset,
     TrainBatch,
     TrainConfig,
     TrainExample,

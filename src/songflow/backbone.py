@@ -10,7 +10,7 @@ keeps the network permutation-equivariant over frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,8 +166,7 @@ class VelocityModel:
                 f"e_lyrics must be ({T}, {cfg.d_lyrics}), got {cond.e_lyrics.data.shape}"
             )
         e_t = Tensor(np.tile(time_embedding(t, cfg.d_t), (T, 1)))
-        bundle = replace(cond, e_audio=x_t, e_t=e_t)
-        h = add_row(matmul(assemble_input(bundle), self.w_in), self.b_in)
+        h = add_row(matmul(assemble_input(cond, x_t, e_t), self.w_in), self.b_in)
         for block in self.blocks:
             h = block.forward(h, attn_sink=attn_sink)
         return add_row(matmul(h, self.w_head), self.b_head)

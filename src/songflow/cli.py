@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditioning import NegativePrompts, prompt_spec_from_json
+from .conditioning import prompt_spec_from_json
 from .config import RunConfig, load_config
 from .errors import ContractError, NumericAbort, ParseError, ValidationError
 from .evaluate import PatternOracleScorer, duration_mae, global_alignment_score, segment_alignment_score
@@ -278,7 +278,7 @@ def cmd_generate(args) -> int:
         spec,
         doc,
         T,
-        defaults=NegativePrompts(cfg.negative.global_text, cfg.negative.segment_text),
+        defaults=cfg.negative,
     )
     step_log: list[dict] = []
     latent = euler_sample(

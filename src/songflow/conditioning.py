@@ -7,16 +7,18 @@ projection to give the text embedding E_text. Lyric lines are tokenized and
 their token embeddings placed one-per-frame from each line's onset. The full
 model input concatenates (E_text, E_lyrics, E_audio, E_t) along channels.
 
-Condition dropout zeroes the global and/or segment halves *before* the
-projection (and optionally the lyric frames), so the projection always sees
-a well-defined unconditional input.
+ConditioningEncoder.encode is the one path that broadcasts, zeroes and
+projects. Condition dropout draws its flags first (apply_condition_dropout)
+and encode zeroes the dropped global and/or segment halves *before* the
+single projection (and the lyric frames wholesale), so the projection always
+sees a well-defined unconditional input.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -43,13 +45,11 @@ __all__ = [
     "prompt_spec_to_json",
     "ConditioningBundle",
     "broadcast_prompt_halves",
-    "encode_prompts",
     "lyric_tokens",
     "encode_lyrics",
     "apply_condition_dropout",
     "assemble_input",
     "ConditioningEncoder",
-    "stub_embedder",
 ]
 
 
@@ -88,10 +88,6 @@ class HashEmbedder:
         return vec.copy()
 
 
-def stub_embedder(seed_namespace: str, d: int) -> HashEmbedder:
-    return HashEmbedder(seed_namespace, d)
-
-
 class OutputProjection:
     """linear -> silu -> linear -> silu -> linear, applied per row."""
 
@@ -122,8 +118,11 @@ class OutputProjection:
 
 @dataclass(frozen=True)
 class NegativePrompts:
-    global_text: str
-    segment_text: str
+    """Texts that replace the prompts in the negative CFG branch. The
+    defaults are placeholders, overridable in config and per prompt."""
+
+    global_text: str = "low quality, noisy"
+    segment_text: str = "low quality"
 
 
 @dataclass(frozen=True)
@@ -227,25 +226,6 @@ def broadcast_prompt_halves(
     return e_g, e_l
 
 
-def encode_prompts(
-    spec: PromptSpec,
-    T: int,
-    f_g: TextEmbedder,
-    f_l: TextEmbedder,
-    out_proj: OutputProjection,
-    frame_rate: float,
-    drop_global: bool = False,
-    drop_segment: bool = False,
-) -> Tensor:
-    """Broadcast, concatenate, project: the (T, d_text) text conditioning."""
-    e_g, e_l = broadcast_prompt_halves(spec, T, f_g, f_l, frame_rate)
-    if drop_global:
-        e_g = np.zeros_like(e_g)
-    if drop_segment:
-        e_l = np.zeros_like(e_l)
-    return out_proj(Tensor(np.concatenate([e_g, e_l], axis=1)))
-
-
 # -----------------------------------------------------------------------------
 # Lyric alignment
 # -----------------------------------------------------------------------------
@@ -306,24 +286,20 @@ def encode_lyrics(
 
 @dataclass
 class ConditioningBundle:
-    """Everything the velocity model consumes for one sample.
+    """The prompt and lyric conditioning of one sample.
 
-    e_text/e_lyrics are realized from the raw ingredients below so dropout
-    can re-realize them; e_audio (the x_t frames) and e_t are filled in per
-    forward pass. A dropped component's ingredient is zeroed wholesale.
+    e_text is the projected (T, d_text) text embedding and e_lyrics the
+    (T, d_lyrics) lyric frames. A dropped half was zeroed before the
+    projection; dropped lyric frames are all zero. The noisy frames and the
+    time embedding change every forward pass, so they are not part of the
+    bundle: assemble_input takes them as arguments.
     """
 
     e_text: Tensor
     e_lyrics: Tensor
-    e_audio: Tensor | None
-    e_t: Tensor | None
     drop_global: bool
     drop_segment: bool
     drop_lyrics: bool
-    global_half: np.ndarray = field(repr=False)
-    segment_half: np.ndarray = field(repr=False)
-    lyric_frames: np.ndarray = field(repr=False)
-    out_proj: OutputProjection = field(repr=False)
     windows: tuple[SegmentWindow, ...] = ()
 
     @property
@@ -331,71 +307,28 @@ class ConditioningBundle:
         return self.e_text.data.shape[0]
 
 
-def _realize_bundle(
-    global_half: np.ndarray,
-    segment_half: np.ndarray,
-    lyric_frames: np.ndarray,
-    out_proj: OutputProjection,
-    windows: tuple[SegmentWindow, ...],
-    drop_global: bool,
-    drop_segment: bool,
-    drop_lyrics: bool,
-) -> ConditioningBundle:
-    e_g = np.zeros_like(global_half) if drop_global else global_half
-    e_l = np.zeros_like(segment_half) if drop_segment else segment_half
-    e_text = out_proj(Tensor(np.concatenate([e_g, e_l], axis=1)))
-    lyr = np.zeros_like(lyric_frames) if drop_lyrics else lyric_frames
-    return ConditioningBundle(
-        e_text=e_text,
-        e_lyrics=Tensor(lyr),
-        e_audio=None,
-        e_t=None,
-        drop_global=drop_global,
-        drop_segment=drop_segment,
-        drop_lyrics=drop_lyrics,
-        global_half=global_half,
-        segment_half=segment_half,
-        lyric_frames=lyric_frames,
-        out_proj=out_proj,
-        windows=windows,
-    )
-
-
 def apply_condition_dropout(
-    bundle: ConditioningBundle,
     p_global: float,
     p_segment: float,
     rng: np.random.Generator,
     p_lyrics: float = 0.0,
-) -> ConditioningBundle:
-    """Independently drop the global half, the segment half, and the lyric
-    frames with the given probabilities (draws in that fixed order). Already
-    dropped components stay dropped."""
+) -> tuple[bool, bool, bool]:
+    """Independently draw whether to drop the global half, the segment half
+    and the lyric frames, one uniform each in that fixed order. Returns the
+    (drop_global, drop_segment, drop_lyrics) flags for encode."""
     for p in (p_global, p_segment, p_lyrics):
         if not (0.0 <= p <= 1.0):
             raise ContractError(f"dropout probability {p} outside [0, 1]")
-    drop_g = bundle.drop_global or bool(rng.random() < p_global)
-    drop_s = bundle.drop_segment or bool(rng.random() < p_segment)
-    drop_l = bundle.drop_lyrics or bool(rng.random() < p_lyrics)
-    if (drop_g, drop_s, drop_l) == (bundle.drop_global, bundle.drop_segment, bundle.drop_lyrics):
-        return bundle
-    return _realize_bundle(
-        bundle.global_half,
-        bundle.segment_half,
-        bundle.lyric_frames,
-        bundle.out_proj,
-        bundle.windows,
-        drop_g,
-        drop_s,
-        drop_l,
-    )
+    drop_g = bool(rng.random() < p_global)
+    drop_s = bool(rng.random() < p_segment)
+    drop_l = bool(rng.random() < p_lyrics)
+    return drop_g, drop_s, drop_l
 
 
-def assemble_input(bundle: ConditioningBundle) -> Tensor:
-    """Channel concat in fixed order: (E_text, E_lyrics, E_audio, E_t)."""
-    if bundle.e_audio is None or bundle.e_t is None:
-        raise ContractError("bundle is missing e_audio/e_t; fill them before assembling")
-    return concat_channels([bundle.e_text, bundle.e_lyrics, bundle.e_audio, bundle.e_t])
+def assemble_input(bundle: ConditioningBundle, x_t: Tensor, e_t: Tensor) -> Tensor:
+    """Channel concat in the fixed order checkpoints depend on:
+    (E_text, E_lyrics, E_audio = x_t, E_t)."""
+    return concat_channels([bundle.e_text, bundle.e_lyrics, x_t, e_t])
 
 
 class ConditioningEncoder:
@@ -434,13 +367,27 @@ class ConditioningEncoder:
         drop_segment: bool = False,
         drop_lyrics: bool = False,
     ) -> ConditioningBundle:
+        """Broadcast the prompts, zero the dropped halves, project once.
+        Dropped lyric frames are zeroed; the lyrics are still encoded so an
+        onset outside [0, T) is an error whatever the flags."""
         e_g, e_l = broadcast_prompt_halves(
             spec, T, self.global_embedder, self.segment_embedder, self.frame_rate
         )
+        if drop_global:
+            e_g = np.zeros_like(e_g)
+        if drop_segment:
+            e_l = np.zeros_like(e_l)
         lyr, _ = encode_lyrics(doc, self.lyric_embedder, T, self.frame_rate)
-        windows = tuple(windows_from_segments(spec.segments, self.frame_rate, T))
-        return _realize_bundle(e_g, e_l, lyr, self.out_proj, windows,
-                               drop_global, drop_segment, drop_lyrics)
+        if drop_lyrics:
+            lyr = np.zeros_like(lyr)
+        return ConditioningBundle(
+            e_text=self.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))),
+            e_lyrics=Tensor(lyr),
+            drop_global=drop_global,
+            drop_segment=drop_segment,
+            drop_lyrics=drop_lyrics,
+            windows=tuple(windows_from_segments(spec.segments, self.frame_rate, T)),
+        )
 
     def named_parameters(self, prefix: str = "conditioning") -> list[tuple[str, Tensor]]:
         return self.out_proj.named_parameters(f"{prefix}.proj")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ModelConfig
+from .conditioning import NegativePrompts
 from .errors import ValidationError
 from .flow import TrainConfig
 from .sampler import GuidanceConfig
@@ -86,12 +87,6 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
-class NegativeSection:
-    global_text: str = "low quality, noisy"
-    segment_text: str = "low quality"
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     model: ModelSection = field(default_factory=ModelSection)
@@ -100,7 +95,7 @@ class RunConfig:
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    negative: NegativeSection = field(default_factory=NegativeSection)
+    negative: NegativePrompts = field(default_factory=NegativePrompts)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -209,8 +204,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     unknown = set(negative_raw) - {"global", "segment"}
     if unknown:
         raise ValidationError(f"unknown negative config keys: {sorted(unknown)}")
-    negative = NegativeSection(
-        global_text=negative_raw.get("global", NegativeSection.global_text),
-        segment_text=negative_raw.get("segment", NegativeSection.segment_text),
+    negative = NegativePrompts(
+        global_text=negative_raw.get("global", NegativePrompts.global_text),
+        segment_text=negative_raw.get("segment", NegativePrompts.segment_text),
     )
     return RunConfig(seed=seed, negative=negative, **sections)

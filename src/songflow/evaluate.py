@@ -23,7 +23,6 @@ __all__ = [
     "PatternOracleScorer",
     "segment_alignment_score",
     "global_alignment_score",
-    "ab_accuracy",
     "duration_mae",
     "validate_report",
 ]
@@ -93,17 +92,6 @@ def segment_alignment_score(
 
 def global_alignment_score(latent: np.ndarray, global_text: str, scorer: SimilarityScorer) -> float:
     return scorer.score(latent, global_text)
-
-
-def ab_accuracy(judgments: list[tuple[str, str]]) -> float:
-    """Fraction of (truth, judged) pairs, each in {"A", "B"}, that agree."""
-    if not judgments:
-        raise ContractError("ab_accuracy needs at least one judgment")
-    for truth, judged in judgments:
-        if truth not in ("A", "B") or judged not in ("A", "B"):
-            raise ContractError(f"judgments must be 'A' or 'B', got {(truth, judged)!r}")
-    correct = sum(1 for truth, judged in judgments if truth == judged)
-    return correct / len(judgments)
 
 
 def duration_mae(predicted: LrcDocument, truth: LrcDocument) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "TrainExample",
     "TrainBatch",
     "TrainConfig",
-    "FixedDataset",
     "cfm_loss",
     "TrainReport",
     "train",
@@ -79,19 +78,6 @@ class TrainBatch:
         return [ex.id for ex in self.examples]
 
 
-class FixedDataset:
-    """Cycles deterministically through a fixed list of examples."""
-
-    def __init__(self, examples: list[TrainExample]):
-        if not examples:
-            raise ContractError("dataset must be non-empty")
-        self.examples = list(examples)
-
-    def draw(self, rng: np.random.Generator, n: int) -> TrainBatch:
-        picks = rng.integers(0, len(self.examples), size=n)
-        return TrainBatch(tuple(self.examples[i] for i in picks))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 2000
@@ -139,10 +125,8 @@ def cfm_loss(
         x0 = rng.standard_normal(ex.x1.shape)
         x_t = interpolate(x0, ex.x1, t)
         u = target_velocity(x0, ex.x1)
-        bundle = encoder.encode(ex.spec, ex.doc, ex.x1.shape[0])
-        bundle = apply_condition_dropout(
-            bundle, p_drop_global, p_drop_segment, rng, p_lyrics=p_drop_lyrics
-        )
+        drops = apply_condition_dropout(p_drop_global, p_drop_segment, rng, p_lyrics=p_drop_lyrics)
+        bundle = encoder.encode(ex.spec, ex.doc, ex.x1.shape[0], *drops)
         term = mse(model.forward(Tensor(x_t), bundle, t), Tensor(u))
         total = term if total is None else add(total, term)
     return scale(total, 1.0 / len(batch.examples))

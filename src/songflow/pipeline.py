@@ -49,6 +49,20 @@ BOUNDARY_END_TEXT = "This piece is the end of the song."
 BOUNDARY_SECONDS = 0.5
 
 
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str_map_of(value, ok) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and ok(v) for k, v in value.items()
+    )
+
+
 @dataclass
 class RecordManifest:
     """Per-song metadata flowing through the pipeline."""
@@ -73,6 +87,20 @@ class RecordManifest:
             raise ValidationError(f"record {self.id!r}: sampling_rate must be positive")
         if self.channels < 1:
             raise ValidationError(f"record {self.id!r}: channels must be >= 1")
+        # Manifests come from outside: a string where a list of lines belongs
+        # would otherwise be joined per character by the lyric gate.
+        for name in ("lyrics", "transcript"):
+            lines = getattr(self, name)
+            if lines is not None and not _is_list_of(lines, str):
+                raise ValidationError(f"record {self.id!r}: {name} must be a list of strings")
+        if self.lyrics_lrc is not None and not isinstance(self.lyrics_lrc, str):
+            raise ValidationError(f"record {self.id!r}: lyrics_lrc must be a string")
+        if not _is_str_map_of(self.quality_scores, _is_number):
+            raise ValidationError(f"record {self.id!r}: quality_scores must map names to numbers")
+        if not _is_str_map_of(self.captions, lambda v: isinstance(v, str)):
+            raise ValidationError(f"record {self.id!r}: captions must map keys to strings")
+        if not _is_list_of(self.segments, dict):
+            raise ValidationError(f"record {self.id!r}: segments must be a list of objects")
 
     @classmethod
     def from_json(cls, obj: dict) -> "RecordManifest":

@@ -22,7 +22,6 @@ from .lrc import LrcDocument
 from .tensor import Tensor
 
 __all__ = [
-    "DEFAULT_NEGATIVE",
     "GuidanceConfig",
     "ConditionTriple",
     "guided_velocity",
@@ -30,9 +29,6 @@ __all__ = [
     "build_condition_triple",
     "euler_sample",
 ]
-
-# Placeholder negative texts, overridable in config and per prompt.
-DEFAULT_NEGATIVE = NegativePrompts(global_text="low quality, noisy", segment_text="low quality")
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ def build_negative_condition(
     spec: PromptSpec,
     doc: LrcDocument | None,
     T: int,
-    defaults: NegativePrompts = DEFAULT_NEGATIVE,
+    defaults: NegativePrompts = NegativePrompts(),
 ) -> ConditioningBundle:
     """Lyrics zeroed; the global prompt and every segment's text replaced by
     negative text (the spec's own negative prompts when present, else the
@@ -102,7 +98,7 @@ def build_condition_triple(
     spec: PromptSpec,
     doc: LrcDocument | None,
     T: int,
-    defaults: NegativePrompts = DEFAULT_NEGATIVE,
+    defaults: NegativePrompts = NegativePrompts(),
 ) -> ConditionTriple:
     """Conditional, fully-dropped unconditional, and negative bundles."""
     return ConditionTriple(

@@ -23,7 +23,6 @@ __all__ = [
     "scale",
     "add_row",
     "silu",
-    "gelu",
     "softmax_rows",
     "layer_norm",
     "concat_channels",
@@ -185,22 +184,6 @@ def silu(x: Tensor) -> Tensor:
 
     def vjp(g):
         return (g * (s * (1.0 + x.data * (1.0 - s))),)
-
-    return _result(data, (x,), vjp)
-
-
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-
-
-def gelu(x: Tensor) -> Tensor:
-    """tanh-approximate GELU."""
-    inner = _GELU_C * (x.data + 0.044715 * x.data**3)
-    th = np.tanh(inner)
-    data = 0.5 * x.data * (1.0 + th)
-
-    def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x.data**2)
-        return (g * (0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th * th) * d_inner),)
 
     return _result(data, (x,), vjp)
 

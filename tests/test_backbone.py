@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_max_rel_error
 from songflow.backbone import ModelConfig, VelocityModel, parameter_count, time_embedding
-from songflow.conditioning import ConditioningBundle, OutputProjection
+from songflow.conditioning import ConditioningBundle
 from songflow.errors import ContractError, DimensionError, ValidationError
 from songflow.tensor import Tensor, mse, zero_grads
 
@@ -15,19 +15,12 @@ def _tiny_config():
 
 
 def _bundle_from_arrays(e_text, e_lyrics):
-    proj = OutputProjection(4, 4, e_text.shape[1], np.random.default_rng(0))
     return ConditioningBundle(
         e_text=Tensor(e_text),
         e_lyrics=Tensor(e_lyrics),
-        e_audio=None,
-        e_t=None,
         drop_global=False,
         drop_segment=False,
         drop_lyrics=False,
-        global_half=np.zeros((e_text.shape[0], 2)),
-        segment_half=np.zeros((e_text.shape[0], 2)),
-        lyric_frames=e_lyrics,
-        out_proj=proj,
     )
 
 

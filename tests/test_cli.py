@@ -144,10 +144,15 @@ def test_pretrain_stage_matches_oracle_on_fixture(tmp_path, rng):
     ]
     manifest = tmp_path / "m.jsonl"
     write_manifest(records, manifest)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "bad-score", "duration": 60.0, "sampling_rate": 44100,
+                             "channels": 2, "quality_scores": [1]}) + "\n")
     out = tmp_path / "out"
     assert main(["pipeline", "--stage", "pretrain", "--manifest", str(manifest),
                  "--out-dir", str(out)]) == EXIT_OK
     report = json.loads((out / "pretrain_report.json").read_text())
+    assert [r["line"] for r in report["schema_rejects"]] == [101]
+    assert "quality_scores" in report["schema_rejects"][0]["error"]
     survivors = [r for r in records if r.sampling_rate >= 32_000 and 30 <= r.duration <= 360]
     cutoff = float(np.quantile([r.quality_scores["q"] for r in survivors], 0.05))
     expected = {r.id for r in survivors if r.quality_scores["q"] >= cutoff}

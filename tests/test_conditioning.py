@@ -12,11 +12,9 @@ from songflow.conditioning import (
     assemble_input,
     broadcast_prompt_halves,
     encode_lyrics,
-    encode_prompts,
     lyric_tokens,
     prompt_spec_from_json,
     prompt_spec_to_json,
-    stub_embedder,
 )
 from songflow.errors import ContractError, DimensionError, ValidationError
 from songflow.lrc import LrcDocument, LrcLine, SegmentSpec
@@ -27,17 +25,23 @@ def _embedders(dg=4, dl=4):
     return HashEmbedder("g", dg), HashEmbedder("l", dl)
 
 
-def _projection(d_in, d_out, seed=0):
-    return OutputProjection(d_in, d_out, d_out, np.random.default_rng(seed))
+def _encoder(dg=4, dl=4, dly=3, d_text=5, frame_rate=4.0, seed=0):
+    return ConditioningEncoder(
+        HashEmbedder("g", dg),
+        HashEmbedder("l", dl),
+        HashEmbedder("lyr", dly),
+        OutputProjection(dg + dl, d_text, d_text, np.random.default_rng(seed)),
+        frame_rate,
+    )
 
 
 # -----------------------------------------------------------------------------
-# stub embedder
+# stub (hash) embedder
 # -----------------------------------------------------------------------------
 
 
 def test_stub_embedder_is_deterministic_and_unit_norm():
-    emb = stub_embedder("ns", 16)
+    emb = HashEmbedder("ns", 16)
     a, b = emb.embed("some text"), emb.embed("some text")
     assert np.array_equal(a, b)
     for text in ("a", "b", "", "long text with words", "春"):
@@ -45,13 +49,13 @@ def test_stub_embedder_is_deterministic_and_unit_norm():
 
 
 def test_stub_embedder_namespaces_differ():
-    a = stub_embedder("one", 8).embed("same")
-    b = stub_embedder("two", 8).embed("same")
+    a = HashEmbedder("one", 8).embed("same")
+    b = HashEmbedder("two", 8).embed("same")
     assert not np.allclose(a, b)
 
 
 def test_stub_embedder_collisions_are_rare():
-    emb = stub_embedder("collision", 32)
+    emb = HashEmbedder("collision", 32)
     vectors = np.stack([emb.embed(f"text-{i}") for i in range(1000)])
     sims = vectors @ vectors.T
     np.fill_diagonal(sims, 0.0)
@@ -69,9 +73,9 @@ def test_no_segments_leaves_zero_segment_half():
     e_g, e_l = broadcast_prompt_halves(spec, 6, f_g, f_l, frame_rate=4.0)
     assert np.array_equal(e_l, np.zeros((6, 4)))
     assert np.array_equal(e_g, np.tile(f_g.embed("calm song"), (6, 1)))
-    proj = _projection(8, 5)
-    out = encode_prompts(spec, 6, f_g, f_l, proj, 4.0)
-    expected = proj(Tensor(np.concatenate([e_g, e_l], axis=1))).data
+    encoder = _encoder(d_text=5)
+    out = encoder.encode(spec, None, 6).e_text
+    expected = encoder.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))).data
     assert np.array_equal(out.data, expected)
 
 
@@ -130,14 +134,19 @@ def _random_spec(rng, T, frame_rate, f_l_vocab=("a", "b", "c", "d", "e", "f", "g
 
 
 def test_encode_prompts_matches_brute_force_bit_exactly(rng):
-    f_g, f_l = _embedders(5, 3)
-    proj = _projection(8, 6, seed=3)
+    encoders = {
+        rate: _encoder(dg=5, dl=3, d_text=6, frame_rate=rate, seed=3) for rate in (2.0, 4.0, 8.0)
+    }
     for _ in range(60):
         T = int(rng.integers(1, 257))
         frame_rate = float(rng.choice([2.0, 4.0, 8.0]))
         spec = _random_spec(rng, T, frame_rate)
-        ours = encode_prompts(spec, T, f_g, f_l, proj, frame_rate).data
-        reference = brute_force_text_embedding(spec, T, f_g, f_l, proj, frame_rate)
+        encoder = encoders[frame_rate]
+        ours = encoder.encode(spec, None, T).e_text.data
+        reference = brute_force_text_embedding(
+            spec, T, encoder.global_embedder, encoder.segment_embedder, encoder.out_proj,
+            frame_rate,
+        )
         assert np.array_equal(ours, reference)
 
 
@@ -165,10 +174,9 @@ def test_locality_of_segment_text_changes(rng):
 
 
 def test_rows_within_a_segment_are_identical_after_projection():
-    f_g, f_l = _embedders()
-    proj = _projection(8, 6, seed=1)
+    encoder = _encoder(d_text=6, seed=1)
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 2.0, "pattern"),))
-    out = encode_prompts(spec, 8, f_g, f_l, proj, 4.0).data
+    out = encoder.encode(spec, None, 8).e_text.data
     for f in range(1, 8):
         assert np.allclose(out[f], out[0], rtol=1e-10, atol=1e-12)
 
@@ -251,74 +259,95 @@ def test_encode_lyrics_onset_outside_frames_is_error():
 # -----------------------------------------------------------------------------
 
 
-def _encoder(dg=4, dl=4, dly=3, d_text=5, frame_rate=4.0, seed=0):
-    return ConditioningEncoder(
-        HashEmbedder("g", dg),
-        HashEmbedder("l", dl),
-        HashEmbedder("lyr", dly),
-        OutputProjection(dg + dl, d_text, d_text, np.random.default_rng(seed)),
-        frame_rate,
-    )
-
-
 def _bundle(encoder, T=8):
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 1.0, "s"),))
     doc = LrcDocument(lines=(LrcLine(0.0, "la"),), total_duration=T / 4.0)
     return encoder.encode(spec, doc, T), spec, doc
 
 
+def _halves(encoder, spec, T=8):
+    return broadcast_prompt_halves(
+        spec, T, encoder.global_embedder, encoder.segment_embedder, encoder.frame_rate
+    )
+
+
 def test_dropout_zero_probability_is_identity(rng):
     encoder = _encoder()
-    bundle, _, _ = _bundle(encoder)
-    out = apply_condition_dropout(bundle, 0.0, 0.0, rng)
-    assert out is bundle
+    bundle, spec, doc = _bundle(encoder)
+    flags = apply_condition_dropout(0.0, 0.0, rng)
+    assert flags == (False, False, False)
+    out = encoder.encode(spec, doc, bundle.T, *flags)
+    assert np.array_equal(out.e_text.data, bundle.e_text.data)
+    assert np.array_equal(out.e_lyrics.data, bundle.e_lyrics.data)
 
 
 def test_dropout_certain_event_zeroes_global(rng):
     encoder = _encoder()
-    bundle, _, _ = _bundle(encoder)
-    out = apply_condition_dropout(bundle, 1.0, 0.0, rng)
+    bundle, spec, doc = _bundle(encoder)
+    flags = apply_condition_dropout(1.0, 0.0, rng)
+    assert flags == (True, False, False)
+    out = encoder.encode(spec, doc, bundle.T, *flags)
     assert out.drop_global and not out.drop_segment
-    dg = encoder.global_embedder.dimension
+    e_g, e_l = _halves(encoder, spec)
     expected = encoder.out_proj(
-        Tensor(np.concatenate([np.zeros_like(bundle.global_half), bundle.segment_half], axis=1))
+        Tensor(np.concatenate([np.zeros_like(e_g), e_l], axis=1))
     ).data
     assert np.array_equal(out.e_text.data, expected)
+    assert np.array_equal(out.e_lyrics.data, bundle.e_lyrics.data)
 
 
 def test_dropout_rates_and_independence():
     encoder = _encoder()
-    bundle, _, _ = _bundle(encoder)
+    _, spec, doc = _bundle(encoder)
     rng = np.random.default_rng(1234)
     n = 10_000
     flags = np.zeros((n, 2), dtype=bool)
     for i in range(n):
-        out = apply_condition_dropout(bundle, 0.2, 0.2, rng)
-        flags[i] = (out.drop_global, out.drop_segment)
+        drop_g, drop_s, drop_l = apply_condition_dropout(0.2, 0.2, rng)
+        assert not drop_l
+        flags[i] = (drop_g, drop_s)
     rates = flags.mean(axis=0)
     assert 0.18 <= rates[0] <= 0.22
     assert 0.18 <= rates[1] <= 0.22
     corr = np.corrcoef(flags[:, 0], flags[:, 1])[0, 1]
     assert abs(corr) < 0.05
+    # encode honours every flag combination the draws produced
+    e_g, e_l = _halves(encoder, spec)
+    for drop_g, drop_s in {tuple(map(bool, row)) for row in flags}:
+        out = encoder.encode(spec, doc, 8, drop_g, drop_s)
+        halves = [np.zeros_like(e_g) if drop_g else e_g, np.zeros_like(e_l) if drop_s else e_l]
+        expected = encoder.out_proj(Tensor(np.concatenate(halves, axis=1))).data
+        assert (out.drop_global, out.drop_segment) == (drop_g, drop_s)
+        assert np.array_equal(out.e_text.data, expected)
+
+
+def test_dropout_rejects_probability_outside_unit_interval(rng):
+    for args in ((1.5, 0.0), (0.0, -0.1)):
+        with pytest.raises(ContractError):
+            apply_condition_dropout(*args, rng)
+    with pytest.raises(ContractError):
+        apply_condition_dropout(0.0, 0.0, rng, p_lyrics=2.0)
 
 
 def test_dropped_lyrics_are_all_zero(rng):
     encoder = _encoder()
-    bundle, _, _ = _bundle(encoder)
-    out = apply_condition_dropout(bundle, 0.0, 0.0, rng, p_lyrics=1.0)
+    bundle, spec, doc = _bundle(encoder)
+    flags = apply_condition_dropout(0.0, 0.0, rng, p_lyrics=1.0)
+    assert flags == (False, False, True)
+    out = encoder.encode(spec, doc, bundle.T, *flags)
     assert out.drop_lyrics
-    assert np.array_equal(out.e_lyrics.data, np.zeros_like(bundle.lyric_frames))
+    assert np.any(bundle.e_lyrics.data != 0)
+    assert np.array_equal(out.e_lyrics.data, np.zeros_like(bundle.e_lyrics.data))
+    assert np.array_equal(out.e_text.data, bundle.e_text.data)
 
 
 def test_assemble_input_slices_recover_components(rng):
     encoder = _encoder()
     bundle, _, _ = _bundle(encoder)
     T = bundle.T
-    from dataclasses import replace
-
     x_t = Tensor(rng.standard_normal((T, 2)))
     e_t = Tensor(rng.standard_normal((T, 4)))
-    full = assemble_input(replace(bundle, e_audio=x_t, e_t=e_t))
+    full = assemble_input(bundle, x_t, e_t)
     d_text, d_lyr = encoder.d_text, encoder.d_lyrics
     assert full.data.shape == (T, d_text + d_lyr + 2 + 4)
     assert np.array_equal(full.data[:, :d_text], bundle.e_text.data)
@@ -327,24 +356,13 @@ def test_assemble_input_slices_recover_components(rng):
     assert np.array_equal(full.data[:, d_text + d_lyr + 2 :], e_t.data)
 
 
-def test_assemble_input_requires_audio_and_time():
-    encoder = _encoder()
-    bundle, _, _ = _bundle(encoder)
-    with pytest.raises(ContractError):
-        assemble_input(bundle)
-
-
 def test_all_zero_bundle_assembles_to_zero():
     encoder = _encoder()
     spec = PromptSpec(global_text="g")
     bundle = encoder.encode(spec, None, 4, drop_global=True, drop_segment=True, drop_lyrics=True)
-    from dataclasses import replace
-
     proj_of_zero = encoder.out_proj(Tensor(np.zeros((4, 8)))).data
     assert np.array_equal(bundle.e_text.data, proj_of_zero)
-    full = assemble_input(
-        replace(bundle, e_audio=Tensor(np.zeros((4, 2))), e_t=Tensor(np.zeros((4, 4))))
-    )
+    full = assemble_input(bundle, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 4))))
     assert full.data.shape == (4, encoder.d_text + encoder.d_lyrics + 2 + 4)
 
 

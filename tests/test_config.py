@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from songflow.config import NegativeSection, load_config
+from songflow.conditioning import NegativePrompts
+from songflow.config import load_config
 from songflow.errors import ValidationError
 
 
@@ -26,5 +27,5 @@ def test_unknown_negative_key_is_rejected(tmp_path, key):
 
 def test_negative_keys_are_read():
     cfg = load_config(overrides=["negative.global=hiss", "negative.segment=clipping"])
-    assert cfg.negative == NegativeSection(global_text="hiss", segment_text="clipping")
-    assert load_config().negative == NegativeSection()
+    assert cfg.negative == NegativePrompts(global_text="hiss", segment_text="clipping")
+    assert load_config().negative == NegativePrompts()

@@ -3,10 +3,10 @@ import pytest
 
 import songflow.flow as flow_mod
 from conftest import fd_max_rel_error
+from songflow.conditioning import OutputProjection
 from songflow.config import load_config
 from songflow.errors import ContractError, DimensionError, NumericAbort
 from songflow.flow import (
-    FixedDataset,
     TrainBatch,
     TrainConfig,
     TrainExample,
@@ -171,6 +171,23 @@ def test_cfm_loss_gradient_matches_finite_differences(rng):
     assert fd_max_rel_error(build_loss, params) < 1e-3
 
 
+def test_cfm_loss_projects_each_example_once_under_dropout(rng, monkeypatch):
+    cfg, system, dataset = _tiny_setup()
+    batch = dataset.draw(rng, 3)
+    calls = []
+    projection = OutputProjection.__call__
+
+    def counted(self, e_cat):
+        calls.append(e_cat.data.copy())
+        return projection(self, e_cat)
+
+    monkeypatch.setattr(OutputProjection, "__call__", counted)
+    cfm_loss(system.model, system.encoder, batch, rng, p_drop_global=1.0)
+    assert len(calls) == 3
+    d_global = system.encoder.global_embedder.dimension
+    assert all(not e_cat[:, :d_global].any() for e_cat in calls)
+
+
 def test_train_requires_at_least_one_step():
     with pytest.raises(ContractError):
         TrainConfig(steps=0)
@@ -226,10 +243,10 @@ def test_dropout_frequency_during_training(monkeypatch):
     observed = []
     real = flow_mod.apply_condition_dropout
 
-    def spy(bundle, p_g, p_l, rng, p_lyrics=0.0):
-        out = real(bundle, p_g, p_l, rng, p_lyrics=p_lyrics)
-        observed.append((out.drop_global, out.drop_segment))
-        return out
+    def spy(p_g, p_l, rng, p_lyrics=0.0):
+        flags = real(p_g, p_l, rng, p_lyrics=p_lyrics)
+        observed.append(flags[:2])
+        return flags
 
     monkeypatch.setattr(flow_mod, "apply_condition_dropout", spy)
     train(system, dataset, cfg.train)

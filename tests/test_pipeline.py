@@ -508,13 +508,30 @@ def test_duration_dataset_skips_invalid_lrc():
 def test_manifest_roundtrip_and_schema_rejects(tmp_path):
     path = tmp_path / "m.jsonl"
     write_manifest([_record("a"), _record("b", channels=1)], path)
+    base = {"duration": 60.0, "sampling_rate": 44100, "channels": 2}
+    mistyped = [
+        {"lyrics": "hello world", "transcript": ["hello world"]},
+        {"lyrics": ["hello world"], "transcript": "hello world"},
+        {"lyrics": ["ok", 3]},
+        {"lyrics_lrc": ["[00:01.00] la"]},
+        {"quality_scores": [1]},
+        {"quality_scores": {"q": "high"}},
+        {"quality_scores": {"q": True}},
+        {"captions": ["a caption"]},
+        {"captions": {"global": 1}},
+        {"segments": {"kind": "lyric"}},
+        {"segments": ["verse"]},
+    ]
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"id": "broken", "duration": -3, "sampling_rate": 44100, "channels": 2}\n')
         fh.write("not json at all\n")
+        for i, fields in enumerate(mistyped):
+            fh.write(json.dumps({"id": f"typed{i}", **base, **fields}) + "\n")
     records, rejects = read_manifest(path)
     assert [r.id for r in records] == ["a", "b"]
-    assert len(rejects) == 2
-    assert rejects[0][0] == 3 and rejects[1][0] == 4
+    assert [line for line, _ in rejects] == list(range(3, 5 + len(mistyped)))
+    assert "lyrics must be a list of strings" in rejects[2][1]
+    assert "transcript must be a list of strings" in rejects[3][1]
 
 
 def test_filter_report_partition_property(rng):

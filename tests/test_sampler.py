@@ -6,7 +6,6 @@ from songflow.config import load_config
 from songflow.errors import ContractError, DimensionError, NumericAbort
 from songflow.lrc import LrcDocument, LrcLine, SegmentSpec
 from songflow.sampler import (
-    DEFAULT_NEGATIVE,
     ConditionTriple,
     GuidanceConfig,
     build_condition_triple,
@@ -140,7 +139,11 @@ def test_negative_empty_segment_list_has_zero_segment_half():
     cfg, system = _small_system()
     spec = PromptSpec(global_text="ember", duration_s=3.0)
     negative = build_negative_condition(system.encoder, spec, None, cfg.task.T)
-    assert np.array_equal(negative.segment_half, np.zeros_like(negative.segment_half))
+    encoder = system.encoder
+    g = np.tile(encoder.global_embedder.embed(NegativePrompts().global_text), (cfg.task.T, 1))
+    zeros = np.zeros((cfg.task.T, encoder.segment_embedder.dimension))
+    expected = encoder.out_proj(Tensor(np.concatenate([g, zeros], axis=1))).data
+    assert np.array_equal(negative.e_text.data, expected)
 
 
 def test_condition_triple_shares_shapes():

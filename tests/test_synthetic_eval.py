@@ -7,7 +7,6 @@ from songflow.conditioning import PromptSpec
 from songflow.errors import ContractError, ValidationError
 from songflow.evaluate import (
     PatternOracleScorer,
-    ab_accuracy,
     duration_mae,
     global_alignment_score,
     segment_alignment_score,
@@ -205,29 +204,8 @@ def test_global_alignment_self_is_max(rng):
 
 
 # -----------------------------------------------------------------------------
-# ab accuracy and duration MAE
+# duration MAE
 # -----------------------------------------------------------------------------
-
-
-def test_ab_accuracy_examples():
-    assert ab_accuracy([("A", "A"), ("B", "B")]) == 1.0
-    alternating = [("A", "A"), ("A", "B")] * 5
-    assert ab_accuracy(alternating) == 0.5
-    with pytest.raises(ContractError):
-        ab_accuracy([])
-    with pytest.raises(ContractError):
-        ab_accuracy([("A", "X")])
-
-
-def test_ab_accuracy_random_judge_near_half():
-    rng = np.random.default_rng(77)
-    judgments = [
-        (("A", "B")[int(rng.integers(0, 2))], ("A", "B")[int(rng.integers(0, 2))])
-        for _ in range(10_000)
-    ]
-    acc = ab_accuracy(judgments)
-    assert 0.45 <= acc <= 0.55
-    assert 0.0 <= acc <= 1.0
 
 
 def _doc(onsets, texts=None, total=100.0):
