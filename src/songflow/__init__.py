@@ -11,6 +11,7 @@ from .backbone import ModelConfig, VelocityModel, parameter_count, time_embeddin
 from .conditioning import (
     ConditioningBundle,
     ConditioningEncoder,
+    ConditionRow,
     HashEmbedder,
     NegativePrompts,
     OutputProjection,
@@ -58,7 +59,7 @@ from .lrc import (
     time_to_frame,
     windows_from_segments,
 )
-from .optim import AdamState, adam_init, adam_step, clip_grad_norm
+from .optim import AdamState, adam_init, adam_step, clip_grad_norm, grad_norm
 from .pipeline import (
     FilterReport,
     RecordManifest,
@@ -72,7 +73,6 @@ from .pipeline import (
     pretrain_filter,
 )
 from .sampler import (
-    ConditionTriple,
     GuidanceConfig,
     build_condition_triple,
     build_negative_condition,

@@ -20,16 +20,12 @@ from .tensor import (
     Tensor,
     add,
     add_row,
-    concat_channels,
+    attention,
     fan_in_uniform,
     layer_norm,
     matmul,
     mul,
-    scale,
     silu,
-    softmax_rows,
-    split_channels,
-    transpose,
 )
 
 __all__ = ["ModelConfig", "time_embedding", "Block", "VelocityModel", "parameter_count"]
@@ -82,7 +78,6 @@ class Block:
     def __init__(self, width: int, n_heads: int, ff_mult: int, rng: np.random.Generator):
         self.width = width
         self.n_heads = n_heads
-        self.head_dim = width // n_heads
         ff = ff_mult * width
         self.ln1_g = Tensor(np.ones(width), requires_grad=True)
         self.ln1_b = Tensor(np.zeros(width), requires_grad=True)
@@ -98,21 +93,8 @@ class Block:
 
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
         h = layer_norm(x, self.ln1_g, self.ln1_b)
-        q = matmul(h, self.wq)
-        k = matmul(h, self.wk)
-        v = matmul(h, self.wv)
-        outs = []
-        inv_sqrt = 1.0 / np.sqrt(self.head_dim)
-        for qh, kh, vh in zip(
-            split_channels(q, self.n_heads),
-            split_channels(k, self.n_heads),
-            split_channels(v, self.n_heads),
-        ):
-            weights = softmax_rows(scale(matmul(qh, transpose(kh)), inv_sqrt))
-            if attn_sink is not None:
-                attn_sink.append(weights.data.copy())
-            outs.append(matmul(weights, vh))
-        x = add(x, matmul(concat_channels(outs), self.wo))
+        q, k, v = matmul(h, self.wq), matmul(h, self.wk), matmul(h, self.wv)
+        x = add(x, matmul(attention(q, k, v, self.n_heads, sink=attn_sink), self.wo))
         h2 = layer_norm(x, self.ln2_g, self.ln2_b)
         ff = matmul(mul(silu(matmul(h2, self.w_gate)), matmul(h2, self.w_up)), self.w_down)
         return add(x, ff)
@@ -150,22 +132,24 @@ class VelocityModel:
         self,
         x_t: Tensor,
         cond: ConditioningBundle,
-        t: float,
+        t: list[float],
         attn_sink: list | None = None,
     ) -> Tensor:
+        """Velocity of (B, T, d_audio) frames: row b at time t[b], under row b of cond."""
         cfg = self.config
-        if x_t.data.ndim != 2 or x_t.data.shape[1] != cfg.d_audio:
-            raise DimensionError(f"x_t must be (T, {cfg.d_audio}), got {x_t.data.shape}")
-        T = x_t.data.shape[0]
-        if cond.e_text.data.shape != (T, cfg.d_text):
-            raise DimensionError(
-                f"e_text must be ({T}, {cfg.d_text}), got {cond.e_text.data.shape}"
-            )
-        if cond.e_lyrics.data.shape != (T, cfg.d_lyrics):
-            raise DimensionError(
-                f"e_lyrics must be ({T}, {cfg.d_lyrics}), got {cond.e_lyrics.data.shape}"
-            )
-        e_t = Tensor(np.tile(time_embedding(t, cfg.d_t), (T, 1)))
+        if x_t.data.ndim != 3 or x_t.data.shape[2] != cfg.d_audio:
+            raise DimensionError(f"x_t must be (B, T, {cfg.d_audio}), got {x_t.data.shape}")
+        B, T, _ = x_t.data.shape
+        for name, e, width in (
+            ("e_text", cond.e_text, cfg.d_text),
+            ("e_lyrics", cond.e_lyrics, cfg.d_lyrics),
+        ):
+            if e.data.shape != (B, T, width):
+                raise DimensionError(f"{name} must be ({B}, {T}, {width}), got {e.data.shape}")
+        if len(t) != B:
+            raise DimensionError(f"need one time step per row: {len(t)} for {B} rows")
+        emb = np.stack([time_embedding(float(tb), cfg.d_t) for tb in t])
+        e_t = Tensor(np.repeat(emb[:, None, :], T, axis=1))
         h = add_row(matmul(assemble_input(cond, x_t, e_t), self.w_in), self.b_in)
         for block in self.blocks:
             h = block.forward(h, attn_sink=attn_sink)

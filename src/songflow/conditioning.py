@@ -8,10 +8,12 @@ their token embeddings placed one-per-frame from each line's onset. The full
 model input concatenates (E_text, E_lyrics, E_audio, E_t) along channels.
 
 ConditioningEncoder.encode is the one path that broadcasts, zeroes and
-projects. Condition dropout draws its flags first (apply_condition_dropout)
-and encode zeroes the dropped global and/or segment halves *before* the
-single projection (and the lyric frames wholesale), so the projection always
-sees a well-defined unconditional input.
+projects. It encodes a batch of rows (prompt spec, lyrics, three drop flags)
+sharing T frames. Condition dropout draws the flags first
+(apply_condition_dropout) and encode zeroes the dropped global and/or
+segment halves *before* the single projection of all rows (and the lyric
+frames wholesale), so the projection always sees a well-defined
+unconditional input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -28,10 +30,8 @@ from .lrc import (
     LYRIC,
     LrcDocument,
     SegmentSpec,
-    SegmentWindow,
     time_to_frame,
     validate_segments,
-    windows_from_segments,
 )
 from .tensor import Tensor, add_row, concat_channels, fan_in_uniform, matmul, silu
 
@@ -43,6 +43,7 @@ __all__ = [
     "PromptSpec",
     "prompt_spec_from_json",
     "prompt_spec_to_json",
+    "ConditionRow",
     "ConditioningBundle",
     "broadcast_prompt_halves",
     "lyric_tokens",
@@ -284,27 +285,46 @@ def encode_lyrics(
 # -----------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ConditionRow:
+    """One sample to encode: its prompts, its lyrics, and the parts that
+    condition dropout removes."""
+
+    spec: PromptSpec
+    doc: LrcDocument | None = None
+    drop_global: bool = False
+    drop_segment: bool = False
+    drop_lyrics: bool = False
+
+
 @dataclass
 class ConditioningBundle:
-    """The prompt and lyric conditioning of one sample.
+    """The prompt and lyric conditioning of B samples that share T frames.
 
-    e_text is the projected (T, d_text) text embedding and e_lyrics the
-    (T, d_lyrics) lyric frames. A dropped half was zeroed before the
-    projection; dropped lyric frames are all zero. The noisy frames and the
-    time embedding change every forward pass, so they are not part of the
-    bundle: assemble_input takes them as arguments.
+    e_text is the projected (B, T, d_text) text embedding and e_lyrics the
+    (B, T, d_lyrics) lyric frames; rows[b] is what row b was encoded from. A
+    dropped half was zeroed before the projection; dropped lyric frames are
+    all zero. The noisy frames and the time embedding change every forward
+    pass, so they are not part of the bundle: assemble_input takes them as
+    arguments.
     """
 
     e_text: Tensor
     e_lyrics: Tensor
-    drop_global: bool
-    drop_segment: bool
-    drop_lyrics: bool
-    windows: tuple[SegmentWindow, ...] = ()
+    rows: tuple[ConditionRow, ...]
 
     @property
     def T(self) -> int:
-        return self.e_text.data.shape[0]
+        return self.e_text.data.shape[1]
+
+    def take(self, indices: Sequence[int]) -> "ConditioningBundle":
+        """The given rows, in that order, as a bundle off the tape."""
+        indices = list(indices)
+        return ConditioningBundle(
+            e_text=Tensor(self.e_text.data[indices]),
+            e_lyrics=Tensor(self.e_lyrics.data[indices]),
+            rows=tuple(self.rows[i] for i in indices),
+        )
 
 
 def apply_condition_dropout(
@@ -358,35 +378,30 @@ class ConditioningEncoder:
     def d_lyrics(self) -> int:
         return self.lyric_embedder.dimension
 
-    def encode(
-        self,
-        spec: PromptSpec,
-        doc: LrcDocument | None,
-        T: int,
-        drop_global: bool = False,
-        drop_segment: bool = False,
-        drop_lyrics: bool = False,
-    ) -> ConditioningBundle:
-        """Broadcast the prompts, zero the dropped halves, project once.
-        Dropped lyric frames are zeroed; the lyrics are still encoded so an
-        onset outside [0, T) is an error whatever the flags."""
-        e_g, e_l = broadcast_prompt_halves(
-            spec, T, self.global_embedder, self.segment_embedder, self.frame_rate
-        )
-        if drop_global:
-            e_g = np.zeros_like(e_g)
-        if drop_segment:
-            e_l = np.zeros_like(e_l)
-        lyr, _ = encode_lyrics(doc, self.lyric_embedder, T, self.frame_rate)
-        if drop_lyrics:
-            lyr = np.zeros_like(lyr)
+    def encode(self, rows: Sequence[ConditionRow], T: int) -> ConditioningBundle:
+        """Broadcast each row's prompts, zero its dropped halves, and project
+        all rows at once. Dropped lyric frames are zeroed; the lyrics are
+        still encoded so an onset outside [0, T) is an error whatever the
+        flags."""
+        rows = tuple(rows)
+        if not rows:
+            raise ContractError("encode needs at least one row")
+        d_g, d_l = self.global_embedder.dimension, self.segment_embedder.dimension
+        halves = np.zeros((len(rows), T, d_g + d_l))
+        lyrics = np.zeros((len(rows), T, self.d_lyrics))
+        for b, row in enumerate(rows):
+            e_g, e_l = broadcast_prompt_halves(
+                row.spec, T, self.global_embedder, self.segment_embedder, self.frame_rate
+            )
+            if not row.drop_global:
+                halves[b, :, :d_g] = e_g
+            if not row.drop_segment:
+                halves[b, :, d_g:] = e_l
+            lyr, _ = encode_lyrics(row.doc, self.lyric_embedder, T, self.frame_rate)
+            if not row.drop_lyrics:
+                lyrics[b] = lyr
         return ConditioningBundle(
-            e_text=self.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))),
-            e_lyrics=Tensor(lyr),
-            drop_global=drop_global,
-            drop_segment=drop_segment,
-            drop_lyrics=drop_lyrics,
-            windows=tuple(windows_from_segments(spec.segments, self.frame_rate, T)),
+            e_text=self.out_proj(Tensor(halves)), e_lyrics=Tensor(lyrics), rows=rows
         )
 
     def named_parameters(self, prefix: str = "conditioning") -> list[tuple[str, Tensor]]:

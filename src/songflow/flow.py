@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditioning import ConditioningEncoder, PromptSpec, apply_condition_dropout
+from .conditioning import ConditioningEncoder, ConditionRow, PromptSpec, apply_condition_dropout
 from .errors import ContractError, DimensionError, NumericAbort
 from .lrc import LrcDocument
-from .optim import adam_init, adam_step, clip_grad_norm
-from .tensor import Tensor, add, backward, mse, scale, zero_grads
+from .optim import adam_init, adam_step, clip_grad_norm, grad_norm
+from .tensor import Tensor, backward, mse, zero_grads
 
 __all__ = [
     "interpolate",
@@ -117,19 +117,20 @@ def cfm_loss(
 ) -> Tensor:
     """Mean over the batch of || v(t, C, x_t) - (x1 - x0) ||^2 / N.
 
-    Per element, in order: t ~ U(0,1), x0 ~ N(0,I), dropout draws.
+    Per element, in order: t ~ U(0,1), x0 ~ N(0,I), dropout draws. The
+    whole batch is then encoded, run forward and scored as one graph.
     """
-    total = None
+    rows, ts, x_t, u = [], [], [], []
     for ex in batch.examples:
         t = float(rng.random())
         x0 = rng.standard_normal(ex.x1.shape)
-        x_t = interpolate(x0, ex.x1, t)
-        u = target_velocity(x0, ex.x1)
+        ts.append(t)
+        x_t.append(interpolate(x0, ex.x1, t))
+        u.append(target_velocity(x0, ex.x1))
         drops = apply_condition_dropout(p_drop_global, p_drop_segment, rng, p_lyrics=p_drop_lyrics)
-        bundle = encoder.encode(ex.spec, ex.doc, ex.x1.shape[0], *drops)
-        term = mse(model.forward(Tensor(x_t), bundle, t), Tensor(u))
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / len(batch.examples))
+        rows.append(ConditionRow(ex.spec, ex.doc, *drops))
+    bundle = encoder.encode(rows, batch.examples[0].x1.shape[0])
+    return mse(model.forward(Tensor(np.stack(x_t)), bundle, ts), Tensor(np.stack(u)))
 
 
 @dataclass
@@ -179,6 +180,8 @@ def train(
                 raise NumericAbort("loss is not finite", step=step, batch_ids=batch.ids())
             zero_grads(params)
             backward(loss)
+            if not np.isfinite(grad_norm(params)):
+                raise NumericAbort("gradient is not finite", step=step, batch_ids=batch.ids())
             if config.grad_clip_norm is not None:
                 clip_grad_norm(params, config.grad_clip_norm)
             adam_step(params, state)

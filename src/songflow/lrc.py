@@ -174,12 +174,24 @@ def serialize_lrc(doc: LrcDocument) -> str:
 
 def time_to_frame(t: float, sampling_rate: float, downsample: float = 1.0) -> int:
     """floor(t * sampling_rate / downsample). The quotient is the latent frame rate,
-    so time_to_frame(t, frame_rate) works directly."""
+    so time_to_frame(t, frame_rate) works directly.
+
+    A time within 1e-8 s of the centisecond grid (every LRC stamp) is floored
+    exactly as that many centiseconds: [00:00.57] at 100 Hz is frame 57, where
+    the float product 0.57 * 100 = 56.99... would floor to 56. Other times
+    floor the float product."""
     if t < 0:
         raise ContractError(f"negative time {t}")
     if sampling_rate <= 0 or downsample <= 0:
         raise ContractError("sampling_rate and downsample must be positive")
-    return int(t * sampling_rate / downsample)
+    centis = round(t * 100.0)
+    if abs(t * 100.0 - centis) > 1e-6:
+        return int(t * sampling_rate / downsample)
+    if downsample == 1.0 and sampling_rate == int(sampling_rate):
+        return centis * int(sampling_rate) // 100  # the common case, ~10x faster than Fraction
+    from fractions import Fraction  # not at module level: it imports decimal, ~2 ms per start-up
+
+    return math.floor(Fraction(centis, 100) * Fraction(sampling_rate) / Fraction(downsample))
 
 
 def frame_count(total_duration: float, frame_rate: float) -> int:

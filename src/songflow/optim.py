@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
-__all__ = ["AdamState", "adam_init", "adam_step", "clip_grad_norm"]
+__all__ = ["AdamState", "adam_init", "adam_step", "grad_norm", "clip_grad_norm"]
 
 
 @dataclass
@@ -66,16 +66,22 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
 
 
+def grad_norm(params: list[Tensor]) -> float:
+    """Global L2 norm of all gradients in one pass: NaN or inf when any entry
+    is (or when the sum of squares overflows)."""
+    total = 0.0
+    for p in params:
+        if p.grad is None:
+            raise ContractError("grad_norm: parameter has no gradient")
+        total += float(np.vdot(p.grad, p.grad))
+    return float(np.sqrt(total))
+
+
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale all gradients jointly so their global L2 norm is at most max_norm."""
     if max_norm <= 0:
         raise ContractError("max_norm must be positive")
-    total = 0.0
-    for p in params:
-        if p.grad is None:
-            raise ContractError("clip_grad_norm: parameter has no gradient")
-        total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+    norm = grad_norm(params)
     if norm > max_norm:
         factor = max_norm / norm
         for p in params:

@@ -17,6 +17,7 @@ percentile cutoff are kept.
 from __future__ import annotations
 
 import json
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +55,11 @@ def _is_list_of(value, kind) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float; not a bool. A NaN score would pass every
+    quality gate, since it compares false against any cutoff."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_str_map_of(value, ok) -> bool:

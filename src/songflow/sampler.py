@@ -16,14 +16,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conditioning import ConditioningBundle, ConditioningEncoder, NegativePrompts, PromptSpec
+from .conditioning import (
+    ConditioningBundle,
+    ConditioningEncoder,
+    ConditionRow,
+    NegativePrompts,
+    PromptSpec,
+)
 from .errors import ContractError, DimensionError, NumericAbort
 from .lrc import LrcDocument
 from .tensor import Tensor
 
 __all__ = [
     "GuidanceConfig",
-    "ConditionTriple",
     "guided_velocity",
     "build_negative_condition",
     "build_condition_triple",
@@ -43,21 +48,6 @@ class GuidanceConfig:
             raise ContractError("steps must be >= 1")
 
 
-@dataclass
-class ConditionTriple:
-    conditional: ConditioningBundle
-    unconditional: ConditioningBundle
-    negative: ConditioningBundle
-
-    def __post_init__(self):
-        shapes = {
-            (b.e_text.data.shape, b.e_lyrics.data.shape)
-            for b in (self.conditional, self.unconditional, self.negative)
-        }
-        if len(shapes) != 1:
-            raise DimensionError("the three bundles must share T and channel widths")
-
-
 def guided_velocity(
     v_u: np.ndarray, v_c: np.ndarray, v_n: np.ndarray, cfg: float, cfg_n: float
 ) -> np.ndarray:
@@ -74,12 +64,10 @@ def guided_velocity(
 
 
 def build_negative_condition(
-    encoder: ConditioningEncoder,
     spec: PromptSpec,
     doc: LrcDocument | None,
-    T: int,
     defaults: NegativePrompts = NegativePrompts(),
-) -> ConditioningBundle:
+) -> ConditionRow:
     """Lyrics zeroed; the global prompt and every segment's text replaced by
     negative text (the spec's own negative prompts when present, else the
     defaults). Segment windows are preserved exactly."""
@@ -90,7 +78,7 @@ def build_negative_condition(
         negative=None,
         duration_s=spec.duration_s,
     )
-    return encoder.encode(neg_spec, doc, T, drop_lyrics=True)
+    return ConditionRow(neg_spec, doc, drop_lyrics=True)
 
 
 def build_condition_triple(
@@ -99,20 +87,20 @@ def build_condition_triple(
     doc: LrcDocument | None,
     T: int,
     defaults: NegativePrompts = NegativePrompts(),
-) -> ConditionTriple:
-    """Conditional, fully-dropped unconditional, and negative bundles."""
-    return ConditionTriple(
-        conditional=encoder.encode(spec, doc, T),
-        unconditional=encoder.encode(
-            spec, doc, T, drop_global=True, drop_segment=True, drop_lyrics=True
-        ),
-        negative=build_negative_condition(encoder, spec, doc, T, defaults),
+) -> ConditioningBundle:
+    """The conditional, fully-dropped unconditional and negative rows, in
+    that order, encoded as one three-row bundle."""
+    rows = (
+        ConditionRow(spec, doc),
+        ConditionRow(spec, doc, drop_global=True, drop_segment=True, drop_lyrics=True),
+        build_negative_condition(spec, doc, defaults),
     )
+    return encoder.encode(rows, T)
 
 
 def euler_sample(
     model,
-    triple: ConditionTriple,
+    triple: ConditioningBundle,
     gc: GuidanceConfig,
     T: int,
     d_audio: int,
@@ -120,29 +108,27 @@ def euler_sample(
 ) -> np.ndarray:
     """Integrate from seeded noise to the t = 1 endpoint.
 
-    Branches whose guidance coefficient makes them unused are skipped; the
+    triple holds the conditional, unconditional and negative rows (see
+    build_condition_triple). Only the rows that the guidance coefficients
+    use are stacked, and each step runs them in one forward; the
     combination rule is unchanged either way.
     """
+    if len(triple.rows) != 3:
+        raise DimensionError(f"need the three guidance rows, got {len(triple.rows)}")
+    need_c = gc.cfg != 0.0
+    need_u = not (gc.cfg == 1.0 and gc.cfg_n == 0.0)
+    need_n = gc.cfg_n != 0.0
+    used = [i for i, need in enumerate((need_c, need_u, need_n)) if need]
+    cond = triple if len(used) == 3 else triple.take(used)
     rng = np.random.default_rng(gc.seed)
     x = rng.standard_normal((T, d_audio))
     h = 1.0 / gc.steps
-    need_c = gc.cfg != 0.0
-    need_n = gc.cfg_n != 0.0
-    need_u = not (gc.cfg == 1.0 and gc.cfg_n == 0.0)
+    zero = np.zeros_like(x)
     for k in range(gc.steps):
         t = k / gc.steps
-        xt = Tensor(x)
-        v_c = model.forward(xt, triple.conditional, t).data if need_c else None
-        v_u = model.forward(xt, triple.unconditional, t).data if need_u else None
-        v_n = model.forward(xt, triple.negative, t).data if need_n else None
-        zero = np.zeros_like(x)
-        v = guided_velocity(
-            v_u if v_u is not None else zero,
-            v_c if v_c is not None else zero,
-            v_n if v_n is not None else zero,
-            gc.cfg,
-            gc.cfg_n,
-        )
+        xt = Tensor(np.broadcast_to(x, (len(used), T, d_audio)))
+        out = dict(zip(used, model.forward(xt, cond, [t] * len(used)).data))
+        v = guided_velocity(out.get(1, zero), out.get(0, zero), out.get(2, zero), gc.cfg, gc.cfg_n)
         x = x + h * v
         if not np.isfinite(x).all():
             raise NumericAbort("trajectory left finite range", step=k)

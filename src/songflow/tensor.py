@@ -5,6 +5,12 @@ result tensor, so the graph lives on the results themselves; there is no
 global tape and independent graphs share no state. backward() walks the
 recorded graph once in reverse topological order and accumulates into
 `.grad` (repeated calls without zeroing keep accumulating).
+
+Activations may carry leading batch axes: `matmul`, `add_row`, `layer_norm`,
+`concat_channels` and `attention` act on the last one or two axes of a
+(..., T, d) tensor, so a (B, T, d) batch and a single (T, d) sample take
+the same path. Weights, biases and gains stay 1-D or 2-D, and their
+gradients sum over every leading axis.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ __all__ = [
     "layer_norm",
     "concat_channels",
     "slice_channels",
-    "split_channels",
+    "attention",
     "mse",
     "sum_all",
     "backward",
@@ -102,18 +108,21 @@ def _need_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # -----------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m, k) @ (k, n) -> (m, n)."""
-    _need_2d(a, "matmul")
-    _need_2d(b, "matmul")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul: inner dims {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    """(..., m, k) @ (k, n) -> (..., m, n): one GEMM over all leading rows."""
+    _need_2d(w, "matmul")
+    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionError(f"matmul: inner dims {x.data.shape} @ {w.data.shape}")
+    k, n = w.data.shape
+    x2 = x.data.reshape(-1, k)
+    data = (x2 @ w.data).reshape(x.data.shape[:-1] + (n,))
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        return gx, x2.T @ g2 if w.requires_grad else None
 
-    return _result(data, (a, b), vjp)
+    return _result(data, (x, w), vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -166,24 +175,33 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def add_row(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a (d,) bias row to every row of a (T, d) tensor."""
-    _need_2d(x, "add_row")
-    if bias.data.ndim != 1 or bias.data.shape[0] != x.data.shape[1]:
+    """Add a (d,) bias row to every row of a (..., d) tensor."""
+    d = x.data.shape[-1] if x.data.ndim >= 2 else -1
+    if bias.data.shape != (d,):
         raise DimensionError(f"add_row: bias {bias.data.shape} vs rows of {x.data.shape}")
 
     def vjp(g):
-        return g, g.sum(axis=0)
+        return g, g.reshape(-1, d).sum(axis=0)
 
     return _result(x.data + bias.data, (x, bias), vjp)
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = np.exp(-np.logaddexp(0.0, -x.data))  # stable sigmoid
+    """x * sigmoid(x), with sigmoid(x) = (1 + tanh(x / 2)) / 2: nothing
+    overflows, and the temporaries are updated in place."""
+    s = np.multiply(x.data, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
     data = x.data * s
 
     def vjp(g):
-        return (g * (s * (1.0 + x.data * (1.0 - s))),)
+        d = 1.0 - s
+        d *= x.data
+        d += 1.0
+        d *= s
+        d *= g
+        return (d,)
 
     return _result(data, (x,), vjp)
 
@@ -202,26 +220,25 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row zero-mean unit-variance normalization of (T, d), then affine."""
-    _need_2d(x, "layer_norm")
-    d = x.data.shape[1]
+    """Per-row zero-mean unit-variance normalization of (..., d), then affine."""
+    d = x.data.shape[-1] if x.data.ndim >= 2 else -1
     if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError(f"layer_norm: gain/bias must be ({d},)")
-    mu = x.data.mean(axis=1, keepdims=True)
+        raise DimensionError(f"layer_norm: gain/bias must be ({d},) for rows of {x.data.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
     def vjp(g):
-        dgain = (g * xhat).sum(axis=0)
-        dbias = g.sum(axis=0)
+        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        dbias = g.reshape(-1, d).sum(axis=0)
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
         return dx, dgain, dbias
 
@@ -229,21 +246,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Concatenate (T, d_i) tensors along channels, preserving order."""
+    """Concatenate (..., d_i) tensors along channels, preserving order."""
     if not parts:
         raise DimensionError("concat_channels: need at least one part")
-    for p in parts:
-        _need_2d(p, "concat_channels")
-    T = parts[0].data.shape[0]
-    if any(p.data.shape[0] != T for p in parts):
+    lead = parts[0].data.shape[:-1]
+    if len(lead) < 1 or any(p.data.shape[:-1] != lead for p in parts):
         raise DimensionError(
-            f"concat_channels: leading lengths differ: {[p.data.shape for p in parts]}"
+            f"concat_channels: leading shapes differ: {[p.data.shape for p in parts]}"
         )
-    data = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    data = np.concatenate([p.data for p in parts], axis=-1)
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
     def vjp(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]].copy() for i in range(len(parts)))
+        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
     return _result(data, tuple(parts), vjp)
 
@@ -264,14 +279,60 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(data, (x,), vjp)
 
 
-def split_channels(x: Tensor, n: int) -> list[Tensor]:
-    """Split a (T, d) tensor into n equal-width channel groups."""
-    _need_2d(x, "split_channels")
-    d = x.data.shape[1]
-    if n < 1 or d % n != 0:
-        raise DimensionError(f"split_channels: width {d} not divisible by {n}")
-    w = d // n
-    return [slice_channels(x, i * w, (i + 1) * w) for i in range(n)]
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over (..., T, d) inputs.
+
+    Head h reads channels [h*d/H, (h+1)*d/H) of q, k and v and writes the
+    same channels of the output; its scores are scaled by 1/sqrt(d/H) (folded
+    into q) and softmaxed over the keys. Heads and leading axes are one array
+    axis of (T, T) score blocks. On the tape every block is kept for the
+    backward pass and all are computed at once; off the tape the blocks are
+    computed one at a time in a single reused buffer. A given sink gets a
+    copy of each head's (T, T) weights, leading index first.
+    """
+    _need_same_shape(q, k, "attention")
+    _need_same_shape(q, v, "attention")
+    shape = q.data.shape
+    if len(shape) < 2 or n_heads < 1 or shape[-1] % n_heads != 0:
+        raise DimensionError(f"attention: {shape} does not split into {n_heads} heads")
+    T, d = shape[-2:]
+    hd = d // n_heads
+    c = 1.0 / np.sqrt(hd)
+
+    def split(a):  # (..., T, d) -> (N*H, T, hd)
+        return a.reshape(-1, T, n_heads, hd).transpose(0, 2, 1, 3).reshape(-1, T, hd)
+
+    def merge(a):  # (N*H, T, hd) -> (..., T, d)
+        return a.reshape(-1, n_heads, T, hd).transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
+    n = qh.shape[0]
+    record = q.requires_grad or k.requires_grad or v.requires_grad
+    probs = np.empty((n, T, T)) if record else None
+    chunk = n if record else 1
+    scores = None
+    out = np.empty_like(qh)
+    for i in range(0, n, chunk):
+        rows = slice(i, i + chunk)
+        scores = np.matmul(qh[rows], kh[rows].transpose(0, 2, 1), out=probs if record else scores)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores *= 1.0 / scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, vh[rows], out=out[rows])
+        if sink is not None:
+            sink.extend(scores.copy())
+
+    def vjp(g):
+        gh = split(g)
+        dv = np.matmul(probs.transpose(0, 2, 1), gh)
+        ds = np.matmul(gh, vh.transpose(0, 2, 1))
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        dq = np.matmul(ds, kh)
+        dq *= c
+        return merge(dq), merge(np.matmul(ds.transpose(0, 2, 1), qh)), merge(dv)
+
+    return _result(merge(out), (q, k, v), vjp)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
@@ -336,7 +397,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node.grad is None:
-            node.grad = g.copy()
+            node.grad = g  # gmap owns g, and vjps only read it
         else:
             node.grad += g
         if node._vjp is None:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_max_rel_error
 from songflow.backbone import ModelConfig, VelocityModel, parameter_count, time_embedding
-from songflow.conditioning import ConditioningBundle
+from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
 from songflow.errors import ContractError, DimensionError, ValidationError
 from songflow.tensor import Tensor, mse, zero_grads
 
@@ -15,13 +15,17 @@ def _tiny_config():
 
 
 def _bundle_from_arrays(e_text, e_lyrics):
+    """A one-row bundle from (T, d) arrays."""
     return ConditioningBundle(
-        e_text=Tensor(e_text),
-        e_lyrics=Tensor(e_lyrics),
-        drop_global=False,
-        drop_segment=False,
-        drop_lyrics=False,
+        e_text=Tensor(e_text[None]),
+        e_lyrics=Tensor(e_lyrics[None]),
+        rows=(ConditionRow(PromptSpec("unused")),),
     )
+
+
+def _forward(model, x, bundle, t, **kwargs):
+    """One (T, d_audio) sample through the batched forward."""
+    return model.forward(Tensor(x[None]), bundle, [t], **kwargs)
 
 
 def test_time_embedding_bounds_and_zero():
@@ -62,8 +66,8 @@ def test_forward_output_shape(T, rng):
     bundle = _bundle_from_arrays(
         rng.standard_normal((T, cfg.d_text)), rng.standard_normal((T, cfg.d_lyrics))
     )
-    out = model.forward(Tensor(rng.standard_normal((T, cfg.d_audio))), bundle, 0.5)
-    assert out.data.shape == (T, cfg.d_audio)
+    out = _forward(model, rng.standard_normal((T, cfg.d_audio)), bundle, 0.5)
+    assert out.data.shape == (1, T, cfg.d_audio)
 
 
 def test_forward_rejects_mismatched_widths(rng):
@@ -73,7 +77,7 @@ def test_forward_rejects_mismatched_widths(rng):
         rng.standard_normal((4, cfg.d_text + 1)), rng.standard_normal((4, cfg.d_lyrics))
     )
     with pytest.raises(DimensionError):
-        model.forward(Tensor(rng.standard_normal((4, cfg.d_audio))), bundle, 0.5)
+        _forward(model, rng.standard_normal((4, cfg.d_audio)), bundle, 0.5)
 
 
 def test_zero_initialized_head_gives_zero_field(rng):
@@ -82,8 +86,8 @@ def test_zero_initialized_head_gives_zero_field(rng):
     bundle = _bundle_from_arrays(
         rng.standard_normal((5, cfg.d_text)), rng.standard_normal((5, cfg.d_lyrics))
     )
-    out = model.forward(Tensor(rng.standard_normal((5, cfg.d_audio))), bundle, 0.3)
-    assert np.array_equal(out.data, np.zeros((5, cfg.d_audio)))
+    out = _forward(model, rng.standard_normal((5, cfg.d_audio)), bundle, 0.3)
+    assert np.array_equal(out.data, np.zeros((1, 5, cfg.d_audio)))
 
 
 def test_forward_is_deterministic(rng):
@@ -92,8 +96,8 @@ def test_forward_is_deterministic(rng):
     e_text = rng.standard_normal((6, cfg.d_text))
     e_lyr = rng.standard_normal((6, cfg.d_lyrics))
     x = rng.standard_normal((6, cfg.d_audio))
-    a = model.forward(Tensor(x), _bundle_from_arrays(e_text, e_lyr), 0.5).data
-    b = model.forward(Tensor(x), _bundle_from_arrays(e_text, e_lyr), 0.5).data
+    a = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data
+    b = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data
     assert np.array_equal(a, b)
 
 
@@ -107,10 +111,8 @@ def test_permutation_equivariance(rng):
     e_lyr = rng.standard_normal((T, cfg.d_lyrics))
     x = rng.standard_normal((T, cfg.d_audio))
     perm = rng.permutation(T)
-    out = model.forward(Tensor(x), _bundle_from_arrays(e_text, e_lyr), 0.5).data
-    out_perm = model.forward(
-        Tensor(x[perm]), _bundle_from_arrays(e_text[perm], e_lyr[perm]), 0.5
-    ).data
+    out = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data[0]
+    out_perm = _forward(model, x[perm], _bundle_from_arrays(e_text[perm], e_lyr[perm]), 0.5).data[0]
     assert np.allclose(out_perm, out[perm], rtol=1e-10, atol=1e-12)
 
 
@@ -123,7 +125,7 @@ def test_attention_rows_are_probability_distributions(rng):
         rng.standard_normal((7, cfg.d_text)), rng.standard_normal((7, cfg.d_lyrics))
     )
     sink = []
-    model.forward(Tensor(rng.standard_normal((7, cfg.d_audio))), bundle, 0.5, attn_sink=sink)
+    _forward(model, rng.standard_normal((7, cfg.d_audio)), bundle, 0.5, attn_sink=sink)
     assert len(sink) == cfg.n_blocks * cfg.n_heads
     for weights in sink:
         assert (weights >= 0).all()
@@ -152,10 +154,32 @@ def test_end_to_end_gradients_match_finite_differences(rng):
     e_text = rng.standard_normal((T, cfg.d_text))
     e_lyr = rng.standard_normal((T, cfg.d_lyrics))
     x = rng.standard_normal((T, cfg.d_audio))
-    target = Tensor(rng.standard_normal((T, cfg.d_audio)))
+    target = Tensor(rng.standard_normal((1, T, cfg.d_audio)))
 
     def build_loss():
         bundle = _bundle_from_arrays(e_text, e_lyr)
-        return mse(model.forward(Tensor(x), bundle, 0.5), target)
+        return mse(_forward(model, x, bundle, 0.5), target)
 
     assert fd_max_rel_error(build_loss, params) < 1e-3
+
+
+def test_batched_forward_matches_single_rows(rng):
+    cfg = _tiny_config()
+    model = VelocityModel(cfg, rng)
+    for _, p in model.named_parameters():
+        p.data += 0.05 * rng.standard_normal(p.data.shape)
+    B, T = 3, 5
+    e_text = rng.standard_normal((B, T, cfg.d_text))
+    e_lyr = rng.standard_normal((B, T, cfg.d_lyrics))
+    x = rng.standard_normal((B, T, cfg.d_audio))
+    ts = [0.1, 0.5, 0.9]
+    rows = (ConditionRow(PromptSpec("unused")),) * B
+    bundle = ConditioningBundle(Tensor(e_text), Tensor(e_lyr), rows=rows)
+    sink = []
+    out = model.forward(Tensor(x), bundle, ts, attn_sink=sink).data
+    assert len(sink) == B * cfg.n_blocks * cfg.n_heads
+    for b in range(B):
+        alone = _forward(model, x[b], _bundle_from_arrays(e_text[b], e_lyr[b]), ts[b]).data[0]
+        assert np.abs(out[b] - alone).max() <= 1e-12 * np.abs(alone).max()
+    with pytest.raises(DimensionError):
+        model.forward(Tensor(x), bundle, ts[:2])

@@ -160,6 +160,26 @@ def test_pretrain_stage_matches_oracle_on_fixture(tmp_path, rng):
     assert (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_quality_gates_reject_a_nan_score_as_a_schema_error(tmp_path, stage):
+    manifest = tmp_path / "m.jsonl"
+    lines = [
+        json.dumps({"id": f"r{i}", "duration": 60.0, "sampling_rate": 48_000, "channels": 2,
+                    "quality_scores": {"q": float("nan") if i == 3 else float(i)}})
+        for i in range(20)
+    ]
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert "NaN" in lines[3]
+    out = tmp_path / "out"
+    assert main(["pipeline", "--stage", stage, "--manifest", str(manifest),
+                 "--out-dir", str(out)]) == EXIT_OK
+    report = json.loads((out / f"{stage}_report.json").read_text())
+    assert [r["line"] for r in report["schema_rejects"]] == [4]
+    assert "quality_scores" in report["schema_rejects"][0]["error"]
+    assert "r3" not in report["kept"]
+    assert report["kept"]
+
+
 def test_dpo_stage_requires_min_diff_and_selects_pairs(tmp_path):
     scores = tmp_path / "scores.jsonl"
     rows = [{"group": "g1", "id": s, "score": v} for s, v in

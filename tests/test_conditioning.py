@@ -5,6 +5,7 @@ from conftest import brute_force_text_embedding
 from songflow.conditioning import (
     ConditioningBundle,
     ConditioningEncoder,
+    ConditionRow,
     HashEmbedder,
     OutputProjection,
     PromptSpec,
@@ -33,6 +34,12 @@ def _encoder(dg=4, dl=4, dly=3, d_text=5, frame_rate=4.0, seed=0):
         OutputProjection(dg + dl, d_text, d_text, np.random.default_rng(seed)),
         frame_rate,
     )
+
+
+def _encode(encoder, spec, doc, T, *flags):
+    """encode() of one row, as (T, d) arrays: (e_text, e_lyrics, row)."""
+    bundle = encoder.encode([ConditionRow(spec, doc, *flags)], T)
+    return bundle.e_text.data[0], bundle.e_lyrics.data[0], bundle.rows[0]
 
 
 # -----------------------------------------------------------------------------
@@ -74,9 +81,9 @@ def test_no_segments_leaves_zero_segment_half():
     assert np.array_equal(e_l, np.zeros((6, 4)))
     assert np.array_equal(e_g, np.tile(f_g.embed("calm song"), (6, 1)))
     encoder = _encoder(d_text=5)
-    out = encoder.encode(spec, None, 6).e_text
+    out, _, _ = _encode(encoder, spec, None, 6)
     expected = encoder.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))).data
-    assert np.array_equal(out.data, expected)
+    assert np.array_equal(out, expected)
 
 
 def test_single_segment_fills_only_its_window():
@@ -142,7 +149,7 @@ def test_encode_prompts_matches_brute_force_bit_exactly(rng):
         frame_rate = float(rng.choice([2.0, 4.0, 8.0]))
         spec = _random_spec(rng, T, frame_rate)
         encoder = encoders[frame_rate]
-        ours = encoder.encode(spec, None, T).e_text.data
+        ours, _, _ = _encode(encoder, spec, None, T)
         reference = brute_force_text_embedding(
             spec, T, encoder.global_embedder, encoder.segment_embedder, encoder.out_proj,
             frame_rate,
@@ -176,7 +183,7 @@ def test_locality_of_segment_text_changes(rng):
 def test_rows_within_a_segment_are_identical_after_projection():
     encoder = _encoder(d_text=6, seed=1)
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 2.0, "pattern"),))
-    out = encoder.encode(spec, None, 8).e_text.data
+    out, _, _ = _encode(encoder, spec, None, 8)
     for f in range(1, 8):
         assert np.allclose(out[f], out[0], rtol=1e-10, atol=1e-12)
 
@@ -262,7 +269,7 @@ def test_encode_lyrics_onset_outside_frames_is_error():
 def _bundle(encoder, T=8):
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 1.0, "s"),))
     doc = LrcDocument(lines=(LrcLine(0.0, "la"),), total_duration=T / 4.0)
-    return encoder.encode(spec, doc, T), spec, doc
+    return encoder.encode([ConditionRow(spec, doc)], T), spec, doc
 
 
 def _halves(encoder, spec, T=8):
@@ -276,9 +283,9 @@ def test_dropout_zero_probability_is_identity(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(0.0, 0.0, rng)
     assert flags == (False, False, False)
-    out = encoder.encode(spec, doc, bundle.T, *flags)
-    assert np.array_equal(out.e_text.data, bundle.e_text.data)
-    assert np.array_equal(out.e_lyrics.data, bundle.e_lyrics.data)
+    e_text, e_lyrics, _ = _encode(encoder, spec, doc, bundle.T, *flags)
+    assert np.array_equal(e_text, bundle.e_text.data[0])
+    assert np.array_equal(e_lyrics, bundle.e_lyrics.data[0])
 
 
 def test_dropout_certain_event_zeroes_global(rng):
@@ -286,14 +293,14 @@ def test_dropout_certain_event_zeroes_global(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(1.0, 0.0, rng)
     assert flags == (True, False, False)
-    out = encoder.encode(spec, doc, bundle.T, *flags)
-    assert out.drop_global and not out.drop_segment
+    e_text, e_lyrics, row = _encode(encoder, spec, doc, bundle.T, *flags)
+    assert row.drop_global and not row.drop_segment
     e_g, e_l = _halves(encoder, spec)
     expected = encoder.out_proj(
         Tensor(np.concatenate([np.zeros_like(e_g), e_l], axis=1))
     ).data
-    assert np.array_equal(out.e_text.data, expected)
-    assert np.array_equal(out.e_lyrics.data, bundle.e_lyrics.data)
+    assert np.array_equal(e_text, expected)
+    assert np.array_equal(e_lyrics, bundle.e_lyrics.data[0])
 
 
 def test_dropout_rates_and_independence():
@@ -314,11 +321,33 @@ def test_dropout_rates_and_independence():
     # encode honours every flag combination the draws produced
     e_g, e_l = _halves(encoder, spec)
     for drop_g, drop_s in {tuple(map(bool, row)) for row in flags}:
-        out = encoder.encode(spec, doc, 8, drop_g, drop_s)
+        e_text, _, row = _encode(encoder, spec, doc, 8, drop_g, drop_s)
         halves = [np.zeros_like(e_g) if drop_g else e_g, np.zeros_like(e_l) if drop_s else e_l]
         expected = encoder.out_proj(Tensor(np.concatenate(halves, axis=1))).data
-        assert (out.drop_global, out.drop_segment) == (drop_g, drop_s)
-        assert np.array_equal(out.e_text.data, expected)
+        assert (row.drop_global, row.drop_segment) == (drop_g, drop_s)
+        assert np.array_equal(e_text, expected)
+
+
+def test_encode_rows_match_one_row_encodes():
+    encoder = _encoder()
+    _, spec, doc = _bundle(encoder)
+    other = PromptSpec(global_text="h", segments=(SegmentSpec(0.5, 1.5, "t"),))
+    rows = [
+        ConditionRow(spec, doc),
+        ConditionRow(other, None, drop_segment=True),
+        ConditionRow(spec, doc, True, True, True),
+    ]
+    bundle = encoder.encode(rows, 8)
+    assert bundle.rows == tuple(rows)
+    assert bundle.e_text.data.shape == (3, 8, encoder.d_text)
+    for b, row in enumerate(rows):
+        e_text, e_lyrics, _ = _encode(encoder, row.spec, row.doc, 8, row.drop_global,
+                                      row.drop_segment, row.drop_lyrics)
+        assert np.allclose(bundle.e_text.data[b], e_text, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(bundle.e_lyrics.data[b], e_lyrics)
+    taken = bundle.take([2, 0])
+    assert taken.rows == (rows[2], rows[0])
+    assert np.array_equal(taken.e_text.data, bundle.e_text.data[[2, 0]])
 
 
 def test_dropout_rejects_probability_outside_unit_interval(rng):
@@ -334,36 +363,36 @@ def test_dropped_lyrics_are_all_zero(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(0.0, 0.0, rng, p_lyrics=1.0)
     assert flags == (False, False, True)
-    out = encoder.encode(spec, doc, bundle.T, *flags)
-    assert out.drop_lyrics
+    e_text, e_lyrics, row = _encode(encoder, spec, doc, bundle.T, *flags)
+    assert row.drop_lyrics
     assert np.any(bundle.e_lyrics.data != 0)
-    assert np.array_equal(out.e_lyrics.data, np.zeros_like(bundle.e_lyrics.data))
-    assert np.array_equal(out.e_text.data, bundle.e_text.data)
+    assert np.array_equal(e_lyrics, np.zeros_like(bundle.e_lyrics.data[0]))
+    assert np.array_equal(e_text, bundle.e_text.data[0])
 
 
 def test_assemble_input_slices_recover_components(rng):
     encoder = _encoder()
     bundle, _, _ = _bundle(encoder)
     T = bundle.T
-    x_t = Tensor(rng.standard_normal((T, 2)))
-    e_t = Tensor(rng.standard_normal((T, 4)))
+    x_t = Tensor(rng.standard_normal((1, T, 2)))
+    e_t = Tensor(rng.standard_normal((1, T, 4)))
     full = assemble_input(bundle, x_t, e_t)
     d_text, d_lyr = encoder.d_text, encoder.d_lyrics
-    assert full.data.shape == (T, d_text + d_lyr + 2 + 4)
-    assert np.array_equal(full.data[:, :d_text], bundle.e_text.data)
-    assert np.array_equal(full.data[:, d_text : d_text + d_lyr], bundle.e_lyrics.data)
-    assert np.array_equal(full.data[:, d_text + d_lyr : d_text + d_lyr + 2], x_t.data)
-    assert np.array_equal(full.data[:, d_text + d_lyr + 2 :], e_t.data)
+    assert full.data.shape == (1, T, d_text + d_lyr + 2 + 4)
+    assert np.array_equal(full.data[..., :d_text], bundle.e_text.data)
+    assert np.array_equal(full.data[..., d_text : d_text + d_lyr], bundle.e_lyrics.data)
+    assert np.array_equal(full.data[..., d_text + d_lyr : d_text + d_lyr + 2], x_t.data)
+    assert np.array_equal(full.data[..., d_text + d_lyr + 2 :], e_t.data)
 
 
 def test_all_zero_bundle_assembles_to_zero():
     encoder = _encoder()
     spec = PromptSpec(global_text="g")
-    bundle = encoder.encode(spec, None, 4, drop_global=True, drop_segment=True, drop_lyrics=True)
+    bundle = encoder.encode([ConditionRow(spec, None, True, True, True)], 4)
     proj_of_zero = encoder.out_proj(Tensor(np.zeros((4, 8)))).data
-    assert np.array_equal(bundle.e_text.data, proj_of_zero)
-    full = assemble_input(bundle, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 4))))
-    assert full.data.shape == (4, encoder.d_text + encoder.d_lyrics + 2 + 4)
+    assert np.array_equal(bundle.e_text.data[0], proj_of_zero)
+    full = assemble_input(bundle, Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 4, 4))))
+    assert full.data.shape == (1, 4, encoder.d_text + encoder.d_lyrics + 2 + 4)
 
 
 # -----------------------------------------------------------------------------

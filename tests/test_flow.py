@@ -4,6 +4,7 @@ import pytest
 import songflow.flow as flow_mod
 from conftest import fd_max_rel_error
 from songflow.conditioning import OutputProjection
+from songflow.checkpoint import load_params
 from songflow.config import load_config
 from songflow.errors import ContractError, DimensionError, NumericAbort
 from songflow.flow import (
@@ -17,7 +18,7 @@ from songflow.flow import (
 )
 from songflow.synthetic import SyntheticDataset
 from songflow.system import build_song_model
-from songflow.tensor import Tensor
+from songflow.tensor import Tensor, _topo_order, backward, zero_grads
 
 
 def _tiny_overrides(steps=5, batch=2):
@@ -108,7 +109,7 @@ def test_cfm_loss_zero_for_oracle_model(rng):
     class Oracle:
         def forward(self, x_t, cond, t):
             # x_t = (1-t) x0 + t x1  =>  x1 - x0 = (x1 - x_t) / (1 - t)
-            ex = self._current
+            ex, t = self._current, t[0]
             x0 = (x_t.data - t * ex.x1) / (1.0 - t) if t < 1.0 else None
             return Tensor(ex.x1 - x0)
 
@@ -183,9 +184,94 @@ def test_cfm_loss_projects_each_example_once_under_dropout(rng, monkeypatch):
 
     monkeypatch.setattr(OutputProjection, "__call__", counted)
     cfm_loss(system.model, system.encoder, batch, rng, p_drop_global=1.0)
-    assert len(calls) == 3
+    assert [e_cat.shape[0] for e_cat in calls] == [3]  # one call carrying the 3 rows
     d_global = system.encoder.global_embedder.dimension
-    assert all(not e_cat[:, :d_global].any() for e_cat in calls)
+    assert not calls[0][..., :d_global].any()
+    assert calls[0][..., d_global:].any()
+
+
+def _perturbed(system, seed=0):
+    """Move every parameter (the zero head too) off its init."""
+    rng = np.random.default_rng(seed)
+    for p in system.parameters():
+        p.data += 0.05 * rng.standard_normal(p.data.shape)
+    return system
+
+
+def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
+    cfg, system, dataset = _tiny_setup()
+    _perturbed(system)
+    params = system.parameters()
+    batch = dataset.draw(rng, 4)
+    drops = dict(p_drop_global=0.5, p_drop_segment=0.5, p_drop_lyrics=0.5)
+
+    zero_grads(params)
+    loss = cfm_loss(system.model, system.encoder, batch, np.random.default_rng(3), **drops)
+    backward(loss)
+    batched = [p.grad.copy() for p in params]
+
+    zero_grads(params)
+    single_rng = np.random.default_rng(3)  # the same stream, one example per call
+    losses = []
+    for ex in batch.examples:
+        single = cfm_loss(system.model, system.encoder, TrainBatch((ex,)), single_rng, **drops)
+        backward(single)
+        losses.append(float(single.data))
+    assert abs(float(loss.data) - np.mean(losses)) <= 1e-12 * float(loss.data)
+    for g_batched, p in zip(batched, params):
+        g_mean = p.grad / len(losses)
+        assert np.abs(g_batched - g_mean).max() <= 1e-12 * max(np.abs(g_mean).max(), 1e-300)
+
+
+def _tape_nodes(root):
+    """Op results reachable from root (leaves and constants excluded)."""
+    return sum(node._vjp is not None for node in _topo_order(root))
+
+
+def test_cfm_loss_tape_does_not_grow_with_the_batch(rng):
+    cfg, system, dataset = _tiny_setup()
+    counts = [
+        _tape_nodes(cfm_loss(system.model, system.encoder, dataset.draw(rng, b), rng,
+                             p_drop_global=0.5, p_drop_segment=0.5))
+        for b in (1, 4)
+    ]
+    assert counts[0] == counts[1] > 0
+
+
+def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
+    cfg, system, dataset = _tiny_setup(steps=4, batch=2)
+    config = TrainConfig(**{**cfg.train.__dict__, "checkpoint_every": 1})
+    params = system.parameters()
+    real_backward, real_adam = flow_mod.backward, flow_mod.adam_step
+    seen = {"backward": 0, "adam": 0}
+
+    def planting_backward(loss):
+        real_backward(loss)
+        seen["backward"] += 1
+        if seen["backward"] == 2:  # step 1: one inf in the last parameter's gradient
+            seen["params"] = [p.data.copy() for p in params]
+            params[-1].grad.reshape(-1)[0] = np.inf
+
+    def counted_adam(ps, state):
+        real_adam(ps, state)
+        seen["adam"] += 1
+        seen["state"] = state
+        seen["moments"] = [m.copy() for m in state.m + state.v]
+
+    monkeypatch.setattr(flow_mod, "backward", planting_backward)
+    monkeypatch.setattr(flow_mod, "adam_step", counted_adam)
+    with pytest.raises(NumericAbort) as err:
+        train(system, dataset, config, checkpoint_dir=tmp_path)
+    assert err.value.step == 1 and len(err.value.batch_ids) == 2
+    assert "gradient is not finite" in str(err.value)
+    assert (seen["backward"], seen["adam"]) == (2, 1)
+    assert all(np.array_equal(p.data, s) for p, s in zip(params, seen["params"]))
+    state = seen["state"]
+    assert state.step == 1
+    assert all(np.array_equal(a, b) for a, b in zip(state.m + state.v, seen["moments"]))
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint-000001.json"]
+    saved = load_params(tmp_path / "checkpoint-000001.json")
+    assert all(np.array_equal(a, s) for (_, a), s in zip(saved, seen["params"]))
 
 
 def test_train_requires_at_least_one_step():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,20 @@ def test_time_to_frame_examples():
     assert time_to_frame(2.0, 21.5) == 43
     assert time_to_frame(10.0, 21.5) == 215
     assert time_to_frame(4.0, 44100, 2048) == int(4.0 * 44100 / 2048)
+
+
+@pytest.mark.parametrize("rate", [4.0, 25.0, 50.0, 100.0])
+def test_time_to_frame_is_exact_on_every_centisecond_stamp(rate):
+    """Every [mm:ss.xx] stamp below 6 min, as parse_lrc reads it, against
+    exact rational flooring (the float product floors 2,292 of them wrong at
+    100 Hz, e.g. [00:00.57] to 56)."""
+    stamps = [f"[{cs // 6000:02d}:{cs // 100 % 60:02d}.{cs % 100:02d}]" for cs in range(36_000)]
+    doc = parse_lrc("\n".join(stamps))
+    for cs, line in enumerate(doc.lines):
+        exact = math.floor(Fraction(cs, 100) * Fraction(rate))
+        assert time_to_frame(line.timestamp, rate) == exact
+        if cs % 97 == 0:  # the rational path: a sampling rate and a downsample factor
+            assert time_to_frame(line.timestamp, rate * 441, 441) == exact
 
 
 def test_time_to_frame_contract_and_monotonicity(rng):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from songflow.conditioning import NegativePrompts, PromptSpec
+from songflow.conditioning import ConditionRow, NegativePrompts, PromptSpec
 from songflow.config import load_config
 from songflow.errors import ContractError, DimensionError, NumericAbort
-from songflow.lrc import LrcDocument, LrcLine, SegmentSpec
+from songflow.lrc import LrcDocument, LrcLine, SegmentSpec, windows_from_segments
 from songflow.sampler import (
-    ConditionTriple,
     GuidanceConfig,
     build_condition_triple,
     build_negative_condition,
@@ -103,24 +102,23 @@ def test_guidance_is_affine(rng):
 def test_negative_condition_zeroes_lyrics_and_keeps_windows():
     cfg, system = _small_system()
     spec, doc = _spec_and_doc()
-    conditional = system.encoder.encode(spec, doc, cfg.task.T)
-    negative = build_negative_condition(system.encoder, spec, doc, cfg.task.T)
-    assert negative.drop_lyrics
+    T = cfg.task.T
+    conditional = system.encoder.encode([ConditionRow(spec, doc)], T)
+    row = build_negative_condition(spec, doc)
+    negative = system.encoder.encode([row], T)
+    assert row.drop_lyrics
     assert np.array_equal(negative.e_lyrics.data, np.zeros_like(conditional.e_lyrics.data))
-    assert [(w.frame_start, w.frame_end, w.provenance) for w in negative.windows] == [
-        (w.frame_start, w.frame_end, w.provenance) for w in conditional.windows
-    ]
+
+    def windows(s):
+        found = windows_from_segments(s.segments, system.encoder.frame_rate, T)
+        return [(w.frame_start, w.frame_end, w.provenance) for w in found]
+
+    assert windows(row.spec) == windows(spec)
 
 
 def test_negative_identity_when_negative_equals_original():
     cfg, system = _small_system()
     spec, doc = _spec_and_doc()
-    mirrored = PromptSpec(
-        global_text=spec.global_text,
-        segments=spec.segments,
-        negative=NegativePrompts(spec.global_text, None or spec.segments[0].text),
-        duration_s=spec.duration_s,
-    )
     # with negative.segment == first segment's text, only windows with other
     # texts (and the zeroed lyrics) differ; for a single-text spec they match
     single = PromptSpec(
@@ -129,8 +127,8 @@ def test_negative_identity_when_negative_equals_original():
         negative=NegativePrompts(spec.global_text, spec.segments[0].text),
         duration_s=spec.duration_s,
     )
-    conditional = system.encoder.encode(single, doc, cfg.task.T)
-    negative = build_negative_condition(system.encoder, single, doc, cfg.task.T)
+    conditional = system.encoder.encode([ConditionRow(single, doc)], cfg.task.T)
+    negative = system.encoder.encode([build_negative_condition(single, doc)], cfg.task.T)
     assert np.array_equal(negative.e_text.data, conditional.e_text.data)
     assert np.array_equal(negative.e_lyrics.data, np.zeros_like(conditional.e_lyrics.data))
 
@@ -138,27 +136,72 @@ def test_negative_identity_when_negative_equals_original():
 def test_negative_empty_segment_list_has_zero_segment_half():
     cfg, system = _small_system()
     spec = PromptSpec(global_text="ember", duration_s=3.0)
-    negative = build_negative_condition(system.encoder, spec, None, cfg.task.T)
     encoder = system.encoder
+    negative = encoder.encode([build_negative_condition(spec, None)], cfg.task.T)
     g = np.tile(encoder.global_embedder.embed(NegativePrompts().global_text), (cfg.task.T, 1))
     zeros = np.zeros((cfg.task.T, encoder.segment_embedder.dimension))
     expected = encoder.out_proj(Tensor(np.concatenate([g, zeros], axis=1))).data
-    assert np.array_equal(negative.e_text.data, expected)
+    assert np.array_equal(negative.e_text.data[0], expected)
 
 
 def test_condition_triple_shares_shapes():
     cfg, system = _small_system()
     spec, doc = _spec_and_doc()
-    triple = build_condition_triple(system.encoder, spec, doc, cfg.task.T)
-    assert triple.unconditional.drop_global and triple.unconditional.drop_segment
-    assert triple.unconditional.drop_lyrics
-    shorter = PromptSpec(global_text="ember", duration_s=3.0)
+    T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T)
+    assert triple.e_text.data.shape == (3, T, system.encoder.d_text)
+    assert triple.e_lyrics.data.shape == (3, T, system.encoder.d_lyrics)
+    conditional, unconditional, negative = triple.rows
+    assert conditional == ConditionRow(spec, doc)
+    assert unconditional.drop_global and unconditional.drop_segment
+    assert unconditional.drop_lyrics
+    assert negative == build_negative_condition(spec, doc)
     with pytest.raises(DimensionError):
-        ConditionTriple(
-            conditional=triple.conditional,
-            unconditional=triple.unconditional,
-            negative=system.encoder.encode(shorter, None, cfg.task.T - 2),
+        euler_sample(system.model, triple.take([0, 1]), GuidanceConfig(), T, d)
+
+
+def _perturbed_system(seed=0):
+    """The small system with every parameter (the zero head too) moved off its init."""
+    cfg, system = _small_system()
+    rng = np.random.default_rng(seed)
+    for p in system.parameters():
+        p.data += 0.05 * rng.standard_normal(p.data.shape)
+    return cfg, system
+
+
+def test_stacked_guidance_rows_match_separate_forwards(rng):
+    cfg, system = _perturbed_system()
+    spec, doc = _spec_and_doc()
+    T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T)
+    x = rng.standard_normal((T, d))
+    stacked = system.model.forward(Tensor(np.broadcast_to(x, (3, T, d))), triple, [0.3] * 3).data
+    for i in range(3):
+        alone = system.model.forward(Tensor(x[None]), triple.take([i]), [0.3]).data[0]
+        assert np.abs(stacked[i]).max() > 1e-3
+        assert np.abs(stacked[i] - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
+@pytest.mark.parametrize("cfg_pair", [(3.0, 1.0), (1.0, 0.0), (0.0, 0.0), (2.0, 0.0), (0.0, 0.5)])
+def test_euler_sample_matches_per_branch_forwards(cfg_pair):
+    """One stacked forward per step against the three separate B=1 forwards."""
+    cfg, system = _perturbed_system(seed=1)
+    spec, doc = _spec_and_doc()
+    T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T)
+    gc = GuidanceConfig(*cfg_pair, steps=6, seed=4)
+    log = []
+    out = euler_sample(system.model, triple, gc, T, d, step_log=log)
+    x = np.random.default_rng(gc.seed).standard_normal((T, d))
+    for k in range(gc.steps):
+        t = k / gc.steps
+        v_c, v_u, v_n = (
+            system.model.forward(Tensor(x[None]), triple.take([i]), [t]).data[0] for i in range(3)
         )
+        v = guided_velocity(v_u, v_c, v_n, gc.cfg, gc.cfg_n)
+        assert abs(log[k]["v_norm"] - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
+        x = x + (1.0 / gc.steps) * v
+    assert np.abs(out - x).max() <= 1e-12 * np.abs(x).max()
 
 
 # -----------------------------------------------------------------------------
@@ -181,8 +224,7 @@ class _DecayModel:
 
 def _dummy_triple(system, T):
     spec = PromptSpec(global_text="ember", duration_s=3.0)
-    b = system.encoder.encode(spec, None, T)
-    return ConditionTriple(conditional=b, unconditional=b, negative=b)
+    return system.encoder.encode([ConditionRow(spec)] * 3, T)
 
 
 def test_constant_field_integrates_exactly():
@@ -214,11 +256,7 @@ def test_cfg_one_trajectory_matches_conditional_only_bit_exactly():
     spec, doc = _spec_and_doc()
     T, d = cfg.task.T, cfg.task.d_audio
     triple = build_condition_triple(system.encoder, spec, doc, T)
-    cond_only = ConditionTriple(
-        conditional=triple.conditional,
-        unconditional=triple.conditional,
-        negative=triple.conditional,
-    )
+    cond_only = system.encoder.encode([ConditionRow(spec, doc)] * 3, T)
     a = euler_sample(system.model, triple, GuidanceConfig(1.0, 0.0, 16, seed=5), T, d)
     b = euler_sample(system.model, cond_only, GuidanceConfig(1.0, 0.0, 16, seed=5), T, d)
     assert np.array_equal(a, b)

@@ -7,6 +7,7 @@ from songflow.tensor import (
     Tensor,
     add,
     add_row,
+    attention,
     backward,
     concat_channels,
     layer_norm,
@@ -17,7 +18,6 @@ from songflow.tensor import (
     silu,
     slice_channels,
     softmax_rows,
-    split_channels,
     sub,
     sum_all,
     transpose,
@@ -159,12 +159,6 @@ def test_softmax_rows_sum_to_one(rng):
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_split_channels_roundtrip(rng):
-    x = random_tensor(rng, (3, 6), requires_grad=False)
-    parts = split_channels(x, 3)
-    assert np.array_equal(concat_channels(parts).data, x.data)
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_gradients_match_finite_differences_on_random_instances(seed):
     """Composite graph touching every differentiable primitive."""
@@ -205,3 +199,99 @@ def test_no_graph_recorded_without_requires_grad(rng):
     x = random_tensor(rng, (3, 3), requires_grad=False)
     out = matmul(x, x)
     assert out._vjp is None and out._parents == ()
+
+
+def test_silu_matches_the_logaddexp_form():
+    x = np.linspace(-40.0, 40.0, 80_001)
+    s = np.exp(-np.logaddexp(0.0, -x))
+    t = Tensor(x, requires_grad=True)
+    out = silu(t)
+    backward(sum_all(out))
+    # within two ulps of max(1, |x|) everywhere; below -37 both forms are ~1e-15 or 0
+    assert (np.abs(out.data - x * s) <= 4.5e-16 * np.maximum(1.0, np.abs(x))).all()
+    assert np.abs(t.grad - s * (1.0 + x * (1.0 - s))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("lead", [(2,), (2, 3)])
+def test_batched_ops_gradients_match_finite_differences(lead):
+    """matmul, add_row, layer_norm and concat_channels over leading batch axes."""
+    rng = np.random.default_rng(len(lead))
+    T, d, k = 3, 4, 5
+    x = random_tensor(rng, lead + (T, d))
+    other = random_tensor(rng, lead + (T, 2))
+    w = random_tensor(rng, (d, k))
+    bias = random_tensor(rng, (k,))
+    gain = random_tensor(rng, (d,))
+    shift = random_tensor(rng, (d,))
+    target = random_tensor(rng, lead + (T, d + k + 2), requires_grad=False)
+    params = [x, other, w, bias, gain, shift]
+
+    def build_loss():
+        h = layer_norm(x, gain, shift)
+        a = add_row(matmul(h, w), bias)
+        return mse(concat_channels([h, silu(a), other]), target)
+
+    assert fd_max_rel_error(build_loss, params) < 1e-6
+
+
+def test_batched_ops_match_row_by_row(rng):
+    x = random_tensor(rng, (3, 4, 5), requires_grad=False)
+    w = random_tensor(rng, (5, 2), requires_grad=False)
+    bias, gain = random_tensor(rng, (5,), False), random_tensor(rng, (5,), False)
+    rows = [Tensor(x.data[b]) for b in range(3)]
+    for batched, per_row in (
+        (matmul(x, w), [matmul(r, w) for r in rows]),
+        (add_row(x, bias), [add_row(r, bias) for r in rows]),
+        (layer_norm(x, gain, bias), [layer_norm(r, gain, bias) for r in rows]),
+        (concat_channels([x, x]), [concat_channels([r, r]) for r in rows]),
+    ):
+        assert np.allclose(batched.data, np.stack([r.data for r in per_row]), rtol=1e-14, atol=0)
+
+
+def _attention_by_head(q, k, v, n_heads):
+    """Reference: one (T, T) softmax per head from the 2-D primitives."""
+    hd = q.data.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        lo, hi = h * hd, (h + 1) * hd
+        qh, kh, vh = (slice_channels(a, lo, hi) for a in (q, k, v))
+        weights = softmax_rows(scale(matmul(qh, transpose(kh)), 1.0 / np.sqrt(hd)))
+        outs.append(matmul(weights, vh))
+    return concat_channels(outs)
+
+
+def test_attention_matches_per_head_reference(rng):
+    q, k, v = (random_tensor(rng, (6, 8), requires_grad=False) for _ in range(3))
+    sink = []
+    out = attention(q, k, v, 2, sink=sink)
+    assert np.allclose(out.data, _attention_by_head(q, k, v, 2).data, rtol=0, atol=1e-14)
+    assert len(sink) == 2 and all(w.shape == (6, 6) for w in sink)
+    assert np.allclose(sink[0].sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_attention_batch_rows_are_independent(rng):
+    q, k, v = (random_tensor(rng, (3, 5, 6), requires_grad=False) for _ in range(3))
+    sink = []
+    out = attention(q, k, v, 3, sink=sink)
+    assert len(sink) == 3 * 3
+    for b in range(3):
+        alone = attention(*(Tensor(a.data[b]) for a in (q, k, v)), 3)
+        assert np.allclose(out.data[b], alone.data, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_gradients_match_finite_differences(n_heads):
+    rng = np.random.default_rng(n_heads)
+    q, k, v = (random_tensor(rng, (2, 4, 8)) for _ in range(3))
+    weights = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
+    assert fd_max_rel_error(
+        lambda: sum_all(mul(attention(q, k, v, n_heads), weights)), [q, k, v]
+    ) < 1e-6
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.ones((4, 6)))
+    with pytest.raises(DimensionError):
+        attention(x, x, x, 4)
+    with pytest.raises(DimensionError):
+        attention(x, Tensor(np.ones((5, 6))), x, 2)
