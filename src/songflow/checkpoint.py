@@ -8,6 +8,7 @@ doubles exactly, so save -> load reproduces every parameter bit for bit.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,22 @@ from .tensor import Tensor
 
 FORMAT = "songflow-params-v1"
 
-__all__ = ["FORMAT", "save_params", "load_params", "load_into"]
+__all__ = ["FORMAT", "write_text_atomic", "save_params", "load_params", "load_into"]
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write UTF-8 text to a temp file in the same directory, then rename it
+    over `path`: a reader sees the old file or the new one, never a partial
+    one. A failed write removes the temp file and leaves `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_params(named: list[tuple[str, Tensor]], path) -> None:
@@ -26,7 +42,7 @@ def save_params(named: list[tuple[str, Tensor]], path) -> None:
         for name, t in named
     ]
     payload = {"format": FORMAT, "params": records}
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, separators=(",", ":")))
 
 
 def load_params(path) -> list[tuple[str, np.ndarray]]:

@@ -6,7 +6,8 @@ dpo-pairs. Every command takes one JSON config (--config) plus dotted-key
 overrides (--set), writes its artifacts into --out-dir, and records them in
 run_manifest.json.
 
-Exit codes are stable: 0 success, 1 usage, 2 data error, 3 numeric abort.
+Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
+that cannot be read or is not UTF-8), 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_text_atomic
 from .conditioning import prompt_spec_from_json
 from .config import RunConfig, load_config
 from .errors import ContractError, NumericAbort, ParseError, ValidationError
@@ -110,7 +112,7 @@ def build_parser() -> _Parser:
 
 def _write_run_manifest(out_dir: Path, command: str, files: list[str]) -> None:
     payload = {"command": command, "files": sorted(files)}
-    (out_dir / "run_manifest.json").write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    write_text_atomic(out_dir / "run_manifest.json", json.dumps(payload, indent=1))
 
 
 def _prepare(args) -> tuple[RunConfig, Path]:
@@ -419,7 +421,8 @@ def main(argv: list[str] | None = None) -> int:
         ValidationError,
         ContractError,
         json.JSONDecodeError,
-        FileNotFoundError,
+        UnicodeDecodeError,
+        OSError,
         KeyError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ unconditional input.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -254,6 +255,13 @@ def lyric_tokens(text: str) -> list[str]:
     return tokens
 
 
+@functools.lru_cache(maxsize=4096)
+def _line_tokens(text: str) -> tuple[str, ...]:
+    """lyric_tokens of one line text, memoized: training encodes the same
+    lines every step."""
+    return tuple(lyric_tokens(text))
+
+
 def encode_lyrics(
     doc: LrcDocument | None,
     lyric_embedder: TextEmbedder,
@@ -272,7 +280,7 @@ def encode_lyrics(
         raise ContractError("a lyric line's onset maps outside [0, T)")
     for i, line in enumerate(doc.lines):
         window_end = starts[i + 1] if i + 1 < len(starts) else T
-        tokens = lyric_tokens(line.text)
+        tokens = _line_tokens(line.text)
         room = max(0, window_end - starts[i])
         for k, tok in enumerate(tokens[:room]):
             e[starts[i] + k] = lyric_embedder.embed(tok)

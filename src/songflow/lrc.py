@@ -172,6 +172,22 @@ def serialize_lrc(doc: LrcDocument) -> str:
 # -----------------------------------------------------------------------------
 
 
+def _grid_frames(t: float, rate: float, downsample: float, up: bool) -> int:
+    """floor (ceil when `up`) of t * rate / downsample. A time within 1e-8 s
+    of the centisecond grid (every LRC stamp) is taken exactly as that many
+    centiseconds; other times round the float product."""
+    rnd = math.ceil if up else math.floor
+    centis = round(t * 100.0)
+    if abs(t * 100.0 - centis) > 1e-6:
+        return rnd(t * rate / downsample)
+    if downsample == 1.0 and rate == int(rate):  # the common case, ~10x faster than Fraction
+        whole, part = divmod(centis * int(rate), 100)
+        return whole + (up and part > 0)
+    from fractions import Fraction  # not at module level: it imports decimal, ~2 ms per start-up
+
+    return rnd(Fraction(centis, 100) * Fraction(rate) / Fraction(downsample))
+
+
 def time_to_frame(t: float, sampling_rate: float, downsample: float = 1.0) -> int:
     """floor(t * sampling_rate / downsample). The quotient is the latent frame rate,
     so time_to_frame(t, frame_rate) works directly.
@@ -184,21 +200,16 @@ def time_to_frame(t: float, sampling_rate: float, downsample: float = 1.0) -> in
         raise ContractError(f"negative time {t}")
     if sampling_rate <= 0 or downsample <= 0:
         raise ContractError("sampling_rate and downsample must be positive")
-    centis = round(t * 100.0)
-    if abs(t * 100.0 - centis) > 1e-6:
-        return int(t * sampling_rate / downsample)
-    if downsample == 1.0 and sampling_rate == int(sampling_rate):
-        return centis * int(sampling_rate) // 100  # the common case, ~10x faster than Fraction
-    from fractions import Fraction  # not at module level: it imports decimal, ~2 ms per start-up
-
-    return math.floor(Fraction(centis, 100) * Fraction(sampling_rate) / Fraction(downsample))
+    return _grid_frames(t, sampling_rate, downsample, up=False)
 
 
 def frame_count(total_duration: float, frame_rate: float) -> int:
-    """Number of latent frames covering [0, total_duration): ceil(duration * rate)."""
+    """Number of latent frames covering [0, total_duration): ceil(duration * rate),
+    exact on the centisecond grid like time_to_frame, so 0.07 s at 100 Hz is
+    7 frames (the float product is 7.000000000000001)."""
     if total_duration <= 0 or frame_rate <= 0:
         raise ContractError("duration and frame rate must be positive")
-    return math.ceil(total_duration * frame_rate)
+    return _grid_frames(total_duration, frame_rate, 1.0, up=True)
 
 
 # -----------------------------------------------------------------------------

@@ -224,12 +224,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.data.shape[-1] if x.data.ndim >= 2 else -1
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(f"layer_norm: gain/bias must be ({d},) for rows of {x.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.einsum("...d,...d->...", xhat, xhat)[..., None]
+    var /= d
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def vjp(g):
         dgain = (g * xhat).reshape(-1, d).sum(axis=0)
@@ -279,6 +281,11 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(data, (x,), vjp)
 
 
+# Largest B + ln T + |ln max|v|| for which attention skips the row-max shift;
+# ln of the largest double is 709.78 and of the smallest normal one -708.40.
+_UNSHIFTED_EXP_LIMIT = 700.0
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention over (..., T, d) inputs.
 
@@ -288,7 +295,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     axis of (T, T) score blocks. On the tape every block is kept for the
     backward pass and all are computed at once; off the tape the blocks are
     computed one at a time in a single reused buffer. A given sink gets a
-    copy of each head's (T, T) weights, leading index first.
+    copy of each head's normalized (T, T) weights, leading index first.
+
+    The row-max shift of the softmax is skipped when a bound shows it is not
+    needed. With q scaled, B = sqrt(max_t |q_t|^2 * max_t |k_t|^2) over every
+    head's rows bounds every score to [-B, B] (Cauchy-Schwarz). Unshifted,
+    exp(s) lies in [e^-B, e^B], a row sum in [e^-B, T e^B] and an entry of
+    exp(S) V within T e^B max|v|. So when B + ln T + |ln max|v|| <= 700,
+    nothing overflows, every exp(s) is a normal double, and a product
+    exp(s) v_j that falls below the normal range moves its row's output by
+    less than T 2^-1074 e^B, far below the rounding error eps max|v| of that
+    output (the row sum is at least e^-B). The softmax is then the same up
+    to rounding with or without the shift. Any larger bound, an all-zero v
+    or a non-finite input takes the shifted path.
+
+    Off the tape, exp(S) V is formed first and its (T, hd) rows are divided
+    by the row sums, so the (T, T) weights are never scaled. On the tape the
+    weights are normalized in place, since the backward pass reads them.
     """
     _need_same_shape(q, k, "attention")
     _need_same_shape(q, v, "attention")
@@ -307,6 +330,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
 
     qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
     n = qh.shape[0]
+    bound = np.sqrt(np.einsum("ntd,ntd->nt", qh, qh).max(initial=0.0)) * np.sqrt(
+        np.einsum("ntd,ntd->nt", kh, kh).max(initial=0.0)
+    )
+    vmax = max(v.data.max(initial=0.0), -v.data.min(initial=0.0))
+    shift = not (vmax > 0 and bound + np.log(T) + abs(np.log(vmax)) <= _UNSHIFTED_EXP_LIMIT)
     record = q.requires_grad or k.requires_grad or v.requires_grad
     probs = np.empty((n, T, T)) if record else None
     chunk = n if record else 1
@@ -315,12 +343,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     for i in range(0, n, chunk):
         rows = slice(i, i + chunk)
         scores = np.matmul(qh[rows], kh[rows].transpose(0, 2, 1), out=probs if record else scores)
-        scores -= scores.max(axis=-1, keepdims=True)
+        if shift:
+            scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores *= 1.0 / scores.sum(axis=-1, keepdims=True)
-        np.matmul(scores, vh[rows], out=out[rows])
+        total = scores.sum(axis=-1, keepdims=True)
+        if record:
+            scores *= 1.0 / total
+            np.matmul(scores, vh[rows], out=out[rows])
+        else:
+            np.matmul(scores, vh[rows], out=out[rows])
+            out[rows] /= total
         if sink is not None:
-            sink.extend(scores.copy())
+            sink.extend(scores.copy() if record else scores / total)
 
     def vjp(g):
         gh = split(g)

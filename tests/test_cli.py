@@ -99,6 +99,27 @@ def test_missing_manifest_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("prompt_kind", ["directory", "not-utf8"])
+def test_unreadable_prompt_is_data_error(tmp_path, capsys, prompt_kind):
+    """An OSError (here IsADirectoryError) or a UnicodeDecodeError while
+    reading an input is a data error, not a traceback."""
+    prompt = tmp_path / "prompt"
+    if prompt_kind == "directory":
+        prompt.mkdir()
+    else:
+        prompt.write_bytes(b'{"global": "\xff\xfe"}')
+    lrc = tmp_path / "x.lrc"
+    _write_lrc(lrc)
+    code = main(
+        _tiny_args(
+            ["generate", "--out-dir", str(tmp_path / "g"), "--checkpoint", str(tmp_path / "c.json"),
+             "--prompt", str(prompt), "--lrc", str(lrc)]
+        )
+    )
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def test_invalid_prompt_json_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"global": "x", unquoted}', encoding="utf-8")

@@ -114,6 +114,15 @@ def test_time_to_frame_contract_and_monotonicity(rng):
 def test_frame_count():
     assert frame_count(20.0, 21.5) == 430
     assert frame_count(1.0, 4.0) == 4
+    assert frame_count(0.07, 100) == 7
+
+
+@pytest.mark.parametrize("rate", [4.0, 25.0, 50.0, 100.0])
+def test_frame_count_is_exact_on_every_centisecond_duration(rate):
+    """Every duration from 0.01 s to 6 min against exact rational ceiling (the
+    float product ceils 2,295 of them wrong at 100 Hz, e.g. 0.07 s to 8)."""
+    for cs in range(1, 36_001):
+        assert frame_count(cs / 100, rate) == math.ceil(Fraction(cs, 100) * Fraction(rate))
 
 
 def test_validate_segments_rejects_overlap():

@@ -1,6 +1,9 @@
+import builtins
+
 import numpy as np
 import pytest
 
+import songflow.checkpoint as checkpoint
 from songflow.checkpoint import load_into, load_params, save_params
 from songflow.errors import ContractError, ValidationError
 from songflow.optim import adam_init, adam_step, clip_grad_norm
@@ -90,3 +93,33 @@ def test_load_into_checks_names_and_shapes(tmp_path):
     target = Tensor([0.0, 0.0])
     load_into([("a", target)], path)
     assert target.data.tolist() == [1.0, 2.0]
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A write that fails midway (say, a full disk) leaves the previous
+    checkpoint.json byte-identical and no temp file behind."""
+    path = tmp_path / "checkpoint.json"
+    save_params([("a", Tensor([1.0, 2.0]))], path)
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FullDisk(builtins.open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_params([("a", Tensor([3.0, 4.0]))], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]

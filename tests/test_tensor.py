@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import songflow.tensor as tensor_module
 from conftest import fd_max_rel_error, random_tensor
 from songflow.errors import ContractError, DimensionError
 from songflow.tensor import (
@@ -120,6 +121,15 @@ def test_layer_norm_unit_variance_row():
     x = Tensor([[1.0, -1.0]])
     out = layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
     assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-4)
+
+
+def test_layer_norm_matches_two_pass_formula(rng):
+    x = rng.standard_normal((2, 3, 7)) * 5.0 + 3.0
+    gain, bias = rng.standard_normal(7), rng.standard_normal(7)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    reference = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
+    out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert np.allclose(out, reference, rtol=0, atol=1e-14)
 
 
 def test_mse_examples():
@@ -260,13 +270,52 @@ def _attention_by_head(q, k, v, n_heads):
     return concat_channels(outs)
 
 
-def test_attention_matches_per_head_reference(rng):
+def test_attention_matches_per_head_reference(rng, monkeypatch):
+    """Unshifted and shifted softmax, on and off the tape."""
     q, k, v = (random_tensor(rng, (6, 8), requires_grad=False) for _ in range(3))
+    reference = _attention_by_head(q, k, v, 2).data
+    for limit in (tensor_module._UNSHIFTED_EXP_LIMIT, -1.0):  # -1.0: always shift
+        monkeypatch.setattr(tensor_module, "_UNSHIFTED_EXP_LIMIT", limit)
+        for requires_grad in (False, True):
+            q.requires_grad = requires_grad
+            sink = []
+            out = attention(q, k, v, 2, sink=sink)
+            assert np.allclose(out.data, reference, rtol=0, atol=1e-14)
+            assert len(sink) == 2 and all(w.shape == (6, 6) for w in sink)
+            assert all(np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14) for w in sink)
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_attention_large_scores_take_the_shifted_path(rng, requires_grad):
+    """Scores near 1e3: exp would overflow without the row-max shift."""
+    q, k, v = (Tensor(30.0 * rng.uniform(-1, 1, size=(2, 6, 8)), requires_grad) for _ in range(3))
+    scores = np.einsum("btd,bsd->bts", q.data[..., :4], k.data[..., :4]) / 2.0
+    assert np.abs(scores).max() > 710.0
     sink = []
     out = attention(q, k, v, 2, sink=sink)
-    assert np.allclose(out.data, _attention_by_head(q, k, v, 2).data, rtol=0, atol=1e-14)
-    assert len(sink) == 2 and all(w.shape == (6, 6) for w in sink)
-    assert np.allclose(sink[0].sum(axis=1), 1.0, atol=1e-12)
+    assert np.isfinite(out.data).all()
+    assert len(sink) == 4
+    assert all(np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14) for w in sink)
+    for b in range(2):
+        reference = _attention_by_head(*(Tensor(a.data[b]) for a in (q, k, v)), 2).data
+        assert np.allclose(out.data[b], reference, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("v_scale", [1e-290, 1.0, 1e290])
+def test_attention_is_exact_on_both_sides_of_the_shift_limit(v_scale):
+    """Score bounds B just under and over 700 - ln T - |ln max|v||, and over:
+    the unshifted path neither overflows nor underflows (RuntimeWarning is an
+    error in this suite) and both paths give the reference softmax."""
+    edge = tensor_module._UNSHIFTED_EXP_LIMIT - np.log(2)
+    v_edge = edge - abs(np.log(v_scale))
+    for bound in (v_edge - 0.5, v_edge + 0.5, edge - 0.5, 1e3):
+        a = np.sqrt(bound)
+        q, k = Tensor([[a], [-a]]), Tensor([[a], [-a]])
+        v = Tensor([[v_scale], [0.5 * v_scale]])
+        out = attention(q, k, v, 1).data
+        reference = _attention_by_head(q, k, v, 1).data
+        assert np.isfinite(out).all()
+        assert np.allclose(out, reference, rtol=1e-14, atol=0)
 
 
 def test_attention_batch_rows_are_independent(rng):
