@@ -1,60 +1,139 @@
-"""Value-exact parameter checkpoints.
+"""Value-exact parameter checkpoints and atomic artifact writes.
 
-The container is JSON holding a flat, ordered list of (name, shape, values)
-records. Python serializes floats via repr, which round-trips IEEE-754
-doubles exactly, so save -> load reproduces every parameter bit for bit.
+Checkpoint format `songflow-params-v2`: one JSON object
+
+    {"format": "songflow-params-v2",
+     "params": [{"name": str, "shape": [int, ...], "f64le": str}, ...]}
+
+holding a flat, ordered list of records. `f64le` is the standard padded
+base64 of the parameter's values as little-endian float64 in row-major
+order, so save -> load reproduces every parameter bit for bit (signed
+zeros, subnormals and the largest doubles included). The loader decodes
+with `validate=True` and checks that the payload holds exactly
+8 * prod(shape) bytes; any mismatch is a `ValidationError`.
+
+Version 1 (values written as JSON float reprs) is not read: a v1 file is
+rejected with a `ValidationError` that names its format.
+
+Every artifact the CLI writes, except the per-step `train_log.jsonl` that
+training streams, goes through `write_bytes_atomic`: a reader sees the old
+file or the new one, never a partial one. JSON artifacts are strict
+(`allow_nan=False`), so any JSON parser can read them.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericAbort, ValidationError
 from .tensor import Tensor
 
-FORMAT = "songflow-params-v1"
+FORMAT = "songflow-params-v2"
 
-__all__ = ["FORMAT", "write_text_atomic", "save_params", "load_params", "load_into"]
+__all__ = [
+    "FORMAT",
+    "write_bytes_atomic",
+    "write_text_atomic",
+    "write_json_atomic",
+    "write_jsonl_atomic",
+    "save_params",
+    "load_params",
+    "load_into",
+]
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write UTF-8 text to a temp file in the same directory, then rename it
+def write_bytes_atomic(path, data: bytes) -> None:
+    """Write `data` to a temp file in the same directory, then rename it
     over `path`: a reader sees the old file or the new one, never a partial
     one. A failed write removes the temp file and leaves `path` as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_text_atomic(path, text: str) -> None:
+    write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def _strict_dumps(payload, **dump_kw) -> str:
+    """JSON without the bare NaN/Infinity tokens no JSON parser accepts; a
+    non-finite value in an artifact is a numeric abort (exit code 3)."""
+    try:
+        return json.dumps(payload, allow_nan=False, **dump_kw)
+    except ValueError as exc:
+        raise NumericAbort(f"artifact holds a non-finite value: {exc}") from exc
+
+
+def write_json_atomic(path, payload, **dump_kw) -> None:
+    write_text_atomic(path, _strict_dumps(payload, **dump_kw))
+
+
+def write_jsonl_atomic(path, rows) -> None:
+    write_text_atomic(path, "".join(_strict_dumps(row) + "\n" for row in rows))
+
+
 def save_params(named: list[tuple[str, Tensor]], path) -> None:
     records = [
-        {"name": name, "shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+        {
+            "name": name,
+            "shape": list(t.data.shape),
+            "f64le": base64.b64encode(t.data.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        }
         for name, t in named
     ]
-    payload = {"format": FORMAT, "params": records}
-    write_text_atomic(path, json.dumps(payload, separators=(",", ":")))
+    write_json_atomic(path, {"format": FORMAT, "params": records}, separators=(",", ":"))
+
+
+def _is_shape(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in value
+    )
+
+
+def _decode_record(index: int, rec) -> tuple[str, np.ndarray]:
+    if not (
+        isinstance(rec, dict)
+        and isinstance(rec.get("name"), str)
+        and _is_shape(rec.get("shape"))
+        and isinstance(rec.get("f64le"), str)
+    ):
+        raise ValidationError(
+            f"checkpoint record {index} needs a string name, a shape of non-negative "
+            "ints and an f64le string"
+        )
+    name, shape = rec["name"], tuple(rec["shape"])
+    try:
+        raw = base64.b64decode(rec["f64le"], validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ValidationError(f"checkpoint parameter {name!r}: bad base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ValidationError(
+            f"checkpoint parameter {name!r}: {len(raw)} bytes for shape {shape}, "
+            f"expected {8 * math.prod(shape)}"
+        )
+    return name, np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def load_params(path) -> list[tuple[str, np.ndarray]]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != FORMAT:
-        raise ValidationError(f"unknown checkpoint format: {payload.get('format')!r}")
-    out = []
-    for rec in payload["params"]:
-        shape = tuple(int(s) for s in rec["shape"])
-        arr = np.asarray(rec["values"], dtype=np.float64).reshape(shape)
-        out.append((rec["name"], arr))
-    return out
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != FORMAT:
+        raise ValidationError(f"checkpoint format {fmt!r} is not read; expected {FORMAT!r}")
+    if not isinstance(payload.get("params"), list):
+        raise ValidationError("checkpoint 'params' must be a list")
+    return [_decode_record(i, rec) for i, rec in enumerate(payload["params"])]
 
 
 def load_into(named: list[tuple[str, Tensor]], path) -> None:

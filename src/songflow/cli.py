@@ -7,12 +7,29 @@ overrides (--set), writes its artifacts into --out-dir, and records them in
 run_manifest.json.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
-that cannot be read or is not UTF-8), 3 numeric abort.
+that cannot be read or is not UTF-8, and a prompt longer than
+pipeline.pretrain_max_duration), 3 numeric abort (also a non-finite value
+that would reach a JSON artifact). Artifacts other than the streamed
+train_log.jsonl are written atomically; JSON artifacts are strict (no
+NaN/Infinity tokens); checkpoints use the songflow-params-v2 container
+described in `checkpoint`.
+
+Allocator policy: `main` first calls `_keep_freed_memory_in_heap`. A
+generate request allocates and frees the same 0.4-0.8 MB arrays (stacked
+activations, (T, T) score blocks) on every Euler step. glibc serves blocks
+above its mmap threshold (128 KiB by default, raised only by earlier large
+frees) with a fresh mmap and trims freed memory off the top of the heap,
+so every step faulted its pages in again: 42,876 minor faults per
+T=256 request and 441 per default train step. With the thresholds fixed at
+32 MiB (mmap) and 64 MiB (trim), the freed blocks stay in the heap and are
+reused: 2-12 faults per request once the heap has grown, and 18 per train
+step (getrusage around in-process `main` calls, one BLAS thread).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,10 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_text_atomic
-from .conditioning import prompt_spec_from_json
+from .checkpoint import write_bytes_atomic, write_json_atomic, write_jsonl_atomic, write_text_atomic
+from .conditioning import _is_list_of, _is_number, prompt_spec_from_json
 from .config import RunConfig, load_config
-from .errors import ContractError, NumericAbort, ParseError, ValidationError
+from .errors import ContractError, DimensionError, NumericAbort, ParseError, ValidationError
 from .evaluate import PatternOracleScorer, duration_mae, global_alignment_score, segment_alignment_score
 from .durations import predict_durations
 from .flow import train
@@ -112,7 +129,7 @@ def build_parser() -> _Parser:
 
 def _write_run_manifest(out_dir: Path, command: str, files: list[str]) -> None:
     payload = {"command": command, "files": sorted(files)}
-    write_text_atomic(out_dir / "run_manifest.json", json.dumps(payload, indent=1))
+    write_json_atomic(out_dir / "run_manifest.json", payload, indent=1)
 
 
 def _prepare(args) -> tuple[RunConfig, Path]:
@@ -128,16 +145,21 @@ def _prepare(args) -> tuple[RunConfig, Path]:
 
 
 def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
-    """JSONL rows {"group": str, "id": str, "score": number}."""
+    """JSONL rows {"group": str, "id": str, "score": number}. A score that is
+    not a finite JSON number is a parse error: a NaN would drop pairs
+    silently, since it compares false against every margin."""
     groups: dict[str, list[tuple[str, float]]] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-            groups.setdefault(str(row["group"]), []).append((str(row["id"]), float(row["score"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            group, rid, score = row["group"], row["id"], row["score"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad score row: {exc}", line_number=lineno) from exc
+        if not _is_number(score):
+            raise ParseError(f"score must be a finite number, got {score!r}", line_number=lineno)
+        groups.setdefault(str(group), []).append((str(rid), float(score)))
     return groups
 
 
@@ -157,7 +179,7 @@ def cmd_pipeline(args) -> int:
             for w, l in dpo_pair_select(groups[gid], pc.dpo_min_diff)
         ]
         out = out_dir / "dpo_pairs.json"
-        out.write_text(json.dumps({"pairs": pairs}, indent=1), encoding="utf-8")
+        write_json_atomic(out, {"pairs": pairs}, indent=1)
         files.append(out.name)
         print(f"dpo-pairs: {len(pairs)} pairs from {len(groups)} groups")
     else:
@@ -184,14 +206,12 @@ def cmd_pipeline(args) -> int:
         else:  # duration-dataset
             entries, skipped = build_duration_dataset(records)
             dataset_path = out_dir / "duration_dataset.jsonl"
-            with open(dataset_path, "w", encoding="utf-8") as fh:
-                for entry in entries:
-                    fh.write(json.dumps(entry) + "\n")
+            write_jsonl_atomic(dataset_path, entries)
             files.append(dataset_path.name)
             payload = {"emitted": len(entries), "skipped": [list(s) for s in skipped]}
         payload["schema_rejects"] = [{"line": ln, "error": err} for ln, err in schema_rejects]
         out = out_dir / f"{args.stage.replace('-', '_')}_report.json"
-        out.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        write_json_atomic(out, payload, indent=1)
         files.append(out.name)
         kept = len(payload.get("kept", [])) if "kept" in payload else payload.get("emitted", 0)
         print(f"{args.stage}: {kept} kept of {len(records)} records")
@@ -232,19 +252,32 @@ def cmd_train(args) -> int:
 def _write_latent(path: Path, latent: np.ndarray, fmt: str) -> None:
     if fmt == "json":
         payload = {"shape": list(latent.shape), "values": latent.reshape(-1).tolist()}
-        path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+        write_json_atomic(path, payload, separators=(",", ":"))
     else:  # raw little-endian float64, row-major
-        path.write_bytes(latent.astype("<f8").tobytes())
+        write_bytes_atomic(path, latent.astype("<f8").tobytes())
 
 
 def _read_latent(path: Path, d_audio: int) -> np.ndarray:
+    """A (T, d_audio) latent with T >= 1 and finite values, from JSON
+    {"shape": [T, d_audio], "values": [...]} or raw little-endian float64."""
     if path.suffix == ".json":
         payload = json.loads(path.read_text(encoding="utf-8"))
-        return np.asarray(payload["values"], dtype=np.float64).reshape(payload["shape"])
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if flat.size % d_audio != 0:
-        raise ValidationError(f"{path}: raw latent size {flat.size} not divisible by {d_audio}")
-    return flat.reshape(-1, d_audio).astype(np.float64)
+        shape = payload.get("shape") if isinstance(payload, dict) else None
+        values = payload.get("values") if isinstance(payload, dict) else None
+        if not (_is_list_of(shape, int) and _is_list_of(values, (int, float))):
+            raise ValidationError(f"{path}: latent needs a list 'shape' and a list of numbers 'values'")
+        flat = np.asarray(values, dtype=np.float64)
+        if len(shape) != 2 or shape[1] != d_audio or shape[0] < 1:
+            raise ValidationError(f"{path}: latent shape {shape}, expected [T >= 1, {d_audio}]")
+        if flat.size != shape[0] * shape[1]:
+            raise ValidationError(f"{path}: shape {shape} does not match {flat.size} values")
+    else:  # raw little-endian float64, row-major
+        flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
+        if flat.size == 0 or flat.size % d_audio != 0:
+            raise ValidationError(f"{path}: raw latent size {flat.size} is not T >= 1 rows of {d_audio}")
+    if not np.isfinite(flat).all():
+        raise ValidationError(f"{path}: latent holds non-finite values")
+    return flat.reshape(-1, d_audio)
 
 
 def cmd_generate(args) -> int:
@@ -265,12 +298,17 @@ def cmd_generate(args) -> int:
             total_duration_hint=spec.end_time(),
         )
         predicted = out_dir / "predicted.lrc"
-        predicted.write_text(serialize_lrc(doc), encoding="utf-8")
+        write_text_atomic(predicted, serialize_lrc(doc))
         files.append(predicted.name)
     else:
         doc = parse_lrc(Path(args.lrc).read_text(encoding="utf-8"), total_duration=spec.end_time())
 
     duration = spec.end_time() or doc.total_duration
+    if duration > cfg.pipeline.pretrain_max_duration:  # bounds T before anything is allocated
+        raise ValidationError(
+            f"duration {duration} s exceeds pipeline.pretrain_max_duration "
+            f"({cfg.pipeline.pretrain_max_duration} s)"
+        )
     T = frame_count(duration, cfg.task.frame_rate)
 
     system = build_song_model(cfg, trainable=False)
@@ -291,9 +329,7 @@ def cmd_generate(args) -> int:
     latent_path = out_dir / f"latent.{ext}"
     _write_latent(latent_path, latent, args.latent_format)
     log_path = out_dir / "sample_log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for entry in step_log:
-            fh.write(json.dumps(entry) + "\n")
+    write_jsonl_atomic(log_path, step_log)
     files += [latent_path.name, log_path.name]
     _write_run_manifest(out_dir, "generate", files)
     print(f"generate: {T} frames x {cfg.task.d_audio} channels -> {latent_path}")
@@ -369,7 +405,7 @@ def cmd_eval(args) -> int:
 
     report = {"samples": samples, "duration": maes, "aggregate": aggregate}
     out = out_dir / "report.json"
-    out.write_text(json.dumps(report, indent=1), encoding="utf-8")
+    write_json_atomic(out, report, indent=1)
     _write_run_manifest(out_dir, "eval", [out.name])
     print(f"eval: {len(samples)} samples, {len(maes)} LRC pairs -> {out}")
     return EXIT_OK
@@ -390,7 +426,7 @@ def cmd_predict_durations(args) -> int:
         total_duration_hint=args.duration_hint,
     )
     out = out_dir / "predicted.lrc"
-    out.write_text(serialize_lrc(doc), encoding="utf-8")
+    write_text_atomic(out, serialize_lrc(doc))
     _write_run_manifest(out_dir, "predict-durations", [out.name])
     print(f"predict-durations: {len(doc.lines)} lines over {doc.total_duration:.2f}s -> {out}")
     return EXIT_OK
@@ -405,7 +441,31 @@ _COMMANDS = {
 }
 
 
+# glibc <malloc.h> parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory_in_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB (the cap of its own dynamic
+    threshold on 64-bit) and its trim threshold at 64 MiB (the 2x ratio
+    its dynamic rule keeps), so freed numpy temporaries stay in the heap
+    for the next step instead of being unmapped or trimmed and faulted in
+    again (see the module docstring for the fault counts). Without glibc's
+    `mallopt` this does nothing. Only `main` calls it: importing songflow
+    leaves the process's allocator as it was."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory_in_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -420,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         ParseError,
         ValidationError,
         ContractError,
+        DimensionError,
         json.JSONDecodeError,
         UnicodeDecodeError,
         OSError,

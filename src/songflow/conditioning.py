@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -151,12 +152,50 @@ class PromptSpec:
         return None
 
 
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _is_number(value) -> bool:
+    """An int or a finite float; not a bool. A NaN score would pass every
+    quality gate, since it compares false against any cutoff, and a NaN or
+    infinite time has no frame."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def prompt_spec_from_json(obj) -> PromptSpec:
     """Accepts parsed JSON or a JSON string:
     {"global": str, "segments": [{"start_s", "end_s", "text", "kind"?}, ...],
-     "negative": {"global": str, "segment": str}?, "duration_s"?: number}."""
+     "negative": {"global": str, "segment": str}?, "duration_s"?: number}.
+    Prompts come from outside, so a mistyped field (or a non-finite time)
+    is a ValidationError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValidationError("prompt must be a JSON object")
+    if not isinstance(obj.get("global"), str):
+        raise ValidationError("prompt 'global' must be a string")
+    if not _is_list_of(obj.get("segments", []), dict):
+        raise ValidationError("prompt 'segments' must be a list of objects")
+    for i, s in enumerate(obj.get("segments", [])):
+        if not (
+            _is_number(s.get("start_s"))
+            and _is_number(s.get("end_s"))
+            and isinstance(s.get("text"), str)
+            and isinstance(s.get("kind", LYRIC), str)
+        ):
+            raise ValidationError(
+                f"prompt segment {i} needs numeric start_s and end_s and a string text (and kind)"
+            )
+    neg = obj.get("negative")
+    if neg is not None and not (
+        isinstance(neg, dict) and isinstance(neg.get("global"), str) and isinstance(neg.get("segment"), str)
+    ):
+        raise ValidationError("prompt 'negative' needs string 'global' and 'segment'")
+    if obj.get("duration_s") is not None and not _is_number(obj["duration_s"]):
+        raise ValidationError("prompt 'duration_s' must be a finite number")
     segments = tuple(
         SegmentSpec(
             t_s=float(s["start_s"]),
@@ -167,10 +206,8 @@ def prompt_spec_from_json(obj) -> PromptSpec:
         for s in obj.get("segments", [])
     )
     negative = None
-    if obj.get("negative") is not None:
-        negative = NegativePrompts(
-            global_text=obj["negative"]["global"], segment_text=obj["negative"]["segment"]
-        )
+    if neg is not None:
+        negative = NegativePrompts(global_text=neg["global"], segment_text=neg["segment"])
     duration = obj.get("duration_s")
     return PromptSpec(
         global_text=obj["global"],

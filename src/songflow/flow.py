@@ -190,7 +190,8 @@ def train(
             if log_file is not None:
                 wall_ms = (time.perf_counter() - step_started) * 1000.0
                 log_file.write(
-                    json.dumps({"step": step, "loss": loss_value, "wall_ms": wall_ms}) + "\n"
+                    json.dumps({"step": step, "loss": loss_value, "wall_ms": wall_ms}, allow_nan=False)
+                    + "\n"
                 )
             if (
                 checkpoint_dir is not None

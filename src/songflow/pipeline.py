@@ -17,12 +17,12 @@ percentile cutoff are kept.
 from __future__ import annotations
 
 import json
-import math
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .conditioning import PromptSpec
+from .checkpoint import write_jsonl_atomic
+from .conditioning import PromptSpec, _is_list_of, _is_number
 from .errors import ContractError, ParseError, ValidationError
 from .lrc import BOUNDARY, SegmentSpec, parse_lrc, serialize_lrc, time_to_frame
 
@@ -48,18 +48,6 @@ __all__ = [
 BOUNDARY_START_TEXT = "This piece is the start of the song."
 BOUNDARY_END_TEXT = "This piece is the end of the song."
 BOUNDARY_SECONDS = 0.5
-
-
-def _is_list_of(value, kind) -> bool:
-    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
-
-
-def _is_number(value) -> bool:
-    """An int or a finite float; not a bool. A NaN score would pass every
-    quality gate, since it compares false against any cutoff."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_str_map_of(value, ok) -> bool:
@@ -163,9 +151,7 @@ def read_manifest(path) -> tuple[list[RecordManifest], list[tuple[int, str]]]:
 
 
 def write_manifest(records: list[RecordManifest], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json()) + "\n")
+    write_jsonl_atomic(path, (rec.to_json() for rec in records))
 
 
 # -----------------------------------------------------------------------------

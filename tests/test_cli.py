@@ -1,8 +1,16 @@
+import base64
+import copy
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import songflow
 from songflow.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from songflow.lrc import parse_lrc
 from songflow.pipeline import RecordManifest, write_manifest
@@ -451,3 +459,229 @@ def test_predict_durations_output_parses(tmp_path):
     doc = parse_lrc((out / "predicted.lrc").read_text(), total_duration=30.0)
     assert len(doc.lines) == 3
     assert doc.lines[-1].timestamp < 30.0
+
+
+# -----------------------------------------------------------------------------
+# malformed inputs: exit codes, no traceback, strict JSON out
+# -----------------------------------------------------------------------------
+
+
+def _strict_parse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _assert_strict_json(out_dir):
+    """Every JSON artifact parses with the NaN/Infinity tokens refused."""
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_strict_parse_constant)
+    for path in out_dir.glob("*.jsonl"):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            json.loads(line, parse_constant=_strict_parse_constant)
+
+
+def _prompt_text(**changes):
+    prompt = {"global": "ember", "segments": [{"start_s": 0.0, "end_s": 1.5, "text": "pulse"},
+                                              {"start_s": 1.5, "end_s": 3.0, "text": "wave"}],
+              "duration_s": 3.0}
+    prompt.update(changes)
+    return json.dumps(prompt)
+
+
+def _latent_text(shape, values):
+    return json.dumps({"shape": shape, "values": values})
+
+
+def _checkpoint_with(edit):
+    """A checkpoint function: the valid tiny checkpoint payload, edited."""
+    def build(payload):
+        edit(payload)
+        return json.dumps(payload)
+    return build
+
+
+def _bad_base64(p):
+    p["params"][0]["f64le"] = "AAAA!AAA"
+
+
+def _short_payload(p):
+    rec = p["params"][0]
+    rec["f64le"] = rec["f64le"][:-12]  # 8 bytes fewer, still valid base64
+
+
+def _as_v1(p):
+    p["format"] = "songflow-params-v1"
+    for rec in p["params"]:
+        rec["values"] = [0.0] * int(np.prod(rec["shape"]))
+        del rec["f64le"]
+
+
+def _non_finite(p):
+    raw = bytearray(base64.b64decode(p["params"][0]["f64le"]))
+    raw[:8] = np.array([np.nan], dtype="<f8").tobytes()
+    p["params"][0]["f64le"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
+_NAN_LATENT = '{"shape": [12, 2], "values": [' + ", ".join(["0.5"] * 23 + ["NaN"]) + "]}"
+
+# (case, subcommand, files written into the case directory, expected exit code,
+#  text stderr must contain). Unlisted inputs are valid.
+MALFORMED = [
+    ("eval-1d-latent", "eval", {"latent.json": _latent_text([24], [0.5] * 24)}, EXIT_DATA, "shape"),
+    ("eval-channels", "eval", {"latent.json": _latent_text([8, 3], [0.5] * 24)}, EXIT_DATA, "shape"),
+    ("eval-shape-vs-values", "eval", {"latent.json": _latent_text([12, 2], [0.5] * 20)}, EXIT_DATA,
+     "does not match"),
+    ("eval-no-frames", "eval", {"latent.json": _latent_text([0, 2], [])}, EXIT_DATA, "shape"),
+    ("eval-string-values", "eval", {"latent.json": _latent_text([1, 2], ["a", "b"])}, EXIT_DATA,
+     "numbers"),
+    ("eval-nan-latent", "eval", {"latent.json": _NAN_LATENT}, EXIT_DATA, "non-finite"),
+    ("eval-inf-raw-latent", "eval",
+     {"latent.f64": np.full(24, np.inf).astype("<f8").tobytes()}, EXIT_DATA, "non-finite"),
+    ("eval-raw-size", "eval", {"latent.f64": np.zeros(5).astype("<f8").tobytes()}, EXIT_DATA,
+     "rows"),
+    ("generate-list-prompt", "generate", {"prompt.json": '[{"global": "ember"}]'}, EXIT_DATA,
+     "object"),
+    ("generate-number-global", "generate", {"prompt.json": _prompt_text(**{"global": 5})},
+     EXIT_DATA, "global"),
+    ("generate-string-segments", "generate", {"prompt.json": _prompt_text(segments="verse")},
+     EXIT_DATA, "segments"),
+    ("generate-string-time", "generate",
+     {"prompt.json": _prompt_text(segments=[{"start_s": "0", "end_s": 1.5, "text": "p"}])},
+     EXIT_DATA, "segment 0"),
+    ("generate-negative-list", "generate", {"prompt.json": _prompt_text(negative=["x"])},
+     EXIT_DATA, "negative"),
+    ("generate-nan-duration", "generate",
+     {"prompt.json": _prompt_text(duration_s=None).replace("null", "NaN")}, EXIT_DATA,
+     "duration_s"),
+    ("generate-huge-end", "generate",
+     {"prompt.json": _prompt_text(segments=[{"start_s": 0.0, "end_s": 1e9, "text": "p"}],
+                                  duration_s=None)},
+     EXIT_DATA, "pretrain_max_duration"),
+    ("generate-long-duration", "generate", {"prompt.json": _prompt_text(duration_s=360.01)},
+     EXIT_DATA, "pretrain_max_duration"),
+    ("checkpoint-bad-base64", "generate", {"ckpt.json": _checkpoint_with(_bad_base64)},
+     EXIT_DATA, "base64"),
+    ("checkpoint-short-payload", "generate", {"ckpt.json": _checkpoint_with(_short_payload)},
+     EXIT_DATA, "bytes for shape"),
+    ("checkpoint-v1", "generate", {"ckpt.json": _checkpoint_with(_as_v1)}, EXIT_DATA,
+     "songflow-params-v1"),
+    ("checkpoint-non-finite", "generate", {"ckpt.json": _checkpoint_with(_non_finite)},
+     EXIT_DATA, "non-finite"),
+    ("dpo-nan-string", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": "nan"}'},
+     EXIT_DATA, "finite number"),
+    ("dpo-nan-token", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": NaN}'},
+     EXIT_DATA, "finite number"),
+    ("dpo-infinity", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": 1e999}'},
+     EXIT_DATA, "finite number"),
+    ("dpo-bool", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": true}'},
+     EXIT_DATA, "finite number"),
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint_payload(tmp_path_factory):
+    from songflow.config import load_config
+    from songflow.system import build_song_model
+
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    build_song_model(load_config(None, TINY), trainable=False).save(path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case, command, files, expected, message", MALFORMED,
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
+                                    case, command, files, expected, message):
+    inputs = {
+        "prompt.json": _prompt_text(),
+        "x.lrc": "[00:00.00] p0 p1 p2\n[00:01.50] p0 p1 p2\n",
+        "ckpt.json": json.dumps(tiny_checkpoint_payload),
+        "scores.jsonl": '{"group": "g", "id": "a", "score": 1.0}\n'
+                        '{"group": "g", "id": "b", "score": 2.0}\n',
+        **files,
+    }
+    for name, content in inputs.items():
+        if callable(content):
+            content = content(copy.deepcopy(tiny_checkpoint_payload))
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "eval":
+        latent = "latent.f64" if "latent.f64" in files else "latent.json"
+        argv = _tiny_args(["eval", "--out-dir", str(out), "--latent", str(tmp_path / latent),
+                           "--prompt", str(tmp_path / "prompt.json")])
+    elif command == "generate":
+        argv = _tiny_args(["generate", "--out-dir", str(out),
+                           "--checkpoint", str(tmp_path / "ckpt.json"),
+                           "--prompt", str(tmp_path / "prompt.json"),
+                           "--lrc", str(tmp_path / "x.lrc")])
+    else:
+        argv = ["pipeline", "--stage", command, "--set", "pipeline.dpo_min_diff=0.5",
+                "--manifest", str(tmp_path / "scores.jsonl"), "--out-dir", str(out)]
+    code = main(argv)  # returns: nothing may escape as a traceback
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert err.startswith("data error:") and message in err, err
+    _assert_strict_json(out)
+
+
+def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
+    """The table's defaults are valid, so each row fails for its own reason."""
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(tiny_checkpoint_payload), encoding="utf-8")
+    prompt = tmp_path / "prompt.json"
+    prompt.write_text(_prompt_text(), encoding="utf-8")
+    lrc = tmp_path / "x.lrc"
+    _write_lrc(lrc)
+    gen = tmp_path / "g"
+    assert main(_tiny_args(["generate", "--out-dir", str(gen), "--checkpoint", str(ckpt),
+                            "--prompt", str(prompt), "--lrc", str(lrc),
+                            "--latent-format", "f64"])) == EXIT_OK
+    latent = tmp_path / "latent.json"
+    latent.write_text(_latent_text([12, 2], [0.5] * 24), encoding="utf-8")
+    assert main(_tiny_args(["eval", "--out-dir", str(tmp_path / "e"), "--latent", str(latent),
+                            str(gen / "latent.f64"), "--prompt", str(prompt),
+                            str(prompt)])) == EXIT_OK
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"group": "g", "id": "a", "score": 1}\n'
+                      '{"group": "g", "id": "b", "score": 2.0}\n', encoding="utf-8")
+    out = tmp_path / "d"
+    assert main(["pipeline", "--stage", "dpo-pairs", "--set", "pipeline.dpo_min_diff=0.5",
+                 "--manifest", str(scores), "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "dpo_pairs.json").read_text())["pairs"] == [
+        {"group": "g", "win": "b", "lose": "a"}]
+    for written in (gen, tmp_path / "e", out):
+        _assert_strict_json(written)
+
+
+# -----------------------------------------------------------------------------
+# allocator policy
+# -----------------------------------------------------------------------------
+
+
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from songflow.cli import main
+
+main(["bogus"])  # a usage error; main sets the allocator policy first
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    live = [np.ones(1 << 17) for _ in range(4)]  # four live 1 MiB arrays
+    del live
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_main_keeps_freed_arrays_in_the_heap():
+    """Default glibc unmaps or trims the four freed 1 MiB arrays on every
+    cycle and faults them in again (~99,000 minor faults); kept in the
+    heap they are reused. A fresh interpreter, so earlier tests cannot have
+    moved glibc's dynamic thresholds."""
+    src = Path(songflow.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout.split()[-1]) < 2000, done.stdout

@@ -1,9 +1,12 @@
+import base64
 import builtins
+import json
 
 import numpy as np
 import pytest
 
 import songflow.checkpoint as checkpoint
+import songflow.cli as cli
 from songflow.checkpoint import load_into, load_params, save_params
 from songflow.errors import ContractError, ValidationError
 from songflow.optim import adam_init, adam_step, clip_grad_norm
@@ -73,14 +76,45 @@ def test_checkpoint_roundtrip_is_value_exact(tmp_path, rng):
         ("layer.w", Tensor(rng.standard_normal((7, 3)))),
         ("layer.b", Tensor(rng.standard_normal(3) * 1e-17)),
         ("scalarish", Tensor(np.array([np.pi, np.e, 2.0**-1040]))),
+        ("edges", Tensor(np.array([-0.0, 2.0**-1074, 1.79e308, -1.79e308, 0.0]))),
+        ("empty", Tensor(np.zeros((0,)))),
+        ("transposed", Tensor(rng.standard_normal((4, 5)).T)),  # not C-contiguous
     ]
     path = tmp_path / "ckpt.json"
     save_params(named, path)
     loaded = load_params(path)
     assert [name for name, _ in loaded] == [name for name, _ in named]
     for (_, tensor), (_, arr) in zip(named, loaded):
-        assert arr.shape == tensor.data.shape
-        assert np.array_equal(arr, tensor.data)  # bit-exact for float64
+        assert arr.shape == tensor.data.shape and arr.dtype == np.float64
+        assert arr.tobytes() == tensor.data.tobytes()  # bit-exact, -0.0 included
+        assert arr.flags.writeable
+
+
+def test_checkpoint_v2_layout(tmp_path):
+    """Each record is {name, shape, f64le}: base64 of little-endian float64."""
+    path = tmp_path / "ckpt.json"
+    save_params([("w", Tensor(np.array([[1.0, -0.0], [2.0**-1074, 3.5]])))], path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["format"] == checkpoint.FORMAT == "songflow-params-v2"
+    (rec,) = payload["params"]
+    assert set(rec) == {"name", "shape", "f64le"} and rec["shape"] == [2, 2]
+    expected = np.array([1.0, -0.0, 2.0**-1074, 3.5], dtype="<f8").tobytes()
+    assert base64.b64decode(rec["f64le"], validate=True) == expected
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"name": "a", "shape": [-2], "f64le": ""}, "shape"),
+        ({"name": "a", "shape": [2], "values": [1.0, 2.0]}, "f64le"),
+        ([1.0, 2.0], "record 0"),
+    ],
+)
+def test_load_params_rejects_malformed_records(tmp_path, record, message):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({"format": checkpoint.FORMAT, "params": [record]}), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_params(path)
 
 
 def test_load_into_checks_names_and_shapes(tmp_path):
@@ -95,12 +129,25 @@ def test_load_into_checks_names_and_shapes(tmp_path):
     assert target.data.tolist() == [1.0, 2.0]
 
 
+def _save_checkpoint(path):
+    save_params([("a", Tensor([1.0, 2.0]))], path)
+
+
+def _save_latent(path):
+    cli._write_latent(path, np.arange(6.0).reshape(3, 2), "json")
+
+
+def _save_eval_report(path):
+    code = cli.main(["eval", "--out-dir", str(path.parent)])
+    if code == cli.EXIT_DATA:  # main reports the OSError as a data error
+        raise OSError("eval could not write its report")
+    assert code == cli.EXIT_OK
+
+
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     """A write that fails midway (say, a full disk) leaves the previous
-    checkpoint.json byte-identical and no temp file behind."""
-    path = tmp_path / "checkpoint.json"
-    save_params([("a", Tensor([1.0, 2.0]))], path)
-    before = path.read_bytes()
+    artifact byte-identical and no temp file behind: a checkpoint, a latent
+    and an eval report."""
 
     class FullDisk:
         def __init__(self, fh):
@@ -112,14 +159,22 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.fh.close()
 
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
             self.fh.flush()
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FullDisk(builtins.open(*a, **k)),
-                        raising=False)
-    with pytest.raises(OSError):
-        save_params([("a", Tensor([3.0, 4.0]))], path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+    for name, save in [("checkpoint.json", _save_checkpoint), ("latent.json", _save_latent),
+                       ("report.json", _save_eval_report)]:
+        path = tmp_path / name.split(".")[0] / name
+        path.parent.mkdir()
+        save(path)
+        before = path.read_bytes()
+        listing = sorted(p.name for p in path.parent.iterdir())
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "open", lambda *a, **k: FullDisk(builtins.open(*a, **k)),
+                          raising=False)
+            with pytest.raises(OSError):
+                save(path)
+        assert path.read_bytes() == before, name
+        assert sorted(p.name for p in path.parent.iterdir()) == listing, name
