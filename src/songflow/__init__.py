@@ -63,11 +63,9 @@ from .optim import AdamState, adam_init, adam_step, clip_grad_norm, grad_norm
 from .pipeline import (
     FilterReport,
     RecordManifest,
-    assemble_segment_caption,
     build_duration_dataset,
     dpo_pair_select,
     finetune_filter,
-    insert_boundary_prompts,
     levenshtein,
     lyric_edit_filter,
     pretrain_filter,

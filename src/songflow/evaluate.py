@@ -34,18 +34,33 @@ class SimilarityScorer(Protocol):
     def score(self, latent: np.ndarray, text: str) -> float: ...
 
 
+# Below this product of centred norms, a side counts as (numerically) constant.
+_LOG2_CONSTANT_NORM = np.log2(1e-12)
+
+
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson r, 0.0 when either side is (numerically) constant."""
+    """Pearson r, 0.0 when either side is constant or numerically so (the
+    product of the centred norms is below 1e-12).
+
+    Each centred side is divided by the power of two just above its largest
+    |value| before any product is formed, so nothing overflows and r is the
+    same, bit for bit, as without the division. The unscaled norm product is
+    compared with 1e-12 through its base-2 logarithm.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise DimensionError(f"pearson: shapes {a.shape} vs {b.shape}")
-    if a.size < 2:
+    if a.size < 2 or a.min() == a.max() or b.min() == b.max():
         return 0.0
     ac = a - a.mean()
     bc = b - b.mean()
+    ea = np.frexp(np.abs(ac).max())[1]
+    eb = np.frexp(np.abs(bc).max())[1]
+    ac = np.ldexp(ac, -ea)
+    bc = np.ldexp(bc, -eb)
     denom = np.sqrt((ac * ac).sum() * (bc * bc).sum())
-    if denom < 1e-12:
+    if np.log2(denom) + (ea + eb) < _LOG2_CONSTANT_NORM:
         return 0.0
     return float(np.clip((ac * bc).sum() / denom, -1.0, 1.0))
 

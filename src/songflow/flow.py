@@ -180,6 +180,7 @@ def train(
                 raise NumericAbort("loss is not finite", step=step, batch_ids=batch.ids())
             zero_grads(params)
             backward(loss)
+            del loss  # free this step's graph before the next forward
             if not np.isfinite(grad_norm(params)):
                 raise NumericAbort("gradient is not finite", step=step, batch_ids=batch.ids())
             if config.grad_clip_norm is not None:

@@ -3,9 +3,8 @@
 Records describe songs (metadata, quality scores, lyrics, transcripts,
 structure, captions); everything that would need audio models upstream is
 represented by pre-populated manifest fields. Stage filters, the lyric
-edit-distance gate, caption assembly, boundary-prompt insertion, win-loss
-pair selection, and the duration-dataset builder all operate on these
-records and emit JSON artifacts.
+edit-distance gate, win-loss pair selection and the duration-dataset
+builder all operate on these records and emit JSON artifacts.
 
 Boundary conventions, fixed here because selection depends on them:
 percentiles/quartiles use linear interpolation on the sorted sample;
@@ -22,9 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import write_jsonl_atomic
-from .conditioning import PromptSpec, _is_list_of, _is_number
+from .conditioning import _is_list_of, _is_number
 from .errors import ContractError, ParseError, ValidationError
-from .lrc import BOUNDARY, SegmentSpec, parse_lrc, serialize_lrc, time_to_frame
+from .lrc import parse_lrc, serialize_lrc
 
 __all__ = [
     "RecordManifest",
@@ -36,8 +35,6 @@ __all__ = [
     "levenshtein",
     "normalize_lyric_text",
     "lyric_edit_filter",
-    "assemble_segment_caption",
-    "insert_boundary_prompts",
     "quantile",
     "dpo_pair_select",
     "build_duration_dataset",
@@ -47,7 +44,6 @@ __all__ = [
 
 BOUNDARY_START_TEXT = "This piece is the start of the song."
 BOUNDARY_END_TEXT = "This piece is the end of the song."
-BOUNDARY_SECONDS = 0.5
 
 
 def _is_str_map_of(value, ok) -> bool:
@@ -338,54 +334,6 @@ def lyric_edit_filter(
         else:
             report.kept.append(rec.id)
     return report
-
-
-# -----------------------------------------------------------------------------
-# Caption assembly and boundary prompts
-# -----------------------------------------------------------------------------
-
-
-def assemble_segment_caption(label: str, raw_caption: str) -> str:
-    """Prepend the structural label: "[label] caption". Re-assembling an
-    already-labeled caption is rejected by the prefix check."""
-    if not label:
-        raise ContractError("label must be non-empty")
-    if raw_caption.startswith("[") and "] " in raw_caption[:64]:
-        raise ContractError(f"caption already carries a label prefix: {raw_caption[:32]!r}")
-    return f"[{label}] {raw_caption}"
-
-
-def insert_boundary_prompts(
-    spec: PromptSpec, total_duration: float, frame_rate: float
-) -> PromptSpec:
-    """Add fixed boundary segments over the first and last 0.5 s, trimming
-    any overlapping segments to keep the non-overlap invariant intact."""
-    if total_duration <= 1.0:
-        raise ContractError(f"total_duration {total_duration}s is too short for boundary prompts")
-    start_end = BOUNDARY_SECONDS
-    end_start = total_duration - BOUNDARY_SECONDS
-    trimmed: list[SegmentSpec] = []
-    for seg in spec.segments:
-        t_s, t_e = max(seg.t_s, start_end), min(seg.t_e, end_start)
-        if t_s >= t_e:
-            continue  # fully covered by a boundary window
-        trimmed.append(SegmentSpec(t_s=t_s, t_e=t_e, text=seg.text, kind=seg.kind))
-    segments = [
-        SegmentSpec(0.0, start_end, BOUNDARY_START_TEXT, kind=BOUNDARY),
-        *trimmed,
-        SegmentSpec(end_start, total_duration, BOUNDARY_END_TEXT, kind=BOUNDARY),
-    ]
-    for seg in (segments[0], segments[-1]):
-        if time_to_frame(seg.t_s, frame_rate) >= time_to_frame(seg.t_e, frame_rate):
-            raise ValidationError(
-                f"boundary window [{seg.t_s}, {seg.t_e})s is empty at {frame_rate} Hz"
-            )
-    return PromptSpec(
-        global_text=spec.global_text,
-        segments=tuple(segments),
-        negative=spec.negative,
-        duration_s=spec.duration_s,
-    )
 
 
 # -----------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Each operation records its parents and a vector-Jacobian closure on the
 result tensor, so the graph lives on the results themselves; there is no
 global tape and independent graphs share no state. backward() walks the
-recorded graph once in reverse topological order and accumulates into
-`.grad` (repeated calls without zeroing keep accumulating).
+recorded graph once in reverse topological order. Gradients are kept on
+leaves only (tensors with no recorded op, such as parameters and inputs);
+an intermediate result's gradient is freed as soon as its vjp has run, so
+its `.grad` stays None. Repeated calls without zeroing keep accumulating
+into the leaves. Dropping the loss frees the whole graph.
 
 Activations may carry leading batch axes: `matmul`, `add_row`, `layer_norm`,
 `concat_channels` and `attention` act on the last one or two axes of a
@@ -45,7 +48,7 @@ __all__ = [
 class Tensor:
     """A float64 array plus optional gradient and the recorded op that made it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.asarray(values, dtype=np.float64)
@@ -419,31 +422,40 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from a scalar loss."""
+    """Accumulate d loss / d leaf into .grad of every requires_grad leaf
+    (a tensor with no recorded op) reachable from a scalar loss.
+
+    Intermediate results keep grad None: each one's gradient is dropped as
+    soon as its vjp has run. The graph itself stays intact, so calling
+    backward again on the same loss adds the same gradients to the leaves.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to any differentiable tensor")
     order = _topo_order(loss)
+    # A vjp may return views of g or one array for two parents (add), so
+    # arrays in gmap are never written into: sums are formed out of place,
+    # and a leaf's first contribution is copied, since .grad is its own.
     gmap: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = gmap.get(id(node))
+        g = gmap.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g  # gmap owns g, and vjps only read it
-        else:
-            node.grad += g
         if node._vjp is None:
+            if node.grad is None:
+                node.grad = g
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = gmap.get(id(parent))
-            if acc is None:
-                gmap[id(parent)] = np.array(pg)  # own the buffer; vjps may return views
+            if acc is not None:
+                gmap[id(parent)] = acc + pg
             else:
-                acc += pg
+                gmap[id(parent)] = np.array(pg) if parent._vjp is None else pg
 
 
 def zero_grads(tensors) -> None:

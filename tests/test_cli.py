@@ -441,6 +441,24 @@ def test_eval_report_schema_and_scores(tmp_path):
     assert len(report["samples"][0]["segment_alignment"]["per_segment"]) == 2
 
 
+def test_eval_scores_a_huge_latent_like_its_unscaled_self(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((12, 2))
+    prompt = tmp_path / "p.json"
+    prompt.write_text(_prompt_text(), encoding="utf-8")
+    for name, latent in (("plain.json", values), ("huge.json", values * 1e200)):
+        (tmp_path / name).write_text(_latent_text([12, 2], latent.reshape(-1).tolist()),
+                                     encoding="utf-8")
+    out = tmp_path / "e"
+    assert main(_tiny_args(["eval", "--out-dir", str(out),
+                            "--latent", str(tmp_path / "plain.json"), str(tmp_path / "huge.json"),
+                            "--prompt", str(prompt), str(prompt)])) == EXIT_OK
+    plain, huge = json.loads((out / "report.json").read_text())["samples"]
+    scores = [(s["global_alignment"], *s["segment_alignment"]["per_segment"]) for s in (plain, huge)]
+    assert all(s != 0.0 for s in scores[0])
+    assert np.abs(np.subtract(*scores)).max() <= 1e-12
+
+
 # -----------------------------------------------------------------------------
 # predict-durations
 # -----------------------------------------------------------------------------

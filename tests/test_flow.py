@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,46 @@ def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint-000001.json"]
     saved = load_params(tmp_path / "checkpoint-000001.json")
     assert all(np.array_equal(a, s) for (_, a), s in zip(saved, seen["params"]))
+
+
+def test_train_drops_each_graph_before_the_next_forward(monkeypatch):
+    cfg, system, dataset = _tiny_setup(steps=4, batch=2)
+    real = flow_mod.cfm_loss
+    losses = []
+
+    def tracked(*args, **kwargs):
+        if losses:
+            assert losses[-1]() is None, "the previous step's graph is still alive"
+        loss = real(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(flow_mod, "cfm_loss", tracked)
+    train(system, dataset, cfg.train)
+    assert len(losses) == 4
+
+
+def test_backward_peak_memory_stays_near_the_forward_graph():
+    """One default-config step: backward allocates at most 30% on top of
+    the graph that cfm_loss leaves alive (allocations are deterministic)."""
+    cfg = load_config()
+    system = build_song_model(cfg)
+    dataset = SyntheticDataset(cfg.task_spec(), max_segments=cfg.task.max_segments,
+                               min_width=cfg.task.min_width)
+    rng = np.random.default_rng(0)
+    batch = dataset.draw(rng, cfg.train.batch_size)
+    drops = dict(p_drop_global=cfg.train.p_drop_global, p_drop_segment=cfg.train.p_drop_segment,
+                 p_drop_lyrics=cfg.train.lyric_dropout)
+    tracemalloc.start()
+    try:
+        loss = cfm_loss(system.model, system.encoder, batch, rng, **drops)
+        alive = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * alive, (peak, alive)
 
 
 def test_train_requires_at_least_one_step():

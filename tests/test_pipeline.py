@@ -3,20 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from songflow.conditioning import PromptSpec
-from songflow.errors import ContractError, ValidationError
-from songflow.lrc import BOUNDARY, SegmentSpec, parse_lrc
+from songflow.errors import ContractError
+from songflow.lrc import parse_lrc
 from songflow.pipeline import (
     BOUNDARY_END_TEXT,
     BOUNDARY_START_TEXT,
     DURATION_INSTRUCTION_TEMPLATE,
     FilterReport,
     RecordManifest,
-    assemble_segment_caption,
     build_duration_dataset,
     dpo_pair_select,
     finetune_filter,
-    insert_boundary_prompts,
     levenshtein,
     lyric_edit_filter,
     normalize_lyric_text,
@@ -320,62 +317,6 @@ def test_lyric_filter_rejects_invalid_lrc():
         ("malformed", "invalid-lrc"),
         ("decreasing", "invalid-lrc"),
     ]
-
-
-# -----------------------------------------------------------------------------
-# captions and boundary prompts
-# -----------------------------------------------------------------------------
-
-
-def test_assemble_segment_caption():
-    assert assemble_segment_caption("chorus", "soaring strings") == "[chorus] soaring strings"
-    assert assemble_segment_caption("chorus", "") == "[chorus] "
-    with pytest.raises(ContractError):
-        assemble_segment_caption("chorus", "[chorus] soaring strings")
-    with pytest.raises(ContractError):
-        assemble_segment_caption("", "caption")
-
-
-def test_boundary_prompts_on_bare_song():
-    spec = PromptSpec(global_text="g")
-    out = insert_boundary_prompts(spec, total_duration=10.0, frame_rate=21.5)
-    assert len(out.segments) == 2
-    start, end = out.segments
-    assert (start.t_s, start.t_e, start.text) == (0.0, 0.5, BOUNDARY_START_TEXT)
-    assert (end.t_s, end.t_e, end.text) == (9.5, 10.0, BOUNDARY_END_TEXT)
-    assert start.kind == BOUNDARY and end.kind == BOUNDARY
-
-
-def test_boundary_prompts_trim_overlaps():
-    spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 3.0, "x"),))
-    out = insert_boundary_prompts(spec, total_duration=10.0, frame_rate=21.5)
-    trimmed = out.segments[1]
-    assert (trimmed.t_s, trimmed.t_e) == (0.5, 3.0)
-
-
-def test_boundary_prompts_drop_fully_covered_and_validate(rng):
-    spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 0.4, "tiny"),))
-    out = insert_boundary_prompts(spec, total_duration=10.0, frame_rate=21.5)
-    assert [s.text for s in out.segments] == [BOUNDARY_START_TEXT, BOUNDARY_END_TEXT]
-    for _ in range(50):
-        n = int(rng.integers(0, 5))
-        cuts = np.sort(rng.uniform(0.0, 30.0, size=2 * n))
-        segments = tuple(
-            SegmentSpec(float(cuts[2 * i]), float(cuts[2 * i + 1]), f"s{i}")
-            for i in range(n)
-            if cuts[2 * i] < cuts[2 * i + 1]
-        )
-        spec = PromptSpec(global_text="g", segments=segments)
-        out = insert_boundary_prompts(spec, total_duration=30.0, frame_rate=21.5)
-        # validated by construction; re-validate explicitly
-        PromptSpec(global_text="g", segments=out.segments)
-        assert out.segments[0].text == BOUNDARY_START_TEXT
-        assert out.segments[-1].text == BOUNDARY_END_TEXT
-
-
-def test_boundary_prompts_need_room():
-    with pytest.raises(ContractError):
-        insert_boundary_prompts(PromptSpec(global_text="g"), total_duration=0.9, frame_rate=21.5)
 
 
 # -----------------------------------------------------------------------------

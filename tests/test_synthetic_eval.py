@@ -7,6 +7,7 @@ from songflow.conditioning import PromptSpec
 from songflow.errors import ContractError, ValidationError
 from songflow.evaluate import (
     PatternOracleScorer,
+    _pearson,
     duration_mae,
     global_alignment_score,
     segment_alignment_score,
@@ -201,6 +202,19 @@ def test_global_alignment_self_is_max(rng):
         assert own == pytest.approx(1.0, abs=1e-9)
         assert all(own > other for other in others)
         assert all(-1.0 <= s <= 1.0 for s in [own, *others])
+
+
+def test_pearson_is_scale_free_without_overflow(rng):
+    a, b = rng.standard_normal(12), rng.standard_normal(12)
+    r = _pearson(a, b)
+    assert r != 0.0
+    for k in (1e200, -1e200):
+        assert abs(_pearson(a * k, b) - np.sign(k) * r) <= 1e-12
+        assert abs(_pearson(a, b * k) - np.sign(k) * r) <= 1e-12
+    assert _pearson(a * 2.0**600, b * 2.0**-600) == r  # power-of-two scaling is exact
+    # the constant rule: a centred norm product below 1e-12 scores 0.0
+    assert _pearson(np.full(12, 1e300), b) == 0.0
+    assert _pearson(a * 1e-200, b) == 0.0
 
 
 # -----------------------------------------------------------------------------

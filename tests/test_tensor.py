@@ -4,6 +4,7 @@ import pytest
 import songflow.tensor as tensor_module
 from conftest import fd_max_rel_error, random_tensor
 from songflow.errors import ContractError, DimensionError
+from songflow.optim import clip_grad_norm
 from songflow.tensor import (
     Tensor,
     add,
@@ -160,6 +161,30 @@ def test_backward_accumulates_without_reset():
     first = w.grad.copy()
     backward(loss)
     assert np.array_equal(w.grad, 2.0 * first)
+
+
+def test_backward_keeps_gradients_on_leaves_only(rng):
+    x = random_tensor(rng, (3, 4))
+    w = random_tensor(rng, (4, 2))
+    h = matmul(x, w)
+    a = silu(h)
+    loss = sum_all(a)
+    backward(loss)
+    assert x.grad is not None and w.grad is not None
+    assert h.grad is None and a.grad is None and loss.grad is None
+    s = 0.5 * (1.0 + np.tanh(0.5 * h.data))
+    assert np.allclose(x.grad, (s * (1.0 + h.data * (1.0 - s))) @ w.data.T, rtol=0, atol=1e-14)
+
+
+def test_leaf_gradients_own_their_memory():
+    """add hands one array to both parents; each leaf gets its own copy, so
+    clip_grad_norm's in-place scaling reaches each gradient exactly once."""
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    backward(sum_all(add(a, b)))
+    assert not np.shares_memory(a.grad, b.grad)
+    assert clip_grad_norm([a, b], 1.0) == 2.0
+    assert a.grad.tolist() == b.grad.tolist() == [0.5, 0.5]
 
 
 def test_softmax_rows_sum_to_one(rng):
