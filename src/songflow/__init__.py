@@ -51,8 +51,6 @@ from .lrc import (
     LrcLine,
     SegmentSpec,
     SegmentWindow,
-    StructureEntry,
-    derive_windows,
     frame_count,
     parse_lrc,
     serialize_lrc,

@@ -1,5 +1,5 @@
 """LRC lyric timing: parsing, canonical serialization, frame conversion, and
-segment-window derivation.
+segment windows from timed prompts.
 
 The accepted micro-format is one `[mm:ss.xx] text` line per lyric line
 (minutes >= two digits, seconds 00-59, centiseconds 00-99, one space before
@@ -9,7 +9,6 @@ round-half-even, so serialize -> parse -> serialize is text-exact.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -31,9 +30,6 @@ __all__ = [
     "frame_count",
     "validate_segments",
     "windows_from_segments",
-    "StructureEntry",
-    "structure_from_json",
-    "derive_windows",
 ]
 
 LYRIC = "lyric"
@@ -132,17 +128,17 @@ def parse_lrc(raw: str, total_duration: float | None = None) -> LrcDocument:
     lines: list[LrcLine] = []
     prev = 0.0
     for lineno, raw_line in enumerate(raw.splitlines(), start=1):
-        if not raw_line.strip():
-            continue
         m = _LINE_RE.match(raw_line)
-        if m is None:
+        if m is None:  # no blank line matches, so only a miss needs the strip
+            if not raw_line.strip():
+                continue
             raise ParseError(f"malformed LRC line: {raw_line!r}", line_number=lineno)
-        mm, ss, xx = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        ts = 60.0 * mm + ss + xx / 100.0
+        mm, ss, xx, text = m.groups()
+        ts = 60.0 * int(mm) + int(ss) + int(xx) / 100.0
         if ts < prev:
             raise ValidationError(f"line {lineno}: timestamp {ts}s decreases (previous {prev}s)")
         prev = ts
-        lines.append(LrcLine(timestamp=ts, text=m.group(4) or ""))
+        lines.append(LrcLine(ts, text or ""))
     if total_duration is None:
         last = lines[-1].timestamp if lines else 0.0
         total_duration = last + DEFAULT_TAIL_SECONDS
@@ -154,15 +150,17 @@ def serialize_timestamp(seconds: float) -> str:
     if seconds < 0:
         raise ContractError(f"negative timestamp {seconds}")
     centis = round(seconds * 100.0)
-    mm, rest = divmod(centis, 6000)
-    ss, xx = divmod(rest, 100)
-    return f"[{mm:02d}:{ss:02d}.{xx:02d}]"
+    return "[%02d:%02d.%02d]" % (centis // 6000, centis // 100 % 60, centis % 100)
+
 
 def serialize_lrc(doc: LrcDocument) -> str:
-    """One canonical line per LrcLine; empty-text lines keep the bare tag."""
+    """One canonical line per LrcLine; empty-text lines keep the bare tag.
+    The tag is serialize_timestamp's, inlined: no call per line, and no
+    sign check, since an LrcLine is never negative."""
     out = []
     for line in doc.lines:
-        tag = serialize_timestamp(line.timestamp)
+        centis = round(line.timestamp * 100.0)
+        tag = "[%02d:%02d.%02d]" % (centis // 6000, centis // 100 % 60, centis % 100)
         out.append(f"{tag} {line.text}" if line.text else tag)
     return "\n".join(out) + ("\n" if out else "")
 
@@ -246,150 +244,3 @@ def windows_from_segments(segments, frame_rate: float, T: int) -> list[SegmentWi
             continue
         windows.append(SegmentWindow(js, je, provenance=seg.kind, label=seg.text))
     return windows
-
-
-# -----------------------------------------------------------------------------
-# Structure-driven window derivation
-# -----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructureEntry:
-    """One structural block: kind, display label, and its half-open lyric-line range."""
-
-    kind: str
-    label: str
-    lines: tuple[int, int]
-
-    def __post_init__(self):
-        if self.kind not in (LYRIC, INSTRUMENTAL):
-            raise ValidationError(f"structure kind must be lyric/instrumental, got {self.kind!r}")
-        lo, hi = self.lines
-        if lo < 0 or hi < lo:
-            raise ValidationError(f"bad line range [{lo}, {hi})")
-        if self.kind == LYRIC and hi == lo:
-            raise ValidationError(f"lyric block {self.label!r} has no lines")
-
-
-def structure_from_json(obj) -> list[StructureEntry]:
-    """Accepts parsed JSON or a JSON string: a list of
-    {"kind": ..., "label": ..., "lines": [lo, hi]} entries."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    entries = []
-    for item in obj:
-        lines = item.get("lines", [0, 0])
-        entries.append(
-            StructureEntry(
-                kind=item["kind"], label=item.get("label", ""), lines=(lines[0], lines[1])
-            )
-        )
-    return entries
-
-
-def _mean_line_gap(doc: LrcDocument) -> float:
-    """Mean inter-onset gap in seconds; fallback when the document has < 2 lines."""
-    if len(doc.lines) >= 2:
-        span = doc.lines[-1].timestamp - doc.lines[0].timestamp
-        if span > 0:
-            return span / (len(doc.lines) - 1)
-    return 2.0
-
-
-def derive_windows(
-    doc: LrcDocument, structure: list[StructureEntry], frame_rate: float, T: int
-) -> list[SegmentWindow]:
-    """Partition [0, T) into one window per structure entry.
-
-    Blocks with lines are anchored at their first line's frame; each anchored
-    block runs to the next anchor (or T for the last). Line-less instrumental
-    blocks fill the remaining gaps: leading ones split [0, first anchor), and
-    ones following an anchored block take that block's tail, which starts one
-    estimated line-duration after the block's last onset. Runs of line-less
-    blocks split their gap evenly, earlier blocks taking the extra frames.
-    """
-    if not structure:
-        raise ValidationError("structure is empty")
-    if T < len(structure):
-        raise ValidationError(f"{len(structure)} blocks cannot partition {T} frames")
-    cursor = 0
-    for entry in structure:
-        lo, hi = entry.lines
-        if lo != cursor:
-            raise ValidationError(
-                f"block {entry.label!r} starts at line {lo}, expected {cursor}"
-            )
-        cursor = hi
-    if cursor != len(doc.lines):
-        raise ValidationError(f"structure covers {cursor} lines, document has {len(doc.lines)}")
-
-    n = len(structure)
-    anchors: list[int | None] = []
-    for entry in structure:
-        lo, hi = entry.lines
-        if hi > lo:
-            a = time_to_frame(doc.lines[lo].timestamp, frame_rate)
-            if a >= T:
-                raise ValidationError(f"block {entry.label!r} starts at frame {a} >= T={T}")
-            anchors.append(a)
-        else:
-            anchors.append(None)
-
-    # Boundary chain: windows[i] = [c[i], c[i+1]). Interior boundary i is the
-    # anchor of block i when it has one.
-    c: list[int | None] = [None] * (n + 1)
-    c[0], c[n] = 0, T
-    for i in range(1, n):
-        c[i] = anchors[i]
-
-    gap_frames = max(1, int(round(frame_rate * _mean_line_gap(doc))))
-    i = 1
-    while i <= n - 1:
-        if c[i] is not None:
-            i += 1
-            continue
-        j = i
-        while c[j] is None:
-            j += 1
-        lo, hi = c[i - 1], c[j]
-        run = j - i  # unknown boundaries, i.e. line-less blocks after block i-1
-        prev = structure[i - 1]
-        if anchors[i - 1] is not None:
-            # The anchored block keeps its lines plus one estimated line of
-            # tail; the rest of the gap goes to the following blocks.
-            last_onset = time_to_frame(doc.lines[prev.lines[1] - 1].timestamp, frame_rate)
-            b = min(max(lo + 1, last_onset + gap_frames), hi - run)
-            if b <= lo or hi - b < run:
-                raise ValidationError(
-                    f"not enough frames in [{lo}, {hi}) for blocks after {prev.label!r}"
-                )
-            c[i] = b
-            _fill_even(c, i, j, b, hi)
-        else:
-            # Leading run with no anchored predecessor: split [lo, hi) evenly
-            # across all blocks in it (the predecessor included).
-            if hi - lo < run + 1:
-                raise ValidationError(f"not enough frames in [{lo}, {hi}) for leading blocks")
-            _fill_even(c, i - 1, j, lo, hi)
-        i = j + 1
-
-    windows = []
-    for i, entry in enumerate(structure):
-        start, end = c[i], c[i + 1]
-        if start >= end:
-            raise ValidationError(
-                f"block {entry.label!r} collapses to an empty window [{start}, {end})"
-            )
-        windows.append(SegmentWindow(start, end, provenance=entry.kind, label=entry.label))
-    return windows
-
-
-def _fill_even(c: list, first: int, last: int, lo: int, hi: int) -> None:
-    """Split [lo, hi) evenly over windows first..last-1 by setting the interior
-    boundaries c[first+1 .. last-1]; earlier windows take the remainder frames."""
-    m = last - first
-    base, rem = divmod(hi - lo, m)
-    pos = lo
-    for k in range(m - 1):
-        pos += base + (1 if k < rem else 0)
-        c[first + 1 + k] = pos

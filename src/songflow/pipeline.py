@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import write_jsonl_atomic
-from .conditioning import _is_list_of, _is_number
+from .conditioning import _is_number
 from .errors import ContractError, ParseError, ValidationError
 from .lrc import parse_lrc, serialize_lrc
 
@@ -46,12 +46,6 @@ BOUNDARY_START_TEXT = "This piece is the start of the song."
 BOUNDARY_END_TEXT = "This piece is the end of the song."
 
 
-def _is_str_map_of(value, ok) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(k, str) and ok(v) for k, v in value.items()
-    )
-
-
 @dataclass
 class RecordManifest:
     """Per-song metadata flowing through the pipeline."""
@@ -70,31 +64,57 @@ class RecordManifest:
     captions: dict[str, str] = field(default_factory=dict)  # "global" | segment index as str
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValidationError(f"record {self.id!r}: duration must be positive")
-        if self.sampling_rate <= 0:
-            raise ValidationError(f"record {self.id!r}: sampling_rate must be positive")
-        if self.channels < 1:
-            raise ValidationError(f"record {self.id!r}: channels must be >= 1")
-        # Manifests come from outside: a string where a list of lines belongs
-        # would otherwise be joined per character by the lyric gate.
-        for name in ("lyrics", "transcript"):
-            lines = getattr(self, name)
-            if lines is not None and not _is_list_of(lines, str):
-                raise ValidationError(f"record {self.id!r}: {name} must be a list of strings")
+        problem = self._schema_problem()
+        if problem is not None:
+            raise ValidationError(f"record {self.id!r}: {problem}")
+
+    def _schema_problem(self) -> str | None:
+        """The first schema rule the record breaks, or None. Every pipeline
+        stage reads the whole manifest, so the checks are plain loops: no
+        generator or lambda per field."""
+        if not isinstance(self.id, str):
+            return "id must be a string"
+        if not (_is_number(self.duration) and self.duration > 0):
+            return "duration must be positive"
+        if not (_is_number(self.sampling_rate) and self.sampling_rate > 0):
+            return "sampling_rate must be positive"
+        channels = self.channels
+        if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
+            return "channels must be an integer >= 1"
+        # A string where a list of lines belongs would otherwise be joined
+        # per character by the lyric gate.
+        for name, lines in (("lyrics", self.lyrics), ("transcript", self.transcript)):
+            if lines is None:
+                continue
+            if not isinstance(lines, list):
+                return f"{name} must be a list of strings"
+            for line in lines:
+                if not isinstance(line, str):
+                    return f"{name} must be a list of strings"
         if self.lyrics_lrc is not None and not isinstance(self.lyrics_lrc, str):
-            raise ValidationError(f"record {self.id!r}: lyrics_lrc must be a string")
-        if not _is_str_map_of(self.quality_scores, _is_number):
-            raise ValidationError(f"record {self.id!r}: quality_scores must map names to numbers")
-        if not _is_str_map_of(self.captions, lambda v: isinstance(v, str)):
-            raise ValidationError(f"record {self.id!r}: captions must map keys to strings")
-        if not _is_list_of(self.segments, dict):
-            raise ValidationError(f"record {self.id!r}: segments must be a list of objects")
+            return "lyrics_lrc must be a string"
+        if not isinstance(self.quality_scores, dict):
+            return "quality_scores must map names to numbers"
+        for name, score in self.quality_scores.items():
+            if not (isinstance(name, str) and _is_number(score)):
+                return "quality_scores must map names to numbers"
+        if not isinstance(self.captions, dict):
+            return "captions must map keys to strings"
+        for key, caption in self.captions.items():
+            if not (isinstance(key, str) and isinstance(caption, str)):
+                return "captions must map keys to strings"
+        if not isinstance(self.segments, list):
+            return "segments must be a list of objects"
+        for seg in self.segments:
+            if not isinstance(seg, dict):
+                return "segments must be a list of objects"
+            if "lines" in seg and not _is_line_range(seg["lines"]):
+                return "segment lines must be [lo, hi] integers with 0 <= lo <= hi"
+        return None
 
     @classmethod
     def from_json(cls, obj: dict) -> "RecordManifest":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        return cls(**{k: v for k, v in obj.items() if k in _RECORD_FIELDS})
 
     def to_json(self) -> dict:
         out = {
@@ -117,6 +137,20 @@ class RecordManifest:
         if self.captions:
             out["captions"] = self.captions
         return out
+
+
+_RECORD_FIELDS = frozenset(RecordManifest.__dataclass_fields__)
+
+
+def _is_line_range(lines) -> bool:
+    if not (isinstance(lines, list) and len(lines) == 2):
+        return False
+    lo, hi = lines
+    return (
+        isinstance(lo, int) and isinstance(hi, int)
+        and not isinstance(lo, bool) and not isinstance(hi, bool)
+        and 0 <= lo <= hi
+    )
 
 
 @dataclass

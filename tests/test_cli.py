@@ -479,6 +479,93 @@ def test_predict_durations_output_parses(tmp_path):
     assert doc.lines[-1].timestamp < 30.0
 
 
+def _pipeline_fixture(tmp_path):
+    """One manifest that reaches every reason code of every record stage,
+    plus a score file with a group too small to pair."""
+    def rec(rid, **kw):
+        return {"id": rid, "duration": 60.0, "sampling_rate": 44100.0, "channels": 2,
+                "quality_scores": {"a": 0.9, "b": 0.8}, **kw}
+
+    song = {"lyrics": ["hello world", "second line"], "transcript": ["Hello, world! Second line."],
+            "lyrics_lrc": "[00:01.00] hello world\n\n[00:04.50] second line\n[00:07.25]\n",
+            "segments": [{"kind": "lyric", "label": "verse", "lines": [0, 2]}],
+            "captions": {"global": "a calm song", "0": "soft verse"}}
+    rows = [json.dumps(r) for r in (
+        rec("keep", **song),
+        rec("low-rate", sampling_rate=16000.0),
+        rec("mono", channels=1),
+        rec("short", duration=10.0),
+        rec("no-score", quality_scores={}),
+        rec("below", quality_scores={"a": 0.1, "b": 0.9}),
+        rec("far", **{**song, "transcript": ["zzz qqq"]}),
+        rec("no-caption", **{**song, "captions": {"0": "soft verse"}}),
+        rec("bad-lrc", **{**song, "lyrics": None,
+                          "lyrics_lrc": "[00:09.00] late\n[00:08.00] early\n"}),
+        rec("unverified", lyrics=["la la"]),
+    )]
+    rows.insert(3, "not json")
+    rows.insert(5, json.dumps(rec("neg", duration=-1.0)))
+    (tmp_path / "m.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    scores = [{"group": g, "id": f"{g}-{i}", "score": v}
+              for g, values in (("g1", [0.1, 0.5, 0.9, 0.95]), ("g2", [1, 2]), ("g3", [0.3]))
+              for i, v in enumerate(values)]
+    (tmp_path / "s.jsonl").write_text("".join(json.dumps(r) + "\n" for r in scores), encoding="utf-8")
+
+
+_SCHEMA_REJECTS = [{"line": 4, "error": "Expecting value: line 1 column 1 (char 0)"},
+                   {"line": 6, "error": "record 'neg': duration must be positive"}]
+_MISSING = "missing-timestamps"
+# Each stage's report, as the indented writer produced it; only the content
+# is pinned, not the formatting.
+PINNED_REPORTS = {
+    "pretrain": {
+        "kept": ["keep", "mono", "far", "no-caption", "bad-lrc", "unverified"],
+        "rejected": [{"id": "low-rate", "reason": "sampling-rate"},
+                     {"id": "short", "reason": "duration-out-of-range"},
+                     {"id": "no-score", "reason": "missing-score"},
+                     {"id": "below", "reason": "quality-percentile"}],
+        "flagged": {}, "schema_rejects": _SCHEMA_REJECTS},
+    "finetune": {
+        "kept": ["keep", "short", "far", "no-caption", "bad-lrc", "unverified"],
+        "rejected": [{"id": "low-rate", "reason": "sampling-rate"}, {"id": "mono", "reason": "channels"},
+                     {"id": "no-score", "reason": "missing-score"},
+                     {"id": "below", "reason": "below-median:a"}],
+        "flagged": {}, "schema_rejects": _SCHEMA_REJECTS},
+    "lyric-edit": {
+        "kept": ["keep", "low-rate", "mono", "short", "no-score", "below", "no-caption", "unverified"],
+        "rejected": [{"id": "far", "reason": "edit-distance"}, {"id": "bad-lrc", "reason": "invalid-lrc"}],
+        "flagged": {"unverified": ["unverified"]}, "schema_rejects": _SCHEMA_REJECTS},
+    "duration-dataset": {
+        "emitted": 2,
+        "skipped": [["low-rate", _MISSING], ["mono", _MISSING], ["short", _MISSING],
+                    ["no-score", _MISSING], ["below", _MISSING],
+                    ["no-caption", "missing-caption:global"], ["bad-lrc", "invalid-lrc"],
+                    ["unverified", _MISSING]],
+        "schema_rejects": _SCHEMA_REJECTS},
+    "dpo-pairs": {"pairs": [{"group": "g1", "win": "g1-3", "lose": "g1-0"},
+                            {"group": "g1", "win": "g1-3", "lose": "g1-1"},
+                            {"group": "g2", "win": "g2-1", "lose": "g2-0"}]},
+}
+
+
+@pytest.mark.parametrize("stage", list(PINNED_REPORTS))
+def test_pipeline_reports_decode_to_the_pinned_objects(tmp_path, stage):
+    _pipeline_fixture(tmp_path)
+    out = tmp_path / "out"
+    manifest = tmp_path / ("s.jsonl" if stage == "dpo-pairs" else "m.jsonl")
+    assert main(["pipeline", "--stage", stage, "--set", "pipeline.dpo_min_diff=0.3",
+                 "--manifest", str(manifest), "--out-dir", str(out)]) == EXIT_OK
+    name = "dpo_pairs.json" if stage == "dpo-pairs" else f"{stage.replace('-', '_')}_report.json"
+    assert json.loads((out / name).read_text(encoding="utf-8")) == PINNED_REPORTS[stage]
+    files = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    extra = ["duration_dataset.jsonl"] if stage == "duration-dataset" else []
+    assert files == {"command": f"pipeline:{stage}", "files": sorted(extra + [name])}
+    if extra:
+        entries = [json.loads(line) for line in (out / extra[0]).read_text(encoding="utf-8").splitlines()]
+        assert [e["target"] for e in entries] == ["[00:01.00] hello world\n[00:04.50] second line\n[00:07.25]\n"] * 2
+        assert "[soft verse]\nhello world\nsecond line\n" in entries[0]["instruction"]
+
+
 # -----------------------------------------------------------------------------
 # malformed inputs: exit codes, no traceback, strict JSON out
 # -----------------------------------------------------------------------------
@@ -503,6 +590,15 @@ def _prompt_text(**changes):
               "duration_s": 3.0}
     prompt.update(changes)
     return json.dumps(prompt)
+
+
+def _manifest_text(duration=30.0, lines=(0, 1)):
+    """One duration-dataset record; `lines` is its segment's line range."""
+    return json.dumps({"id": "song", "duration": duration, "sampling_rate": 44100.0, "channels": 2,
+                       "lyrics": ["hello there"], "lyrics_lrc": "[00:02.00] hello there\n",
+                       "segments": [{"kind": "lyric", "label": "verse", "lines": list(lines)
+                                     if isinstance(lines, tuple) else lines}],
+                       "captions": {"global": "desc", "0": "verse cap"}}) + "\n"
 
 
 def _latent_text(shape, values):
@@ -592,6 +688,13 @@ MALFORMED = [
      EXIT_DATA, "finite number"),
     ("dpo-bool", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": true}'},
      EXIT_DATA, "finite number"),
+    # A bad record is a schema reject in the stage's report, and the stage succeeds.
+    ("duration-dataset-string-lines", "duration-dataset", {"manifest.jsonl": _manifest_text(lines="ab")},
+     EXIT_OK, "segment lines"),
+    ("duration-dataset-short-lines", "duration-dataset", {"manifest.jsonl": _manifest_text(lines=[0])},
+     EXIT_OK, "segment lines"),
+    ("duration-dataset-nan-duration", "duration-dataset",
+     {"manifest.jsonl": _manifest_text(duration=float("nan"))}, EXIT_OK, "duration must be positive"),
 ]
 
 
@@ -615,6 +718,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         "ckpt.json": json.dumps(tiny_checkpoint_payload),
         "scores.jsonl": '{"group": "g", "id": "a", "score": 1.0}\n'
                         '{"group": "g", "id": "b", "score": 2.0}\n',
+        "manifest.jsonl": _manifest_text(),
         **files,
     }
     for name, content in inputs.items():
@@ -635,12 +739,19 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
                            "--prompt", str(tmp_path / "prompt.json"),
                            "--lrc", str(tmp_path / "x.lrc")])
     else:
+        manifest = "scores.jsonl" if command == "dpo-pairs" else "manifest.jsonl"
         argv = ["pipeline", "--stage", command, "--set", "pipeline.dpo_min_diff=0.5",
-                "--manifest", str(tmp_path / "scores.jsonl"), "--out-dir", str(out)]
+                "--manifest", str(tmp_path / manifest), "--out-dir", str(out)]
     code = main(argv)  # returns: nothing may escape as a traceback
     err = capsys.readouterr().err
     assert code == expected, err
-    assert err.startswith("data error:") and message in err, err
+    if expected == EXIT_OK:
+        report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
+        assert report["emitted"] == 0 and report["skipped"] == []
+        [reject] = report["schema_rejects"]
+        assert reject["line"] == 1 and message in reject["error"], reject
+    else:
+        assert err.startswith("data error:") and message in err, err
     _assert_strict_json(out)
 
 
@@ -669,7 +780,13 @@ def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
                  "--manifest", str(scores), "--out-dir", str(out)]) == EXIT_OK
     assert json.loads((out / "dpo_pairs.json").read_text())["pairs"] == [
         {"group": "g", "win": "b", "lose": "a"}]
-    for written in (gen, tmp_path / "e", out):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(_manifest_text(), encoding="utf-8")
+    dataset = tmp_path / "dd"
+    assert main(["pipeline", "--stage", "duration-dataset", "--manifest", str(manifest),
+                 "--out-dir", str(dataset)]) == EXIT_OK
+    assert json.loads((dataset / "duration_dataset_report.json").read_text())["emitted"] == 1
+    for written in (gen, tmp_path / "e", out, dataset):
         _assert_strict_json(written)
 
 

@@ -6,17 +6,13 @@ import pytest
 
 from songflow.errors import ContractError, ParseError, ValidationError
 from songflow.lrc import (
-    INSTRUMENTAL,
-    LYRIC,
     LrcDocument,
     LrcLine,
     SegmentSpec,
-    StructureEntry,
-    derive_windows,
     frame_count,
     parse_lrc,
     serialize_lrc,
-    structure_from_json,
+    serialize_timestamp,
     time_to_frame,
     validate_segments,
     windows_from_segments,
@@ -45,6 +41,17 @@ def test_parse_rejects_malformed_and_reports_line():
     with pytest.raises(ParseError) as err:
         parse_lrc("[00:01.00] ok\nnot a lyric line")
     assert err.value.line_number == 2
+
+
+def test_malformed_line_after_blank_lines_keeps_its_line_number():
+    """Blank lines are only recognised once the tag match has failed; they
+    still count towards the reported line number."""
+    with pytest.raises(ParseError) as err:
+        parse_lrc("\n  \n[00:01.00] ok\n\t\n\n[00:02.00]x no space\n")
+    assert err.value.line_number == 6
+    with pytest.raises(ParseError) as err:
+        parse_lrc("\n\n   stray text\n")
+    assert err.value.line_number == 3
 
 
 def test_parse_rejects_decreasing_timestamps():
@@ -78,6 +85,24 @@ def test_roundtrip_on_random_documents(rng):
             assert abs(orig.timestamp - back.timestamp) <= 0.005
             assert orig.text == back.text
         assert serialize_lrc(parsed) == once  # canonical text fixpoint
+
+
+def test_canonical_text_is_a_fixpoint_of_parse_then_serialize(rng):
+    """Random canonical documents, bare tags and minutes >= 100 included,
+    come back text-exact; every tag matches serialize_timestamp."""
+    for _ in range(200):
+        n = int(rng.integers(0, 15))
+        centis = np.sort(rng.integers(0, 200 * 6000, size=n))  # up to 200 minutes
+        lines = []
+        for cs in centis.tolist():
+            tag = f"[{cs // 6000:02d}:{cs // 100 % 60:02d}.{cs % 100:02d}]"
+            assert tag == serialize_timestamp(cs / 100)
+            text = ["", "", "la", "la la [00:01.00]", " padded ", "歌 词"][int(rng.integers(0, 6))]
+            lines.append(f"{tag} {text}" if text else tag)
+        canonical = "".join(line + "\n" for line in lines)
+        assert serialize_lrc(parse_lrc(canonical)) == canonical
+    long_song = "[100:00.00] a\n[123:59.99]\n[1000:00.01] b\n"
+    assert serialize_lrc(parse_lrc(long_song)) == long_song
 
 
 def test_time_to_frame_examples():
@@ -137,126 +162,3 @@ def test_windows_from_segments_maps_and_skips_empty():
     segs = [SegmentSpec(0.0, 2.0, "a"), SegmentSpec(2.0, 2.01, "b"), SegmentSpec(3.0, 4.0, "c")]
     windows = windows_from_segments(segs, 4.0, 16)
     assert [(w.frame_start, w.frame_end) for w in windows] == [(0, 8), (12, 16)]
-
-
-# -----------------------------------------------------------------------------
-# derive_windows
-# -----------------------------------------------------------------------------
-
-
-def _doc(onsets, total, texts=None):
-    texts = texts or [f"l{i}" for i in range(len(onsets))]
-    return LrcDocument(
-        lines=tuple(LrcLine(float(t), x) for t, x in zip(onsets, texts)),
-        total_duration=total,
-    )
-
-
-def test_single_lyric_block_spans_everything():
-    doc = _doc([0.0, 3.0, 6.0], total=10.0)
-    windows = derive_windows(doc, [StructureEntry(LYRIC, "verse", (0, 3))], 4.0, 40)
-    assert [(w.frame_start, w.frame_end) for w in windows] == [(0, 40)]
-
-
-def test_intro_then_verse_hand_example():
-    doc = _doc([10.0, 12.0, 14.0], total=20.0)
-    structure = [
-        StructureEntry(INSTRUMENTAL, "intro", (0, 0)),
-        StructureEntry(LYRIC, "verse", (0, 3)),
-    ]
-    T = frame_count(20.0, 21.5)
-    windows = derive_windows(doc, structure, 21.5, T)
-    assert [(w.frame_start, w.frame_end) for w in windows] == [(0, 215), (215, 430)]
-    assert windows[0].provenance == INSTRUMENTAL
-    assert windows[1].provenance == LYRIC
-
-
-def test_marker_anchored_instrumental_uses_its_timestamp():
-    # The bridge owns a marker line at 8s, so its window starts exactly there.
-    doc = _doc([1.0, 4.0, 8.0, 12.0, 14.0], total=20.0, texts=["a", "b", "", "c", "d"])
-    structure = [
-        StructureEntry(LYRIC, "verse", (0, 2)),
-        StructureEntry(INSTRUMENTAL, "bridge", (2, 3)),
-        StructureEntry(LYRIC, "chorus", (3, 5)),
-    ]
-    windows = derive_windows(doc, structure, 4.0, 80)
-    assert [(w.frame_start, w.frame_end) for w in windows] == [(0, 32), (32, 48), (48, 80)]
-
-
-def test_unanchored_tail_goes_to_following_instrumental():
-    doc = _doc([1.0, 2.0, 3.0], total=20.0)
-    structure = [
-        StructureEntry(LYRIC, "verse", (0, 3)),
-        StructureEntry(INSTRUMENTAL, "outro", (3, 3)),
-    ]
-    windows = derive_windows(doc, structure, 4.0, 80)
-    assert windows[0].frame_start == 0  # first block absorbs the song start
-    assert windows[0].frame_end == windows[1].frame_start
-    assert windows[1].frame_end == 80
-    # The verse keeps its last line plus roughly one line of tail.
-    assert windows[0].frame_end > time_to_frame(3.0, 4.0)
-    assert windows[1].provenance == INSTRUMENTAL
-
-
-def test_structure_must_cover_all_lines():
-    doc = _doc([1.0, 2.0], total=10.0)
-    with pytest.raises(ValidationError):
-        derive_windows(doc, [StructureEntry(LYRIC, "verse", (0, 1))], 4.0, 40)
-    with pytest.raises(ValidationError):
-        derive_windows(
-            doc,
-            [StructureEntry(LYRIC, "a", (0, 1)), StructureEntry(LYRIC, "b", (0, 2))],
-            4.0,
-            40,
-        )
-
-
-def _random_structure_case(rng):
-    frame_rate = float(rng.choice([2.0, 4.0, 21.5]))
-    onset = rng.uniform(0.5, 3.0)
-    blocks = []
-    onsets = []
-    n_blocks = int(rng.integers(1, 6))
-    kinds = []
-    for b in range(n_blocks):
-        if b > 0 and rng.random() < 0.4:
-            kinds.append(INSTRUMENTAL)
-        else:
-            kinds.append(LYRIC)
-    if all(k == INSTRUMENTAL for k in kinds):
-        kinds[-1] = LYRIC
-    cursor = 0
-    for b, kind in enumerate(kinds):
-        if kind == LYRIC:
-            n_lines = int(rng.integers(1, 4))
-        else:
-            n_lines = int(rng.integers(0, 2))  # optional marker line
-        for _ in range(n_lines):
-            onsets.append(onset)
-            onset += float(rng.uniform(1.5, 4.0))
-        blocks.append(StructureEntry(kind, f"b{b}", (cursor, cursor + n_lines)))
-        cursor += n_lines
-    total = onset + float(rng.uniform(2.5, 6.0))
-    doc = _doc(onsets, total=total)
-    T = frame_count(total, frame_rate)
-    return doc, blocks, frame_rate, T
-
-
-def test_randomized_structures_partition_frames(rng):
-    for _ in range(200):
-        doc, blocks, frame_rate, T = _random_structure_case(rng)
-        windows = derive_windows(doc, blocks, frame_rate, T)
-        counts = np.zeros(T, dtype=int)
-        for w in windows:
-            counts[w.frame_start : w.frame_end] += 1
-        assert (counts == 1).all(), f"not a partition for {blocks}"
-        assert len(windows) == len(blocks)
-
-
-def test_structure_from_json():
-    entries = structure_from_json(
-        '[{"kind": "instrumental", "label": "intro", "lines": [0, 0]},'
-        ' {"kind": "lyric", "label": "verse", "lines": [0, 2]}]'
-    )
-    assert entries[0].kind == INSTRUMENTAL and entries[0].lines == (0, 0)
-    assert entries[1].kind == LYRIC and entries[1].lines == (0, 2)

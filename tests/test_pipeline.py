@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from songflow.errors import ContractError
+from songflow.errors import ContractError, ValidationError
 from songflow.lrc import parse_lrc
 from songflow.pipeline import (
     BOUNDARY_END_TEXT,
@@ -448,9 +448,29 @@ def test_duration_dataset_skips_invalid_lrc():
 
 def test_manifest_roundtrip_and_schema_rejects(tmp_path):
     path = tmp_path / "m.jsonl"
-    write_manifest([_record("a"), _record("b", channels=1)], path)
+    lines_ok = [{"kind": "lyric", "lines": [0, 0]}, {"kind": "lyric", "lines": [1, 3]}, {"kind": "lyric"}]
+    write_manifest([_record("a", segments=lines_ok), _record("b", channels=1)], path)
     base = {"duration": 60.0, "sampling_rate": 44100, "channels": 2}
     mistyped = [
+        {"duration": float("nan")},  # written as the bare NaN token
+        {"duration": float("inf")},
+        {"sampling_rate": float("nan")},
+        {"sampling_rate": float("-inf")},
+        {"duration": "60"},
+        {"duration": True},
+        {"channels": True},
+        {"channels": 2.0},
+        {"channels": 0},
+        {"id": 5},
+        {"id": None},
+        {"segments": [{"kind": "lyric", "lines": "ab"}]},
+        {"segments": [{"kind": "lyric", "lines": [0]}]},
+        {"segments": [{"kind": "lyric", "lines": [0, 1, 2]}]},
+        {"segments": [{"kind": "lyric", "lines": [True, 1]}]},
+        {"segments": [{"kind": "lyric", "lines": [0, 1.0]}]},
+        {"segments": [{"kind": "lyric", "lines": [-1, 1]}]},
+        {"segments": [{"kind": "lyric", "lines": [2, 1]}]},
+        {"segments": [{"kind": "lyric", "lines": None}]},
         {"lyrics": "hello world", "transcript": ["hello world"]},
         {"lyrics": ["hello world"], "transcript": "hello world"},
         {"lyrics": ["ok", 3]},
@@ -470,9 +490,20 @@ def test_manifest_roundtrip_and_schema_rejects(tmp_path):
             fh.write(json.dumps({"id": f"typed{i}", **base, **fields}) + "\n")
     records, rejects = read_manifest(path)
     assert [r.id for r in records] == ["a", "b"]
+    assert records[0].segments == lines_ok
     assert [line for line, _ in rejects] == list(range(3, 5 + len(mistyped)))
-    assert "lyrics must be a list of strings" in rejects[2][1]
-    assert "transcript must be a list of strings" in rejects[3][1]
+    errors = dict(rejects)
+    for row in (5, 6, 9, 10):
+        assert "duration must be positive" in errors[row]
+    assert all("sampling_rate must be positive" in errors[row] for row in (7, 8))
+    assert all("channels must be an integer" in errors[row] for row in (11, 12, 13))
+    assert all("id must be a string" in errors[row] for row in (14, 15))
+    assert all("segment lines must be [lo, hi]" in errors[row] for row in range(16, 24))
+    assert "lyrics must be a list of strings" in errors[24]
+    assert "transcript must be a list of strings" in errors[25]
+    for fields in mistyped:  # each is a ValidationError from the constructor too
+        with pytest.raises(ValidationError):
+            RecordManifest.from_json({"id": "direct", **base, **fields})
 
 
 def test_filter_report_partition_property(rng):
