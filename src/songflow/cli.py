@@ -14,7 +14,10 @@ train_log.jsonl are written atomically; JSON artifacts are strict (no
 NaN/Infinity tokens) and compact: without indentation json's C encoder
 writes them, about 4x faster than its pure-Python indenting encoder on a
 1,000-record shard's reports; checkpoints use the songflow-params-v2
-container described in `checkpoint`.
+container described in `checkpoint`. Latents are JSON only:
+{"shape": [T, d_audio], "values": [...]} row-major. generate writes
+latent.json, and eval reads that form whatever a file's suffix; anything
+else is a data error.
 
 Allocator policy: `main` first calls `_keep_freed_memory_in_heap`. A
 generate request allocates and frees the same 0.4-0.8 MB arrays (stacked
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_bytes_atomic, write_json_atomic, write_jsonl_atomic, write_text_atomic
+from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .conditioning import _is_list_of, _is_number, prompt_spec_from_json
 from .config import RunConfig, load_config
 from .errors import ContractError, DimensionError, NumericAbort, ParseError, ValidationError
@@ -87,7 +91,11 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--out-dir", required=True, help="directory for produced artifacts")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on first use: building it (five
+    subparsers; each argument asks for the terminal size) takes over 10x as
+    long as a parse, and parsing leaves it unchanged."""
     parser = _Parser(prog="songflow")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -110,11 +118,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lrc", help="timestamped lyrics (LRC)")
     p.add_argument("--predict-durations", action="store_true", help="timestamp --lyrics heuristically")
     p.add_argument("--lyrics", help="plain lyric lines, one per line (with --predict-durations)")
-    p.add_argument("--latent-format", choices=["json", "f64"], default="json")
 
     p = sub.add_parser("eval", help="score latents against their prompts")
     _add_common(p)
-    p.add_argument("--latent", nargs="*", default=[], help="latent files (json or raw f64)")
+    p.add_argument("--latent", nargs="*", default=[], help="latent JSON files (as generate writes)")
     p.add_argument("--prompt", nargs="*", default=[], help="matching prompt JSON files")
     p.add_argument("--pred-lrc", nargs="*", default=[], help="predicted LRC files (for MAE)")
     p.add_argument("--true-lrc", nargs="*", default=[], help="matching reference LRC files")
@@ -251,32 +258,24 @@ def cmd_train(args) -> int:
 # -----------------------------------------------------------------------------
 
 
-def _write_latent(path: Path, latent: np.ndarray, fmt: str) -> None:
-    if fmt == "json":
-        payload = {"shape": list(latent.shape), "values": latent.reshape(-1).tolist()}
-        write_json_atomic(path, payload, separators=(",", ":"))
-    else:  # raw little-endian float64, row-major
-        write_bytes_atomic(path, latent.astype("<f8").tobytes())
+def _write_latent(path: Path, latent: np.ndarray) -> None:
+    payload = {"shape": list(latent.shape), "values": latent.reshape(-1).tolist()}
+    write_json_atomic(path, payload, separators=(",", ":"))
 
 
 def _read_latent(path: Path, d_audio: int) -> np.ndarray:
     """A (T, d_audio) latent with T >= 1 and finite values, from JSON
-    {"shape": [T, d_audio], "values": [...]} or raw little-endian float64."""
-    if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        shape = payload.get("shape") if isinstance(payload, dict) else None
-        values = payload.get("values") if isinstance(payload, dict) else None
-        if not (_is_list_of(shape, int) and _is_list_of(values, (int, float))):
-            raise ValidationError(f"{path}: latent needs a list 'shape' and a list of numbers 'values'")
-        flat = np.asarray(values, dtype=np.float64)
-        if len(shape) != 2 or shape[1] != d_audio or shape[0] < 1:
-            raise ValidationError(f"{path}: latent shape {shape}, expected [T >= 1, {d_audio}]")
-        if flat.size != shape[0] * shape[1]:
-            raise ValidationError(f"{path}: shape {shape} does not match {flat.size} values")
-    else:  # raw little-endian float64, row-major
-        flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
-        if flat.size == 0 or flat.size % d_audio != 0:
-            raise ValidationError(f"{path}: raw latent size {flat.size} is not T >= 1 rows of {d_audio}")
+    {"shape": [T, d_audio], "values": [...]} whatever the file's suffix."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    shape = payload.get("shape") if isinstance(payload, dict) else None
+    values = payload.get("values") if isinstance(payload, dict) else None
+    if not (_is_list_of(shape, int) and _is_list_of(values, (int, float))):
+        raise ValidationError(f"{path}: latent needs a list 'shape' and a list of numbers 'values'")
+    flat = np.asarray(values, dtype=np.float64)
+    if len(shape) != 2 or shape[1] != d_audio or shape[0] < 1:
+        raise ValidationError(f"{path}: latent shape {shape}, expected [T >= 1, {d_audio}]")
+    if flat.size != shape[0] * shape[1]:
+        raise ValidationError(f"{path}: shape {shape} does not match {flat.size} values")
     if not np.isfinite(flat).all():
         raise ValidationError(f"{path}: latent holds non-finite values")
     return flat.reshape(-1, d_audio)
@@ -315,21 +314,13 @@ def cmd_generate(args) -> int:
 
     system = build_song_model(cfg, trainable=False)
     system.load(args.checkpoint)
-    triple = build_condition_triple(
-        system.encoder,
-        spec,
-        doc,
-        T,
-        defaults=cfg.negative,
-    )
+    triple = build_condition_triple(system.encoder, spec, doc, T, defaults=cfg.negative)
     step_log: list[dict] = []
-    latent = euler_sample(
-        system.model, triple, cfg.guidance, T, cfg.task.d_audio, step_log=step_log
-    )
+    latent = euler_sample(system.model, triple, cfg.guidance, T, cfg.task.d_audio,
+                          step_log=step_log)
 
-    ext = "json" if args.latent_format == "json" else "f64"
-    latent_path = out_dir / f"latent.{ext}"
-    _write_latent(latent_path, latent, args.latent_format)
+    latent_path = out_dir / "latent.json"
+    _write_latent(latent_path, latent)
     log_path = out_dir / "sample_log.jsonl"
     write_jsonl_atomic(log_path, step_log)
     files += [latent_path.name, log_path.name]
@@ -394,14 +385,9 @@ def cmd_eval(args) -> int:
     aggregate: dict = {}
     if samples:
         aggregate["global_alignment_mean"] = sum(s["global_alignment"] for s in samples) / len(samples)
-        seg_means = [
-            s["segment_alignment"]["mean"]
-            for s in samples
-            if s["segment_alignment"]["mean"] is not None
-        ]
-        aggregate["segment_alignment_mean"] = (
-            sum(seg_means) / len(seg_means) if seg_means else None
-        )
+        seg_means = [s["segment_alignment"]["mean"] for s in samples]
+        seg_means = [m for m in seg_means if m is not None]
+        aggregate["segment_alignment_mean"] = sum(seg_means) / len(seg_means) if seg_means else None
     if maes:
         aggregate["duration_mae_mean"] = sum(m["duration_mae"] for m in maes) / len(maes)
 
@@ -478,16 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        ParseError,
-        ValidationError,
-        ContractError,
-        DimensionError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-        OSError,
-        KeyError,
-    ) as exc:
+    except (ParseError, ValidationError, ContractError, DimensionError, json.JSONDecodeError,
+            UnicodeDecodeError, OSError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .lrc import (
 from .tensor import Tensor, add_row, concat_channels, fan_in_uniform, matmul, silu
 
 __all__ = [
-    "TextEmbedder",
     "HashEmbedder",
     "OutputProjection",
     "NegativePrompts",
@@ -54,14 +53,6 @@ __all__ = [
     "assemble_input",
     "ConditioningEncoder",
 ]
-
-
-class TextEmbedder(Protocol):
-    """Deterministic text -> unit vector of fixed dimension."""
-
-    dimension: int
-
-    def embed(self, text: str) -> np.ndarray: ...
 
 
 class HashEmbedder:
@@ -92,15 +83,16 @@ class HashEmbedder:
 
 
 class OutputProjection:
-    """linear -> silu -> linear -> silu -> linear, applied per row."""
+    """linear -> silu -> linear -> silu -> linear, applied per row; every
+    layer is d_out wide."""
 
-    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator):
-        self.d_in, self.d_hidden, self.d_out = d_in, d_hidden, d_out
-        self.w1 = fan_in_uniform(rng, (d_in, d_hidden))
-        self.b1 = Tensor(np.zeros(d_hidden), requires_grad=True)
-        self.w2 = fan_in_uniform(rng, (d_hidden, d_hidden))
-        self.b2 = Tensor(np.zeros(d_hidden), requires_grad=True)
-        self.w3 = fan_in_uniform(rng, (d_hidden, d_out))
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.d_out = d_out
+        self.w1 = fan_in_uniform(rng, (d_in, d_out))
+        self.b1 = Tensor(np.zeros(d_out), requires_grad=True)
+        self.w2 = fan_in_uniform(rng, (d_out, d_out))
+        self.b2 = Tensor(np.zeros(d_out), requires_grad=True)
+        self.w3 = fan_in_uniform(rng, (d_out, d_out))
         self.b3 = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, e_cat: Tensor) -> Tensor:
@@ -109,14 +101,8 @@ class OutputProjection:
         return add_row(matmul(h, self.w3), self.b3)
 
     def named_parameters(self, prefix: str = "proj") -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w1", self.w1),
-            (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2),
-            (f"{prefix}.b2", self.b2),
-            (f"{prefix}.w3", self.w3),
-            (f"{prefix}.b3", self.b3),
-        ]
+        names = ("w1", "b1", "w2", "b2", "w3", "b3")
+        return [(f"{prefix}.{name}", getattr(self, name)) for name in names]
 
 
 @dataclass(frozen=True)
@@ -243,8 +229,8 @@ def prompt_spec_to_json(spec: PromptSpec) -> dict:
 def broadcast_prompt_halves(
     spec: PromptSpec,
     T: int,
-    f_g: TextEmbedder,
-    f_l: TextEmbedder,
+    f_g: HashEmbedder,
+    f_l: HashEmbedder,
     frame_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pre-projection halves: E_g repeats the global vector on every frame;
@@ -301,7 +287,7 @@ def _line_tokens(text: str) -> tuple[str, ...]:
 
 def encode_lyrics(
     doc: LrcDocument | None,
-    lyric_embedder: TextEmbedder,
+    lyric_embedder: HashEmbedder,
     T: int,
     frame_rate: float,
 ) -> tuple[np.ndarray, int]:
@@ -401,9 +387,9 @@ class ConditioningEncoder:
 
     def __init__(
         self,
-        global_embedder: TextEmbedder,
-        segment_embedder: TextEmbedder,
-        lyric_embedder: TextEmbedder,
+        global_embedder: HashEmbedder,
+        segment_embedder: HashEmbedder,
+        lyric_embedder: HashEmbedder,
         out_proj: OutputProjection,
         frame_rate: float,
     ):

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .backbone import ModelConfig
-from .conditioning import NegativePrompts
+from .conditioning import NegativePrompts, _is_number
 from .errors import ValidationError
 from .flow import TrainConfig
 from .sampler import GuidanceConfig
@@ -45,11 +44,6 @@ class ConditioningDims:
     d_segment: int = 32
     d_text: int = 32
     d_lyrics: int = 16
-    proj_hidden: int | None = None  # None -> d_text
-
-    @property
-    def hidden(self) -> int:
-        return self.d_text if self.proj_hidden is None else self.proj_hidden
 
 
 @dataclass(frozen=True)
@@ -58,11 +52,8 @@ class TaskConfig:
     d_audio: int = 8
     frame_rate: float = 4.0
     noise_sigma: float = 0.05
-    offset_scale: float = 0.8
     max_segments: int = 3
     min_width: int = 8
-    global_vocab: dict | None = None  # text -> list of d_audio floats
-    segment_vocab: dict | None = None  # text -> [amplitude, period]
 
 
 @dataclass(frozen=True)
@@ -111,33 +102,7 @@ class RunConfig:
 
     def task_spec(self) -> SyntheticTaskSpec:
         t = self.task
-        base = default_task(
-            T=t.T,
-            d_audio=t.d_audio,
-            frame_rate=t.frame_rate,
-            noise_sigma=t.noise_sigma,
-            offset_scale=t.offset_scale,
-        )
-        if t.global_vocab is None and t.segment_vocab is None:
-            return base
-        global_vocab = (
-            {k: np.asarray(v, dtype=np.float64) for k, v in t.global_vocab.items()}
-            if t.global_vocab is not None
-            else base.global_vocab
-        )
-        segment_vocab = (
-            {k: (float(v[0]), int(v[1])) for k, v in t.segment_vocab.items()}
-            if t.segment_vocab is not None
-            else base.segment_vocab
-        )
-        return SyntheticTaskSpec(
-            T=t.T,
-            d_audio=t.d_audio,
-            frame_rate=t.frame_rate,
-            global_vocab=global_vocab,
-            segment_vocab=segment_vocab,
-            noise_sigma=t.noise_sigma,
-        )
+        return default_task(t.T, t.d_audio, t.frame_rate, t.noise_sigma)
 
 
 _SECTION_TYPES = {
@@ -148,14 +113,35 @@ _SECTION_TYPES = {
     "task": TaskConfig,
     "pipeline": PipelineConfig,
 }
+_FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
+_NEGATIVE_TYPES = {"global": str, "segment": str}
 
 
-def _build_section(cls, data: dict, section: str):
-    fields = set(cls.__dataclass_fields__)
-    unknown = set(data) - fields
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field typed int, float, str or `X | None`.
+    A float field takes an int; a number is finite and not a bool (a NaN
+    frame rate would have no frame)."""
+    kinds = typing.get_args(hint) or (hint,)
+    if float in kinds:
+        kinds += (int,)
+    if isinstance(value, (int, float)) and not _is_number(value):
+        return False
+    return isinstance(value, kinds)
+
+
+def _check_section(data, types: dict, section: str) -> dict:
+    """A copy of one section's raw object, each key known and each value of
+    its field's type."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"config section {section!r} must be an object, got {data!r}")
+    unknown = set(data) - set(types)
     if unknown:
         raise ValidationError(f"unknown {section} config keys: {sorted(unknown)}")
-    return cls(**data)
+    for key, value in data.items():
+        if not _fits(value, types[key]):
+            kind = getattr(types[key], "__name__", types[key])
+            raise ValidationError(f"{section}.{key} must be {kind}, got {value!r}")
+    return dict(data)
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -191,19 +177,18 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     if unknown:
         raise ValidationError(f"unknown config sections: {sorted(unknown)}")
 
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    if not _fits(seed, int):
+        raise ValidationError(f"seed must be int, got {seed!r}")
     sections = {}
     for name, cls in _SECTION_TYPES.items():
-        data = dict(raw.get(name, {}))
+        data = _check_section(raw.get(name, {}), _FIELD_TYPES[name], name)
         if name == "train" and "seed" not in data:
             data["seed"] = derive_seed(seed, "train")
         if name == "guidance" and "seed" not in data:
             data["seed"] = derive_seed(seed, "generate")
-        sections[name] = _build_section(cls, data, name)
-    negative_raw = raw.get("negative", {})
-    unknown = set(negative_raw) - {"global", "segment"}
-    if unknown:
-        raise ValidationError(f"unknown negative config keys: {sorted(unknown)}")
+        sections[name] = cls(**data)
+    negative_raw = _check_section(raw.get("negative", {}), _NEGATIVE_TYPES, "negative")
     negative = NegativePrompts(
         global_text=negative_raw.get("global", NegativePrompts.global_text),
         segment_text=negative_raw.get("segment", NegativePrompts.segment_text),

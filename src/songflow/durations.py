@@ -44,7 +44,7 @@ def syllable_count(text: str) -> int:
 
 @dataclass(frozen=True)
 class DurationHeuristic:
-    """Tunable rates; defaults are deliberately plain."""
+    """The rates predict_durations uses; deliberately plain."""
 
     base_seconds: float = 0.4
     per_syllable_seconds: float = 0.35
@@ -66,7 +66,6 @@ def predict_durations(
     global_prompt: str = "",
     segment_prompts: list[str] | None = None,
     total_duration_hint: float | None = None,
-    heuristic: DurationHeuristic = DurationHeuristic(),
 ) -> LrcDocument:
     """Assign onset timestamps to plain lyric lines.
 
@@ -83,6 +82,7 @@ def predict_durations(
     prompts = prompts[: len(lines)] or [global_prompt]  # never more groups than lines
 
     sizes = _split_even(len(lines), len(prompts))
+    heuristic = DurationHeuristic()
     t = heuristic.gap_seconds  # intro gap
     stamped: list[LrcLine] = []
     idx = 0

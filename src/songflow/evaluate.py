@@ -1,15 +1,14 @@
-"""Alignment and timing metrics over pluggable similarity scorers.
+"""Alignment and timing metrics.
 
-The bundled PatternOracleScorer is the synthetic-task oracle: segment texts
-score by Pearson correlation between a window's mean-channel trace and the
-text's anchored pattern template; global texts score by correlation across
-channels between the time-averaged frame and the text's offset vector.
+Alignment is scored by PatternOracleScorer, the synthetic-task oracle (a
+subclass may override `score`): segment texts score by Pearson correlation
+between a window's mean-channel trace and the text's anchored pattern
+template; global texts score by correlation across channels between the
+time-averaged frame and the text's offset vector.
 Ground-truth noiseless samples maximize both scores by construction.
 """
 
 from __future__ import annotations
-
-from typing import Protocol
 
 import numpy as np
 
@@ -19,19 +18,12 @@ from .lrc import BOUNDARY, LrcDocument, SegmentWindow
 from .synthetic import SyntheticTaskSpec, pattern_trace
 
 __all__ = [
-    "SimilarityScorer",
     "PatternOracleScorer",
     "segment_alignment_score",
     "global_alignment_score",
     "duration_mae",
     "validate_report",
 ]
-
-
-class SimilarityScorer(Protocol):
-    """Deterministic (latent slice or full latent, text) -> score in [-1, 1]."""
-
-    def score(self, latent: np.ndarray, text: str) -> float: ...
 
 
 # Below this product of centred norms, a side counts as (numerically) constant.
@@ -66,7 +58,8 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class PatternOracleScorer:
-    """Maximal-at-truth scorer for the synthetic task."""
+    """Maximal-at-truth scorer for the synthetic task: deterministic
+    (latent slice or full latent, text) -> score in [-1, 1]."""
 
     def __init__(self, task: SyntheticTaskSpec):
         self.task = task
@@ -87,17 +80,16 @@ def segment_alignment_score(
     latent: np.ndarray,
     spec: PromptSpec,
     windows: list[SegmentWindow],
-    scorer: SimilarityScorer,
-    include_boundary: bool = False,
+    scorer: PatternOracleScorer,
 ) -> tuple[list[float], float]:
     """Score each window's latent slice against its segment text; return
     (per-segment scores, their arithmetic mean). Boundary-marker segments are
-    excluded unless asked for."""
+    excluded."""
     if len(windows) != len(spec.segments):
         raise ContractError(f"{len(windows)} windows for {len(spec.segments)} segments")
     scores = []
     for seg, window in zip(spec.segments, windows):
-        if seg.kind == BOUNDARY and not include_boundary:
+        if seg.kind == BOUNDARY:
             continue
         scores.append(scorer.score(latent[window.frame_start : window.frame_end], seg.text))
     if not scores:
@@ -105,7 +97,7 @@ def segment_alignment_score(
     return scores, sum(scores) / len(scores)
 
 
-def global_alignment_score(latent: np.ndarray, global_text: str, scorer: SimilarityScorer) -> float:
+def global_alignment_score(latent: np.ndarray, global_text: str, scorer: PatternOracleScorer) -> float:
     return scorer.score(latent, global_text)
 
 

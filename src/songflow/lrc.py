@@ -75,9 +75,6 @@ class LrcDocument:
                 )
             prev = line.timestamp
 
-    def texts(self) -> list[str]:
-        return [line.text for line in self.lines]
-
 
 @dataclass(frozen=True)
 class SegmentSpec:
@@ -170,25 +167,22 @@ def serialize_lrc(doc: LrcDocument) -> str:
 # -----------------------------------------------------------------------------
 
 
-def _grid_frames(t: float, rate: float, downsample: float, up: bool) -> int:
-    """floor (ceil when `up`) of t * rate / downsample. A time within 1e-8 s
-    of the centisecond grid (every LRC stamp) is taken exactly as that many
-    centiseconds; other times round the float product."""
-    rnd = math.ceil if up else math.floor
+def _grid_frames(t: float, rate: float, up: bool) -> int:
+    """floor (ceil when `up`) of t * rate. A time within 1e-8 s of the
+    centisecond grid (every LRC stamp) is taken exactly as that many
+    centiseconds, and the float rate exactly as the ratio of integers it
+    holds; other times round the float product."""
     centis = round(t * 100.0)
     if abs(t * 100.0 - centis) > 1e-6:
-        return rnd(t * rate / downsample)
-    if downsample == 1.0 and rate == int(rate):  # the common case, ~10x faster than Fraction
-        whole, part = divmod(centis * int(rate), 100)
-        return whole + (up and part > 0)
-    from fractions import Fraction  # not at module level: it imports decimal, ~2 ms per start-up
-
-    return rnd(Fraction(centis, 100) * Fraction(rate) / Fraction(downsample))
+        return math.ceil(t * rate) if up else math.floor(t * rate)
+    num, den = float(rate).as_integer_ratio()
+    if up:  # ceil(x) == -floor(-x)
+        return -(-centis * num // (100 * den))
+    return centis * num // (100 * den)
 
 
-def time_to_frame(t: float, sampling_rate: float, downsample: float = 1.0) -> int:
-    """floor(t * sampling_rate / downsample). The quotient is the latent frame rate,
-    so time_to_frame(t, frame_rate) works directly.
+def time_to_frame(t: float, frame_rate: float) -> int:
+    """floor(t * frame_rate): the latent frame that time t falls in.
 
     A time within 1e-8 s of the centisecond grid (every LRC stamp) is floored
     exactly as that many centiseconds: [00:00.57] at 100 Hz is frame 57, where
@@ -196,9 +190,9 @@ def time_to_frame(t: float, sampling_rate: float, downsample: float = 1.0) -> in
     floor the float product."""
     if t < 0:
         raise ContractError(f"negative time {t}")
-    if sampling_rate <= 0 or downsample <= 0:
-        raise ContractError("sampling_rate and downsample must be positive")
-    return _grid_frames(t, sampling_rate, downsample, up=False)
+    if frame_rate <= 0:
+        raise ContractError("frame_rate must be positive")
+    return _grid_frames(t, frame_rate, up=False)
 
 
 def frame_count(total_duration: float, frame_rate: float) -> int:
@@ -207,7 +201,7 @@ def frame_count(total_duration: float, frame_rate: float) -> int:
     7 frames (the float product is 7.000000000000001)."""
     if total_duration <= 0 or frame_rate <= 0:
         raise ContractError("duration and frame rate must be positive")
-    return _grid_frames(total_duration, frame_rate, 1.0, up=True)
+    return _grid_frames(total_duration, frame_rate, up=True)
 
 
 # -----------------------------------------------------------------------------

@@ -25,21 +25,11 @@ class AdamState:
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(
-    params: list[Tensor],
-    learning_rate: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    epsilon: float = 1e-8,
-) -> AdamState:
+def adam_init(params: list[Tensor], learning_rate: float) -> AdamState:
     if learning_rate <= 0:
         raise ContractError("learning rate must be positive")
-    if not (0 < betas[0] < 1 and 0 < betas[1] < 1) or epsilon <= 0:
-        raise ContractError("betas must lie in (0, 1) and epsilon must be positive")
     return AdamState(
         learning_rate=learning_rate,
-        beta1=betas[0],
-        beta2=betas[1],
-        epsilon=epsilon,
         m=[np.zeros_like(p.data) for p in params],
         v=[np.zeros_like(p.data) for p in params],
     )

@@ -114,7 +114,15 @@ class RecordManifest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RecordManifest":
-        return cls(**{k: v for k, v in obj.items() if k in _RECORD_FIELDS})
+        """A record from one parsed manifest line: a JSON object of known
+        fields, so a misspelled key is a schema reject instead of a field
+        that silently keeps its default."""
+        if not isinstance(obj, dict):
+            raise ValidationError(f"record must be a JSON object, got {type(obj).__name__}")
+        unknown = [k for k in obj if k not in _RECORD_FIELDS]
+        if unknown:
+            raise ValidationError(f"unknown record keys: {unknown}")
+        return cls(**obj)
 
     def to_json(self) -> dict:
         out = {
@@ -424,16 +432,23 @@ LRC Prediction:
 """
 
 
-def _render_lyrics_block(record: RecordManifest) -> str:
-    """Boundary marker, then per structural block a bracketed segment caption
-    followed by its plain lyric lines."""
-    parts = [f"[{BOUNDARY_START_TEXT}]"]
-    lines = record.lyrics or []
+def _structure_problem(record: RecordManifest, lines: list[str] | None) -> str | None:
+    """The skip reason of the first segment without a caption, or whose line
+    range runs past the lyric lines (unknown when `lines` is None)."""
     for idx, seg in enumerate(record.segments):
-        caption = record.captions.get(str(idx))
-        if caption is None:
-            raise KeyError(str(idx))
-        parts.append(f"[{caption}]")
+        if str(idx) not in record.captions:
+            return f"missing-caption:{idx}"
+        if lines is not None and seg.get("lines", [0, 0])[1] > len(lines):
+            return f"segment-lines:{idx}"
+    return None
+
+
+def _render_lyrics_block(record: RecordManifest, lines: list[str]) -> str:
+    """Boundary marker, then per structural block a bracketed segment caption
+    followed by its lyric lines."""
+    parts = [f"[{BOUNDARY_START_TEXT}]"]
+    for idx, seg in enumerate(record.segments):
+        parts.append(f"[{record.captions[str(idx)]}]")
         lo, hi = seg.get("lines", [0, 0])
         parts.extend(lines[lo:hi])
     parts.append(f"[{BOUNDARY_END_TEXT}]")
@@ -446,9 +461,11 @@ def build_duration_dataset(
     """(instruction, target) pairs for timestamp-predictor training.
 
     The instruction renders the template with the record's global description
-    and caption-bracketed lyrics; the target is the canonical LRC text of the
-    ground-truth document. Records lacking timestamps or captions, or whose
-    LRC does not parse, are skipped with a reason."""
+    and caption-bracketed lyrics: the plain `lyrics` lines, or the LRC's
+    non-empty line texts when the record has none. The target is the
+    canonical LRC text of the ground-truth document. Records lacking
+    timestamps or captions, whose segment lines run past the lyrics, or whose
+    LRC does not parse are skipped with a reason, in that order."""
     entries: list[dict] = []
     skipped: list[tuple[str, str]] = []
     for rec in records:
@@ -460,19 +477,23 @@ def build_duration_dataset(
             skipped.append((rec.id, "missing-caption:global"))
             continue
         try:
-            lyrics_block = _render_lyrics_block(rec)
-        except KeyError as exc:
-            skipped.append((rec.id, f"missing-caption:{exc.args[0]}"))
-            continue
-        try:
             doc = parse_lrc(rec.lyrics_lrc, total_duration=rec.duration)
         except (ParseError, ValidationError):
+            doc = None
+        lines = rec.lyrics
+        if lines is None and doc is not None:
+            lines = [line.text for line in doc.lines if line.text]
+        problem = _structure_problem(rec, lines)
+        if problem is not None:
+            skipped.append((rec.id, problem))
+            continue
+        if doc is None:
             skipped.append((rec.id, "invalid-lrc"))
             continue
         entries.append(
             {
                 "instruction": DURATION_INSTRUCTION_TEMPLATE.format(
-                    description=description, lyrics=lyrics_block
+                    description=description, lyrics=_render_lyrics_block(rec, lines)
                 ),
                 "target": serialize_lrc(doc),
             }

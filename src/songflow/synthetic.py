@@ -59,6 +59,8 @@ class SyntheticTaskSpec:
         return self.T / self.frame_rate
 
 
+_OFFSET_SCALE = 0.8
+_GAP_PROBABILITY = 0.25
 _GLOBAL_WORDS = ("ember", "tide", "neon", "moss")
 _SEGMENT_PATTERNS = {
     "pulse": (1.0, 3),
@@ -74,15 +76,15 @@ def default_task(
     d_audio: int = 8,
     frame_rate: float = 4.0,
     noise_sigma: float = 0.05,
-    offset_scale: float = 0.8,
 ) -> SyntheticTaskSpec:
-    """Fixed vocabularies; offsets come from the deterministic hash embedder."""
+    """Fixed vocabularies; offsets come from the deterministic hash embedder,
+    scaled to norm _OFFSET_SCALE."""
     offsets = HashEmbedder("synthetic-offset", d_audio)
     return SyntheticTaskSpec(
         T=T,
         d_audio=d_audio,
         frame_rate=frame_rate,
-        global_vocab={w: offset_scale * offsets.embed(w) for w in _GLOBAL_WORDS},
+        global_vocab={w: _OFFSET_SCALE * offsets.embed(w) for w in _GLOBAL_WORDS},
         segment_vocab=dict(_SEGMENT_PATTERNS),
         noise_sigma=noise_sigma,
     )
@@ -131,10 +133,9 @@ def sample_prompt(
     rng: np.random.Generator,
     max_segments: int = 3,
     min_width: int = 8,
-    gap_probability: float = 0.25,
 ) -> tuple[PromptSpec, LrcDocument]:
     """Draw a random layout of contiguous windows over [0, T); each window
-    becomes a segment with a random pattern text, or (with gap_probability)
+    becomes a segment with a random pattern text, or (with _GAP_PROBABILITY)
     an unprompted gap. Lyric lines mark pattern cycles inside each segment."""
     n_windows = int(rng.integers(1, max_segments + 1))
     n_windows = max(min(n_windows, task.T // min_width), 1)
@@ -155,7 +156,7 @@ def sample_prompt(
     segments: list[SegmentSpec] = []
     lines: list[LrcLine] = []
     for ws, we in zip(cuts[:-1], cuts[1:]):
-        if len(cuts) > 2 and rng.random() < gap_probability:
+        if len(cuts) > 2 and rng.random() < _GAP_PROBABILITY:
             continue  # leave this window unprompted
         text = _choice(rng, texts)
         segments.append(

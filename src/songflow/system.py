@@ -46,7 +46,7 @@ def build_song_model(cfg: RunConfig, trainable: bool = True) -> SongModel:
     rng = np.random.default_rng(derive_seed(cfg.seed, "init"))
     model = VelocityModel(cfg.model_config(), rng)
     dims = cfg.conditioning
-    out_proj = OutputProjection(dims.d_global + dims.d_segment, dims.hidden, dims.d_text, rng)
+    out_proj = OutputProjection(dims.d_global + dims.d_segment, dims.d_text, rng)
     encoder = ConditioningEncoder(
         global_embedder=HashEmbedder("global-prompt", dims.d_global),
         segment_embedder=HashEmbedder("segment-prompt", dims.d_segment),

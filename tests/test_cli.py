@@ -374,24 +374,6 @@ def test_generate_with_predicted_durations(tmp_path):
     assert (out / "latent.json").exists()
 
 
-def test_generate_raw_f64_format(tmp_path):
-    ckpt = _train_tiny(tmp_path)
-    prompt = tmp_path / "p.json"
-    _write_prompt(prompt)
-    lrc = tmp_path / "x.lrc"
-    _write_lrc(lrc)
-    out = tmp_path / "g"
-    code = main(
-        _tiny_args(
-            ["generate", "--out-dir", str(out), "--checkpoint", str(ckpt),
-             "--prompt", str(prompt), "--lrc", str(lrc), "--latent-format", "f64"]
-        )
-    )
-    assert code == EXIT_OK
-    raw = np.frombuffer((out / "latent.f64").read_bytes(), dtype="<f8")
-    assert raw.size == 12 * 2  # T x d_audio
-
-
 # -----------------------------------------------------------------------------
 # eval
 # -----------------------------------------------------------------------------
@@ -592,13 +574,14 @@ def _prompt_text(**changes):
     return json.dumps(prompt)
 
 
-def _manifest_text(duration=30.0, lines=(0, 1)):
-    """One duration-dataset record; `lines` is its segment's line range."""
+def _manifest_text(duration=30.0, lines=(0, 1), **extra):
+    """One duration-dataset record; `lines` is its segment's line range and
+    `extra` adds (possibly unknown) keys."""
     return json.dumps({"id": "song", "duration": duration, "sampling_rate": 44100.0, "channels": 2,
                        "lyrics": ["hello there"], "lyrics_lrc": "[00:02.00] hello there\n",
                        "segments": [{"kind": "lyric", "label": "verse", "lines": list(lines)
                                      if isinstance(lines, tuple) else lines}],
-                       "captions": {"global": "desc", "0": "verse cap"}}) + "\n"
+                       "captions": {"global": "desc", "0": "verse cap"}, **extra}) + "\n"
 
 
 def _latent_text(shape, values):
@@ -648,10 +631,12 @@ MALFORMED = [
     ("eval-string-values", "eval", {"latent.json": _latent_text([1, 2], ["a", "b"])}, EXIT_DATA,
      "numbers"),
     ("eval-nan-latent", "eval", {"latent.json": _NAN_LATENT}, EXIT_DATA, "non-finite"),
-    ("eval-inf-raw-latent", "eval",
-     {"latent.f64": np.full(24, np.inf).astype("<f8").tobytes()}, EXIT_DATA, "non-finite"),
-    ("eval-raw-size", "eval", {"latent.f64": np.zeros(5).astype("<f8").tobytes()}, EXIT_DATA,
-     "rows"),
+    ("eval-inf-latent", "eval", {"latent.json": _latent_text([12, 2], [0.5] * 23 + [1e999])},
+     EXIT_DATA, "non-finite"),
+    ("eval-raw-f64-latent", "eval", {"latent.json": np.zeros(24).astype("<f8").tobytes()},
+     EXIT_DATA, "Expecting value"),
+    ("eval-non-utf8-latent", "eval", {"latent.json": np.full(24, np.inf).astype("<f8").tobytes()},
+     EXIT_DATA, "utf-8"),
     ("generate-list-prompt", "generate", {"prompt.json": '[{"global": "ember"}]'}, EXIT_DATA,
      "object"),
     ("generate-number-global", "generate", {"prompt.json": _prompt_text(**{"global": 5})},
@@ -695,6 +680,11 @@ MALFORMED = [
      EXIT_OK, "segment lines"),
     ("duration-dataset-nan-duration", "duration-dataset",
      {"manifest.jsonl": _manifest_text(duration=float("nan"))}, EXIT_OK, "duration must be positive"),
+    ("duration-dataset-list-record", "duration-dataset", {"manifest.jsonl": "[1, 2]\n"}, EXIT_OK,
+     "must be a JSON object"),
+    ("duration-dataset-unknown-key", "duration-dataset",
+     {"manifest.jsonl": _manifest_text(lyric_lrc="[00:02.00] hello there\n")}, EXIT_OK,
+     "unknown record keys: ['lyric_lrc']"),
 ]
 
 
@@ -730,8 +720,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
             (tmp_path / name).write_text(content, encoding="utf-8")
     out = tmp_path / "out"
     if command == "eval":
-        latent = "latent.f64" if "latent.f64" in files else "latent.json"
-        argv = _tiny_args(["eval", "--out-dir", str(out), "--latent", str(tmp_path / latent),
+        argv = _tiny_args(["eval", "--out-dir", str(out), "--latent", str(tmp_path / "latent.json"),
                            "--prompt", str(tmp_path / "prompt.json")])
     elif command == "generate":
         argv = _tiny_args(["generate", "--out-dir", str(out),
@@ -765,12 +754,11 @@ def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
     _write_lrc(lrc)
     gen = tmp_path / "g"
     assert main(_tiny_args(["generate", "--out-dir", str(gen), "--checkpoint", str(ckpt),
-                            "--prompt", str(prompt), "--lrc", str(lrc),
-                            "--latent-format", "f64"])) == EXIT_OK
+                            "--prompt", str(prompt), "--lrc", str(lrc)])) == EXIT_OK
     latent = tmp_path / "latent.json"
     latent.write_text(_latent_text([12, 2], [0.5] * 24), encoding="utf-8")
     assert main(_tiny_args(["eval", "--out-dir", str(tmp_path / "e"), "--latent", str(latent),
-                            str(gen / "latent.f64"), "--prompt", str(prompt),
+                            str(gen / "latent.json"), "--prompt", str(prompt),
                             str(prompt)])) == EXIT_OK
     scores = tmp_path / "scores.jsonl"
     scores.write_text('{"group": "g", "id": "a", "score": 1}\n'
@@ -820,3 +808,13 @@ def test_main_keeps_freed_arrays_in_the_heap():
     done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert int(done.stdout.split()[-1]) < 2000, done.stdout
+
+
+def test_parser_is_built_once_and_parses_stay_independent():
+    from songflow.cli import build_parser
+
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["train", "--out-dir", "a", "--set", "train.steps=1"])
+    second = parser.parse_args(["train", "--out-dir", "b"])
+    assert first.overrides == ["train.steps=1"] and second.overrides == []

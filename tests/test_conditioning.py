@@ -31,7 +31,7 @@ def _encoder(dg=4, dl=4, dly=3, d_text=5, frame_rate=4.0, seed=0):
         HashEmbedder("g", dg),
         HashEmbedder("l", dl),
         HashEmbedder("lyr", dly),
-        OutputProjection(dg + dl, d_text, d_text, np.random.default_rng(seed)),
+        OutputProjection(dg + dl, d_text, np.random.default_rng(seed)),
         frame_rate,
     )
 

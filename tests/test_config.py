@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
+from songflow.cli import EXIT_DATA, main
 from songflow.conditioning import NegativePrompts
 from songflow.config import load_config
 from songflow.errors import ValidationError
@@ -29,3 +32,95 @@ def test_negative_keys_are_read():
     cfg = load_config(overrides=["negative.global=hiss", "negative.segment=clipping"])
     assert cfg.negative == NegativePrompts(global_text="hiss", segment_text="clipping")
     assert load_config().negative == NegativePrompts()
+
+
+# Every key a config file or --set may hold; nothing else is accepted.
+CONFIG_KEYS = [
+    "seed",
+    "model.n_blocks", "model.model_width", "model.n_heads", "model.d_t", "model.ff_mult",
+    "conditioning.d_global", "conditioning.d_segment", "conditioning.d_text",
+    "conditioning.d_lyrics",
+    "train.steps", "train.batch_size", "train.learning_rate", "train.p_drop_global",
+    "train.p_drop_segment", "train.p_drop_lyrics", "train.grad_clip_norm", "train.checkpoint_every",
+    "train.seed",
+    "guidance.cfg", "guidance.cfg_n", "guidance.steps", "guidance.seed",
+    "task.T", "task.d_audio", "task.frame_rate", "task.noise_sigma", "task.max_segments",
+    "task.min_width",
+    "pipeline.pretrain_min_sampling_rate", "pipeline.pretrain_min_duration",
+    "pipeline.pretrain_max_duration", "pipeline.pretrain_drop_fraction",
+    "pipeline.finetune_min_sampling_rate", "pipeline.finetune_channels",
+    "pipeline.lyric_edit_max_distance", "pipeline.dpo_min_diff",
+    "negative.global", "negative.segment",
+]
+REMOVED_KEYS = ["conditioning.proj_hidden", "task.global_vocab", "task.segment_vocab",
+                "task.offset_scale"]
+
+
+def _config_value(cfg, key):
+    section, _, name = key.rpartition(".")
+    if section == "negative":
+        return getattr(cfg.negative, f"{name}_text")
+    return getattr(getattr(cfg, section) if section else cfg, name)
+
+
+def test_config_inventory_is_pinned():
+    """The 39 keys are exactly the config's fields, and each one is read:
+    setting it to its default (or 1 when that is None) comes back as set."""
+    assert len(CONFIG_KEYS) == len(set(CONFIG_KEYS)) == 39
+    defaults = load_config()
+    fields = {"seed", "negative.global", "negative.segment"} | {
+        f"{section.name}.{f.name}"
+        for section in dataclasses.fields(defaults)
+        if dataclasses.is_dataclass(getattr(defaults, section.name)) and section.name != "negative"
+        for f in dataclasses.fields(getattr(defaults, section.name))
+    }
+    assert fields == set(CONFIG_KEYS)
+    for key in CONFIG_KEYS:
+        value = _config_value(defaults, key)
+        value = 1 if value is None else value
+        assert _config_value(load_config(overrides=[f"{key}={json.dumps(value)}"]), key) == value
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_config_keys_are_unknown(key):
+    section, _, name = key.partition(".")
+    with pytest.raises(ValidationError, match=f"unknown {section} config keys: \\['{name}'\\]"):
+        load_config(overrides=[f"{key}=1"])
+
+
+# (override, text the error must contain): each is a data error (exit 2),
+# not a traceback.
+MISTYPED = [
+    ("train=5", "config section 'train' must be an object"),
+    ('train.steps="x"', "train.steps must be int, got 'x'"),
+    ("negative=5", "config section 'negative' must be an object"),
+    ('seed="abc"', "seed must be int, got 'abc'"),
+    ("guidance.steps=null", "guidance.steps must be int, got None"),
+    ("seed=1.5", "seed must be int"),
+    ("model.n_blocks=2.0", "model.n_blocks must be int"),
+    ("task.frame_rate=true", "task.frame_rate must be float"),
+    ("train.p_drop_lyrics=[0.1]", "train.p_drop_lyrics must be float | None"),
+    ("negative.global=5", "negative.global must be str"),
+    ("task.frame_rate=NaN", "task.frame_rate must be float, got nan"),
+    ("pipeline.dpo_min_diff=-Infinity", "pipeline.dpo_min_diff must be float | None, got -inf"),
+]
+
+
+@pytest.mark.parametrize("override, message", MISTYPED, ids=[row[0] for row in MISTYPED])
+def test_mistyped_config_values_are_data_errors(tmp_path, capsys, override, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(overrides=[override])
+    lyrics = tmp_path / "lyrics.txt"
+    lyrics.write_text("la la\n", encoding="utf-8")
+    code = main(["predict-durations", "--lyrics", str(lyrics), "--out-dir", str(tmp_path / "out"),
+                 "--set", override])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_config_numbers_keep_their_json_type():
+    """A float field takes an int as it is; an optional field takes null."""
+    cfg = load_config(overrides=["task.frame_rate=4", "train.grad_clip_norm=null",
+                                 "pipeline.dpo_min_diff=0.5"])
+    assert cfg.task.frame_rate == 4 and isinstance(cfg.task.frame_rate, int)
+    assert cfg.train.grad_clip_norm is None and cfg.pipeline.dpo_min_diff == 0.5

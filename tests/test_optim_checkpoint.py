@@ -134,7 +134,7 @@ def _save_checkpoint(path):
 
 
 def _save_latent(path):
-    cli._write_latent(path, np.arange(6.0).reshape(3, 2), "json")
+    cli._write_latent(path, np.arange(6.0).reshape(3, 2))
 
 
 def _save_eval_report(path):

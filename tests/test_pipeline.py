@@ -441,6 +441,51 @@ def test_duration_dataset_skips_invalid_lrc():
     assert skipped == [("overrun", "invalid-lrc"), ("malformed", "invalid-lrc")]
 
 
+def test_duration_dataset_lists_lrc_lines_without_plain_lyrics():
+    """A record with timed lyrics only lists its LRC line texts (bare tags
+    skipped) under each caption, exactly as its plain lyrics would."""
+    plain = _lrc_record("plain")
+    timed_only = _lrc_record("timed-only")
+    timed_only.lyrics = None
+    timed_only.lyrics_lrc += "[00:20.00]\n"
+    entries, skipped = build_duration_dataset([plain, timed_only])
+    assert not skipped
+    block = "\n".join([f"[{BOUNDARY_START_TEXT}]", "[soft piano intro]", "[warm first verse]",
+                       "hey there friend", "take this song along", f"[{BOUNDARY_END_TEXT}]"])
+    assert block in entries[0]["instruction"]
+    assert entries[1]["instruction"] == entries[0]["instruction"]
+
+
+def test_duration_dataset_skips_lines_past_the_lyrics():
+    """A segment line range past the lyric lines is skipped with
+    segment-lines:<idx>: after a missing segment caption, before an LRC that
+    does not parse."""
+    long_plain = _lrc_record("long-plain")
+    long_plain.segments[1]["lines"] = [0, 3]
+    long_timed = _lrc_record("long-timed")
+    long_timed.lyrics = None
+    long_timed.segments[1]["lines"] = [1, 3]
+    bad_lrc = _lrc_record("bad-lrc")
+    bad_lrc.segments[1]["lines"] = [0, 3]
+    bad_lrc.lyrics_lrc = "not lrc\n"
+    no_caption = _lrc_record("no-caption")
+    no_caption.segments[1]["lines"] = [0, 3]
+    del no_caption.captions["0"]
+    timed_bad_lrc = _lrc_record("timed-bad-lrc")
+    timed_bad_lrc.lyrics = None
+    timed_bad_lrc.lyrics_lrc = "not lrc\n"
+    entries, skipped = build_duration_dataset(
+        [long_plain, long_timed, bad_lrc, no_caption, timed_bad_lrc, _lrc_record("ok")])
+    assert len(entries) == 1
+    assert skipped == [
+        ("long-plain", "segment-lines:1"),
+        ("long-timed", "segment-lines:1"),
+        ("bad-lrc", "segment-lines:1"),
+        ("no-caption", "missing-caption:0"),
+        ("timed-bad-lrc", "invalid-lrc"),
+    ]
+
+
 # -----------------------------------------------------------------------------
 # manifest IO
 # -----------------------------------------------------------------------------
@@ -483,15 +528,27 @@ def test_manifest_roundtrip_and_schema_rejects(tmp_path):
         {"segments": {"kind": "lyric"}},
         {"segments": ["verse"]},
     ]
+    # Valid JSON that is not one object of known record fields.
+    not_records = ["[1, 2]", '"a record"', "null", "7",
+                   json.dumps({"id": "typo", **base, "lyric_lrc": "[00:01.00] la", "cpations": {}})]
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"id": "broken", "duration": -3, "sampling_rate": 44100, "channels": 2}\n')
         fh.write("not json at all\n")
         for i, fields in enumerate(mistyped):
             fh.write(json.dumps({"id": f"typed{i}", **base, **fields}) + "\n")
+        fh.write("".join(line + "\n" for line in not_records))
     records, rejects = read_manifest(path)
     assert [r.id for r in records] == ["a", "b"]
     assert records[0].segments == lines_ok
-    assert [line for line, _ in rejects] == list(range(3, 5 + len(mistyped)))
+    first_not_record = 5 + len(mistyped)
+    assert [line for line, _ in rejects] == list(range(3, first_not_record + len(not_records)))
+    assert [err for line, err in rejects if line >= first_not_record] == [
+        "record must be a JSON object, got list",
+        "record must be a JSON object, got str",
+        "record must be a JSON object, got NoneType",
+        "record must be a JSON object, got int",
+        "unknown record keys: ['lyric_lrc', 'cpations']",
+    ]
     errors = dict(rejects)
     for row in (5, 6, 9, 10):
         assert "duration must be positive" in errors[row]
