@@ -28,7 +28,7 @@ from .tensor import (
     silu,
 )
 
-__all__ = ["ModelConfig", "time_embedding", "Block", "VelocityModel", "parameter_count"]
+__all__ = ["ModelConfig", "time_embedding", "Block", "VelocityModel"]
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,3 @@ class VelocityModel:
             named.extend(block.named_parameters(f"{prefix}.block{i}"))
         named.extend([(f"{prefix}.head.w", self.w_head), (f"{prefix}.head.b", self.b_head)])
         return named
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Closed form matched by a regression test:
-    input d_in*w + w; per block 4*w^2 + 3*w*ff + 4*w; head w*d_audio + d_audio."""
-    w = config.model_width
-    ff = config.ff_mult * w
-    per_block = 4 * w * w + 3 * w * ff + 4 * w
-    return config.d_input * w + w + config.n_blocks * per_block + w * config.d_audio + config.d_audio

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericAbort, ValidationError
+from .schema import check_object
 from .tensor import Tensor
 
 FORMAT = "songflow-params-v2"
@@ -96,23 +97,13 @@ def save_params(named: list[tuple[str, Tensor]], path) -> None:
     write_json_atomic(path, {"format": FORMAT, "params": records}, separators=(",", ":"))
 
 
-def _is_shape(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in value
-    )
+_RECORD_TYPES = {"name": str, "shape": list[int], "f64le": str}
 
 
 def _decode_record(index: int, rec) -> tuple[str, np.ndarray]:
-    if not (
-        isinstance(rec, dict)
-        and isinstance(rec.get("name"), str)
-        and _is_shape(rec.get("shape"))
-        and isinstance(rec.get("f64le"), str)
-    ):
-        raise ValidationError(
-            f"checkpoint record {index} needs a string name, a shape of non-negative "
-            "ints and an f64le string"
-        )
+    check_object(rec, _RECORD_TYPES, f"checkpoint params[{index}]", required=tuple(_RECORD_TYPES))
+    if min(rec["shape"], default=0) < 0:
+        raise ValidationError(f"checkpoint params[{index}].shape has a negative size: {rec['shape']}")
     name, shape = rec["name"], tuple(rec["shape"])
     try:
         raw = base64.b64decode(rec["f64le"], validate=True)
@@ -131,8 +122,7 @@ def load_params(path) -> list[tuple[str, np.ndarray]]:
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != FORMAT:
         raise ValidationError(f"checkpoint format {fmt!r} is not read; expected {FORMAT!r}")
-    if not isinstance(payload.get("params"), list):
-        raise ValidationError("checkpoint 'params' must be a list")
+    check_object(payload, {"format": str, "params": list}, "checkpoint", required=("params",))
     return [_decode_record(i, rec) for i, rec in enumerate(payload["params"])]
 
 

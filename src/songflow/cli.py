@@ -7,9 +7,10 @@ overrides (--set), writes its artifacts into --out-dir, and records them in
 run_manifest.json.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
-that cannot be read or is not UTF-8, and a prompt longer than
-pipeline.pretrain_max_duration), 3 numeric abort (also a non-finite value
-that would reach a JSON artifact). Artifacts other than the streamed
+that cannot be read or is not UTF-8, a prompt longer than
+pipeline.pretrain_max_duration, a JSON integer too large for a float, and a
+prompt key that is unknown or missing; `schema` holds these rules), 3
+numeric abort (also a non-finite value that would reach a JSON artifact). Artifacts other than the streamed
 train_log.jsonl are written atomically; JSON artifacts are strict (no
 NaN/Infinity tokens) and compact: without indentation json's C encoder
 writes them, about 4x faster than its pure-Python indenting encoder on a
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
-from .conditioning import _is_list_of, _is_number, prompt_spec_from_json
+from .conditioning import prompt_spec_from_json
 from .config import RunConfig, load_config
 from .errors import ContractError, DimensionError, NumericAbort, ParseError, ValidationError
 from .evaluate import PatternOracleScorer, duration_mae, global_alignment_score, segment_alignment_score
@@ -59,7 +60,8 @@ from .pipeline import (
     pretrain_filter,
     read_manifest,
 )
-from .sampler import GuidanceConfig, build_condition_triple, euler_sample
+from .sampler import build_condition_triple, euler_sample
+from .schema import check_object, is_number
 from .synthetic import SyntheticDataset
 from .system import build_song_model
 
@@ -166,7 +168,7 @@ def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
             group, rid, score = row["group"], row["id"], row["score"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad score row: {exc}", line_number=lineno) from exc
-        if not _is_number(score):
+        if not is_number(score):
             raise ParseError(f"score must be a finite number, got {score!r}", line_number=lineno)
         groups.setdefault(str(group), []).append((str(rid), float(score)))
     return groups
@@ -263,22 +265,23 @@ def _write_latent(path: Path, latent: np.ndarray) -> None:
     write_json_atomic(path, payload, separators=(",", ":"))
 
 
+_LATENT_TYPES = {"shape": list[int], "values": list[float]}
+
+
 def _read_latent(path: Path, d_audio: int) -> np.ndarray:
     """A (T, d_audio) latent with T >= 1 and finite values, from JSON
     {"shape": [T, d_audio], "values": [...]} whatever the file's suffix."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    shape = payload.get("shape") if isinstance(payload, dict) else None
-    values = payload.get("values") if isinstance(payload, dict) else None
-    if not (_is_list_of(shape, int) and _is_list_of(values, (int, float))):
-        raise ValidationError(f"{path}: latent needs a list 'shape' and a list of numbers 'values'")
-    flat = np.asarray(values, dtype=np.float64)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: latent is not JSON: {exc}") from exc
+    check_object(payload, _LATENT_TYPES, f"{path}: latent", required=tuple(_LATENT_TYPES))
+    shape, values = payload["shape"], payload["values"]
     if len(shape) != 2 or shape[1] != d_audio or shape[0] < 1:
         raise ValidationError(f"{path}: latent shape {shape}, expected [T >= 1, {d_audio}]")
-    if flat.size != shape[0] * shape[1]:
-        raise ValidationError(f"{path}: shape {shape} does not match {flat.size} values")
-    if not np.isfinite(flat).all():
-        raise ValidationError(f"{path}: latent holds non-finite values")
-    return flat.reshape(-1, d_audio)
+    if len(values) != shape[0] * shape[1]:
+        raise ValidationError(f"{path}: shape {shape} does not match {len(values)} values")
+    return np.asarray(values, dtype=np.float64).reshape(-1, d_audio)
 
 
 def cmd_generate(args) -> int:

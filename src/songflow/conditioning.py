@@ -21,20 +21,21 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ValidationError
+from .errors import ContractError, ValidationError
 from .lrc import (
     LYRIC,
     LrcDocument,
     SegmentSpec,
     time_to_frame,
     validate_segments,
+    windows_from_segments,
 )
+from .schema import check_object
 from .tensor import Tensor, add_row, concat_channels, fan_in_uniform, matmul, silu
 
 __all__ = [
@@ -87,7 +88,6 @@ class OutputProjection:
     layer is d_out wide."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.d_out = d_out
         self.w1 = fan_in_uniform(rng, (d_in, d_out))
         self.b1 = Tensor(np.zeros(d_out), requires_grad=True)
         self.w2 = fan_in_uniform(rng, (d_out, d_out))
@@ -112,6 +112,13 @@ class NegativePrompts:
 
     global_text: str = "low quality, noisy"
     segment_text: str = "low quality"
+
+    @classmethod
+    def from_json(cls, obj, name: str, required=()) -> "NegativePrompts":
+        """From {"global": str, "segment": str}; a missing key keeps its
+        default unless it is `required`."""
+        check_object(obj, {"global": str, "segment": str}, name, required)
+        return cls(obj.get("global", cls.global_text), obj.get("segment", cls.segment_text))
 
 
 @dataclass(frozen=True)
@@ -138,69 +145,30 @@ class PromptSpec:
         return None
 
 
-def _is_list_of(value, kind) -> bool:
-    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
-
-
-def _is_number(value) -> bool:
-    """An int or a finite float; not a bool. A NaN score would pass every
-    quality gate, since it compares false against any cutoff, and a NaN or
-    infinite time has no frame."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+_PROMPT_TYPES = {"global": str, "segments": list[dict], "negative": dict | None,
+                 "duration_s": float | None}
+_SEGMENT_TYPES = {"start_s": float, "end_s": float, "text": str, "kind": str}
 
 
 def prompt_spec_from_json(obj) -> PromptSpec:
     """Accepts parsed JSON or a JSON string:
     {"global": str, "segments": [{"start_s", "end_s", "text", "kind"?}, ...],
      "negative": {"global": str, "segment": str}?, "duration_s"?: number}.
-    Prompts come from outside, so a mistyped field (or a non-finite time)
-    is a ValidationError."""
+    Prompts come from outside, so an unknown or missing key, a mistyped
+    field or a non-finite time is a ValidationError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ValidationError("prompt must be a JSON object")
-    if not isinstance(obj.get("global"), str):
-        raise ValidationError("prompt 'global' must be a string")
-    if not _is_list_of(obj.get("segments", []), dict):
-        raise ValidationError("prompt 'segments' must be a list of objects")
-    for i, s in enumerate(obj.get("segments", [])):
-        if not (
-            _is_number(s.get("start_s"))
-            and _is_number(s.get("end_s"))
-            and isinstance(s.get("text"), str)
-            and isinstance(s.get("kind", LYRIC), str)
-        ):
-            raise ValidationError(
-                f"prompt segment {i} needs numeric start_s and end_s and a string text (and kind)"
-            )
-    neg = obj.get("negative")
-    if neg is not None and not (
-        isinstance(neg, dict) and isinstance(neg.get("global"), str) and isinstance(neg.get("segment"), str)
-    ):
-        raise ValidationError("prompt 'negative' needs string 'global' and 'segment'")
-    if obj.get("duration_s") is not None and not _is_number(obj["duration_s"]):
-        raise ValidationError("prompt 'duration_s' must be a finite number")
-    segments = tuple(
-        SegmentSpec(
-            t_s=float(s["start_s"]),
-            t_e=float(s["end_s"]),
-            text=s["text"],
-            kind=s.get("kind", LYRIC),
-        )
-        for s in obj.get("segments", [])
-    )
-    negative = None
-    if neg is not None:
-        negative = NegativePrompts(global_text=neg["global"], segment_text=neg["segment"])
+    check_object(obj, _PROMPT_TYPES, "prompt", required=("global",))
+    segments = []
+    for i, seg in enumerate(obj.get("segments", [])):
+        check_object(seg, _SEGMENT_TYPES, f"prompt.segments[{i}]", ("start_s", "end_s", "text"))
+        segments.append(SegmentSpec(float(seg["start_s"]), float(seg["end_s"]), seg["text"],
+                                    seg.get("kind", LYRIC)))
+    negative = obj.get("negative")
+    if negative is not None:
+        negative = NegativePrompts.from_json(negative, "prompt.negative", ("global", "segment"))
     duration = obj.get("duration_s")
-    return PromptSpec(
-        global_text=obj["global"],
-        segments=segments,
-        negative=negative,
-        duration_s=float(duration) if duration is not None else None,
-    )
+    return PromptSpec(obj["global"], segments, negative, None if duration is None else float(duration))
 
 
 def prompt_spec_to_json(spec: PromptSpec) -> dict:
@@ -234,20 +202,14 @@ def broadcast_prompt_halves(
     frame_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pre-projection halves: E_g repeats the global vector on every frame;
-    E_l starts at zeros and each segment's vector fills its frame window.
-    Frames covered by no segment keep the zero row."""
+    E_l starts at zeros and each segment's vector fills its frame window
+    from windows_from_segments. Frames covered by no segment keep the zero row."""
     if T < 1:
         raise ContractError("T must be >= 1")
     e_g = np.tile(f_g.embed(spec.global_text), (T, 1))
     e_l = np.zeros((T, f_l.dimension))
-    for seg in spec.segments:
-        j_s = time_to_frame(seg.t_s, frame_rate)
-        j_e = time_to_frame(seg.t_e, frame_rate)
-        if j_e > T:
-            raise ContractError(
-                f"segment [{seg.t_s}, {seg.t_e})s maps to frames [{j_s}, {j_e}) outside [0, {T})"
-            )
-        e_l[j_s:j_e] = f_l.embed(seg.text)
+    for window in windows_from_segments(spec.segments, frame_rate, T):
+        e_l[window.frame_start:window.frame_end] = f_l.embed(window.label)
     return e_g, e_l
 
 
@@ -344,10 +306,6 @@ class ConditioningBundle:
     e_lyrics: Tensor
     rows: tuple[ConditionRow, ...]
 
-    @property
-    def T(self) -> int:
-        return self.e_text.data.shape[1]
-
     def take(self, indices: Sequence[int]) -> "ConditioningBundle":
         """The given rows, in that order, as a bundle off the tape."""
         indices = list(indices)
@@ -400,10 +358,6 @@ class ConditioningEncoder:
         self.lyric_embedder = lyric_embedder
         self.out_proj = out_proj
         self.frame_rate = frame_rate
-
-    @property
-    def d_text(self) -> int:
-        return self.out_proj.d_out
 
     @property
     def d_lyrics(self) -> int:

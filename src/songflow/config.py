@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backbone import ModelConfig
-from .conditioning import NegativePrompts, _is_number
+from .conditioning import NegativePrompts
 from .errors import ValidationError
 from .flow import TrainConfig
 from .sampler import GuidanceConfig
+from .schema import check_object
 from .synthetic import SyntheticTaskSpec, default_task
 
 __all__ = [
@@ -114,34 +115,7 @@ _SECTION_TYPES = {
     "pipeline": PipelineConfig,
 }
 _FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
-_NEGATIVE_TYPES = {"global": str, "segment": str}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field typed int, float, str or `X | None`.
-    A float field takes an int; a number is finite and not a bool (a NaN
-    frame rate would have no frame)."""
-    kinds = typing.get_args(hint) or (hint,)
-    if float in kinds:
-        kinds += (int,)
-    if isinstance(value, (int, float)) and not _is_number(value):
-        return False
-    return isinstance(value, kinds)
-
-
-def _check_section(data, types: dict, section: str) -> dict:
-    """A copy of one section's raw object, each key known and each value of
-    its field's type."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"config section {section!r} must be an object, got {data!r}")
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ValidationError(f"unknown {section} config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if not _fits(value, types[key]):
-            kind = getattr(types[key], "__name__", types[key])
-            raise ValidationError(f"{section}.{key} must be {kind}, got {value!r}")
-    return dict(data)
+_TOP_TYPES = {"seed": int, "negative": dict, **dict.fromkeys(_SECTION_TYPES, dict)}
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -171,26 +145,15 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValidationError("config file must hold a JSON object")
-    raw = apply_overrides(raw, overrides or [])
-    known = {"seed", "negative", *_SECTION_TYPES}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"unknown config sections: {sorted(unknown)}")
-
+    raw = check_object(apply_overrides(raw, overrides or []), _TOP_TYPES, "config")
     seed = raw.get("seed", 0)
-    if not _fits(seed, int):
-        raise ValidationError(f"seed must be int, got {seed!r}")
     sections = {}
     for name, cls in _SECTION_TYPES.items():
-        data = _check_section(raw.get(name, {}), _FIELD_TYPES[name], name)
+        data = dict(check_object(raw.get(name, {}), _FIELD_TYPES[name], name))
         if name == "train" and "seed" not in data:
             data["seed"] = derive_seed(seed, "train")
         if name == "guidance" and "seed" not in data:
             data["seed"] = derive_seed(seed, "generate")
         sections[name] = cls(**data)
-    negative_raw = _check_section(raw.get("negative", {}), _NEGATIVE_TYPES, "negative")
-    negative = NegativePrompts(
-        global_text=negative_raw.get("global", NegativePrompts.global_text),
-        segment_text=negative_raw.get("segment", NegativePrompts.segment_text),
-    )
+    negative = NegativePrompts.from_json(raw.get("negative", {}), "negative")
     return RunConfig(seed=seed, negative=negative, **sections)

@@ -223,7 +223,9 @@ def validate_segments(segments) -> None:
 
 
 def windows_from_segments(segments, frame_rate: float, T: int) -> list[SegmentWindow]:
-    """Frame windows [floor(t_s*r), floor(t_e*r)) for explicitly timed segments.
+    """Frame windows [floor(t_s*r), floor(t_e*r)) for explicitly timed segments:
+    the one segment-to-frame mapping, used by prompt broadcasting, the
+    synthetic task and eval.
 
     Segments whose frame window is empty after flooring are skipped (they
     cover no frame). Windows must land inside [0, T].

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import write_jsonl_atomic
-from .conditioning import _is_number
 from .errors import ContractError, ParseError, ValidationError
 from .lrc import parse_lrc, serialize_lrc
+from .schema import is_number
 
 __all__ = [
     "RecordManifest",
@@ -74,9 +74,9 @@ class RecordManifest:
         generator or lambda per field."""
         if not isinstance(self.id, str):
             return "id must be a string"
-        if not (_is_number(self.duration) and self.duration > 0):
+        if not (is_number(self.duration) and self.duration > 0):
             return "duration must be positive"
-        if not (_is_number(self.sampling_rate) and self.sampling_rate > 0):
+        if not (is_number(self.sampling_rate) and self.sampling_rate > 0):
             return "sampling_rate must be positive"
         channels = self.channels
         if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
@@ -96,7 +96,7 @@ class RecordManifest:
         if not isinstance(self.quality_scores, dict):
             return "quality_scores must map names to numbers"
         for name, score in self.quality_scores.items():
-            if not (isinstance(name, str) and _is_number(score)):
+            if not (isinstance(name, str) and is_number(score)):
                 return "quality_scores must map names to numbers"
         if not isinstance(self.captions, dict):
             return "captions must map keys to strings"

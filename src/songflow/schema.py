@@ -1,0 +1,77 @@
+"""The rules for JSON input from outside the program: config sections,
+prompts, latents and checkpoint records.
+
+A value fits a type hint (a class, `list[X]` of a class, or a union such as
+`float | None`) when it is an instance of it, with one number rule: an int
+or float is a number only when `is_number` holds, and a float hint also
+takes an int. `check_object` checks a whole object against the hints of its
+known keys. Manifest records and score rows, read once per line on every
+pipeline pass, keep their own plain loops and share only `is_number`.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import typing
+
+from .errors import ValidationError
+
+__all__ = ["is_number", "fits", "check_object"]
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_number(value) -> bool:
+    """An int or a finite float; not a bool, and not an int beyond the
+    largest float. A NaN score would pass every quality gate, since it
+    compares false against any cutoff; a NaN or infinite time has no frame;
+    and float() of a 400-digit JSON integer raises OverflowError."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _check_for(kind):
+    """A one-argument check for a class hint."""
+    if kind is float:
+        return is_number
+    if kind is int:
+        return lambda value: isinstance(value, int) and is_number(value)
+    return lambda value: isinstance(value, kind)
+
+
+def fits(value, hint) -> bool:
+    """Whether a JSON value fits `hint`."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(map(_check_for(args[0]), value))
+    if args:
+        return any(fits(value, kind) for kind in args)
+    return _check_for(hint)(value)
+
+
+def _shown(value) -> str:
+    """A value as a message shows it: a container by its type only."""
+    return type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+
+
+def check_object(data, types: dict, name: str, required=()) -> dict:
+    """`data`, once it is checked to be a JSON object whose keys are all in
+    `types`, that has every key in `required`, and whose values fit their
+    hints. `name` is the object's path in messages, e.g. "train" or
+    "prompt.segments[0]"."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{name} must be an object, got {_shown(data)}")
+    unknown = [key for key in data if key not in types]
+    if unknown:
+        raise ValidationError(f"{name} has unknown keys {unknown}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValidationError(f"{name} is missing keys {missing}")
+    for key, value in data.items():
+        hint = types[key]
+        if not fits(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ValidationError(f"{name}.{key} must be {kind}, got {_shown(value)}")
+    return data

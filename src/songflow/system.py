@@ -26,9 +26,6 @@ class SongModel:
             "conditioning"
         )
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
     def set_trainable(self, flag: bool) -> None:
         for _, t in self.named_parameters():
             t.requires_grad = flag

@@ -27,7 +27,6 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "sub",
     "mul",
     "scale",
     "add_row",
@@ -38,7 +37,6 @@ __all__ = [
     "slice_channels",
     "attention",
     "mse",
-    "sum_all",
     "backward",
     "zero_grads",
     "fan_in_uniform",
@@ -63,14 +61,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
@@ -145,15 +135,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return _result(a.data + b.data, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape(a, b, "sub")
-
-    def vjp(g):
-        return g, -g
-
-    return _result(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -384,16 +365,6 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
         return gd, -gd
 
     return _result(data, (pred, target), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    data = np.asarray(x.data.sum())
-
-    def vjp(g):
-        return (np.full_like(x.data, float(g)),)
-
-    return _result(data, (x,), vjp)
 
 
 # -----------------------------------------------------------------------------

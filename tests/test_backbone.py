@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_max_rel_error
-from songflow.backbone import ModelConfig, VelocityModel, parameter_count, time_embedding
+from songflow.backbone import ModelConfig, VelocityModel, time_embedding
 from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
 from songflow.errors import ContractError, DimensionError, ValidationError
 from songflow.tensor import Tensor, mse, zero_grads
@@ -141,7 +141,10 @@ def test_parameter_count_matches_closed_form(rng):
     ):
         model = VelocityModel(cfg, rng)
         total = sum(t.data.size for _, t in model.named_parameters())
-        assert total == parameter_count(cfg)
+        # input d_in*w + w; per block 4*w^2 + 3*w*ff + 4*w; head w*d_audio + d_audio
+        w, ff = cfg.model_width, cfg.ff_mult * cfg.model_width
+        per_block = 4 * w * w + 3 * w * ff + 4 * w
+        assert total == cfg.d_input * w + w + cfg.n_blocks * per_block + w * cfg.d_audio + cfg.d_audio
 
 
 def test_end_to_end_gradients_match_finite_differences(rng):

@@ -629,14 +629,21 @@ MALFORMED = [
      "does not match"),
     ("eval-no-frames", "eval", {"latent.json": _latent_text([0, 2], [])}, EXIT_DATA, "shape"),
     ("eval-string-values", "eval", {"latent.json": _latent_text([1, 2], ["a", "b"])}, EXIT_DATA,
-     "numbers"),
-    ("eval-nan-latent", "eval", {"latent.json": _NAN_LATENT}, EXIT_DATA, "non-finite"),
+     "latent.json: latent.values must be list[float], got list"),
+    ("eval-nan-latent", "eval", {"latent.json": _NAN_LATENT}, EXIT_DATA,
+     "values must be list[float]"),
     ("eval-inf-latent", "eval", {"latent.json": _latent_text([12, 2], [0.5] * 23 + [1e999])},
-     EXIT_DATA, "non-finite"),
+     EXIT_DATA, "values must be list[float]"),
+    ("eval-huge-int-latent", "eval", {"latent.json": _latent_text([12, 2], [0] * 23 + [10**400])},
+     EXIT_DATA, "values must be list[float]"),
+    ("eval-bool-shape", "eval", {"latent.json": _latent_text([True, 2], [0.5, 0.5])}, EXIT_DATA,
+     "latent.shape must be list[int]"),
+    ("eval-no-values", "eval", {"latent.json": '{"shape": [12, 2]}'}, EXIT_DATA,
+     "latent is missing keys ['values']"),
     ("eval-raw-f64-latent", "eval", {"latent.json": np.zeros(24).astype("<f8").tobytes()},
-     EXIT_DATA, "Expecting value"),
+     EXIT_DATA, "latent.json: latent is not JSON: Expecting value"),
     ("eval-non-utf8-latent", "eval", {"latent.json": np.full(24, np.inf).astype("<f8").tobytes()},
-     EXIT_DATA, "utf-8"),
+     EXIT_DATA, "latent.json: latent is not JSON: 'utf-8'"),
     ("generate-list-prompt", "generate", {"prompt.json": '[{"global": "ember"}]'}, EXIT_DATA,
      "object"),
     ("generate-number-global", "generate", {"prompt.json": _prompt_text(**{"global": 5})},
@@ -645,7 +652,22 @@ MALFORMED = [
      EXIT_DATA, "segments"),
     ("generate-string-time", "generate",
      {"prompt.json": _prompt_text(segments=[{"start_s": "0", "end_s": 1.5, "text": "p"}])},
-     EXIT_DATA, "segment 0"),
+     EXIT_DATA, "prompt.segments[0].start_s must be float, got '0'"),
+    ("generate-unknown-key", "generate",
+     {"prompt.json": _prompt_text(segmnts=[{"start_s": 0.0, "end_s": 1.5, "text": "pulse"}])},
+     EXIT_DATA, "prompt has unknown keys ['segmnts']"),
+    ("generate-unknown-segment-key", "generate",
+     {"prompt.json": _prompt_text(segments=[{"start_s": 0.0, "end_s": 1.5, "text": "p",
+                                             "knd": "boundary"}])},
+     EXIT_DATA, "prompt.segments[0] has unknown keys ['knd']"),
+    ("generate-segment-without-text", "generate",
+     {"prompt.json": _prompt_text(segments=[{"start_s": 0.0, "end_s": 1.5}])},
+     EXIT_DATA, "prompt.segments[0] is missing keys ['text']"),
+    ("generate-unknown-negative-key", "generate",
+     {"prompt.json": _prompt_text(negative={"global": "hiss", "segment": "hum", "globl": "x"})},
+     EXIT_DATA, "prompt.negative has unknown keys ['globl']"),
+    ("generate-huge-int-duration", "generate", {"prompt.json": _prompt_text(duration_s=10**400)},
+     EXIT_DATA, "prompt.duration_s must be float | None"),
     ("generate-negative-list", "generate", {"prompt.json": _prompt_text(negative=["x"])},
      EXIT_DATA, "negative"),
     ("generate-nan-duration", "generate",
@@ -673,6 +695,8 @@ MALFORMED = [
      EXIT_DATA, "finite number"),
     ("dpo-bool", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": true}'},
      EXIT_DATA, "finite number"),
+    ("dpo-huge-int", "dpo-pairs", {"scores.jsonl": f'{{"group": "g", "id": "a", "score": {10**400}}}'},
+     EXIT_DATA, "finite number"),
     # A bad record is a schema reject in the stage's report, and the stage succeeds.
     ("duration-dataset-string-lines", "duration-dataset", {"manifest.jsonl": _manifest_text(lines="ab")},
      EXIT_OK, "segment lines"),
@@ -685,6 +709,12 @@ MALFORMED = [
     ("duration-dataset-unknown-key", "duration-dataset",
      {"manifest.jsonl": _manifest_text(lyric_lrc="[00:02.00] hello there\n")}, EXIT_OK,
      "unknown record keys: ['lyric_lrc']"),
+    ("pretrain-huge-int-score", "pretrain",
+     {"manifest.jsonl": _manifest_text(quality_scores={"q": 10**400})}, EXIT_OK,
+     "quality_scores must map names to numbers"),
+    ("finetune-huge-int-score", "finetune",
+     {"manifest.jsonl": _manifest_text(quality_scores={"q": -10**400})}, EXIT_OK,
+     "quality_scores must map names to numbers"),
 ]
 
 
@@ -736,7 +766,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
     assert code == expected, err
     if expected == EXIT_OK:
         report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
-        assert report["emitted"] == 0 and report["skipped"] == []
+        assert report.get("emitted", 0) == 0 and not report.get("skipped") and not report.get("kept")
         [reject] = report["schema_rejects"]
         assert reject["line"] == 1 and message in reject["error"], reject
     else:

@@ -283,7 +283,7 @@ def test_dropout_zero_probability_is_identity(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(0.0, 0.0, rng)
     assert flags == (False, False, False)
-    e_text, e_lyrics, _ = _encode(encoder, spec, doc, bundle.T, *flags)
+    e_text, e_lyrics, _ = _encode(encoder, spec, doc, 8, *flags)
     assert np.array_equal(e_text, bundle.e_text.data[0])
     assert np.array_equal(e_lyrics, bundle.e_lyrics.data[0])
 
@@ -293,7 +293,7 @@ def test_dropout_certain_event_zeroes_global(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(1.0, 0.0, rng)
     assert flags == (True, False, False)
-    e_text, e_lyrics, row = _encode(encoder, spec, doc, bundle.T, *flags)
+    e_text, e_lyrics, row = _encode(encoder, spec, doc, 8, *flags)
     assert row.drop_global and not row.drop_segment
     e_g, e_l = _halves(encoder, spec)
     expected = encoder.out_proj(
@@ -339,7 +339,7 @@ def test_encode_rows_match_one_row_encodes():
     ]
     bundle = encoder.encode(rows, 8)
     assert bundle.rows == tuple(rows)
-    assert bundle.e_text.data.shape == (3, 8, encoder.d_text)
+    assert bundle.e_text.data.shape == (3, 8, 5)
     for b, row in enumerate(rows):
         e_text, e_lyrics, _ = _encode(encoder, row.spec, row.doc, 8, row.drop_global,
                                       row.drop_segment, row.drop_lyrics)
@@ -363,7 +363,7 @@ def test_dropped_lyrics_are_all_zero(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(0.0, 0.0, rng, p_lyrics=1.0)
     assert flags == (False, False, True)
-    e_text, e_lyrics, row = _encode(encoder, spec, doc, bundle.T, *flags)
+    e_text, e_lyrics, row = _encode(encoder, spec, doc, 8, *flags)
     assert row.drop_lyrics
     assert np.any(bundle.e_lyrics.data != 0)
     assert np.array_equal(e_lyrics, np.zeros_like(bundle.e_lyrics.data[0]))
@@ -373,11 +373,10 @@ def test_dropped_lyrics_are_all_zero(rng):
 def test_assemble_input_slices_recover_components(rng):
     encoder = _encoder()
     bundle, _, _ = _bundle(encoder)
-    T = bundle.T
+    T, d_text, d_lyr = 8, 5, encoder.d_lyrics
     x_t = Tensor(rng.standard_normal((1, T, 2)))
     e_t = Tensor(rng.standard_normal((1, T, 4)))
     full = assemble_input(bundle, x_t, e_t)
-    d_text, d_lyr = encoder.d_text, encoder.d_lyrics
     assert full.data.shape == (1, T, d_text + d_lyr + 2 + 4)
     assert np.array_equal(full.data[..., :d_text], bundle.e_text.data)
     assert np.array_equal(full.data[..., d_text : d_text + d_lyr], bundle.e_lyrics.data)
@@ -392,7 +391,7 @@ def test_all_zero_bundle_assembles_to_zero():
     proj_of_zero = encoder.out_proj(Tensor(np.zeros((4, 8)))).data
     assert np.array_equal(bundle.e_text.data[0], proj_of_zero)
     full = assemble_input(bundle, Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 4, 4))))
-    assert full.data.shape == (1, 4, encoder.d_text + encoder.d_lyrics + 2 + 4)
+    assert full.data.shape == (1, 4, 5 + encoder.d_lyrics + 2 + 4)
 
 
 # -----------------------------------------------------------------------------

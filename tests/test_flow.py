@@ -196,7 +196,7 @@ def test_cfm_loss_projects_each_example_once_under_dropout(rng, monkeypatch):
 def _perturbed(system, seed=0):
     """Move every parameter (the zero head too) off its init."""
     rng = np.random.default_rng(seed)
-    for p in system.parameters():
+    for _, p in system.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     return system
 
@@ -204,7 +204,7 @@ def _perturbed(system, seed=0):
 def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
     cfg, system, dataset = _tiny_setup()
     _perturbed(system)
-    params = system.parameters()
+    params = [t for _, t in system.named_parameters()]
     batch = dataset.draw(rng, 4)
     drops = dict(p_drop_global=0.5, p_drop_segment=0.5, p_drop_lyrics=0.5)
 
@@ -244,7 +244,7 @@ def test_cfm_loss_tape_does_not_grow_with_the_batch(rng):
 def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
     cfg, system, dataset = _tiny_setup(steps=4, batch=2)
     config = TrainConfig(**{**cfg.train.__dict__, "checkpoint_every": 1})
-    params = system.parameters()
+    params = [t for _, t in system.named_parameters()]
     real_backward, real_adam = flow_mod.backward, flow_mod.adam_step
     seen = {"backward": 0, "adam": 0}
 

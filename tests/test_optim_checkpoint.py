@@ -105,10 +105,13 @@ def test_checkpoint_v2_layout(tmp_path):
 @pytest.mark.parametrize(
     "record, message",
     [
-        ({"name": "a", "shape": [-2], "f64le": ""}, "shape"),
-        ({"name": "a", "shape": [2], "values": [1.0, 2.0]}, "f64le"),
-        ([1.0, 2.0], "record 0"),
+        ({"name": "a", "shape": [-2], "f64le": ""}, r"params\[0\].shape has a negative size"),
+        ({"name": "a", "shape": [2], "values": [1.0, 2.0]}, r"params\[0\] has unknown keys"),
+        ({"name": "a", "shape": [2]}, r"params\[0\] is missing keys \['f64le'\]"),
+        ({"name": "a", "shape": [2.0], "f64le": ""}, r"params\[0\].shape must be list\[int\]"),
+        ([1.0, 2.0], r"params\[0\] must be an object, got list"),
     ],
+    ids=["record0-shape", "record1-f64le", "record2-record 0", "record3-missing", "record4-float"],
 )
 def test_load_params_rejects_malformed_records(tmp_path, record, message):
     path = tmp_path / "ckpt.json"

@@ -149,7 +149,7 @@ def test_condition_triple_shares_shapes():
     spec, doc = _spec_and_doc()
     T, d = cfg.task.T, cfg.task.d_audio
     triple = build_condition_triple(system.encoder, spec, doc, T)
-    assert triple.e_text.data.shape == (3, T, system.encoder.d_text)
+    assert triple.e_text.data.shape == (3, T, cfg.conditioning.d_text)
     assert triple.e_lyrics.data.shape == (3, T, system.encoder.d_lyrics)
     conditional, unconditional, negative = triple.rows
     assert conditional == ConditionRow(spec, doc)
@@ -164,7 +164,7 @@ def _perturbed_system(seed=0):
     """The small system with every parameter (the zero head too) moved off its init."""
     cfg, system = _small_system()
     rng = np.random.default_rng(seed)
-    for p in system.parameters():
+    for _, p in system.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     return cfg, system
 

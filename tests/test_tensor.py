@@ -20,8 +20,6 @@ from songflow.tensor import (
     silu,
     slice_channels,
     softmax_rows,
-    sub,
-    sum_all,
     transpose,
     zero_grads,
 )
@@ -46,11 +44,16 @@ def test_matmul_hand_value():
     assert matmul(a, b).data.tolist() == [[11.0]]
 
 
+def _zeros_like(x):
+    return Tensor(np.zeros(x.data.shape))
+
+
 def test_matmul_gradient_hand_value():
     a = Tensor([[1.0, 1.0]], requires_grad=True)
     b = Tensor([[2.0], [5.0]])
-    backward(sum_all(matmul(a, b)))
-    assert a.grad.tolist() == [[2.0, 5.0]]
+    out = matmul(a, b)  # [[7]], so d mse(out, 0) / d out = 14
+    backward(mse(out, _zeros_like(out)))
+    assert a.grad.tolist() == [[28.0, 70.0]]
 
 
 def test_matmul_shape_error():
@@ -66,14 +69,14 @@ def test_add_identity_and_silu_zero():
 
 def test_elementwise_shape_errors():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))
-    for op in (add, sub, mul, mse):
+    for op in (add, mul, mse):
         with pytest.raises(DimensionError):
             op(a, b)
 
 
 def test_silu_derivative_matches_finite_difference():
     x = Tensor([1.0], requires_grad=True)
-    err = fd_max_rel_error(lambda: sum_all(silu(x)), [x], h=1e-5)
+    err = fd_max_rel_error(lambda: mse(silu(x), _zeros_like(x)), [x], h=1e-5)
     assert err < 1e-5
 
 
@@ -101,10 +104,9 @@ def test_concat_hand_value_and_exact_slicing(rng):
 def test_concat_gradient_routes_exact_slices(rng):
     parts = [random_tensor(rng, (4, d)) for d in (2, 3)]
     out = concat_channels(parts)
-    weights = Tensor(rng.uniform(-1, 1, size=out.data.shape))
-    backward(sum_all(mul(out, weights)))
-    assert np.array_equal(parts[0].grad, weights.data[:, :2])
-    assert np.array_equal(parts[1].grad, weights.data[:, 2:])
+    backward(mse(out, _zeros_like(out)))
+    for part in parts:  # d mse(out, 0) / d out = (2 / n) out, sliced back exactly
+        assert np.array_equal(part.grad, (2.0 / out.data.size) * part.data)
 
 
 def test_concat_length_mismatch():
@@ -135,8 +137,8 @@ def test_layer_norm_matches_two_pass_formula(rng):
 
 def test_mse_examples():
     x = Tensor([[1.0, 2.0]])
-    assert mse(x, x).item() == 0.0
-    assert mse(Tensor([0.0, 0.0]), Tensor([1.0, 1.0])).item() == 1.0
+    assert float(mse(x, x).data) == 0.0
+    assert float(mse(Tensor([0.0, 0.0]), Tensor([1.0, 1.0])).data) == 1.0
     pred = Tensor([2.0], requires_grad=True)
     backward(mse(pred, Tensor([0.0])))
     assert pred.grad.tolist() == [4.0]
@@ -144,8 +146,8 @@ def test_mse_examples():
 
 def test_backward_linear_case():
     w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    backward(sum_all(w))
-    assert w.grad.tolist() == [1.0, 1.0, 1.0]
+    backward(mse(w, _zeros_like(w)))
+    assert w.grad.tolist() == [2.0 / 3.0, 4.0 / 3.0, 2.0]
 
 
 def test_backward_requires_scalar():
@@ -156,7 +158,7 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_without_reset():
     w = Tensor([1.0, 2.0], requires_grad=True)
-    loss = sum_all(w)
+    loss = mse(w, _zeros_like(w))
     backward(loss)
     first = w.grad.copy()
     backward(loss)
@@ -168,22 +170,25 @@ def test_backward_keeps_gradients_on_leaves_only(rng):
     w = random_tensor(rng, (4, 2))
     h = matmul(x, w)
     a = silu(h)
-    loss = sum_all(a)
+    loss = mse(a, _zeros_like(a))
     backward(loss)
     assert x.grad is not None and w.grad is not None
     assert h.grad is None and a.grad is None and loss.grad is None
     s = 0.5 * (1.0 + np.tanh(0.5 * h.data))
-    assert np.allclose(x.grad, (s * (1.0 + h.data * (1.0 - s))) @ w.data.T, rtol=0, atol=1e-14)
+    g_a = (2.0 / a.data.size) * a.data
+    expected = (g_a * s * (1.0 + h.data * (1.0 - s))) @ w.data.T
+    assert np.allclose(x.grad, expected, rtol=0, atol=1e-15)
 
 
 def test_leaf_gradients_own_their_memory():
     """add hands one array to both parents; each leaf gets its own copy, so
     clip_grad_norm's in-place scaling reaches each gradient exactly once."""
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    b = Tensor([3.0, 4.0], requires_grad=True)
-    backward(sum_all(add(a, b)))
+    a = Tensor([1.5, 0.5], requires_grad=True)
+    b = Tensor([0.5, 1.5], requires_grad=True)
+    total = add(a, b)  # [2, 2], so each leaf's gradient is [2, 2]
+    backward(mse(total, _zeros_like(total)))
     assert not np.shares_memory(a.grad, b.grad)
-    assert clip_grad_norm([a, b], 1.0) == 2.0
+    assert clip_grad_norm([a, b], 1.0) == 4.0
     assert a.grad.tolist() == b.grad.tolist() == [0.5, 0.5]
 
 
@@ -215,7 +220,7 @@ def test_gradients_match_finite_differences_on_random_instances(seed):
         a = add_row(matmul(h, w), bias)
         b = mul(silu(a), softmax_rows(other))
         c = softmax_rows(matmul(a, transpose(other)))
-        d_ = matmul(c, sub(other, scale(b, 0.5)))
+        d_ = matmul(c, add(other, scale(b, -0.5)))
         merged = concat_channels([h, add(d_, b)])
         return mse(merged, target)
 
@@ -241,10 +246,11 @@ def test_silu_matches_the_logaddexp_form():
     s = np.exp(-np.logaddexp(0.0, -x))
     t = Tensor(x, requires_grad=True)
     out = silu(t)
-    backward(sum_all(out))
+    backward(mse(out, _zeros_like(out)))
     # within two ulps of max(1, |x|) everywhere; below -37 both forms are ~1e-15 or 0
     assert (np.abs(out.data - x * s) <= 4.5e-16 * np.maximum(1.0, np.abs(x))).all()
-    assert np.abs(t.grad - s * (1.0 + x * (1.0 - s))).max() <= 1e-14
+    g_out = (2.0 / x.size) * out.data
+    assert (np.abs(t.grad - g_out * s * (1.0 + x * (1.0 - s))) <= 1e-14 * np.abs(g_out)).all()
 
 
 @pytest.mark.parametrize("lead", [(2,), (2, 3)])
@@ -357,10 +363,8 @@ def test_attention_batch_rows_are_independent(rng):
 def test_attention_gradients_match_finite_differences(n_heads):
     rng = np.random.default_rng(n_heads)
     q, k, v = (random_tensor(rng, (2, 4, 8)) for _ in range(3))
-    weights = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
-    assert fd_max_rel_error(
-        lambda: sum_all(mul(attention(q, k, v, n_heads), weights)), [q, k, v]
-    ) < 1e-6
+    target = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
+    assert fd_max_rel_error(lambda: mse(attention(q, k, v, n_heads), target), [q, k, v]) < 1e-8
 
 
 def test_attention_shape_errors():
