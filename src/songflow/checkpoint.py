@@ -101,9 +101,9 @@ _RECORD_TYPES = {"name": str, "shape": list[int], "f64le": str}
 
 
 def _decode_record(index: int, rec) -> tuple[str, np.ndarray]:
-    check_object(rec, _RECORD_TYPES, f"checkpoint params[{index}]", required=tuple(_RECORD_TYPES))
+    check_object(rec, _RECORD_TYPES, f"checkpoint.params[{index}]", required=tuple(_RECORD_TYPES))
     if min(rec["shape"], default=0) < 0:
-        raise ValidationError(f"checkpoint params[{index}].shape has a negative size: {rec['shape']}")
+        raise ValidationError(f"checkpoint.params[{index}].shape has a negative size: {rec['shape']}")
     name, shape = rec["name"], tuple(rec["shape"])
     try:
         raw = base64.b64decode(rec["f64le"], validate=True)

@@ -145,7 +145,7 @@ class PromptSpec:
         return None
 
 
-_PROMPT_TYPES = {"global": str, "segments": list[dict], "negative": dict | None,
+_PROMPT_TYPES = {"global": str, "segments": list, "negative": dict | None,
                  "duration_s": float | None}
 _SEGMENT_TYPES = {"start_s": float, "end_s": float, "text": str, "kind": str}
 

@@ -649,7 +649,9 @@ MALFORMED = [
     ("generate-number-global", "generate", {"prompt.json": _prompt_text(**{"global": 5})},
      EXIT_DATA, "global"),
     ("generate-string-segments", "generate", {"prompt.json": _prompt_text(segments="verse")},
-     EXIT_DATA, "segments"),
+     EXIT_DATA, "prompt.segments must be list, got 'verse'"),
+    ("generate-string-segment", "generate", {"prompt.json": _prompt_text(segments=["verse"])},
+     EXIT_DATA, "prompt.segments[0] must be an object, got 'verse'"),
     ("generate-string-time", "generate",
      {"prompt.json": _prompt_text(segments=[{"start_s": "0", "end_s": 1.5, "text": "p"}])},
      EXIT_DATA, "prompt.segments[0].start_s must be float, got '0'"),
