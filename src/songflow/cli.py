@@ -7,8 +7,9 @@ overrides (--set), writes its artifacts into --out-dir, and records them in
 run_manifest.json.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
-that cannot be read or is not UTF-8, a prompt longer than
-pipeline.pretrain_max_duration, a JSON integer too large for a float, and a
+that cannot be read or is not UTF-8, a prompt or --duration-hint longer
+than pipeline.pretrain_max_duration, a time with no finite frame, an LRC
+minute field past float range, a JSON integer too large for a float, and a
 prompt key that is unknown or missing; `schema` holds these rules), 3
 numeric abort (also a non-finite value that would reach a JSON artifact). Artifacts other than the streamed
 train_log.jsonl are written atomically; JSON artifacts are strict (no
@@ -301,9 +302,6 @@ def cmd_generate(args) -> int:
             segment_prompts=[s.text for s in spec.segments],
             total_duration_hint=spec.end_time(),
         )
-        predicted = out_dir / "predicted.lrc"
-        write_text_atomic(predicted, serialize_lrc(doc))
-        files.append(predicted.name)
     else:
         doc = parse_lrc(Path(args.lrc).read_text(encoding="utf-8"), total_duration=spec.end_time())
 
@@ -313,6 +311,10 @@ def cmd_generate(args) -> int:
             f"duration {duration} s exceeds pipeline.pretrain_max_duration "
             f"({cfg.pipeline.pretrain_max_duration} s)"
         )
+    if args.predict_durations:  # only once the duration is in bounds
+        predicted = out_dir / "predicted.lrc"
+        write_text_atomic(predicted, serialize_lrc(doc))
+        files.append(predicted.name)
     T = frame_count(duration, cfg.task.frame_rate)
 
     system = build_song_model(cfg, trainable=False)
@@ -408,13 +410,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict_durations(args) -> int:
-    _, out_dir = _prepare(args)
+    cfg, out_dir = _prepare(args)
+    hint, longest = args.duration_hint, cfg.pipeline.pretrain_max_duration
+    if hint is not None and not 0.0 < hint <= longest:  # also refuses NaN and inf
+        raise ValidationError(
+            f"--duration-hint {hint} s must be positive and at most "
+            f"pipeline.pretrain_max_duration ({longest} s)"
+        )
     lines = Path(args.lyrics).read_text(encoding="utf-8").splitlines()
     doc = predict_durations(
         lines,
         global_prompt=args.global_prompt,
         segment_prompts=args.segment_prompts,
-        total_duration_hint=args.duration_hint,
+        total_duration_hint=hint,
     )
     out = out_dir / "predicted.lrc"
     write_text_atomic(out, serialize_lrc(doc))

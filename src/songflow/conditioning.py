@@ -7,6 +7,12 @@ projection to give the text embedding E_text. Lyric lines are tokenized and
 their token embeddings placed one-per-frame from each line's onset. The full
 model input concatenates (E_text, E_lyrics, E_audio, E_t) along channels.
 
+Training encodes the same few texts every step, so nothing is embedded or
+tokenized twice: each HashEmbedder caches its vectors and stacked line
+blocks (per embedder, unbounded: an embedder sees one model's vocabulary),
+and line tokenization is memoized in a bounded LRU of 4,096 texts. Cached
+arrays are read-only.
+
 ConditioningEncoder.encode is the one path that broadcasts, zeroes and
 projects. It encodes a batch of rows (prompt spec, lyrics, three drop flags)
 sharing T frames. Condition dropout draws the flags first
@@ -59,7 +65,8 @@ __all__ = [
 class HashEmbedder:
     """Stand-in encoder: a unit-norm vector seeded by a keyed hash of
     (namespace, text). Equal texts always embed identically; distinct short
-    texts collide with negligible probability."""
+    texts collide with negligible probability. `vector` and `stack` return
+    the cached read-only arrays; `embed` returns a copy the caller may write."""
 
     def __init__(self, namespace: str, dimension: int):
         if dimension < 1:
@@ -67,8 +74,13 @@ class HashEmbedder:
         self.namespace = namespace
         self.dimension = dimension
         self._cache: dict[str, np.ndarray] = {}
+        self._blocks: dict[tuple[str, ...], np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
+        return self.vector(text).copy()
+
+    def vector(self, text: str) -> np.ndarray:
+        """The cached, read-only embedding of `text`."""
         vec = self._cache.get(text)
         if vec is None:
             digest = hashlib.sha256(f"{self.namespace}\x1f{text}".encode("utf-8")).digest()
@@ -79,8 +91,19 @@ class HashEmbedder:
                 raw[0] = 1.0
                 norm = 1.0
             vec = raw / norm
+            vec.flags.writeable = False
             self._cache[text] = vec
-        return vec.copy()
+        return vec
+
+    def stack(self, texts: tuple[str, ...]) -> np.ndarray:
+        """The cached, read-only (len(texts), dimension) rows of `texts`."""
+        block = self._blocks.get(texts)
+        if block is None:
+            block = np.array([self.vector(text) for text in texts])
+            block = block.reshape(len(texts), self.dimension)  # (0, d) for no texts
+            block.flags.writeable = False
+            self._blocks[texts] = block
+        return block
 
 
 class OutputProjection:
@@ -201,15 +224,16 @@ def broadcast_prompt_halves(
     f_l: HashEmbedder,
     frame_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-projection halves: E_g repeats the global vector on every frame;
-    E_l starts at zeros and each segment's vector fills its frame window
-    from windows_from_segments. Frames covered by no segment keep the zero row."""
+    """Pre-projection halves: E_g repeats the global vector on every frame
+    (a read-only broadcast view of the cached vector, not a copy); E_l starts
+    at zeros and each segment's vector fills its frame window from
+    windows_from_segments. Frames covered by no segment keep the zero row."""
     if T < 1:
         raise ContractError("T must be >= 1")
-    e_g = np.tile(f_g.embed(spec.global_text), (T, 1))
+    e_g = np.broadcast_to(f_g.vector(spec.global_text), (T, f_g.dimension))
     e_l = np.zeros((T, f_l.dimension))
     for window in windows_from_segments(spec.segments, frame_rate, T):
-        e_l[window.frame_start:window.frame_end] = f_l.embed(window.label)
+        e_l[window.frame_start:window.frame_end] = f_l.vector(window.label)
     return e_g, e_l
 
 
@@ -255,21 +279,26 @@ def encode_lyrics(
 ) -> tuple[np.ndarray, int]:
     """Place each line's token embeddings one-per-frame, left-aligned at the
     line's onset frame and clipped at the next line's onset (or T). Unfilled
-    frames stay zero. Returns (E_lyrics, truncated-token count)."""
+    frames stay zero. Returns (E_lyrics, truncated-token count). Each line is
+    one slice write of its cached (n_tokens, d) block from the embedder."""
     e = np.zeros((T, lyric_embedder.dimension))
     truncated = 0
     if doc is None or not doc.lines:
         return e, truncated
     starts = [time_to_frame(line.timestamp, frame_rate) for line in doc.lines]
-    if any(s >= T for s in starts):
+    if max(starts) >= T:
         raise ContractError("a lyric line's onset maps outside [0, T)")
-    for i, line in enumerate(doc.lines):
-        window_end = starts[i + 1] if i + 1 < len(starts) else T
-        tokens = _line_tokens(line.text)
-        room = max(0, window_end - starts[i])
-        for k, tok in enumerate(tokens[:room]):
-            e[starts[i] + k] = lyric_embedder.embed(tok)
-        truncated += max(0, len(tokens) - room)
+    ends = starts[1:]
+    ends.append(T)
+    for line, start, end in zip(doc.lines, starts, ends):
+        block = lyric_embedder.stack(_line_tokens(line.text))
+        n = len(block)
+        if start + n <= end:
+            e[start:start + n] = block
+        else:
+            room = max(0, end - start)
+            e[start:start + room] = block[:room]
+            truncated += n - room
     return e, truncated
 
 

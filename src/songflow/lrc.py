@@ -9,6 +9,7 @@ round-half-even, so serialize -> parse -> serialize is text-exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -131,7 +132,12 @@ def parse_lrc(raw: str, total_duration: float | None = None) -> LrcDocument:
                 continue
             raise ParseError(f"malformed LRC line: {raw_line!r}", line_number=lineno)
         mm, ss, xx, text = m.groups()
-        ts = 60.0 * int(mm) + int(ss) + int(xx) / 100.0
+        try:
+            ts = 60.0 * int(mm) + int(ss) + int(xx) / 100.0
+        except (OverflowError, ValueError):  # past float range, or past int()'s digit limit
+            ts = math.inf
+        if ts == math.inf:
+            raise ParseError(f"minute field out of range: {raw_line[:40]!r}", line_number=lineno)
         if ts < prev:
             raise ValidationError(f"line {lineno}: timestamp {ts}s decreases (previous {prev}s)")
         prev = ts
@@ -167,18 +173,25 @@ def serialize_lrc(doc: LrcDocument) -> str:
 # -----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def _grid_frames(t: float, rate: float, up: bool) -> int:
     """floor (ceil when `up`) of t * rate. A time within 1e-8 s of the
     centisecond grid (every LRC stamp) is taken exactly as that many
     centiseconds, and the float rate exactly as the ratio of integers it
-    holds; other times round the float product."""
-    centis = round(t * 100.0)
-    if abs(t * 100.0 - centis) > 1e-6:
-        return math.ceil(t * rate) if up else math.floor(t * rate)
-    num, den = float(rate).as_integer_ratio()
-    if up:  # ceil(x) == -floor(-x)
-        return -(-centis * num // (100 * den))
-    return centis * num // (100 * den)
+    holds; other times round the float product. A time whose product is not
+    finite has no frame (ContractError). Memoized: training maps the same
+    few segment and line times every step."""
+    product = t * rate
+    if not math.isfinite(product):
+        raise ContractError(f"time {t} s at {rate} frames/s has no finite frame")
+    scaled = t * 100.0
+    if math.isfinite(scaled) and abs(scaled - round(scaled)) <= 1e-6:
+        centis = round(scaled)
+        num, den = float(rate).as_integer_ratio()
+        if up:  # ceil(x) == -floor(-x)
+            return -(-centis * num // (100 * den))
+        return centis * num // (100 * den)
+    return math.ceil(product) if up else math.floor(product)
 
 
 def time_to_frame(t: float, frame_rate: float) -> int:

@@ -8,10 +8,16 @@ the offset alone. Lyric documents carry one line per pattern cycle, each
 line's tokens ("p0 p1 ...") filling the cycle one frame apiece, so the
 token at a frame encodes the frame's phase. That is what anchors pattern
 phase: the network sees position only through conditioning.
+
+A draw builds no template or lyric line twice: pattern traces are cached per
+(amplitude, period, length) as read-only arrays and cycle lines per (onset
+frame, token count, frame rate) as frozen LrcLines, each in a bounded LRU of
+4,096 entries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +97,19 @@ def default_task(
 
 
 def pattern_trace(task: SyntheticTaskSpec, text: str, length: int) -> np.ndarray:
-    """The anchored template: amplitude * cos(2 pi k / period), k = 0..length-1."""
+    """The anchored template: amplitude * cos(2 pi k / period), k = 0..length-1.
+    Cached per (amplitude, period, length) and read-only: callers only read it."""
     if text not in task.segment_vocab:
         raise ContractError(f"unknown segment text {text!r}")
-    amp, period = task.segment_vocab[text]
+    return _trace(*task.segment_vocab[text], length)
+
+
+@functools.lru_cache(maxsize=4096)
+def _trace(amp: float, period: int, length: int) -> np.ndarray:
     k = np.arange(length)
-    return amp * np.cos(2.0 * np.pi * k / period)
+    trace = amp * np.cos(2.0 * np.pi * k / period)
+    trace.flags.writeable = False
+    return trace
 
 
 def synth_sample(task: SyntheticTaskSpec, spec: PromptSpec, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +117,8 @@ def synth_sample(task: SyntheticTaskSpec, spec: PromptSpec, rng: np.random.Gener
     + N(0, sigma^2) noise."""
     if spec.global_text not in task.global_vocab:
         raise ContractError(f"unknown global text {spec.global_text!r}")
-    x = np.tile(task.global_vocab[spec.global_text], (task.T, 1)).astype(np.float64)
+    x = np.empty((task.T, task.d_audio))
+    x[:] = task.global_vocab[spec.global_text]
     for window in windows_from_segments(spec.segments, task.frame_rate, task.T):
         trace = pattern_trace(task, window.label, len(window))
         x[window.frame_start : window.frame_end] += trace[:, None]
@@ -113,19 +127,23 @@ def synth_sample(task: SyntheticTaskSpec, spec: PromptSpec, rng: np.random.Gener
     return x
 
 
-def _phase_tokens(n: int) -> str:
-    return " ".join(f"p{j}" for j in range(n))
-
-
 def segment_lines(task: SyntheticTaskSpec, text: str, ws: int, we: int) -> list[LrcLine]:
     """One line per pattern cycle starting at the window start; each line's
     tokens fill its cycle one frame apiece, so token j marks phase j."""
-    _, period = task.segment_vocab[text]
-    lines = []
-    for start in range(ws, we, period):
-        n = min(period, we - start)
-        lines.append(LrcLine(timestamp=start / task.frame_rate, text=_phase_tokens(n)))
-    return lines
+    period = task.segment_vocab[text][1]
+    return [
+        _cycle_line(start, min(period, we - start), task.frame_rate)
+        for start in range(ws, we, period)
+    ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _cycle_line(start: int, n: int, frame_rate: float) -> LrcLine:
+    """The line of a cycle at frame `start` with n tokens, cached: LrcLines
+    are frozen, so every draw shares them. Keyed per line rather than per
+    window: T * (longest period) lines at most, where per-window tuples grow
+    with the ~T^2 windows a long run draws."""
+    return LrcLine(timestamp=start / frame_rate, text=" ".join(f"p{j}" for j in range(n)))
 
 
 def sample_prompt(
@@ -140,13 +158,16 @@ def sample_prompt(
     n_windows = int(rng.integers(1, max_segments + 1))
     n_windows = max(min(n_windows, task.T // min_width), 1)
     # Distinct interior cut points on the frame grid, respecting min_width.
+    # The range keeps min_width off the end cuts 0 and T, so candidates only
+    # need to avoid the interior cuts drawn so far.
     cuts = [0, task.T]
     for _ in range(n_windows - 1):
-        candidates = [
-            f
-            for f in range(min_width, task.T - min_width + 1)
-            if all(abs(f - c) >= min_width for c in cuts)
-        ]
+        candidates: list[int] = []
+        lo = min_width
+        for c in sorted(cuts[2:]):
+            candidates.extend(range(lo, c - min_width + 1))
+            lo = c + min_width
+        candidates.extend(range(lo, task.T - min_width + 1))
         if not candidates:
             break
         cuts.append(int(rng.choice(candidates)))

@@ -218,14 +218,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data += bias.data
 
     def vjp(g):
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain,
+        # evaluated in that order in two full-size arrays.
+        scratch = g * xhat
+        dgain = scratch.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = g * gain.data
+        mean_dx = dx.mean(axis=-1, keepdims=True)
+        np.multiply(dx, xhat, out=scratch)
+        mean_dx_xhat = scratch.mean(axis=-1, keepdims=True)
+        dx -= mean_dx
+        np.multiply(xhat, mean_dx_xhat, out=scratch)
+        dx -= scratch
+        dx *= inv
         return dx, dgain, dbias
 
     return _result(data, (x, gain, bias), vjp)

@@ -372,6 +372,16 @@ def test_generate_with_predicted_durations(tmp_path):
     predicted = parse_lrc((out / "predicted.lrc").read_text(), total_duration=3.0)
     assert len(predicted.lines) == 2
     assert (out / "latent.json").exists()
+    _write_prompt(prompt, duration=1e300)
+    too_long = tmp_path / "too-long"
+    code = main(
+        _tiny_args(
+            ["generate", "--out-dir", str(too_long), "--checkpoint", str(ckpt),
+             "--prompt", str(prompt), "--predict-durations", "--lyrics", str(lyrics)]
+        )
+    )
+    assert code == EXIT_DATA
+    assert not (too_long / "predicted.lrc").exists()  # no 300-digit minute field left behind
 
 
 # -----------------------------------------------------------------------------
@@ -620,6 +630,10 @@ def _non_finite(p):
 
 _NAN_LATENT = '{"shape": [12, 2], "values": [' + ", ".join(["0.5"] * 23 + ["NaN"]) + "]}"
 
+_HUGE_MINUTE_LRC = "[" + "9" * 400 + ":00.00] hello there\n"
+_HUGE_MINUTE_RECORD = _manifest_text(lyrics=None, lyrics_lrc=_HUGE_MINUTE_LRC,
+                                     transcript=["hello there"])
+
 # (case, subcommand, files written into the case directory, expected exit code,
 #  text stderr must contain). Unlisted inputs are valid.
 MALFORMED = [
@@ -681,6 +695,15 @@ MALFORMED = [
      EXIT_DATA, "pretrain_max_duration"),
     ("generate-long-duration", "generate", {"prompt.json": _prompt_text(duration_s=360.01)},
      EXIT_DATA, "pretrain_max_duration"),
+    ("generate-infinite-frame-end", "generate",
+     {"prompt.json": _prompt_text(segments=[{"start_s": 0.0, "end_s": 1.7e308, "text": "p"}])},
+     EXIT_DATA, "has no finite frame"),
+    ("generate-huge-lrc-minute", "generate", {"x.lrc": _HUGE_MINUTE_LRC}, EXIT_DATA,
+     "minute field out of range"),
+    ("predict-durations-infinite-hint", "predict-durations", {"hint.txt": "1.7e308"}, EXIT_DATA,
+     "pretrain_max_duration"),
+    ("predict-durations-huge-hint", "predict-durations", {"hint.txt": "1e300"}, EXIT_DATA,
+     "pretrain_max_duration"),
     ("checkpoint-bad-base64", "generate", {"ckpt.json": _checkpoint_with(_bad_base64)},
      EXIT_DATA, "base64"),
     ("checkpoint-short-payload", "generate", {"ckpt.json": _checkpoint_with(_short_payload)},
@@ -711,6 +734,11 @@ MALFORMED = [
     ("duration-dataset-unknown-key", "duration-dataset",
      {"manifest.jsonl": _manifest_text(lyric_lrc="[00:02.00] hello there\n")}, EXIT_OK,
      "unknown record keys: ['lyric_lrc']"),
+    # An LRC that does not parse rejects its record for that reason.
+    ("lyric-edit-huge-lrc-minute", "lyric-edit", {"manifest.jsonl": _HUGE_MINUTE_RECORD},
+     EXIT_OK, "invalid-lrc"),
+    ("duration-dataset-huge-lrc-minute", "duration-dataset",
+     {"manifest.jsonl": _HUGE_MINUTE_RECORD}, EXIT_OK, "invalid-lrc"),
     ("pretrain-huge-int-score", "pretrain",
      {"manifest.jsonl": _manifest_text(quality_scores={"q": 10**400})}, EXIT_OK,
      "quality_scores must map names to numbers"),
@@ -741,6 +769,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         "scores.jsonl": '{"group": "g", "id": "a", "score": 1.0}\n'
                         '{"group": "g", "id": "b", "score": 2.0}\n',
         "manifest.jsonl": _manifest_text(),
+        "lyrics.txt": "la la la\nso so\n",
+        "hint.txt": "30.0",
         **files,
     }
     for name, content in inputs.items():
@@ -759,6 +789,9 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
                            "--checkpoint", str(tmp_path / "ckpt.json"),
                            "--prompt", str(tmp_path / "prompt.json"),
                            "--lrc", str(tmp_path / "x.lrc")])
+    elif command == "predict-durations":
+        argv = ["predict-durations", "--out-dir", str(out), "--lyrics", str(tmp_path / "lyrics.txt"),
+                "--duration-hint", (tmp_path / "hint.txt").read_text(encoding="utf-8")]
     else:
         manifest = "scores.jsonl" if command == "dpo-pairs" else "manifest.jsonl"
         argv = ["pipeline", "--stage", command, "--set", "pipeline.dpo_min_diff=0.5",
@@ -768,9 +801,15 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
     assert code == expected, err
     if expected == EXIT_OK:
         report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
-        assert report.get("emitted", 0) == 0 and not report.get("skipped") and not report.get("kept")
-        [reject] = report["schema_rejects"]
-        assert reject["line"] == 1 and message in reject["error"], reject
+        assert report.get("emitted", 0) == 0 and not report.get("kept")
+        if message == "invalid-lrc":
+            reasons = [r["reason"] for r in report.get("rejected", [])]
+            reasons += [reason for _, reason in report.get("skipped", [])]
+            assert reasons == [message] and not report["schema_rejects"], report
+        else:
+            assert not report.get("skipped")
+            [reject] = report["schema_rejects"]
+            assert reject["line"] == 1 and message in reject["error"], reject
     else:
         assert err.startswith("data error:") and message in err, err
     _assert_strict_json(out)
@@ -806,6 +845,10 @@ def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
     assert main(["pipeline", "--stage", "duration-dataset", "--manifest", str(manifest),
                  "--out-dir", str(dataset)]) == EXIT_OK
     assert json.loads((dataset / "duration_dataset_report.json").read_text())["emitted"] == 1
+    lyrics = tmp_path / "lyrics.txt"
+    lyrics.write_text("la la la\nso so\n", encoding="utf-8")
+    assert main(["predict-durations", "--out-dir", str(tmp_path / "p"), "--lyrics", str(lyrics),
+                 "--duration-hint", "30.0"]) == EXIT_OK
     for written in (gen, tmp_path / "e", out, dataset):
         _assert_strict_json(written)
 

@@ -18,7 +18,7 @@ from songflow.conditioning import (
     prompt_spec_to_json,
 )
 from songflow.errors import ContractError, DimensionError, ValidationError
-from songflow.lrc import LrcDocument, LrcLine, SegmentSpec
+from songflow.lrc import LrcDocument, LrcLine, SegmentSpec, time_to_frame
 from songflow.tensor import Tensor
 
 
@@ -252,6 +252,69 @@ def test_encode_lyrics_nonzero_rows_per_line(rng):
         e, _ = encode_lyrics(doc, emb, T, 4.0)
         nonzero = int(np.sum(np.any(e != 0, axis=1)))
         assert nonzero == sum(counts)
+
+
+def _lyrics_per_token(doc, emb, T, frame_rate):
+    """Reference for encode_lyrics: one embed() per placed token, each
+    line's tokens from its onset up to the next onset (or T)."""
+    e = np.zeros((T, emb.dimension))
+    truncated = 0
+    starts = [time_to_frame(line.timestamp, frame_rate) for line in doc.lines]
+    for i, line in enumerate(doc.lines):
+        end = starts[i + 1] if i + 1 < len(starts) else T
+        tokens = lyric_tokens(line.text)
+        room = max(0, end - starts[i])
+        for k, tok in enumerate(tokens[:room]):
+            e[starts[i] + k] = emb.embed(tok)
+        truncated += max(0, len(tokens) - room)
+    return e, truncated
+
+
+def test_encode_lyrics_blocks_equal_the_per_token_reference(rng):
+    words = ["la", "li", "春", "眠", "晓", "oh", "夜来 风雨"]
+    texts = ["", "la la la", "春眠不觉晓", "oh 春 la", "la la la"]  # a repeat on purpose
+    emb, reference = HashEmbedder("lyr", 5), HashEmbedder("lyr", 5)
+    fixed = LrcDocument(
+        lines=(
+            LrcLine(0.0, "春眠不觉晓 la"),  # 6 tokens, 4 frames: 2 truncated at the next onset
+            LrcLine(1.0, ""),
+            LrcLine(1.0, "la la"),  # same onset as the empty line
+            LrcLine(1.5, "la la"),
+            LrcLine(3.5, "la li oh 春 眠"),  # 5 tokens, 2 frames before T: 3 truncated
+        ),
+        total_duration=4.0,
+    )
+    ours = encode_lyrics(fixed, emb, 16, 4.0)
+    assert ours[1] == 5
+    for got, want in zip(ours, _lyrics_per_token(fixed, reference, 16, 4.0)):
+        assert np.array_equal(got, want)
+    for _ in range(200):
+        T = int(rng.integers(1, 40))
+        n_lines = int(rng.integers(1, 8))
+        onsets = np.sort(rng.integers(0, T, size=n_lines)) / 4.0
+        lines = []
+        for onset in onsets:
+            if rng.random() < 0.5:
+                text = texts[int(rng.integers(0, len(texts)))]
+            else:
+                text = " ".join(words[int(k)] for k in rng.integers(0, len(words), size=rng.integers(0, 9)))
+            lines.append(LrcLine(float(onset), text))
+        doc = LrcDocument(lines=tuple(lines), total_duration=T / 4.0)
+        got, want = encode_lyrics(doc, emb, T, 4.0), _lyrics_per_token(doc, reference, T, 4.0)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_embedder_caches_are_read_only_and_embed_copies():
+    emb = HashEmbedder("lyr", 4)
+    first = emb.embed("la")
+    first[:] = 0.0  # the caller's copy
+    assert np.array_equal(emb.embed("la"), emb.vector("la")) and emb.vector("la").any()
+    block = emb.stack(("la", "li", "la"))
+    assert block.shape == (3, 4) and np.array_equal(block[2], emb.vector("la"))
+    assert emb.stack(("la", "li", "la")) is block and emb.stack(()).shape == (0, 4)
+    for cached in (emb.vector("la"), block):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
 
 
 def test_encode_lyrics_onset_outside_frames_is_error():

@@ -37,6 +37,13 @@ def test_parse_rejects_out_of_range_seconds():
         parse_lrc("[00:61.00] x")
 
 
+def test_parse_rejects_a_minute_field_past_float_range():
+    for digits in (308, 400, 5000):  # inf seconds, OverflowError, int()'s digit limit
+        with pytest.raises(ParseError) as err:
+            parse_lrc("[00:00.00] a\n[" + "9" * digits + ":00.00] x")
+        assert err.value.line_number == 2
+
+
 def test_parse_rejects_malformed_and_reports_line():
     with pytest.raises(ParseError) as err:
         parse_lrc("[00:01.00] ok\nnot a lyric line")
@@ -133,6 +140,12 @@ def test_time_to_frame_contract_and_monotonicity(rng):
         time_to_frame(-0.1, 21.5)
     with pytest.raises(ContractError):
         time_to_frame(1.0, 0.0)
+    for t in (1.7e308, math.inf, math.nan):  # no finite frame
+        with pytest.raises(ContractError):
+            time_to_frame(t, 4.0)
+    with pytest.raises(ContractError):
+        frame_count(1.7e308, 4.0)
+    assert time_to_frame(1e307, 4.0) == math.floor(1e307 * 4.0)  # t * 100 overflows, t * rate does not
     ts = np.sort(rng.uniform(0, 100, size=200))
     frames = [time_to_frame(float(t), 21.5) for t in ts]
     assert all(a <= b for a, b in zip(frames, frames[1:]))

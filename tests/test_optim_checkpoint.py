@@ -61,6 +61,37 @@ def test_step_counter_increases_and_grads_untouched():
     assert state.m[0].shape == w.data.shape and state.v[0].shape == w.data.shape
 
 
+def test_flat_adam_equals_a_per_parameter_update_bit_for_bit():
+    """Five steps on mixed shapes, a 0-d and a 1-element parameter among
+    them, against the per-parameter loop the flat update replaces."""
+    rng = np.random.default_rng(7)
+    shapes = [(3, 4), (), (1,), (5,), (2, 3), (7, 1)]
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros_like(r) for r in ref]
+    ref_v = [np.zeros_like(r) for r in ref]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    state = adam_init(params, learning_rate=lr)
+    for step in range(1, 6):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        adam_step(params, state)
+        bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
+        for r, m, v, g in zip(ref, ref_m, ref_v, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            r -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        for p, r, m, v, sm, sv, g in zip(params, ref, ref_m, ref_v, state.m, state.v, grads):
+            assert p.data.shape == r.shape and p.data.tobytes() == r.tobytes()
+            assert sm.tobytes() == m.tobytes() and sv.tobytes() == v.tobytes()
+            assert np.array_equal(p.grad, g)  # gradients untouched
+    assert all(np.shares_memory(m, state.flat_m) for m in state.m)
+    assert all(np.shares_memory(v, state.flat_v) for v in state.v)
+
+
 def test_clip_grad_norm_scales_jointly():
     a = Tensor([3.0], requires_grad=True)
     b = Tensor([4.0], requires_grad=True)
