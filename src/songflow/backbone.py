@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import ConditioningBundle, assemble_input
+from .conditioning import ConditioningBundle
 from .errors import ContractError, DimensionError, ValidationError
 from .tensor import (
     Tensor,
     add,
     add_row,
     attention,
+    concat_channels,
     fan_in_uniform,
     layer_norm,
     matmul,
@@ -33,28 +34,23 @@ __all__ = ["ModelConfig", "time_embedding", "Block", "VelocityModel"]
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The `model` config section; the input widths come from other sections."""
+
     n_blocks: int = 2
     model_width: int = 64
     n_heads: int = 4
-    d_audio: int = 8
     d_t: int = 16
-    d_text: int = 32
-    d_lyrics: int = 16
     ff_mult: int = 2
 
     def __post_init__(self):
-        if self.n_blocks < 1 or self.model_width < 1 or self.n_heads < 1:
-            raise ValidationError("n_blocks, model_width, n_heads must be positive")
+        if min(self.n_blocks, self.model_width, self.n_heads, self.ff_mult) < 1:
+            raise ValidationError("n_blocks, model_width, n_heads, ff_mult must be positive")
         if self.model_width % self.n_heads != 0:
             raise ValidationError(
                 f"model_width {self.model_width} not divisible by n_heads {self.n_heads}"
             )
         if self.d_t < 4 or self.d_t % 2 != 0:
             raise ValidationError("d_t must be an even integer >= 4")
-
-    @property
-    def d_input(self) -> int:
-        return self.d_text + self.d_lyrics + self.d_audio + self.d_t
 
 
 def time_embedding(t: float, d_t: int) -> np.ndarray:
@@ -118,15 +114,17 @@ class Block:
 class VelocityModel:
     """Maps (t, conditioning, x_t) to a per-frame velocity of width d_audio."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, d_text: int, d_lyrics: int, d_audio: int,
+                 rng: np.random.Generator):
         self.config = config
+        self.d_text, self.d_lyrics, self.d_audio = d_text, d_lyrics, d_audio
         w = config.model_width
-        self.w_in = fan_in_uniform(rng, (config.d_input, w))
+        self.w_in = fan_in_uniform(rng, (d_text + d_lyrics + d_audio + config.d_t, w))
         self.b_in = Tensor(np.zeros(w), requires_grad=True)
         self.blocks = [Block(w, config.n_heads, config.ff_mult, rng) for _ in range(config.n_blocks)]
         # Zero-initialized head: the untrained velocity field is identically 0.
-        self.w_head = Tensor(np.zeros((w, config.d_audio)), requires_grad=True)
-        self.b_head = Tensor(np.zeros(config.d_audio), requires_grad=True)
+        self.w_head = Tensor(np.zeros((w, d_audio)), requires_grad=True)
+        self.b_head = Tensor(np.zeros(d_audio), requires_grad=True)
 
     def forward(
         self,
@@ -136,21 +134,22 @@ class VelocityModel:
         attn_sink: list | None = None,
     ) -> Tensor:
         """Velocity of (B, T, d_audio) frames: row b at time t[b], under row b of cond."""
-        cfg = self.config
-        if x_t.data.ndim != 3 or x_t.data.shape[2] != cfg.d_audio:
-            raise DimensionError(f"x_t must be (B, T, {cfg.d_audio}), got {x_t.data.shape}")
+        if x_t.data.ndim != 3 or x_t.data.shape[2] != self.d_audio:
+            raise DimensionError(f"x_t must be (B, T, {self.d_audio}), got {x_t.data.shape}")
         B, T, _ = x_t.data.shape
         for name, e, width in (
-            ("e_text", cond.e_text, cfg.d_text),
-            ("e_lyrics", cond.e_lyrics, cfg.d_lyrics),
+            ("e_text", cond.e_text, self.d_text),
+            ("e_lyrics", cond.e_lyrics, self.d_lyrics),
         ):
             if e.data.shape != (B, T, width):
                 raise DimensionError(f"{name} must be ({B}, {T}, {width}), got {e.data.shape}")
         if len(t) != B:
             raise DimensionError(f"need one time step per row: {len(t)} for {B} rows")
-        emb = np.stack([time_embedding(float(tb), cfg.d_t) for tb in t])
+        emb = np.stack([time_embedding(float(tb), self.config.d_t) for tb in t])
         e_t = Tensor(np.repeat(emb[:, None, :], T, axis=1))
-        h = add_row(matmul(assemble_input(cond, x_t, e_t), self.w_in), self.b_in)
+        # Channel order (E_text, E_lyrics, E_audio = x_t, E_t): checkpoints depend on it.
+        x_in = concat_channels([cond.e_text, cond.e_lyrics, x_t, e_t])
+        h = add_row(matmul(x_in, self.w_in), self.b_in)
         for block in self.blocks:
             h = block.forward(h, attn_sink=attn_sink)
         return add_row(matmul(h, self.w_head), self.b_head)

@@ -49,7 +49,7 @@ from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .conditioning import prompt_spec_from_json
 from .config import RunConfig, load_config
 from .errors import ContractError, DimensionError, NumericAbort, ParseError, ValidationError
-from .evaluate import PatternOracleScorer, duration_mae, global_alignment_score, segment_alignment_score
+from .evaluate import PatternOracleScorer, duration_mae, segment_alignment_score
 from .durations import predict_durations
 from .flow import train
 from .lrc import BOUNDARY, frame_count, parse_lrc, serialize_lrc, windows_from_segments
@@ -348,11 +348,11 @@ def _eval_one(index, latent_path, prompt_path, cfg, scorer):
         "index": index,
         "latent": str(latent_path),
         "prompt": str(prompt_path),
-        "global_alignment": global_alignment_score(latent, spec.global_text, scorer),
+        "global_alignment": scorer.score(latent, spec.global_text),
     }
-    scorable = [s for s in spec.segments if s.kind != BOUNDARY]
-    if scorable and len(windows) == len(spec.segments):
-        per, mean = segment_alignment_score(latent, spec, windows, scorer)
+    # Unscored when a segment floors to no frame or no segment is scorable.
+    if len(windows) == len(spec.segments) and any(s.kind != BOUNDARY for s in spec.segments):
+        per, mean = segment_alignment_score(latent, windows, scorer)
         sample["segment_alignment"] = {"per_segment": per, "mean": mean}
     else:
         sample["segment_alignment"] = {"per_segment": [], "mean": None}

@@ -42,7 +42,7 @@ from .lrc import (
     windows_from_segments,
 )
 from .schema import check_object
-from .tensor import Tensor, add_row, concat_channels, fan_in_uniform, matmul, silu
+from .tensor import Tensor, add_row, fan_in_uniform, matmul, silu
 
 __all__ = [
     "HashEmbedder",
@@ -57,7 +57,6 @@ __all__ = [
     "lyric_tokens",
     "encode_lyrics",
     "apply_condition_dropout",
-    "assemble_input",
     "ConditioningEncoder",
 ]
 
@@ -66,7 +65,7 @@ class HashEmbedder:
     """Stand-in encoder: a unit-norm vector seeded by a keyed hash of
     (namespace, text). Equal texts always embed identically; distinct short
     texts collide with negligible probability. `vector` and `stack` return
-    the cached read-only arrays; `embed` returns a copy the caller may write."""
+    cached read-only arrays."""
 
     def __init__(self, namespace: str, dimension: int):
         if dimension < 1:
@@ -75,9 +74,6 @@ class HashEmbedder:
         self.dimension = dimension
         self._cache: dict[str, np.ndarray] = {}
         self._blocks: dict[tuple[str, ...], np.ndarray] = {}
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.vector(text).copy()
 
     def vector(self, text: str) -> np.ndarray:
         """The cached, read-only embedding of `text`."""
@@ -232,8 +228,8 @@ def broadcast_prompt_halves(
         raise ContractError("T must be >= 1")
     e_g = np.broadcast_to(f_g.vector(spec.global_text), (T, f_g.dimension))
     e_l = np.zeros((T, f_l.dimension))
-    for window in windows_from_segments(spec.segments, frame_rate, T):
-        e_l[window.frame_start:window.frame_end] = f_l.vector(window.label)
+    for start, end, seg in windows_from_segments(spec.segments, frame_rate, T):
+        e_l[start:end] = f_l.vector(seg.text)
     return e_g, e_l
 
 
@@ -276,15 +272,14 @@ def encode_lyrics(
     lyric_embedder: HashEmbedder,
     T: int,
     frame_rate: float,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Place each line's token embeddings one-per-frame, left-aligned at the
     line's onset frame and clipped at the next line's onset (or T). Unfilled
-    frames stay zero. Returns (E_lyrics, truncated-token count). Each line is
-    one slice write of its cached (n_tokens, d) block from the embedder."""
+    frames stay zero. Each line is one slice write of its cached
+    (n_tokens, d) block from the embedder."""
     e = np.zeros((T, lyric_embedder.dimension))
-    truncated = 0
     if doc is None or not doc.lines:
-        return e, truncated
+        return e
     starts = [time_to_frame(line.timestamp, frame_rate) for line in doc.lines]
     if max(starts) >= T:
         raise ContractError("a lyric line's onset maps outside [0, T)")
@@ -292,14 +287,9 @@ def encode_lyrics(
     ends.append(T)
     for line, start, end in zip(doc.lines, starts, ends):
         block = lyric_embedder.stack(_line_tokens(line.text))
-        n = len(block)
-        if start + n <= end:
-            e[start:start + n] = block
-        else:
-            room = max(0, end - start)
-            e[start:start + room] = block[:room]
-            truncated += n - room
-    return e, truncated
+        n = min(len(block), max(0, end - start))
+        e[start:start + n] = block[:n]
+    return e
 
 
 # -----------------------------------------------------------------------------
@@ -327,8 +317,7 @@ class ConditioningBundle:
     (B, T, d_lyrics) lyric frames; rows[b] is what row b was encoded from. A
     dropped half was zeroed before the projection; dropped lyric frames are
     all zero. The noisy frames and the time embedding change every forward
-    pass, so they are not part of the bundle: assemble_input takes them as
-    arguments.
+    pass, so they are not part of the bundle: VelocityModel.forward adds them.
     """
 
     e_text: Tensor
@@ -363,12 +352,6 @@ def apply_condition_dropout(
     return drop_g, drop_s, drop_l
 
 
-def assemble_input(bundle: ConditioningBundle, x_t: Tensor, e_t: Tensor) -> Tensor:
-    """Channel concat in the fixed order checkpoints depend on:
-    (E_text, E_lyrics, E_audio = x_t, E_t)."""
-    return concat_channels([bundle.e_text, bundle.e_lyrics, x_t, e_t])
-
-
 class ConditioningEncoder:
     """Bundles the embedders, projection, and frame rate used for encoding."""
 
@@ -388,10 +371,6 @@ class ConditioningEncoder:
         self.out_proj = out_proj
         self.frame_rate = frame_rate
 
-    @property
-    def d_lyrics(self) -> int:
-        return self.lyric_embedder.dimension
-
     def encode(self, rows: Sequence[ConditionRow], T: int) -> ConditioningBundle:
         """Broadcast each row's prompts, zero its dropped halves, and project
         all rows at once. Dropped lyric frames are zeroed; the lyrics are
@@ -402,7 +381,7 @@ class ConditioningEncoder:
             raise ContractError("encode needs at least one row")
         d_g, d_l = self.global_embedder.dimension, self.segment_embedder.dimension
         halves = np.zeros((len(rows), T, d_g + d_l))
-        lyrics = np.zeros((len(rows), T, self.d_lyrics))
+        lyrics = np.zeros((len(rows), T, self.lyric_embedder.dimension))
         for b, row in enumerate(rows):
             e_g, e_l = broadcast_prompt_halves(
                 row.spec, T, self.global_embedder, self.segment_embedder, self.frame_rate
@@ -411,7 +390,7 @@ class ConditioningEncoder:
                 halves[b, :, :d_g] = e_g
             if not row.drop_segment:
                 halves[b, :, d_g:] = e_l
-            lyr, _ = encode_lyrics(row.doc, self.lyric_embedder, T, self.frame_rate)
+            lyr = encode_lyrics(row.doc, self.lyric_embedder, T, self.frame_rate)
             if not row.drop_lyrics:
                 lyrics[b] = lyr
         return ConditioningBundle(

@@ -46,6 +46,10 @@ class ConditioningDims:
     d_text: int = 32
     d_lyrics: int = 16
 
+    def __post_init__(self):
+        if self.d_text < 1:
+            raise ValidationError("conditioning.d_text must be >= 1")
+
 
 @dataclass(frozen=True)
 class TaskConfig:
@@ -55,6 +59,12 @@ class TaskConfig:
     noise_sigma: float = 0.05
     max_segments: int = 3
     min_width: int = 8
+
+    def __post_init__(self):
+        if self.max_segments < 1:
+            raise ValidationError("task.max_segments must be >= 1")
+        if self.min_width < 1:
+            raise ValidationError("task.min_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,9 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    n_blocks: int = 2
-    model_width: int = 64
-    n_heads: int = 4
-    d_t: int = 16
-    ff_mult: int = 2
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
     conditioning: ConditioningDims = field(default_factory=ConditioningDims)
     train: TrainConfig = field(default_factory=TrainConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
@@ -89,25 +90,13 @@ class RunConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     negative: NegativePrompts = field(default_factory=NegativePrompts)
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_blocks=self.model.n_blocks,
-            model_width=self.model.model_width,
-            n_heads=self.model.n_heads,
-            d_audio=self.task.d_audio,
-            d_t=self.model.d_t,
-            d_text=self.conditioning.d_text,
-            d_lyrics=self.conditioning.d_lyrics,
-            ff_mult=self.model.ff_mult,
-        )
-
     def task_spec(self) -> SyntheticTaskSpec:
         t = self.task
         return default_task(t.T, t.d_audio, t.frame_rate, t.noise_sigma)
 
 
 _SECTION_TYPES = {
-    "model": ModelSection,
+    "model": ModelConfig,
     "conditioning": ConditioningDims,
     "train": TrainConfig,
     "guidance": GuidanceConfig,

@@ -11,12 +11,11 @@ total-duration hint rescales every timestamp proportionally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ContractError
 from .lrc import LrcDocument, LrcLine
 
-__all__ = ["DurationHeuristic", "syllable_count", "predict_durations"]
+__all__ = ["line_seconds", "syllable_count", "predict_durations"]
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -42,18 +41,16 @@ def syllable_count(text: str) -> int:
     return cjk + len(_VOWEL_GROUP_RE.findall(rest))
 
 
-@dataclass(frozen=True)
-class DurationHeuristic:
-    """The rates predict_durations uses; deliberately plain."""
+# The rates predict_durations uses; deliberately plain.
+BASE_SECONDS = 0.4
+PER_SYLLABLE_SECONDS = 0.35
+CHORUS_SLOWDOWN = 1.1
+GAP_SECONDS = 2.0
 
-    base_seconds: float = 0.4
-    per_syllable_seconds: float = 0.35
-    chorus_slowdown: float = 1.1
-    gap_seconds: float = 2.0
 
-    def line_seconds(self, text: str, chorus: bool) -> float:
-        dur = self.base_seconds + self.per_syllable_seconds * syllable_count(text)
-        return dur * self.chorus_slowdown if chorus else dur
+def line_seconds(text: str, chorus: bool) -> float:
+    dur = BASE_SECONDS + PER_SYLLABLE_SECONDS * syllable_count(text)
+    return dur * CHORUS_SLOWDOWN if chorus else dur
 
 
 def _split_even(n_lines: int, n_groups: int) -> list[int]:
@@ -82,19 +79,18 @@ def predict_durations(
     prompts = prompts[: len(lines)] or [global_prompt]  # never more groups than lines
 
     sizes = _split_even(len(lines), len(prompts))
-    heuristic = DurationHeuristic()
-    t = heuristic.gap_seconds  # intro gap
+    t = GAP_SECONDS  # intro gap
     stamped: list[LrcLine] = []
     idx = 0
     for gi, size in enumerate(sizes):
         chorus = "chorus" in prompts[gi].lower()
         for _ in range(size):
             stamped.append(LrcLine(timestamp=t, text=lines[idx]))
-            t += heuristic.line_seconds(lines[idx], chorus)
+            t += line_seconds(lines[idx], chorus)
             idx += 1
         if gi < len(sizes) - 1:
-            t += heuristic.gap_seconds
-    total = t + heuristic.gap_seconds  # outro gap
+            t += GAP_SECONDS
+    total = t + GAP_SECONDS  # outro gap
 
     if total_duration_hint is not None:
         factor = total_duration_hint / total

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conditioning import PromptSpec
 from .errors import ContractError, DimensionError
 from .lrc import BOUNDARY, LrcDocument, SegmentWindow
 from .synthetic import SyntheticTaskSpec, pattern_trace
@@ -20,7 +19,6 @@ from .synthetic import SyntheticTaskSpec, pattern_trace
 __all__ = [
     "PatternOracleScorer",
     "segment_alignment_score",
-    "global_alignment_score",
     "duration_mae",
     "validate_report",
 ]
@@ -78,27 +76,20 @@ class PatternOracleScorer:
 
 def segment_alignment_score(
     latent: np.ndarray,
-    spec: PromptSpec,
     windows: list[SegmentWindow],
     scorer: PatternOracleScorer,
 ) -> tuple[list[float], float]:
     """Score each window's latent slice against its segment text; return
     (per-segment scores, their arithmetic mean). Boundary-marker segments are
     excluded."""
-    if len(windows) != len(spec.segments):
-        raise ContractError(f"{len(windows)} windows for {len(spec.segments)} segments")
-    scores = []
-    for seg, window in zip(spec.segments, windows):
-        if seg.kind == BOUNDARY:
-            continue
-        scores.append(scorer.score(latent[window.frame_start : window.frame_end], seg.text))
+    scores = [
+        scorer.score(latent[start:end], seg.text)
+        for start, end, seg in windows
+        if seg.kind != BOUNDARY
+    ]
     if not scores:
         raise ContractError("no scorable segments: the mean is undefined")
     return scores, sum(scores) / len(scores)
-
-
-def global_alignment_score(latent: np.ndarray, global_text: str, scorer: PatternOracleScorer) -> float:
-    return scorer.score(latent, global_text)
 
 
 def duration_mae(predicted: LrcDocument, truth: LrcDocument) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditioning import ConditioningEncoder, ConditionRow, PromptSpec, apply_condition_dropout
-from .errors import ContractError, DimensionError, NumericAbort
+from .errors import ContractError, DimensionError, NumericAbort, ValidationError
 from .lrc import LrcDocument
 from .optim import adam_init, adam_step, clip_grad_norm, grad_norm
 from .tensor import Tensor, backward, mse, zero_grads
@@ -100,6 +100,8 @@ class TrainConfig:
                 raise ContractError(f"dropout probability {p} outside [0, 1]")
         if self.p_drop_lyrics is not None and not (0.0 <= self.p_drop_lyrics <= 1.0):
             raise ContractError(f"dropout probability {self.p_drop_lyrics} outside [0, 1]")
+        if self.checkpoint_every < 0:
+            raise ValidationError("train.checkpoint_every must be >= 0")
 
     @property
     def lyric_dropout(self) -> float:

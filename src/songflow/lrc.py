@@ -13,6 +13,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError, ParseError, ValidationError
 
@@ -93,23 +94,12 @@ class SegmentSpec:
             raise ValidationError(f"unknown segment kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class SegmentWindow:
-    """Half-open frame range a segment occupies."""
+class SegmentWindow(NamedTuple):
+    """The half-open frame range [start, end) that a segment occupies."""
 
-    frame_start: int
-    frame_end: int
-    provenance: str  # one of the segment kinds above, by origin
-    label: str = ""
-
-    def __post_init__(self):
-        if not (0 <= self.frame_start < self.frame_end):
-            raise ValidationError(
-                f"window needs 0 <= start < end, got [{self.frame_start}, {self.frame_end})"
-            )
-
-    def __len__(self) -> int:
-        return self.frame_end - self.frame_start
+    start: int
+    end: int
+    segment: SegmentSpec
 
 
 # -----------------------------------------------------------------------------
@@ -251,5 +241,5 @@ def windows_from_segments(segments, frame_rate: float, T: int) -> list[SegmentWi
             raise ContractError(f"segment [{seg.t_s}, {seg.t_e})s maps past frame {T}")
         if js >= je:
             continue
-        windows.append(SegmentWindow(js, je, provenance=seg.kind, label=seg.text))
+        windows.append(SegmentWindow(js, je, seg))
     return windows

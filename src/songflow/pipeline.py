@@ -220,14 +220,15 @@ def _aggregate_score(record: RecordManifest) -> float | None:
 
 def pretrain_filter(
     records: list[RecordManifest],
-    min_sampling_rate: float = 32_000.0,
-    min_duration: float = 30.0,
-    max_duration: float = 360.0,
-    drop_fraction: float = 0.05,
+    min_sampling_rate: float,
+    min_duration: float,
+    max_duration: float,
+    drop_fraction: float,
 ) -> FilterReport:
-    """Stage-one gate: reject sampling rates below 32 kHz (inclusive boundary
-    kept), durations outside [30 s, 6 min], then the lowest 5% by aggregate
-    quality score. Reason codes name the first rule that fired."""
+    """Stage-one gate: reject sampling rates below min_sampling_rate (the
+    boundary is kept), durations outside [min_duration, max_duration], then
+    the lowest drop_fraction by aggregate quality score. Reason codes name
+    the first rule that fired. PipelineConfig holds the defaults."""
     report = FilterReport()
     survivors: list[tuple[RecordManifest, float]] = []
     for rec in records:
@@ -254,11 +255,11 @@ def pretrain_filter(
 
 def finetune_filter(
     records: list[RecordManifest],
-    min_sampling_rate: float = 44_000.0,
-    required_channels: int = 2,
+    min_sampling_rate: float,
+    required_channels: int,
 ) -> FilterReport:
-    """Stage-two gate: >= 44 kHz, stereo, and score >= median for *every*
-    quality metric (medians over the full input manifest)."""
+    """Stage-two gate: >= min_sampling_rate, required_channels, and score >=
+    median for *every* quality metric (medians over the full input manifest)."""
     report = FilterReport()
     metric_values: dict[str, list[float]] = {}
     for rec in records:
@@ -346,9 +347,7 @@ def _lyric_text(record: RecordManifest) -> str:
     return " ".join(line.text for line in doc.lines if line.text)
 
 
-def lyric_edit_filter(
-    records: list[RecordManifest], max_normalized_distance: float = 0.3
-) -> FilterReport:
+def lyric_edit_filter(records: list[RecordManifest], max_normalized_distance: float) -> FilterReport:
     """Normalized character edit distance between lyrics and transcript,
     divided by max(lengths); above the threshold the record is discarded.
     Records without lyrics pass; records without a transcript pass flagged

@@ -90,7 +90,7 @@ def default_task(
         T=T,
         d_audio=d_audio,
         frame_rate=frame_rate,
-        global_vocab={w: _OFFSET_SCALE * offsets.embed(w) for w in _GLOBAL_WORDS},
+        global_vocab={w: _OFFSET_SCALE * offsets.vector(w) for w in _GLOBAL_WORDS},
         segment_vocab=dict(_SEGMENT_PATTERNS),
         noise_sigma=noise_sigma,
     )
@@ -119,9 +119,8 @@ def synth_sample(task: SyntheticTaskSpec, spec: PromptSpec, rng: np.random.Gener
         raise ContractError(f"unknown global text {spec.global_text!r}")
     x = np.empty((task.T, task.d_audio))
     x[:] = task.global_vocab[spec.global_text]
-    for window in windows_from_segments(spec.segments, task.frame_rate, task.T):
-        trace = pattern_trace(task, window.label, len(window))
-        x[window.frame_start : window.frame_end] += trace[:, None]
+    for start, end, seg in windows_from_segments(spec.segments, task.frame_rate, task.T):
+        x[start:end] += pattern_trace(task, seg.text, end - start)[:, None]
     if task.noise_sigma > 0:
         x += rng.normal(0.0, task.noise_sigma, size=x.shape)
     return x
@@ -170,7 +169,7 @@ def sample_prompt(
         candidates.extend(range(lo, task.T - min_width + 1))
         if not candidates:
             break
-        cuts.append(int(rng.choice(candidates)))
+        cuts.append(_choice(rng, candidates))
     cuts = sorted(cuts)
 
     texts = list(task.segment_vocab)
@@ -195,7 +194,8 @@ def sample_prompt(
     return spec, doc
 
 
-def _choice(rng: np.random.Generator, items: list[str]) -> str:
+def _choice(rng: np.random.Generator, items: list):
+    """The draw rng.choice(items) makes on numpy 2.4, without its list-to-array copy."""
     return items[int(rng.integers(0, len(items)))]
 
 

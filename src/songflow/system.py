@@ -41,8 +41,8 @@ def build_song_model(cfg: RunConfig, trainable: bool = True) -> SongModel:
     """Deterministic initialization from derive_seed(cfg.seed, "init");
     backbone parameters draw first, then the conditioning projection."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "init"))
-    model = VelocityModel(cfg.model_config(), rng)
     dims = cfg.conditioning
+    model = VelocityModel(cfg.model, dims.d_text, dims.d_lyrics, cfg.task.d_audio, rng)
     out_proj = OutputProjection(dims.d_global + dims.d_segment, dims.d_text, rng)
     encoder = ConditioningEncoder(
         global_embedder=HashEmbedder("global-prompt", dims.d_global),

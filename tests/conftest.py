@@ -51,11 +51,11 @@ def brute_force_text_embedding(spec, T, f_g, f_l, out_proj, frame_rate):
         for s in spec.segments
     ]
     for f in range(T):
-        e_cat[f, :dg] = f_g.embed(spec.global_text)
+        e_cat[f, :dg] = f_g.vector(spec.global_text)
         row = np.zeros(dl)
         for js, je, text in windows:
             if js <= f < je:
-                row = f_l.embed(text)
+                row = f_l.vector(text)
         e_cat[f, dg:] = row
     return out_proj(Tensor(e_cat)).data
 

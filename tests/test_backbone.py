@@ -8,10 +8,10 @@ from songflow.errors import ContractError, DimensionError, ValidationError
 from songflow.tensor import Tensor, mse, zero_grads
 
 
-def _tiny_config():
-    return ModelConfig(
-        n_blocks=1, model_width=8, n_heads=2, d_audio=2, d_t=4, d_text=4, d_lyrics=2, ff_mult=2
-    )
+def _tiny_model(rng):
+    """d_text 4, d_lyrics 2, d_audio 2."""
+    cfg = ModelConfig(n_blocks=1, model_width=8, n_heads=2, d_t=4, ff_mult=2)
+    return VelocityModel(cfg, 4, 2, 2, rng)
 
 
 def _bundle_from_arrays(e_text, e_lyrics):
@@ -57,59 +57,56 @@ def test_model_config_validation():
         ModelConfig(model_width=10, n_heads=3)
     with pytest.raises(ValidationError):
         ModelConfig(d_t=5)
+    with pytest.raises(ValidationError):
+        ModelConfig(ff_mult=0)
 
 
 @pytest.mark.parametrize("T", [1, 7, 64])
 def test_forward_output_shape(T, rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((T, cfg.d_text)), rng.standard_normal((T, cfg.d_lyrics))
+        rng.standard_normal((T, model.d_text)), rng.standard_normal((T, model.d_lyrics))
     )
-    out = _forward(model, rng.standard_normal((T, cfg.d_audio)), bundle, 0.5)
-    assert out.data.shape == (1, T, cfg.d_audio)
+    out = _forward(model, rng.standard_normal((T, model.d_audio)), bundle, 0.5)
+    assert out.data.shape == (1, T, model.d_audio)
 
 
 def test_forward_rejects_mismatched_widths(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((4, cfg.d_text + 1)), rng.standard_normal((4, cfg.d_lyrics))
+        rng.standard_normal((4, model.d_text + 1)), rng.standard_normal((4, model.d_lyrics))
     )
     with pytest.raises(DimensionError):
-        _forward(model, rng.standard_normal((4, cfg.d_audio)), bundle, 0.5)
+        _forward(model, rng.standard_normal((4, model.d_audio)), bundle, 0.5)
 
 
 def test_zero_initialized_head_gives_zero_field(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((5, cfg.d_text)), rng.standard_normal((5, cfg.d_lyrics))
+        rng.standard_normal((5, model.d_text)), rng.standard_normal((5, model.d_lyrics))
     )
-    out = _forward(model, rng.standard_normal((5, cfg.d_audio)), bundle, 0.3)
-    assert np.array_equal(out.data, np.zeros((1, 5, cfg.d_audio)))
+    out = _forward(model, rng.standard_normal((5, model.d_audio)), bundle, 0.3)
+    assert np.array_equal(out.data, np.zeros((1, 5, model.d_audio)))
 
 
 def test_forward_is_deterministic(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
-    e_text = rng.standard_normal((6, cfg.d_text))
-    e_lyr = rng.standard_normal((6, cfg.d_lyrics))
-    x = rng.standard_normal((6, cfg.d_audio))
+    model = _tiny_model(rng)
+    e_text = rng.standard_normal((6, model.d_text))
+    e_lyr = rng.standard_normal((6, model.d_lyrics))
+    x = rng.standard_normal((6, model.d_audio))
     a = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data
     b = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data
     assert np.array_equal(a, b)
 
 
 def test_permutation_equivariance(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)  # un-zero the head
     T = 9
-    e_text = rng.standard_normal((T, cfg.d_text))
-    e_lyr = rng.standard_normal((T, cfg.d_lyrics))
-    x = rng.standard_normal((T, cfg.d_audio))
+    e_text = rng.standard_normal((T, model.d_text))
+    e_lyr = rng.standard_normal((T, model.d_lyrics))
+    x = rng.standard_normal((T, model.d_audio))
     perm = rng.permutation(T)
     out = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data[0]
     out_perm = _forward(model, x[perm], _bundle_from_arrays(e_text[perm], e_lyr[perm]), 0.5).data[0]
@@ -117,47 +114,65 @@ def test_permutation_equivariance(rng):
 
 
 def test_attention_rows_are_probability_distributions(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((7, cfg.d_text)), rng.standard_normal((7, cfg.d_lyrics))
+        rng.standard_normal((7, model.d_text)), rng.standard_normal((7, model.d_lyrics))
     )
     sink = []
-    _forward(model, rng.standard_normal((7, cfg.d_audio)), bundle, 0.5, attn_sink=sink)
-    assert len(sink) == cfg.n_blocks * cfg.n_heads
+    _forward(model, rng.standard_normal((7, model.d_audio)), bundle, 0.5, attn_sink=sink)
+    assert len(sink) == model.config.n_blocks * model.config.n_heads
     for weights in sink:
         assert (weights >= 0).all()
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_parameter_count_matches_closed_form(rng):
-    for cfg in (
-        _tiny_config(),
-        ModelConfig(),
-        ModelConfig(n_blocks=3, model_width=32, n_heads=8, d_audio=4, d_t=8, d_text=16,
-                    d_lyrics=8, ff_mult=3),
+    for model in (
+        _tiny_model(rng),
+        VelocityModel(ModelConfig(), 32, 16, 8, rng),
+        VelocityModel(ModelConfig(n_blocks=3, model_width=32, n_heads=8, d_t=8, ff_mult=3),
+                      16, 8, 4, rng),
     ):
-        model = VelocityModel(cfg, rng)
+        cfg = model.config
         total = sum(t.data.size for _, t in model.named_parameters())
         # input d_in*w + w; per block 4*w^2 + 3*w*ff + 4*w; head w*d_audio + d_audio
         w, ff = cfg.model_width, cfg.ff_mult * cfg.model_width
+        d_in = model.d_text + model.d_lyrics + model.d_audio + cfg.d_t
         per_block = 4 * w * w + 3 * w * ff + 4 * w
-        assert total == cfg.d_input * w + w + cfg.n_blocks * per_block + w * cfg.d_audio + cfg.d_audio
+        assert total == d_in * w + w + cfg.n_blocks * per_block + w * model.d_audio + model.d_audio
+
+
+def test_input_channels_are_text_lyrics_audio_time(rng):
+    """The input projection reads (E_text, E_lyrics, E_audio = x_t, E_t) in
+    that channel order: checkpoints depend on it."""
+    model = _tiny_model(rng)
+    for _, p in model.named_parameters():
+        p.data += 0.05 * rng.standard_normal(p.data.shape)
+    T, t = 5, 0.25
+    e_text = rng.standard_normal((T, model.d_text))
+    e_lyr = rng.standard_normal((T, model.d_lyrics))
+    x = rng.standard_normal((T, model.d_audio))
+    e_t = np.tile(time_embedding(t, model.config.d_t), (T, 1))
+    h = np.concatenate([e_text, e_lyr, x, e_t], axis=1) @ model.w_in.data + model.b_in.data
+    for block in model.blocks:
+        h = block.forward(Tensor(h[None])).data[0]
+    want = h @ model.w_head.data + model.b_head.data
+    got = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), t).data[0]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_end_to_end_gradients_match_finite_differences(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     params = [t for _, t in model.named_parameters()]
     for p in params:
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     T = 4
-    e_text = rng.standard_normal((T, cfg.d_text))
-    e_lyr = rng.standard_normal((T, cfg.d_lyrics))
-    x = rng.standard_normal((T, cfg.d_audio))
-    target = Tensor(rng.standard_normal((1, T, cfg.d_audio)))
+    e_text = rng.standard_normal((T, model.d_text))
+    e_lyr = rng.standard_normal((T, model.d_lyrics))
+    x = rng.standard_normal((T, model.d_audio))
+    target = Tensor(rng.standard_normal((1, T, model.d_audio)))
 
     def build_loss():
         bundle = _bundle_from_arrays(e_text, e_lyr)
@@ -167,20 +182,19 @@ def test_end_to_end_gradients_match_finite_differences(rng):
 
 
 def test_batched_forward_matches_single_rows(rng):
-    cfg = _tiny_config()
-    model = VelocityModel(cfg, rng)
+    model = _tiny_model(rng)
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     B, T = 3, 5
-    e_text = rng.standard_normal((B, T, cfg.d_text))
-    e_lyr = rng.standard_normal((B, T, cfg.d_lyrics))
-    x = rng.standard_normal((B, T, cfg.d_audio))
+    e_text = rng.standard_normal((B, T, model.d_text))
+    e_lyr = rng.standard_normal((B, T, model.d_lyrics))
+    x = rng.standard_normal((B, T, model.d_audio))
     ts = [0.1, 0.5, 0.9]
     rows = (ConditionRow(PromptSpec("unused")),) * B
     bundle = ConditioningBundle(Tensor(e_text), Tensor(e_lyr), rows=rows)
     sink = []
     out = model.forward(Tensor(x), bundle, ts, attn_sink=sink).data
-    assert len(sink) == B * cfg.n_blocks * cfg.n_heads
+    assert len(sink) == B * model.config.n_blocks * model.config.n_heads
     for b in range(B):
         alone = _forward(model, x[b], _bundle_from_arrays(e_text[b], e_lyr[b]), ts[b]).data[0]
         assert np.abs(out[b] - alone).max() <= 1e-12 * np.abs(alone).max()

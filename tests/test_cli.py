@@ -451,6 +451,25 @@ def test_eval_scores_a_huge_latent_like_its_unscaled_self(tmp_path):
     assert np.abs(np.subtract(*scores)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("segments", [
+    [{"start_s": 0.0, "end_s": 1.5, "text": "pulse"}, {"start_s": 1.5, "end_s": 1.6, "text": "wave"}],
+    [{"start_s": 0.0, "end_s": 1.5, "text": "pulse", "kind": "boundary"}],
+], ids=["segment-shorter-than-a-frame", "only-boundary-segment"])
+def test_eval_leaves_a_sample_unscored(tmp_path, segments):
+    """A segment that floors to no frame (at 4 frames/s), or no segment that
+    is not a boundary marker, leaves the sample without a segment score."""
+    latent = tmp_path / "latent.json"
+    latent.write_text(_latent_text([12, 2], [0.5, -0.5] * 12), encoding="utf-8")
+    prompt = tmp_path / "p.json"
+    prompt.write_text(_prompt_text(segments=segments), encoding="utf-8")
+    out = tmp_path / "e"
+    assert main(_tiny_args(["eval", "--out-dir", str(out), "--latent", str(latent),
+                            "--prompt", str(prompt)])) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["samples"][0]["segment_alignment"] == {"per_segment": [], "mean": None}
+    assert report["aggregate"]["segment_alignment_mean"] is None
+
+
 # -----------------------------------------------------------------------------
 # predict-durations
 # -----------------------------------------------------------------------------
@@ -745,7 +764,25 @@ MALFORMED = [
     ("finetune-huge-int-score", "finetune",
      {"manifest.jsonl": _manifest_text(quality_scores={"q": -10**400})}, EXIT_OK,
      "quality_scores must map names to numbers"),
+    # Config values out of range are data errors at load, before any work.
+    ("train-zero-min-width", "train", {"config.json": '{"task": {"min_width": 0}}'}, EXIT_DATA,
+     "task.min_width must be >= 1"),
+    ("train-zero-max-segments", "train", {"config.json": '{"task": {"max_segments": 0}}'},
+     EXIT_DATA, "task.max_segments must be >= 1"),
+    ("train-negative-max-segments", "train", {"config.json": '{"task": {"max_segments": -2}}'},
+     EXIT_DATA, "task.max_segments must be >= 1"),
+    ("train-zero-d-text", "train", {"config.json": '{"conditioning": {"d_text": 0}}'}, EXIT_DATA,
+     "conditioning.d_text must be >= 1"),
+    ("train-zero-ff-mult", "train", {"config.json": '{"model": {"ff_mult": 0}}'}, EXIT_DATA,
+     "ff_mult must be positive"),
+    ("train-negative-checkpoint-every", "train",
+     {"config.json": '{"train": {"checkpoint_every": -1}}'}, EXIT_DATA,
+     "train.checkpoint_every must be >= 0"),
 ]
+
+
+# A default-size train run kept short; the table's rows set its config file.
+_TRAIN_ARGV = ["train", "--set", "train.steps=2", "--set", "train.batch_size=1"]
 
 
 @pytest.fixture(scope="module")
@@ -771,6 +808,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         "manifest.jsonl": _manifest_text(),
         "lyrics.txt": "la la la\nso so\n",
         "hint.txt": "30.0",
+        "config.json": "{}",
         **files,
     }
     for name, content in inputs.items():
@@ -792,6 +830,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
     elif command == "predict-durations":
         argv = ["predict-durations", "--out-dir", str(out), "--lyrics", str(tmp_path / "lyrics.txt"),
                 "--duration-hint", (tmp_path / "hint.txt").read_text(encoding="utf-8")]
+    elif command == "train":
+        argv = _TRAIN_ARGV + ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]
     else:
         manifest = "scores.jsonl" if command == "dpo-pairs" else "manifest.jsonl"
         argv = ["pipeline", "--stage", command, "--set", "pipeline.dpo_min_diff=0.5",
@@ -849,6 +889,9 @@ def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
     lyrics.write_text("la la la\nso so\n", encoding="utf-8")
     assert main(["predict-durations", "--out-dir", str(tmp_path / "p"), "--lyrics", str(lyrics),
                  "--duration-hint", "30.0"]) == EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text("{}", encoding="utf-8")
+    assert main(_TRAIN_ARGV + ["--config", str(config), "--out-dir", str(tmp_path / "t")]) == EXIT_OK
     for written in (gen, tmp_path / "e", out, dataset):
         _assert_strict_json(written)
 

@@ -10,7 +10,6 @@ from songflow.conditioning import (
     OutputProjection,
     PromptSpec,
     apply_condition_dropout,
-    assemble_input,
     broadcast_prompt_halves,
     encode_lyrics,
     lyric_tokens,
@@ -49,21 +48,21 @@ def _encode(encoder, spec, doc, T, *flags):
 
 def test_stub_embedder_is_deterministic_and_unit_norm():
     emb = HashEmbedder("ns", 16)
-    a, b = emb.embed("some text"), emb.embed("some text")
+    a, b = emb.vector("some text"), HashEmbedder("ns", 16).vector("some text")
     assert np.array_equal(a, b)
     for text in ("a", "b", "", "long text with words", "春"):
-        assert abs(np.linalg.norm(emb.embed(text)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(emb.vector(text)) - 1.0) < 1e-12
 
 
 def test_stub_embedder_namespaces_differ():
-    a = HashEmbedder("one", 8).embed("same")
-    b = HashEmbedder("two", 8).embed("same")
+    a = HashEmbedder("one", 8).vector("same")
+    b = HashEmbedder("two", 8).vector("same")
     assert not np.allclose(a, b)
 
 
 def test_stub_embedder_collisions_are_rare():
     emb = HashEmbedder("collision", 32)
-    vectors = np.stack([emb.embed(f"text-{i}") for i in range(1000)])
+    vectors = np.stack([emb.vector(f"text-{i}") for i in range(1000)])
     sims = vectors @ vectors.T
     np.fill_diagonal(sims, 0.0)
     assert np.abs(sims).max() < 0.9
@@ -79,7 +78,7 @@ def test_no_segments_leaves_zero_segment_half():
     spec = PromptSpec(global_text="calm song")
     e_g, e_l = broadcast_prompt_halves(spec, 6, f_g, f_l, frame_rate=4.0)
     assert np.array_equal(e_l, np.zeros((6, 4)))
-    assert np.array_equal(e_g, np.tile(f_g.embed("calm song"), (6, 1)))
+    assert np.array_equal(e_g, np.tile(f_g.vector("calm song"), (6, 1)))
     encoder = _encoder(d_text=5)
     out, _, _ = _encode(encoder, spec, None, 6)
     expected = encoder.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))).data
@@ -92,7 +91,7 @@ def test_single_segment_fills_only_its_window():
         global_text="g", segments=(SegmentSpec(t_s=0.5, t_e=1.0, text="strings"),)
     )
     _, e_l = broadcast_prompt_halves(spec, 8, f_g, f_l, frame_rate=4.0)
-    vec = f_l.embed("strings")
+    vec = f_l.vector("strings")
     for f in range(8):
         if 2 <= f < 4:
             assert np.array_equal(e_l[f], vec)
@@ -110,7 +109,7 @@ def test_adjacent_segments_switch_exactly_at_boundary():
         ),
     )
     _, e_l = broadcast_prompt_halves(spec, 8, f_g, f_l, frame_rate=4.0)
-    a, b = f_l.embed("first"), f_l.embed("second")
+    a, b = f_l.vector("first"), f_l.vector("second")
     assert all(np.array_equal(e_l[f], a) for f in range(0, 4))
     assert all(np.array_equal(e_l[f], b) for f in range(4, 8))
 
@@ -201,9 +200,8 @@ def test_lyric_tokens_mixed_scripts():
 
 def test_encode_lyrics_empty_document_is_zero():
     emb = HashEmbedder("lyr", 4)
-    e, truncated = encode_lyrics(None, emb, 10, 4.0)
+    e = encode_lyrics(None, emb, 10, 4.0)
     assert np.array_equal(e, np.zeros((10, 4)))
-    assert truncated == 0
 
 
 def test_encode_lyrics_places_tokens_left_aligned():
@@ -211,15 +209,14 @@ def test_encode_lyrics_places_tokens_left_aligned():
     doc = LrcDocument(
         lines=(LrcLine(1.25, "la li lu"), LrcLine(5.0, "end")), total_duration=10.0
     )
-    e, truncated = encode_lyrics(doc, emb, 40, 4.0)
-    assert truncated == 0
+    e = encode_lyrics(doc, emb, 40, 4.0)
     for k, tok in enumerate(["la", "li", "lu"]):
-        assert np.array_equal(e[5 + k], emb.embed(tok))
+        assert np.array_equal(e[5 + k], emb.vector(tok))
     assert np.array_equal(e[8:20], np.zeros((12, 4)))
-    assert np.array_equal(e[20], emb.embed("end"))
+    assert np.array_equal(e[20], emb.vector("end"))
 
 
-def test_encode_lyrics_truncates_and_counts():
+def test_encode_lyrics_truncates_at_the_next_onset():
     emb = HashEmbedder("lyr", 4)
     doc = LrcDocument(
         lines=(
@@ -228,11 +225,11 @@ def test_encode_lyrics_truncates_and_counts():
         ),
         total_duration=4.0,
     )
-    e, truncated = encode_lyrics(doc, emb, 16, 4.0)
-    assert truncated == 6  # 10 tokens, 4 frames before the next line
+    e = encode_lyrics(doc, emb, 16, 4.0)  # 10 tokens, 4 frames before the next line
     for k in range(4):
-        assert np.array_equal(e[k], emb.embed(f"t{k}"))
-    assert np.array_equal(e[4], emb.embed("next"))
+        assert np.array_equal(e[k], emb.vector(f"t{k}"))
+    assert np.array_equal(e[4], emb.vector("next"))
+    assert not e[5:].any()  # t4..t9 were cut, not written past "next"
 
 
 def test_encode_lyrics_nonzero_rows_per_line(rng):
@@ -249,25 +246,23 @@ def test_encode_lyrics_nonzero_rows_per_line(rng):
             window_end = int(starts[i + 1]) if i + 1 < n_lines else T
             counts.append(min(n_tok, window_end - int(s)))
         doc = LrcDocument(lines=tuple(lines), total_duration=T / 4.0)
-        e, _ = encode_lyrics(doc, emb, T, 4.0)
+        e = encode_lyrics(doc, emb, T, 4.0)
         nonzero = int(np.sum(np.any(e != 0, axis=1)))
         assert nonzero == sum(counts)
 
 
 def _lyrics_per_token(doc, emb, T, frame_rate):
-    """Reference for encode_lyrics: one embed() per placed token, each
+    """Reference for encode_lyrics: one vector() per placed token, each
     line's tokens from its onset up to the next onset (or T)."""
     e = np.zeros((T, emb.dimension))
-    truncated = 0
     starts = [time_to_frame(line.timestamp, frame_rate) for line in doc.lines]
     for i, line in enumerate(doc.lines):
         end = starts[i + 1] if i + 1 < len(starts) else T
         tokens = lyric_tokens(line.text)
         room = max(0, end - starts[i])
         for k, tok in enumerate(tokens[:room]):
-            e[starts[i] + k] = emb.embed(tok)
-        truncated += max(0, len(tokens) - room)
-    return e, truncated
+            e[starts[i] + k] = emb.vector(tok)
+    return e
 
 
 def test_encode_lyrics_blocks_equal_the_per_token_reference(rng):
@@ -284,10 +279,8 @@ def test_encode_lyrics_blocks_equal_the_per_token_reference(rng):
         ),
         total_duration=4.0,
     )
-    ours = encode_lyrics(fixed, emb, 16, 4.0)
-    assert ours[1] == 5
-    for got, want in zip(ours, _lyrics_per_token(fixed, reference, 16, 4.0)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(encode_lyrics(fixed, emb, 16, 4.0),
+                          _lyrics_per_token(fixed, reference, 16, 4.0))
     for _ in range(200):
         T = int(rng.integers(1, 40))
         n_lines = int(rng.integers(1, 8))
@@ -301,14 +294,12 @@ def test_encode_lyrics_blocks_equal_the_per_token_reference(rng):
             lines.append(LrcLine(float(onset), text))
         doc = LrcDocument(lines=tuple(lines), total_duration=T / 4.0)
         got, want = encode_lyrics(doc, emb, T, 4.0), _lyrics_per_token(doc, reference, T, 4.0)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(got, want)
 
 
-def test_embedder_caches_are_read_only_and_embed_copies():
+def test_embedder_caches_are_read_only():
     emb = HashEmbedder("lyr", 4)
-    first = emb.embed("la")
-    first[:] = 0.0  # the caller's copy
-    assert np.array_equal(emb.embed("la"), emb.vector("la")) and emb.vector("la").any()
+    assert emb.vector("la") is emb.vector("la")
     block = emb.stack(("la", "li", "la"))
     assert block.shape == (3, 4) and np.array_equal(block[2], emb.vector("la"))
     assert emb.stack(("la", "li", "la")) is block and emb.stack(()).shape == (0, 4)
@@ -433,28 +424,13 @@ def test_dropped_lyrics_are_all_zero(rng):
     assert np.array_equal(e_text, bundle.e_text.data[0])
 
 
-def test_assemble_input_slices_recover_components(rng):
-    encoder = _encoder()
-    bundle, _, _ = _bundle(encoder)
-    T, d_text, d_lyr = 8, 5, encoder.d_lyrics
-    x_t = Tensor(rng.standard_normal((1, T, 2)))
-    e_t = Tensor(rng.standard_normal((1, T, 4)))
-    full = assemble_input(bundle, x_t, e_t)
-    assert full.data.shape == (1, T, d_text + d_lyr + 2 + 4)
-    assert np.array_equal(full.data[..., :d_text], bundle.e_text.data)
-    assert np.array_equal(full.data[..., d_text : d_text + d_lyr], bundle.e_lyrics.data)
-    assert np.array_equal(full.data[..., d_text + d_lyr : d_text + d_lyr + 2], x_t.data)
-    assert np.array_equal(full.data[..., d_text + d_lyr + 2 :], e_t.data)
-
-
 def test_all_zero_bundle_assembles_to_zero():
     encoder = _encoder()
     spec = PromptSpec(global_text="g")
     bundle = encoder.encode([ConditionRow(spec, None, True, True, True)], 4)
     proj_of_zero = encoder.out_proj(Tensor(np.zeros((4, 8)))).data
     assert np.array_equal(bundle.e_text.data[0], proj_of_zero)
-    full = assemble_input(bundle, Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 4, 4))))
-    assert full.data.shape == (1, 4, 5 + encoder.d_lyrics + 2 + 4)
+    assert np.array_equal(bundle.e_lyrics.data, np.zeros((1, 4, 3)))
 
 
 # -----------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from songflow.durations import DurationHeuristic, predict_durations, syllable_count
+from songflow.durations import GAP_SECONDS, line_seconds, predict_durations, syllable_count
 from songflow.errors import ContractError
 from songflow.lrc import parse_lrc, serialize_lrc
 
@@ -19,12 +19,11 @@ def test_syllable_count_cjk_per_character():
 
 
 def test_single_line_with_hint():
-    h = DurationHeuristic()
     doc = predict_durations(["one lonely line"], total_duration_hint=10.0)
     assert len(doc.lines) == 1
     assert doc.total_duration == 10.0
-    unscaled_total = 2 * h.gap_seconds + h.line_seconds("one lonely line", chorus=False)
-    assert doc.lines[0].timestamp == pytest.approx(h.gap_seconds * 10.0 / unscaled_total)
+    unscaled_total = 2 * GAP_SECONDS + line_seconds("one lonely line", chorus=False)
+    assert doc.lines[0].timestamp == pytest.approx(GAP_SECONDS * 10.0 / unscaled_total)
 
 
 def test_empty_lyrics_is_contract_error():
@@ -50,9 +49,8 @@ def test_doubling_characters_increases_every_duration(rng):
         ]
         base = predict_durations(lines)
         doubled = predict_durations([ln + ln for ln in lines])
-        h = DurationHeuristic()
         for ln in lines:
-            assert h.line_seconds(ln + ln, False) > h.line_seconds(ln, False)
+            assert line_seconds(ln + ln, False) > line_seconds(ln, False)
         # Onset gaps within the single group reflect the increase directly.
         for a, b in zip(_line_durations(base, n), _line_durations(doubled, n)):
             assert b > a
@@ -71,9 +69,8 @@ def test_chorus_segments_run_slower():
     lines = ["same words here", "same words here"]
     verse = predict_durations(lines, segment_prompts=["gentle verse", "gentle verse"])
     chorus = predict_durations(lines, segment_prompts=["soaring chorus", "soaring chorus"])
-    h = DurationHeuristic()
-    assert h.line_seconds("same words here", True) == pytest.approx(
-        1.1 * h.line_seconds("same words here", False)
+    assert line_seconds("same words here", True) == pytest.approx(
+        1.1 * line_seconds("same words here", False)
     )
     assert chorus.total_duration > verse.total_duration
 

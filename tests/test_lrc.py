@@ -176,4 +176,4 @@ def test_validate_segments_rejects_overlap():
 def test_windows_from_segments_maps_and_skips_empty():
     segs = [SegmentSpec(0.0, 2.0, "a"), SegmentSpec(2.0, 2.01, "b"), SegmentSpec(3.0, 4.0, "c")]
     windows = windows_from_segments(segs, 4.0, 16)
-    assert [(w.frame_start, w.frame_end) for w in windows] == [(0, 8), (12, 16)]
+    assert windows == [(0, 8, segs[0]), (12, 16, segs[2])]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from songflow.config import PipelineConfig
 from songflow.errors import ContractError, ValidationError
 from songflow.lrc import parse_lrc
 from songflow.pipeline import (
@@ -22,6 +23,14 @@ from songflow.pipeline import (
     read_manifest,
     write_manifest,
 )
+
+# The stage thresholds at their config defaults, as the CLI passes them.
+_PC = PipelineConfig()
+_PRETRAIN = dict(min_sampling_rate=_PC.pretrain_min_sampling_rate,
+                 min_duration=_PC.pretrain_min_duration, max_duration=_PC.pretrain_max_duration,
+                 drop_fraction=_PC.pretrain_drop_fraction)
+_FINETUNE = dict(min_sampling_rate=_PC.finetune_min_sampling_rate,
+                 required_channels=_PC.finetune_channels)
 
 
 def _record(rid, duration=120.0, rate=44100.0, channels=2, scores=None, **kw):
@@ -62,7 +71,7 @@ def test_quantile_matches_numpy_linear(rng):
 
 
 def test_pretrain_rejects_short_duration_with_reason():
-    report = pretrain_filter([_record("x", duration=10.0)])
+    report = pretrain_filter([_record("x", duration=10.0)], **_PRETRAIN)
     assert report.rejected == [("x", "duration-out-of-range")]
 
 
@@ -74,7 +83,7 @@ def test_pretrain_boundaries():
         _record("exact-6min", duration=360.0),
         _record("too-long", duration=360.5),
     ]
-    report = pretrain_filter(records)
+    report = pretrain_filter(records, **_PRETRAIN)
     rejected = dict(report.rejected)
     assert "exact-rate" in report.kept
     assert rejected["below-rate"] == "sampling-rate"
@@ -84,14 +93,14 @@ def test_pretrain_boundaries():
 
 def test_pretrain_percentile_keeps_95_of_100():
     records = [_record(f"r{i:03d}", scores={"q": float(i)}) for i in range(100)]
-    report = pretrain_filter(records)
+    report = pretrain_filter(records, **_PRETRAIN)
     assert len(report.kept) == 95
     dropped = {rid for rid, reason in report.rejected if reason == "quality-percentile"}
     assert dropped == {f"r{i:03d}" for i in range(5)}
 
 
 def test_pretrain_missing_score():
-    report = pretrain_filter([_record("a", scores={}), _record("b")])
+    report = pretrain_filter([_record("a", scores={}), _record("b")], **_PRETRAIN)
     assert ("a", "missing-score") in report.rejected
     assert report.kept == ["b"]
 
@@ -108,7 +117,7 @@ def test_pretrain_matches_brute_force_on_random_manifests(rng):
             )
             for i in range(n)
         ]
-        report = pretrain_filter(records)
+        report = pretrain_filter(records, **_PRETRAIN)
         # brute force: full sort over metadata survivors
         survivors = [
             r for r in records if r.sampling_rate >= 32_000 and 30 <= r.duration <= 360
@@ -129,7 +138,7 @@ def test_pretrain_matches_brute_force_on_random_manifests(rng):
 
 
 def test_finetune_mono_rejected_with_channels_reason():
-    report = finetune_filter([_record("m", channels=1)])
+    report = finetune_filter([_record("m", channels=1)], **_FINETUNE)
     assert report.rejected == [("m", "channels")]
 
 
@@ -139,7 +148,7 @@ def test_finetune_exact_median_is_kept():
         _record("mid", scores={"a": 2.0}),
         _record("hi", scores={"a": 3.0}),
     ]
-    report = finetune_filter(records)
+    report = finetune_filter(records, **_FINETUNE)
     assert set(report.kept) == {"mid", "hi"}  # median 2.0, inclusive
 
 
@@ -149,7 +158,7 @@ def test_finetune_conjunction_over_metrics():
     records = [
         _record(f"r{i}", scores={"a": scores_a[i], "b": scores_b[i]}) for i in range(4)
     ]
-    report = finetune_filter(records)
+    report = finetune_filter(records, **_FINETUNE)
     # medians: a -> 2.5, b -> 2.5; no record has both >= 2.5
     assert report.kept == []
     assert all(reason.startswith("below-median:") for _, reason in report.rejected)
@@ -168,7 +177,7 @@ def test_finetune_matches_brute_force(rng):
             )
             for i in range(n)
         ]
-        report = finetune_filter(records)
+        report = finetune_filter(records, **_FINETUNE)
         medians = {m: float(np.median([r.quality_scores[m] for r in records])) for m in metrics}
         expected = {
             r.id
@@ -291,7 +300,8 @@ def test_lyric_filter_missing_transcript_flags_unverified(monkeypatch):
     rec = _record("u", lyrics=["la la"])
     timed = _record("t", lyrics_lrc="[00:01.00] la la\n")
     bare = _record("b")
-    report = lyric_edit_filter([rec, timed, bare])
+    limit = _PC.lyric_edit_max_distance
+    report = lyric_edit_filter([rec, timed, bare], limit)
     assert report.kept == ["u", "t", "b"]
     assert report.flagged == {"u": ["unverified"], "t": ["unverified"]}
 
@@ -300,7 +310,7 @@ def test_lyric_filter_missing_transcript_flags_unverified(monkeypatch):
         raise AssertionError("parse_lrc called without a transcript")
 
     monkeypatch.setattr("songflow.pipeline.parse_lrc", no_parse)
-    assert lyric_edit_filter([rec, timed, bare]).to_json() == report.to_json()
+    assert lyric_edit_filter([rec, timed, bare], limit).to_json() == report.to_json()
 
 
 def test_lyric_filter_rejects_invalid_lrc():
@@ -310,7 +320,7 @@ def test_lyric_filter_rejects_invalid_lrc():
         _record("decreasing", lyrics_lrc="[00:05.00] a\n[00:02.00] b\n", transcript=["a b"]),
         _record("good", lyrics_lrc="[00:01.00] la\n", transcript=["la"]),
     ]
-    report = lyric_edit_filter(records)
+    report = lyric_edit_filter(records, _PC.lyric_edit_max_distance)
     assert report.kept == ["good"]
     assert report.rejected == [
         ("overrun", "invalid-lrc"),
@@ -567,5 +577,5 @@ def test_filter_report_partition_property(rng):
     records = [
         _record(f"r{i}", duration=float(rng.uniform(5, 400))) for i in range(25)
     ]
-    for report in (pretrain_filter(records), finetune_filter(records)):
+    for report in (pretrain_filter(records, **_PRETRAIN), finetune_filter(records, **_FINETUNE)):
         assert _partition_ok(report, records)

@@ -111,7 +111,7 @@ def test_negative_condition_zeroes_lyrics_and_keeps_windows():
 
     def windows(s):
         found = windows_from_segments(s.segments, system.encoder.frame_rate, T)
-        return [(w.frame_start, w.frame_end, w.provenance) for w in found]
+        return [(start, end, seg.kind) for start, end, seg in found]
 
     assert windows(row.spec) == windows(spec)
 
@@ -138,7 +138,7 @@ def test_negative_empty_segment_list_has_zero_segment_half():
     spec = PromptSpec(global_text="ember", duration_s=3.0)
     encoder = system.encoder
     negative = encoder.encode([build_negative_condition(spec, None)], cfg.task.T)
-    g = np.tile(encoder.global_embedder.embed(NegativePrompts().global_text), (cfg.task.T, 1))
+    g = np.tile(encoder.global_embedder.vector(NegativePrompts().global_text), (cfg.task.T, 1))
     zeros = np.zeros((cfg.task.T, encoder.segment_embedder.dimension))
     expected = encoder.out_proj(Tensor(np.concatenate([g, zeros], axis=1))).data
     assert np.array_equal(negative.e_text.data[0], expected)
@@ -150,7 +150,7 @@ def test_condition_triple_shares_shapes():
     T, d = cfg.task.T, cfg.task.d_audio
     triple = build_condition_triple(system.encoder, spec, doc, T)
     assert triple.e_text.data.shape == (3, T, cfg.conditioning.d_text)
-    assert triple.e_lyrics.data.shape == (3, T, system.encoder.d_lyrics)
+    assert triple.e_lyrics.data.shape == (3, T, cfg.conditioning.d_lyrics)
     conditional, unconditional, negative = triple.rows
     assert conditional == ConditionRow(spec, doc)
     assert unconditional.drop_global and unconditional.drop_segment

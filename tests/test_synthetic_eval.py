@@ -11,7 +11,6 @@ from songflow.evaluate import (
     PatternOracleScorer,
     _pearson,
     duration_mae,
-    global_alignment_score,
     segment_alignment_score,
     validate_report,
 )
@@ -156,7 +155,7 @@ def test_groundtruth_segments_score_one(rng):
     x = synth_sample(task, spec, rng)
     windows = windows_from_segments(spec.segments, task.frame_rate, task.T)
     scorer = PatternOracleScorer(task)
-    per, mean = segment_alignment_score(x, spec, windows, scorer)
+    per, mean = segment_alignment_score(x, windows, scorer)
     assert all(p == pytest.approx(1.0, abs=1e-9) for p in per)
     assert mean == pytest.approx(1.0, abs=1e-9)
 
@@ -166,7 +165,7 @@ def test_single_segment_mean_equals_its_score(rng):
     spec = _spec(task, [(0, 32, "drift")])
     x = synth_sample(task, spec, rng)
     windows = windows_from_segments(spec.segments, task.frame_rate, task.T)
-    per, mean = segment_alignment_score(x, spec, windows, PatternOracleScorer(task))
+    per, mean = segment_alignment_score(x, windows, PatternOracleScorer(task))
     assert len(per) == 1 and mean == per[0]
 
 
@@ -177,9 +176,10 @@ def test_shuffled_patterns_score_lower(rng):
     x = synth_sample(task, spec, rng)
     windows = windows_from_segments(spec.segments, task.frame_rate, task.T)
     scorer = PatternOracleScorer(task)
-    _, truth_mean = segment_alignment_score(x, spec, windows, scorer)
+    _, truth_mean = segment_alignment_score(x, windows, scorer)
     shuffled = _spec(task, [(0, 20, "wave"), (20, 44, "drift"), (44, 64, "pulse")])
-    _, shuffled_mean = segment_alignment_score(x, shuffled, windows, scorer)
+    shuffled_windows = windows_from_segments(shuffled.segments, task.frame_rate, task.T)
+    _, shuffled_mean = segment_alignment_score(x, shuffled_windows, scorer)
     assert shuffled_mean < truth_mean
 
 
@@ -188,7 +188,7 @@ def test_mean_is_arithmetic_mean_bit_exactly(rng):
     spec = _spec(task, [(0, 20, "pulse"), (20, 44, "wave"), (44, 64, "drift")])
     x = synth_sample(task, spec, rng)
     windows = windows_from_segments(spec.segments, task.frame_rate, task.T)
-    per, mean = segment_alignment_score(x, spec, windows, PatternOracleScorer(task))
+    per, mean = segment_alignment_score(x, windows, PatternOracleScorer(task))
     assert mean == sum(per) / len(per)
 
 
@@ -209,15 +209,14 @@ def test_boundary_segments_excluded_by_default(rng):
                 raise AssertionError("boundary segment must be skipped")
             return super().score(latent, text)
 
-    per, mean = segment_alignment_score(x, spec, windows, Tolerant(task))
+    per, mean = segment_alignment_score(x, windows, Tolerant(task))
     assert len(per) == 1
 
 
 def test_empty_segment_list_is_undefined_mean(rng):
     task = _noiseless_task()
-    spec = PromptSpec(global_text="ember", duration_s=task.duration)
     with pytest.raises(ContractError):
-        segment_alignment_score(np.zeros((task.T, task.d_audio)), spec, [], PatternOracleScorer(task))
+        segment_alignment_score(np.zeros((task.T, task.d_audio)), [], PatternOracleScorer(task))
 
 
 def test_global_alignment_self_is_max(rng):
@@ -226,8 +225,8 @@ def test_global_alignment_self_is_max(rng):
     for text in task.global_vocab:
         spec = PromptSpec(global_text=text, duration_s=task.duration)
         x = synth_sample(task, spec, rng)
-        own = global_alignment_score(x, text, scorer)
-        others = [global_alignment_score(x, o, scorer) for o in task.global_vocab if o != text]
+        own = scorer.score(x, text)
+        others = [scorer.score(x, o) for o in task.global_vocab if o != text]
         assert own == pytest.approx(1.0, abs=1e-9)
         assert all(own > other for other in others)
         assert all(-1.0 <= s <= 1.0 for s in [own, *others])
