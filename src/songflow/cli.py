@@ -9,9 +9,10 @@ run_manifest.json.
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
 that cannot be read or is not UTF-8, a prompt or --duration-hint longer
 than pipeline.pretrain_max_duration, a time with no finite frame, an LRC
-minute field past float range, a JSON integer too large for a float, and a
-prompt key that is unknown or missing; `schema` holds these rules), 3
-numeric abort (also a non-finite value that would reach a JSON artifact). Artifacts other than the streamed
+minute field past float range, a JSON integer too large for a float, JSON
+nested too deeply, and a prompt key that is unknown or missing; `schema`
+holds these rules), 3 numeric abort (also a non-finite value that would
+reach a JSON artifact). Artifacts other than the streamed
 train_log.jsonl are written atomically; JSON artifacts are strict (no
 NaN/Infinity tokens) and compact: without indentation json's C encoder
 writes them, about 4x faster than its pure-Python indenting encoder on a
@@ -62,7 +63,7 @@ from .pipeline import (
     read_manifest,
 )
 from .sampler import build_condition_triple, euler_sample
-from .schema import check_object, is_number
+from .schema import check_object, is_number, loads
 from .synthetic import SyntheticDataset
 from .system import build_song_model
 
@@ -157,22 +158,31 @@ def _prepare(args) -> tuple[RunConfig, Path]:
 
 
 def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
-    """JSONL rows {"group": str, "id": str, "score": number}. A score that is
-    not a finite JSON number is a parse error: a NaN would drop pairs
-    silently, since it compares false against every margin."""
-    groups: dict[str, list[tuple[str, float]]] = {}
+    """JSONL rows {"group": str, "id": str, "score": number}, each id at most
+    once per group. Anything else is a parse error naming the line: a group
+    5 would merge with "5", a repeated id would pair with itself, and a NaN
+    score would drop pairs silently, since it compares false against every
+    margin."""
+    groups: dict[str, dict[str, float]] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = loads(line)
             group, rid, score = row["group"], row["id"], row["score"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, ValidationError, KeyError, TypeError) as exc:
             raise ParseError(f"bad score row: {exc}", line_number=lineno) from exc
+        if not isinstance(group, str):
+            raise ParseError(f"group must be a string, got {type(group).__name__}", line_number=lineno)
+        if not isinstance(rid, str):
+            raise ParseError(f"id must be a string, got {type(rid).__name__}", line_number=lineno)
         if not is_number(score):
             raise ParseError(f"score must be a finite number, got {score!r}", line_number=lineno)
-        groups.setdefault(str(group), []).append((str(rid), float(score)))
-    return groups
+        scores = groups.setdefault(group, {})
+        if rid in scores:
+            raise ParseError(f"id {rid!r} repeats in group {group!r}", line_number=lineno)
+        scores[rid] = float(score)
+    return {gid: list(scores.items()) for gid, scores in groups.items()}
 
 
 def cmd_pipeline(args) -> int:
@@ -273,8 +283,8 @@ def _read_latent(path: Path, d_audio: int) -> np.ndarray:
     """A (T, d_audio) latent with T >= 1 and finite values, from JSON
     {"shape": [T, d_audio], "values": [...]} whatever the file's suffix."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
         raise ValidationError(f"{path}: latent is not JSON: {exc}") from exc
     check_object(payload, _LATENT_TYPES, f"{path}: latent", required=tuple(_LATENT_TYPES))
     shape, values = payload["shape"], payload["values"]

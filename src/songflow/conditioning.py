@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +40,7 @@ from .lrc import (
     validate_segments,
     windows_from_segments,
 )
-from .schema import check_object
+from .schema import check_object, loads
 from .tensor import Tensor, add_row, fan_in_uniform, matmul, silu
 
 __all__ = [
@@ -176,7 +175,7 @@ def prompt_spec_from_json(obj) -> PromptSpec:
     Prompts come from outside, so an unknown or missing key, a mistyped
     field or a non-finite time is a ValidationError."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = loads(obj)
     check_object(obj, _PROMPT_TYPES, "prompt", required=("global",))
     segments = []
     for i, seg in enumerate(obj.get("segments", [])):

@@ -19,7 +19,7 @@ from .conditioning import NegativePrompts
 from .errors import ValidationError
 from .flow import TrainConfig
 from .sampler import GuidanceConfig
-from .schema import check_object
+from .schema import check_object, loads
 from .synthetic import SyntheticTaskSpec, default_task
 
 __all__ = [
@@ -78,6 +78,26 @@ class PipelineConfig:
     lyric_edit_max_distance: float = 0.3
     dpo_min_diff: float | None = None  # deliberately no default; required for dpo-pairs
 
+    def __post_init__(self):
+        # Checked at load: a stage would otherwise take a bad value silently
+        # or fail only on manifests where some record reaches it.
+        if self.pretrain_min_sampling_rate <= 0:
+            raise ValidationError("pipeline.pretrain_min_sampling_rate must be > 0")
+        if self.finetune_min_sampling_rate <= 0:
+            raise ValidationError("pipeline.finetune_min_sampling_rate must be > 0")
+        if not 0 <= self.pretrain_min_duration <= self.pretrain_max_duration:
+            raise ValidationError(
+                "pipeline.pretrain_min_duration must be in [0, pipeline.pretrain_max_duration]"
+            )
+        if not 0 <= self.pretrain_drop_fraction <= 1:
+            raise ValidationError("pipeline.pretrain_drop_fraction must be in [0, 1]")
+        if self.finetune_channels < 1:
+            raise ValidationError("pipeline.finetune_channels must be >= 1")
+        if self.lyric_edit_max_distance < 0:
+            raise ValidationError("pipeline.lyric_edit_max_distance must be >= 0")
+        if self.dpo_min_diff is not None and self.dpo_min_diff < 0:
+            raise ValidationError("pipeline.dpo_min_diff must be >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,7 +135,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             raise ValidationError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
         try:
-            parsed = json.loads(value)
+            parsed = loads(value)
         except json.JSONDecodeError:
             parsed = value
         node = raw
@@ -131,7 +151,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     raw: dict = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValidationError("config file must hold a JSON object")
     raw = check_object(apply_overrides(raw, overrides or []), _TOP_TYPES, "config")

@@ -15,7 +15,6 @@ percentile cutoff are kept.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 from .checkpoint import write_jsonl_atomic
 from .errors import ContractError, ParseError, ValidationError
 from .lrc import parse_lrc, serialize_lrc
-from .schema import is_number
+from .schema import is_number, loads
 
 __all__ = [
     "RecordManifest",
@@ -119,8 +118,8 @@ class RecordManifest:
         that silently keeps its default."""
         if not isinstance(obj, dict):
             raise ValidationError(f"record must be a JSON object, got {type(obj).__name__}")
-        unknown = [k for k in obj if k not in _RECORD_FIELDS]
-        if unknown:
+        if not _RECORD_FIELDS.issuperset(obj):
+            unknown = [k for k in obj if k not in _RECORD_FIELDS]
             raise ValidationError(f"unknown record keys: {unknown}")
         return cls(**obj)
 
@@ -182,8 +181,8 @@ def read_manifest(path) -> tuple[list[RecordManifest], list[tuple[int, str]]]:
         if not line.strip():
             continue
         try:
-            records.append(RecordManifest.from_json(json.loads(line)))
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+            records.append(RecordManifest.from_json(loads(line)))
+        except (TypeError, KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
             rejects.append((lineno, str(exc)))
     return records, rejects
 

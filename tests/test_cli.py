@@ -653,6 +653,14 @@ _HUGE_MINUTE_LRC = "[" + "9" * 400 + ":00.00] hello there\n"
 _HUGE_MINUTE_RECORD = _manifest_text(lyrics=None, lyrics_lrc=_HUGE_MINUTE_LRC,
                                      transcript=["hello there"])
 
+# Valid JSON nested far past the recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _pipeline_config(**values):
+    return json.dumps({"pipeline": values})
+
+
 # (case, subcommand, files written into the case directory, expected exit code,
 #  text stderr must contain). Unlisted inputs are valid.
 MALFORMED = [
@@ -741,6 +749,27 @@ MALFORMED = [
      EXIT_DATA, "finite number"),
     ("dpo-huge-int", "dpo-pairs", {"scores.jsonl": f'{{"group": "g", "id": "a", "score": {10**400}}}'},
      EXIT_DATA, "finite number"),
+    ("dpo-int-group", "dpo-pairs",
+     {"scores.jsonl": '{"group": "5", "id": "a", "score": 1.0}\n{"group": 5, "id": "b", "score": 2.0}'},
+     EXIT_DATA, "line 2: group must be a string, got int"),
+    ("dpo-int-id", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": 7, "score": 1.0}'},
+     EXIT_DATA, "line 1: id must be a string, got int"),
+    ("dpo-repeated-id", "dpo-pairs",
+     {"scores.jsonl": '{"group": "g", "id": "a", "score": 1.0}\n{"group": "g", "id": "a", "score": 2.0}'},
+     EXIT_DATA, "line 2: id 'a' repeats in group 'g'"),
+    # JSON nested past the recursion limit: a schema reject in a manifest, a
+    # data error anywhere else.
+    ("pretrain-deep-nesting", "pretrain", {"manifest.jsonl": _DEEP + "\n"}, EXIT_OK,
+     "JSON nests too deeply"),
+    ("dpo-deep-nesting", "dpo-pairs", {"scores.jsonl": _DEEP}, EXIT_DATA,
+     "line 1: bad score row: JSON nests too deeply"),
+    ("train-deep-config", "train", {"config.json": _DEEP}, EXIT_DATA, "JSON nests too deeply"),
+    ("generate-deep-prompt", "generate", {"prompt.json": _DEEP}, EXIT_DATA,
+     "JSON nests too deeply"),
+    ("checkpoint-deep-nesting", "generate", {"ckpt.json": _DEEP}, EXIT_DATA,
+     "JSON nests too deeply"),
+    ("eval-deep-latent", "eval", {"latent.json": _DEEP}, EXIT_DATA,
+     "latent.json: latent is not JSON: JSON nests too deeply"),
     # A bad record is a schema reject in the stage's report, and the stage succeeds.
     ("duration-dataset-string-lines", "duration-dataset", {"manifest.jsonl": _manifest_text(lines="ab")},
      EXIT_OK, "segment lines"),
@@ -778,6 +807,33 @@ MALFORMED = [
     ("train-negative-checkpoint-every", "train",
      {"config.json": '{"train": {"checkpoint_every": -1}}'}, EXIT_DATA,
      "train.checkpoint_every must be >= 0"),
+    # The stage's one record would be rejected before the bad value is used.
+    ("pretrain-zero-sampling-rate", "pretrain",
+     {"config.json": _pipeline_config(pretrain_min_sampling_rate=0)}, EXIT_DATA,
+     "pipeline.pretrain_min_sampling_rate must be > 0"),
+    ("finetune-negative-sampling-rate", "finetune",
+     {"config.json": _pipeline_config(finetune_min_sampling_rate=-1)}, EXIT_DATA,
+     "pipeline.finetune_min_sampling_rate must be > 0"),
+    ("pretrain-negative-min-duration", "pretrain",
+     {"config.json": _pipeline_config(pretrain_min_duration=-1)}, EXIT_DATA,
+     "pipeline.pretrain_min_duration must be in [0, pipeline.pretrain_max_duration]"),
+    ("pretrain-min-above-max-duration", "pretrain",
+     {"config.json": _pipeline_config(pretrain_min_duration=400)}, EXIT_DATA,
+     "pipeline.pretrain_min_duration must be in [0, pipeline.pretrain_max_duration]"),
+    ("pretrain-drop-fraction-above-one", "pretrain",
+     {"config.json": _pipeline_config(pretrain_drop_fraction=2)}, EXIT_DATA,
+     "pipeline.pretrain_drop_fraction must be in [0, 1]"),
+    ("pretrain-negative-drop-fraction", "pretrain",
+     {"config.json": _pipeline_config(pretrain_drop_fraction=-0.1)}, EXIT_DATA,
+     "pipeline.pretrain_drop_fraction must be in [0, 1]"),
+    ("finetune-negative-channels", "finetune",
+     {"config.json": _pipeline_config(finetune_channels=-3)}, EXIT_DATA,
+     "pipeline.finetune_channels must be >= 1"),
+    ("lyric-edit-negative-distance", "lyric-edit",
+     {"config.json": _pipeline_config(lyric_edit_max_distance=-0.5)}, EXIT_DATA,
+     "pipeline.lyric_edit_max_distance must be >= 0"),
+    ("train-negative-dpo-min-diff", "train", {"config.json": _pipeline_config(dpo_min_diff=-1)},
+     EXIT_DATA, "pipeline.dpo_min_diff must be >= 0"),
 ]
 
 
@@ -834,7 +890,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         argv = _TRAIN_ARGV + ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]
     else:
         manifest = "scores.jsonl" if command == "dpo-pairs" else "manifest.jsonl"
-        argv = ["pipeline", "--stage", command, "--set", "pipeline.dpo_min_diff=0.5",
+        argv = ["pipeline", "--stage", command, "--config", str(tmp_path / "config.json"),
+                "--set", "pipeline.dpo_min_diff=0.5",
                 "--manifest", str(tmp_path / manifest), "--out-dir", str(out)]
     code = main(argv)  # returns: nothing may escape as a traceback
     err = capsys.readouterr().err

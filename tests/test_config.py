@@ -105,6 +105,7 @@ MISTYPED = [
     ("pipeline.dpo_min_diff=-Infinity", "pipeline.dpo_min_diff must be float | None, got -inf"),
     ('train.p_drop_global={"a": 1}', "train.p_drop_global must be float, got dict"),
     (f"task.frame_rate={10**400}", "task.frame_rate must be float, got 1000"),
+    ("train.steps=" + "[" * 100_000 + "]" * 100_000, "JSON nests too deeply"),
 ]
 
 
@@ -126,3 +127,18 @@ def test_config_numbers_keep_their_json_type():
                                  "pipeline.dpo_min_diff=0.5"])
     assert cfg.task.frame_rate == 4 and isinstance(cfg.task.frame_rate, int)
     assert cfg.train.grad_clip_norm is None and cfg.pipeline.dpo_min_diff == 0.5
+
+
+@pytest.mark.parametrize("override", [
+    "pipeline.pretrain_min_duration=0",
+    "pipeline.pretrain_min_duration=360",  # equal to the default maximum
+    "pipeline.pretrain_drop_fraction=0",
+    "pipeline.pretrain_drop_fraction=1",
+    "pipeline.finetune_channels=1",
+    "pipeline.lyric_edit_max_distance=0",
+    "pipeline.dpo_min_diff=0",
+])
+def test_pipeline_range_bounds_are_accepted(override):
+    """Each range check's closed end is a valid value."""
+    key, _, value = override.partition("=")
+    assert getattr(load_config(overrides=[override]).pipeline, key.split(".")[1]) == json.loads(value)

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from songflow import cli
 from songflow.config import PipelineConfig
-from songflow.errors import ContractError, ValidationError
+from songflow.errors import ContractError, ParseError, ValidationError
 from songflow.lrc import parse_lrc
 from songflow.pipeline import (
     BOUNDARY_END_TEXT,
@@ -579,3 +581,146 @@ def test_filter_report_partition_property(rng):
     ]
     for report in (pretrain_filter(records, **_PRETRAIN), finetune_filter(records, **_FINETUNE)):
         assert _partition_ok(report, records)
+
+
+# -----------------------------------------------------------------------------
+# JSON decoding: schema.loads against json.loads
+# -----------------------------------------------------------------------------
+
+
+def _json_loads(text):
+    """The reference decoder: json.loads, with nesting past the recursion
+    limit as the ValidationError every input reader reports."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError("JSON nests too deeply") from None
+
+
+def _reference_read_manifest(path):
+    """read_manifest as per-line json.loads defines it."""
+    records, rejects = [], []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(RecordManifest.from_json(_json_loads(line)))
+        except (TypeError, KeyError, ValueError) as exc:
+            rejects.append((lineno, str(exc)))
+    return records, rejects
+
+
+_LINE = json.dumps({"id": "ok", "duration": 60.0, "sampling_rate": 44100, "channels": 2,
+                    "quality_scores": {"q": 1.5}})
+_SCORE = '{"group": "g", "id": "a", "score": 1.5}'
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+# Manifest text, one case per row, valid or not: each file is read by
+# read_manifest and by the per-line json.loads reference.
+_DECODED_LINES = [
+    ("valid", _LINE),
+    ("spaces-and-tabs", " \t " + _LINE + "\t \t"),
+    ("blank-and-whitespace-lines", "\n \t \n\r\n" + _LINE),
+    ("vertical-tab", _LINE + "\x0b" + _LINE.replace('"ok"', '"vt"')),
+    ("form-feed", _LINE + "\x0c " + _LINE.replace('"ok"', '"ff"') + " \x0c"),
+    ("line-separator", _LINE + "\u2028" + _LINE.replace('"ok"', '"ls"')),
+    ("bom", "\ufeff" + _LINE),
+    ("nan-token", _LINE.replace("60.0", "NaN")),
+    ("infinity-token", _LINE.replace("1.5", "Infinity")),
+    ("negative-infinity-token", _LINE.replace("60.0", "-Infinity")),
+    ("two-objects", "{} {}"),
+    ("object-then-space-and-more", _LINE + " x"),
+    ("truncated-object", _LINE[:-9]),
+    ("raw-control-character", _LINE.replace('"ok"', '"o\tk"')),
+    ("duplicate-keys", _LINE.replace('{"id": "ok"', '{"id": "first", "id": "second"')),
+    ("huge-int", _LINE.replace("60.0", "9" * 400)),
+    ("top-level-list", "[1, 2]"),
+    ("top-level-string", '"ok"'),
+    ("deep-nesting", _DEEP),
+    ("deep-nesting-inside-object", _LINE[:-1] + ', "segments": ' + _DEEP + "}"),
+]
+
+
+@pytest.mark.parametrize("text", [row[1] for row in _DECODED_LINES],
+                         ids=[row[0] for row in _DECODED_LINES])
+def test_read_manifest_equals_per_line_json_loads(tmp_path, text):
+    """Records and rejects (line, message) are those of per-line json.loads;
+    a valid line after the case keeps line numbers in view."""
+    path = tmp_path / "m.jsonl"
+    path.write_text(text + "\n" + _LINE.replace('"ok"', '"after"') + "\n", encoding="utf-8")
+    records, rejects = read_manifest(path)
+    expected_records, expected_rejects = _reference_read_manifest(path)
+    assert [r.to_json() for r in records] == [r.to_json() for r in expected_records]
+    assert rejects == expected_rejects
+    assert records[-1].id == "after"
+
+
+def _score_outcome(path):
+    try:
+        return cli._read_score_groups(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    _SCORE,
+    " \t" + _SCORE + " \t",
+    "\n  \n" + _SCORE + "\n\t\n" + _SCORE.replace('"a"', '"b"'),
+    _SCORE + "\x0c" + _SCORE.replace('"a"', '"b"'),
+    _SCORE + "\u2028" + _SCORE.replace('"a"', '"b"'),
+    "\ufeff" + _SCORE,
+    _SCORE.replace("1.5", "NaN"),
+    _SCORE.replace("1.5", "-Infinity"),
+    "{} {}",
+    _SCORE + _SCORE,
+    _SCORE[:-3],
+    _SCORE.replace('"a"', '"a\tb"'),
+    _SCORE.replace('"id": "a"', '"id": "x", "id": "a"'),
+    _SCORE.replace("1.5", "1" * 400),
+    '["g", "a", 1.5]',
+    _DEEP,
+], ids=["valid", "spaces-and-tabs", "blank-lines", "form-feed", "line-separator", "bom",
+        "nan-token", "infinity-token", "two-objects", "two-rows-on-a-line", "truncated",
+        "raw-control-character", "duplicate-keys", "huge-int", "top-level-list", "deep-nesting"])
+def test_score_rows_equal_per_line_json_loads(tmp_path, monkeypatch, text):
+    """The score reader gives the same groups or the same error (with its
+    line number) as the same reader decoding each line with json.loads."""
+    path = tmp_path / "scores.jsonl"
+    path.write_text(text + "\n", encoding="utf-8")
+    got = _score_outcome(path)
+    monkeypatch.setattr(cli, "loads", _json_loads)
+    assert got == _score_outcome(path)
+
+
+def test_schema_loads_equals_json_loads():
+    from songflow.schema import loads
+
+    texts = ["", " ", "1", " 1", "1 ", "1 2", "\ufeff1", "NaN", "-Infinity", '"x"', '"\\u00e9"',
+             "1e400", "-0", "[1,]", "{", '{"a": 1, "a": 2}', "tru", "null", "[] ", "\n{}\n",
+             '{"a" 1}', "[1, 2", '"\x01"', "9" * 400, _LINE]
+    for text in texts:
+        try:
+            expected = ("value", repr(json.loads(text)))
+        except json.JSONDecodeError as exc:
+            expected = ("error", exc.msg, exc.pos)
+        try:
+            got = ("value", repr(loads(text)))
+        except json.JSONDecodeError as exc:
+            got = ("error", exc.msg, exc.pos)
+        assert got == expected, text
+    with pytest.raises(ValidationError, match="JSON nests too deeply"):
+        loads(_DEEP)
+
+
+def test_each_read_decodes_the_file_it_finds(tmp_path):
+    """Rewriting an input between two reads in one process changes what the
+    second read returns: no reader keeps text or values across calls."""
+    manifest, scores = tmp_path / "m.jsonl", tmp_path / "scores.jsonl"
+    manifest.write_text(_LINE + "\n", encoding="utf-8")
+    scores.write_text(_SCORE + "\n", encoding="utf-8")
+    assert [r.id for r in read_manifest(manifest)[0]] == ["ok"]
+    assert cli._read_score_groups(scores) == {"g": [("a", 1.5)]}
+    manifest.write_text(_LINE.replace('"ok"', '"new"') + "\n" + _LINE + "\n", encoding="utf-8")
+    scores.write_text(_SCORE.replace("1.5", "2.5") + "\n", encoding="utf-8")
+    assert [r.id for r in read_manifest(manifest)[0]] == ["new", "ok"]
+    assert cli._read_score_groups(scores) == {"g": [("a", 2.5)]}
