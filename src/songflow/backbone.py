@@ -154,9 +154,9 @@ class VelocityModel:
             h = block.forward(h, attn_sink=attn_sink)
         return add_row(matmul(h, self.w_head), self.b_head)
 
-    def named_parameters(self, prefix: str = "backbone") -> list[tuple[str, Tensor]]:
-        named = [(f"{prefix}.input.w", self.w_in), (f"{prefix}.input.b", self.b_in)]
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        named = [("backbone.input.w", self.w_in), ("backbone.input.b", self.b_in)]
         for i, block in enumerate(self.blocks):
-            named.extend(block.named_parameters(f"{prefix}.block{i}"))
-        named.extend([(f"{prefix}.head.w", self.w_head), (f"{prefix}.head.b", self.b_head)])
+            named.extend(block.named_parameters(f"backbone.block{i}"))
+        named.extend([("backbone.head.w", self.w_head), ("backbone.head.b", self.b_head)])
         return named

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericAbort, ValidationError
-from .schema import check_object, loads
+from .schema import check_object, read_json
 from .tensor import Tensor
 
 FORMAT = "songflow-params-v2"
@@ -118,7 +118,7 @@ def _decode_record(index: int, rec) -> tuple[str, np.ndarray]:
 
 
 def load_params(path) -> list[tuple[str, np.ndarray]]:
-    payload = loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path, "checkpoint")
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != FORMAT:
         raise ValidationError(f"checkpoint format {fmt!r} is not read; expected {FORMAT!r}")

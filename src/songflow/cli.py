@@ -2,16 +2,19 @@
 
 Subcommands: pipeline, train, generate, eval, predict-durations. The
 pipeline stages are pretrain, finetune, lyric-edit, duration-dataset and
-dpo-pairs. Every command takes one JSON config (--config) plus dotted-key
-overrides (--set), writes its artifacts into --out-dir, and records them in
-run_manifest.json.
+dpo-pairs. generate takes its lyrics either timestamped (--lrc) or as plain
+lines (--lyrics), which it timestamps as predict-durations does and writes
+to predicted.lrc; exactly one of the two is required. Every command takes
+one JSON config (--config) plus dotted-key overrides (--set), writes its
+artifacts into --out-dir, and records them in run_manifest.json.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
-that cannot be read or is not UTF-8, a prompt or --duration-hint longer
-than pipeline.pretrain_max_duration, a time with no finite frame, an LRC
-minute field past float range, a JSON integer too large for a float, JSON
-nested too deeply, and a prompt key that is unknown or missing; `schema`
-holds these rules), 3 numeric abort (also a non-finite value that would
+that cannot be read, or that is not UTF-8 or not JSON, named in the
+message; a prompt or --duration-hint longer than
+pipeline.pretrain_max_duration, a time with no finite frame, an LRC minute
+field past float range, a JSON integer too large for a float, JSON nested
+too deeply, and a prompt key that is unknown or missing; `schema` holds
+these rules), 3 numeric abort (also a non-finite value that would
 reach a JSON artifact). Artifacts other than the streamed
 train_log.jsonl are written atomically; JSON artifacts are strict (no
 NaN/Infinity tokens) and compact: without indentation json's C encoder
@@ -63,7 +66,7 @@ from .pipeline import (
     read_manifest,
 )
 from .sampler import build_condition_triple, euler_sample
-from .schema import check_object, is_number, loads
+from .schema import check_object, is_number, loads, read_json, read_text, split_lines
 from .synthetic import SyntheticDataset
 from .system import build_song_model
 
@@ -119,9 +122,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prompt", required=True, help="prompt JSON file")
-    p.add_argument("--lrc", help="timestamped lyrics (LRC)")
-    p.add_argument("--predict-durations", action="store_true", help="timestamp --lyrics heuristically")
-    p.add_argument("--lyrics", help="plain lyric lines, one per line (with --predict-durations)")
+    lyrics = p.add_mutually_exclusive_group(required=True)
+    lyrics.add_argument("--lrc", help="timestamped lyrics (LRC)")
+    lyrics.add_argument(
+        "--lyrics", help="plain lyric lines, one per line, timestamped as predict-durations does"
+    )
 
     p = sub.add_parser("eval", help="score latents against their prompts")
     _add_common(p)
@@ -164,7 +169,7 @@ def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
     score would drop pairs silently, since it compares false against every
     margin."""
     groups: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_text(path, "score file")), start=1):
         if not line.strip():
             continue
         try:
@@ -253,10 +258,9 @@ def cmd_train(args) -> int:
     dataset = SyntheticDataset(
         cfg.task_spec(), max_segments=cfg.task.max_segments, min_width=cfg.task.min_width
     )
-    log_path = out_dir / "train_log.jsonl"
-    report = train(system, dataset, cfg.train, checkpoint_dir=out_dir, log_path=log_path)
+    report = train(system, dataset, cfg.train, out_dir)
     first, last = report.smoothed()
-    files = [Path(report.checkpoint_path).name, log_path.name]
+    files = [Path(report.checkpoint_path).name, "train_log.jsonl"]
     files += [p.name for p in out_dir.glob("checkpoint-*.json")]
     _write_run_manifest(out_dir, "train", files)
     print(
@@ -279,13 +283,10 @@ def _write_latent(path: Path, latent: np.ndarray) -> None:
 _LATENT_TYPES = {"shape": list[int], "values": list[float]}
 
 
-def _read_latent(path: Path, d_audio: int) -> np.ndarray:
+def _read_latent(path, d_audio: int) -> np.ndarray:
     """A (T, d_audio) latent with T >= 1 and finite values, from JSON
     {"shape": [T, d_audio], "values": [...]} whatever the file's suffix."""
-    try:
-        payload = loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
-        raise ValidationError(f"{path}: latent is not JSON: {exc}") from exc
+    payload = read_json(path, "latent")
     check_object(payload, _LATENT_TYPES, f"{path}: latent", required=tuple(_LATENT_TYPES))
     shape, values = payload["shape"], payload["values"]
     if len(shape) != 2 or shape[1] != d_audio or shape[0] < 1:
@@ -297,23 +298,17 @@ def _read_latent(path: Path, d_audio: int) -> np.ndarray:
 
 def cmd_generate(args) -> int:
     cfg, out_dir = _prepare(args)
-    if args.lrc is None and not args.predict_durations:
-        raise UsageError("provide --lrc, or --predict-durations with --lyrics")
-    if args.predict_durations and args.lyrics is None:
-        raise UsageError("--predict-durations needs --lyrics")
-
-    spec = prompt_spec_from_json(Path(args.prompt).read_text(encoding="utf-8"))
+    spec = prompt_spec_from_json(read_json(args.prompt, "prompt"))
     files: list[str] = []
-    if args.predict_durations:
-        lines = Path(args.lyrics).read_text(encoding="utf-8").splitlines()
+    if args.lyrics is not None:
         doc = predict_durations(
-            lines,
+            split_lines(read_text(args.lyrics, "lyrics")),
             global_prompt=spec.global_text,
             segment_prompts=[s.text for s in spec.segments],
             total_duration_hint=spec.end_time(),
         )
     else:
-        doc = parse_lrc(Path(args.lrc).read_text(encoding="utf-8"), total_duration=spec.end_time())
+        doc = parse_lrc(read_text(args.lrc, "LRC"), total_duration=spec.end_time())
 
     duration = spec.end_time() or doc.total_duration
     if duration > cfg.pipeline.pretrain_max_duration:  # bounds T before anything is allocated
@@ -321,7 +316,7 @@ def cmd_generate(args) -> int:
             f"duration {duration} s exceeds pipeline.pretrain_max_duration "
             f"({cfg.pipeline.pretrain_max_duration} s)"
         )
-    if args.predict_durations:  # only once the duration is in bounds
+    if args.lyrics is not None:  # only once the duration is in bounds
         predicted = out_dir / "predicted.lrc"
         write_text_atomic(predicted, serialize_lrc(doc))
         files.append(predicted.name)
@@ -329,10 +324,8 @@ def cmd_generate(args) -> int:
 
     system = build_song_model(cfg, trainable=False)
     system.load(args.checkpoint)
-    triple = build_condition_triple(system.encoder, spec, doc, T, defaults=cfg.negative)
-    step_log: list[dict] = []
-    latent = euler_sample(system.model, triple, cfg.guidance, T, cfg.task.d_audio,
-                          step_log=step_log)
+    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
+    latent, step_log = euler_sample(system.model, triple, cfg.guidance, T, cfg.task.d_audio)
 
     latent_path = out_dir / "latent.json"
     _write_latent(latent_path, latent)
@@ -350,8 +343,8 @@ def cmd_generate(args) -> int:
 
 
 def _eval_one(index, latent_path, prompt_path, cfg, scorer):
-    latent = _read_latent(Path(latent_path), cfg.task.d_audio)
-    spec = prompt_spec_from_json(Path(prompt_path).read_text(encoding="utf-8"))
+    latent = _read_latent(latent_path, cfg.task.d_audio)
+    spec = prompt_spec_from_json(read_json(prompt_path, "prompt"))
     T = latent.shape[0]
     windows = windows_from_segments(spec.segments, cfg.task.frame_rate, T)
     sample = {
@@ -390,8 +383,8 @@ def cmd_eval(args) -> int:
 
     maes = []
     for pred_path, true_path in zip(args.pred_lrc, args.true_lrc):
-        pred = parse_lrc(Path(pred_path).read_text(encoding="utf-8"))
-        true = parse_lrc(Path(true_path).read_text(encoding="utf-8"))
+        pred = parse_lrc(read_text(pred_path, "LRC"))
+        true = parse_lrc(read_text(true_path, "LRC"))
         maes.append(
             {"predicted": str(pred_path), "reference": str(true_path),
              "duration_mae": duration_mae(pred, true)}
@@ -427,9 +420,8 @@ def cmd_predict_durations(args) -> int:
             f"--duration-hint {hint} s must be positive and at most "
             f"pipeline.pretrain_max_duration ({longest} s)"
         )
-    lines = Path(args.lyrics).read_text(encoding="utf-8").splitlines()
     doc = predict_durations(
-        lines,
+        split_lines(read_text(args.lyrics, "lyrics")),
         global_prompt=args.global_prompt,
         segment_prompts=args.segment_prompts,
         total_duration_hint=hint,
@@ -485,8 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, ValidationError, ContractError, DimensionError, json.JSONDecodeError,
-            UnicodeDecodeError, OSError, KeyError) as exc:
+    except (ParseError, ValidationError, ContractError, DimensionError, OSError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -40,7 +40,7 @@ from .lrc import (
     validate_segments,
     windows_from_segments,
 )
-from .schema import check_object, loads
+from .schema import check_object
 from .tensor import Tensor, add_row, fan_in_uniform, matmul, silu
 
 __all__ = [
@@ -118,9 +118,9 @@ class OutputProjection:
         h = silu(add_row(matmul(h, self.w2), self.b2))
         return add_row(matmul(h, self.w3), self.b3)
 
-    def named_parameters(self, prefix: str = "proj") -> list[tuple[str, Tensor]]:
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
         names = ("w1", "b1", "w2", "b2", "w3", "b3")
-        return [(f"{prefix}.{name}", getattr(self, name)) for name in names]
+        return [(f"conditioning.proj.{name}", getattr(self, name)) for name in names]
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,11 @@ _SEGMENT_TYPES = {"start_s": float, "end_s": float, "text": str, "kind": str}
 
 
 def prompt_spec_from_json(obj) -> PromptSpec:
-    """Accepts parsed JSON or a JSON string:
+    """From decoded JSON:
     {"global": str, "segments": [{"start_s", "end_s", "text", "kind"?}, ...],
      "negative": {"global": str, "segment": str}?, "duration_s"?: number}.
     Prompts come from outside, so an unknown or missing key, a mistyped
     field or a non-finite time is a ValidationError."""
-    if isinstance(obj, str):
-        obj = loads(obj)
     check_object(obj, _PROMPT_TYPES, "prompt", required=("global",))
     segments = []
     for i, seg in enumerate(obj.get("segments", [])):
@@ -334,10 +332,7 @@ class ConditioningBundle:
 
 
 def apply_condition_dropout(
-    p_global: float,
-    p_segment: float,
-    rng: np.random.Generator,
-    p_lyrics: float = 0.0,
+    p_global: float, p_segment: float, p_lyrics: float, rng: np.random.Generator
 ) -> tuple[bool, bool, bool]:
     """Independently draw whether to drop the global half, the segment half
     and the lyric frames, one uniform each in that fixed order. Returns the
@@ -396,5 +391,5 @@ class ConditioningEncoder:
             e_text=self.out_proj(Tensor(halves)), e_lyrics=Tensor(lyrics), rows=rows
         )
 
-    def named_parameters(self, prefix: str = "conditioning") -> list[tuple[str, Tensor]]:
-        return self.out_proj.named_parameters(f"{prefix}.proj")
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return self.out_proj.named_parameters()

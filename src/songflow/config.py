@@ -12,14 +12,13 @@ import hashlib
 import json
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .backbone import ModelConfig
 from .conditioning import NegativePrompts
 from .errors import ValidationError
 from .flow import TrainConfig
 from .sampler import GuidanceConfig
-from .schema import check_object, loads
+from .schema import check_object, loads, read_json
 from .synthetic import SyntheticTaskSpec, default_task
 
 __all__ = [
@@ -151,7 +150,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     raw: dict = {}
     if path is not None:
-        raw = loads(Path(path).read_text(encoding="utf-8"))
+        raw = read_json(path, "config")
         if not isinstance(raw, dict):
             raise ValidationError("config file must hold a JSON object")
     raw = check_object(apply_overrides(raw, overrides or []), _TOP_TYPES, "config")

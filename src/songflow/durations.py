@@ -60,23 +60,23 @@ def _split_even(n_lines: int, n_groups: int) -> list[int]:
 
 def predict_durations(
     lyrics: list[str],
-    global_prompt: str = "",
-    segment_prompts: list[str] | None = None,
-    total_duration_hint: float | None = None,
+    global_prompt: str,
+    segment_prompts: list[str],
+    total_duration_hint: float | None,
 ) -> LrcDocument:
     """Assign onset timestamps to plain lyric lines.
 
-    Lines are split evenly (in order) across the segment prompts; a segment
-    whose prompt mentions "chorus" uses the slower chorus rate. Blank lines
-    are dropped. With a hint, all timestamps scale by hint / unscaled_total.
+    Lines are split evenly (in order) across the segment prompts, or all go
+    under the global prompt when there are none; a segment whose prompt
+    mentions "chorus" uses the slower chorus rate. Blank lines are dropped.
+    With a hint, all timestamps scale by hint / unscaled_total.
     """
     lines = [ln.strip() for ln in lyrics if ln.strip()]
     if not lines:
         raise ContractError("predict_durations needs at least one non-empty lyric line")
     if total_duration_hint is not None and total_duration_hint <= 0:
         raise ContractError("total_duration_hint must be positive")
-    prompts = list(segment_prompts) if segment_prompts else [global_prompt]
-    prompts = prompts[: len(lines)] or [global_prompt]  # never more groups than lines
+    prompts = segment_prompts[: len(lines)] or [global_prompt]  # never more groups than lines
 
     sizes = _split_even(len(lines), len(prompts))
     t = GAP_SECONDS  # intro gap

@@ -113,9 +113,9 @@ def cfm_loss(
     encoder: ConditioningEncoder,
     batch: TrainBatch,
     rng: np.random.Generator,
-    p_drop_global: float = 0.0,
-    p_drop_segment: float = 0.0,
-    p_drop_lyrics: float = 0.0,
+    p_drop_global: float,
+    p_drop_segment: float,
+    p_drop_lyrics: float,
 ) -> Tensor:
     """Mean over the batch of || v(t, C, x_t) - (x1 - x0) ||^2 / N.
 
@@ -129,7 +129,7 @@ def cfm_loss(
         ts.append(t)
         x_t.append(interpolate(x0, ex.x1, t))
         u.append(target_velocity(x0, ex.x1))
-        drops = apply_condition_dropout(p_drop_global, p_drop_segment, rng, p_lyrics=p_drop_lyrics)
+        drops = apply_condition_dropout(p_drop_global, p_drop_segment, p_drop_lyrics, rng)
         rows.append(ConditionRow(ex.spec, ex.doc, *drops))
     bundle = encoder.encode(rows, batch.examples[0].x1.shape[0])
     return mse(model.forward(Tensor(np.stack(x_t)), bundle, ts), Tensor(np.stack(u)))
@@ -142,41 +142,28 @@ class TrainReport:
     checkpoint_path: str | None = None
     wall_seconds: float = 0.0
 
-    def smoothed(self, k: int = 50) -> tuple[float, float]:
-        """(mean of first k losses, mean of last k losses)."""
-        k = min(k, len(self.losses))
+    def smoothed(self) -> tuple[float, float]:
+        """(mean of the first 50 losses, mean of the last 50)."""
+        k = min(50, len(self.losses))
         return float(np.mean(self.losses[:k])), float(np.mean(self.losses[-k:]))
 
 
-def train(
-    system,
-    dataset,
-    config: TrainConfig,
-    checkpoint_dir=None,
-    log_path=None,
-) -> TrainReport:
-    """Deterministic under config.seed. Writes a JSON-lines log
-    (step, loss, wall_ms) when log_path is given, and checkpoints into
-    checkpoint_dir at the end plus every config.checkpoint_every steps."""
+def train(system, dataset, config: TrainConfig, out_dir: Path) -> TrainReport:
+    """Deterministic under config.seed. Streams a JSON-lines log (step,
+    loss, wall_ms) to out_dir/train_log.jsonl and writes out_dir/checkpoint.json
+    at the end, plus checkpoint-<step>.json every config.checkpoint_every
+    steps."""
     rng = np.random.default_rng(config.seed)
     params = [t for _, t in system.named_parameters()]
     state = adam_init(params, config.learning_rate)
     report = TrainReport()
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     started = time.perf_counter()
-    try:
+    with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as log_file:
         for step in range(config.steps):
             step_started = time.perf_counter()
             batch = dataset.draw(rng, config.batch_size)
-            loss = cfm_loss(
-                system.model,
-                system.encoder,
-                batch,
-                rng,
-                p_drop_global=config.p_drop_global,
-                p_drop_segment=config.p_drop_segment,
-                p_drop_lyrics=config.lyric_dropout,
-            )
+            loss = cfm_loss(system.model, system.encoder, batch, rng, config.p_drop_global,
+                            config.p_drop_segment, config.lyric_dropout)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericAbort("loss is not finite", step=step, batch_ids=batch.ids())
@@ -190,25 +177,17 @@ def train(
             adam_step(params, state)
             report.losses.append(loss_value)
             report.steps = step + 1
-            if log_file is not None:
-                wall_ms = (time.perf_counter() - step_started) * 1000.0
-                log_file.write(
-                    json.dumps({"step": step, "loss": loss_value, "wall_ms": wall_ms}, allow_nan=False)
-                    + "\n"
-                )
+            wall_ms = (time.perf_counter() - step_started) * 1000.0
+            row = {"step": step, "loss": loss_value, "wall_ms": wall_ms}
+            log_file.write(json.dumps(row, allow_nan=False) + "\n")
             if (
-                checkpoint_dir is not None
-                and config.checkpoint_every > 0
+                config.checkpoint_every > 0
                 and (step + 1) % config.checkpoint_every == 0
                 and step + 1 < config.steps
             ):
-                system.save(Path(checkpoint_dir) / f"checkpoint-{step + 1:06d}.json")
-    finally:
-        if log_file is not None:
-            log_file.close()
-    if checkpoint_dir is not None:
-        final = Path(checkpoint_dir) / "checkpoint.json"
-        system.save(final)
-        report.checkpoint_path = str(final)
+                system.save(out_dir / f"checkpoint-{step + 1:06d}.json")
+    final = out_dir / "checkpoint.json"
+    system.save(final)
+    report.checkpoint_path = str(final)
     report.wall_seconds = time.perf_counter() - started
     return report

@@ -3,8 +3,9 @@ segment windows from timed prompts.
 
 The accepted micro-format is one `[mm:ss.xx] text` line per lyric line
 (minutes >= two digits, seconds 00-59, centiseconds 00-99, one space before
-the text). Serialization is canonical: centisecond precision with
-round-half-even, so serialize -> parse -> serialize is text-exact.
+the text; lines break only at the `schema.split_lines` breaks).
+Serialization is canonical: centisecond precision with round-half-even, so
+serialize -> parse -> serialize is text-exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContractError, ParseError, ValidationError
+from .schema import split_lines
 
 __all__ = [
     "LrcLine",
@@ -115,7 +117,7 @@ def parse_lrc(raw: str, total_duration: float | None = None) -> LrcDocument:
     """
     lines: list[LrcLine] = []
     prev = 0.0
-    for lineno, raw_line in enumerate(raw.splitlines(), start=1):
+    for lineno, raw_line in enumerate(split_lines(raw), start=1):
         m = _LINE_RE.match(raw_line)
         if m is None:  # no blank line matches, so only a miss needs the strip
             if not raw_line.strip():

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .checkpoint import write_jsonl_atomic
 from .errors import ContractError, ParseError, ValidationError
 from .lrc import parse_lrc, serialize_lrc
-from .schema import is_number, loads
+from .schema import is_number, loads, read_text, split_lines
 
 __all__ = [
     "RecordManifest",
@@ -177,7 +176,7 @@ class FilterReport:
 def read_manifest(path) -> tuple[list[RecordManifest], list[tuple[int, str]]]:
     """JSON-lines reader; malformed records are returned as (line, error)."""
     records, rejects = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_text(path, "manifest")), start=1):
         if not line.strip():
             continue
         try:

@@ -64,9 +64,7 @@ def guided_velocity(
 
 
 def build_negative_condition(
-    spec: PromptSpec,
-    doc: LrcDocument | None,
-    defaults: NegativePrompts = NegativePrompts(),
+    spec: PromptSpec, doc: LrcDocument | None, defaults: NegativePrompts
 ) -> ConditionRow:
     """Lyrics zeroed; the global prompt and every segment's text replaced by
     negative text (the spec's own negative prompts when present, else the
@@ -82,11 +80,8 @@ def build_negative_condition(
 
 
 def build_condition_triple(
-    encoder: ConditioningEncoder,
-    spec: PromptSpec,
-    doc: LrcDocument | None,
-    T: int,
-    defaults: NegativePrompts = NegativePrompts(),
+    encoder: ConditioningEncoder, spec: PromptSpec, doc: LrcDocument | None, T: int,
+    defaults: NegativePrompts,
 ) -> ConditioningBundle:
     """The conditional, fully-dropped unconditional and negative rows, in
     that order, encoded as one three-row bundle."""
@@ -99,14 +94,10 @@ def build_condition_triple(
 
 
 def euler_sample(
-    model,
-    triple: ConditioningBundle,
-    gc: GuidanceConfig,
-    T: int,
-    d_audio: int,
-    step_log: list | None = None,
-) -> np.ndarray:
-    """Integrate from seeded noise to the t = 1 endpoint.
+    model, triple: ConditioningBundle, gc: GuidanceConfig, T: int, d_audio: int
+) -> tuple[np.ndarray, list[dict]]:
+    """Integrate from seeded noise to the t = 1 endpoint; returns the
+    latent and the step log, one {"step", "t", "v_norm"} row per step.
 
     triple holds the conditional, unconditional and negative rows (see
     build_condition_triple). Only the rows that the guidance coefficients
@@ -124,6 +115,7 @@ def euler_sample(
     x = rng.standard_normal((T, d_audio))
     h = 1.0 / gc.steps
     zero = np.zeros_like(x)
+    step_log = []
     for k in range(gc.steps):
         t = k / gc.steps
         xt = Tensor(np.broadcast_to(x, (len(used), T, d_audio)))
@@ -132,6 +124,5 @@ def euler_sample(
         x = x + h * v
         if not np.isfinite(x).all():
             raise NumericAbort("trajectory left finite range", step=k)
-        if step_log is not None:
-            step_log.append({"step": k, "t": t, "v_norm": float(np.linalg.norm(v))})
-    return x
+        step_log.append({"step": k, "t": t, "v_norm": float(np.linalg.norm(v))})
+    return x, step_log

@@ -1,8 +1,17 @@
-"""The rules for JSON input from outside the program: config sections,
-prompts, latents, checkpoint records, manifest lines and score rows.
+"""The rules for input from outside the program: config sections, prompts,
+latents, checkpoint records, manifest lines, score rows, LRC and lyric files.
 
-All JSON input is decoded here, by `loads`, which gives `json.loads`'s value
-or error and turns nesting past the recursion limit into a ValidationError.
+Every input file is read as UTF-8 by `read_text`, or by `read_json` for a
+file that holds one JSON value; a file that cannot be decoded is a
+ValidationError that names its path. All JSON input is decoded by `loads`,
+which gives `json.loads`'s value or error and turns nesting past the
+recursion limit into a ValidationError.
+
+Text breaks into lines only at "\n", "\r\n" and "\r" (`split_lines`): the
+breaks universal newlines reads and an LRC line's text may not hold. The
+other breaks of `str.splitlines` (\x0b, \x0c, \x1c-\x1e, U+0085, U+2028,
+U+2029) may sit raw inside a JSON string or an LRC line's text, so they
+stay inside their line.
 
 A value fits a type hint (a class, `list[X]` of a class, or a union such as
 `float | None`) when it is an instance of it, with one number rule: an int
@@ -19,15 +28,46 @@ import json
 import math
 import sys
 import typing
+from pathlib import Path
 
 from .errors import ValidationError
 
-__all__ = ["loads", "is_number", "fits", "check_object"]
+__all__ = ["read_text", "read_json", "split_lines", "loads", "is_number", "fits", "check_object"]
 
 _FLOAT_MAX = sys.float_info.max
 # The C scanner json.loads runs, with its defaults; it keeps nothing between
 # calls (its key memo is cleared after each scan).
 _scan_once = json.JSONDecoder().scan_once
+
+
+def read_text(path, what: str) -> str:
+    """The text of the input file `path`, read as UTF-8 with universal
+    newlines; `what` names the file's role in the error of a file that is
+    not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {what} is not UTF-8: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON value of the input file `path`. A file that is not UTF-8, not
+    JSON or nested too deeply is a ValidationError `<path>: <what> is not
+    JSON: <error>`."""
+    try:
+        return loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: {what} is not JSON: {exc}") from exc
+
+
+def split_lines(text: str) -> list[str]:
+    """`text.splitlines()` with breaks only at "\n", "\r\n" and "\r"."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # like splitlines: no line after a final break, none in ""
+        lines.pop()
+    return lines
 
 
 def loads(text: str):

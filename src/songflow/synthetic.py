@@ -78,10 +78,7 @@ _SEGMENT_PATTERNS = {
 
 
 def default_task(
-    T: int = 64,
-    d_audio: int = 8,
-    frame_rate: float = 4.0,
-    noise_sigma: float = 0.05,
+    T: int, d_audio: int, frame_rate: float, noise_sigma: float = 0.05
 ) -> SyntheticTaskSpec:
     """Fixed vocabularies; offsets come from the deterministic hash embedder,
     scaled to norm _OFFSET_SCALE."""
@@ -146,10 +143,7 @@ def _cycle_line(start: int, n: int, frame_rate: float) -> LrcLine:
 
 
 def sample_prompt(
-    task: SyntheticTaskSpec,
-    rng: np.random.Generator,
-    max_segments: int = 3,
-    min_width: int = 8,
+    task: SyntheticTaskSpec, rng: np.random.Generator, max_segments: int, min_width: int
 ) -> tuple[PromptSpec, LrcDocument]:
     """Draw a random layout of contiguous windows over [0, T); each window
     becomes a segment with a random pattern text, or (with _GAP_PROBABILITY)
@@ -202,7 +196,7 @@ def _choice(rng: np.random.Generator, items: list):
 class SyntheticDataset:
     """Infinite stream of freshly drawn (prompt, lyric doc, latent) examples."""
 
-    def __init__(self, task: SyntheticTaskSpec, max_segments: int = 3, min_width: int = 8):
+    def __init__(self, task: SyntheticTaskSpec, max_segments: int, min_width: int):
         self.task = task
         self.max_segments = max_segments
         self.min_width = min_width

@@ -22,9 +22,7 @@ class SongModel:
         self.encoder = encoder
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return self.model.named_parameters("backbone") + self.encoder.named_parameters(
-            "conditioning"
-        )
+        return self.model.named_parameters() + self.encoder.named_parameters()
 
     def set_trainable(self, flag: bool) -> None:
         for _, t in self.named_parameters():
@@ -37,7 +35,7 @@ class SongModel:
         load_into(self.named_parameters(), path)
 
 
-def build_song_model(cfg: RunConfig, trainable: bool = True) -> SongModel:
+def build_song_model(cfg: RunConfig, trainable: bool) -> SongModel:
     """Deterministic initialization from derive_seed(cfg.seed, "init");
     backbone parameters draw first, then the conditioning projection."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "init"))

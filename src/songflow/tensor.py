@@ -203,15 +203,16 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row zero-mean unit-variance normalization of (..., d), then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row zero-mean unit-variance normalization of (..., d) (1e-5 is
+    added to the variance), then affine."""
     d = x.data.shape[-1] if x.data.ndim >= 2 else -1
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(f"layer_norm: gain/bias must be ({d},) for rows of {x.data.shape}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.einsum("...d,...d->...", xhat, xhat)[..., None]
     var /= d
-    var += eps
+    var += 1e-5
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
     data = xhat * gain.data

@@ -97,6 +97,20 @@ def test_generate_without_lrc_is_usage_error(tmp_path):
         )
     )
     assert code == EXIT_USAGE
+    assert not (tmp_path / "g").exists()  # refused before any output is made
+
+
+def test_generate_with_lrc_and_lyrics_is_usage_error(tmp_path, capsys):
+    prompt, lrc, lyrics = tmp_path / "p.json", tmp_path / "a.lrc", tmp_path / "l.txt"
+    _write_prompt(prompt)
+    _write_lrc(lrc)
+    lyrics.write_text("la la la\n", encoding="utf-8")
+    code = main(_tiny_args(["generate", "--out-dir", str(tmp_path / "g"), "--checkpoint",
+                            "nope.json", "--prompt", str(prompt), "--lrc", str(lrc),
+                            "--lyrics", str(lyrics)]))
+    assert code == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_missing_manifest_is_data_error(tmp_path):
@@ -365,7 +379,7 @@ def test_generate_with_predicted_durations(tmp_path):
     code = main(
         _tiny_args(
             ["generate", "--out-dir", str(out), "--checkpoint", str(ckpt),
-             "--prompt", str(prompt), "--predict-durations", "--lyrics", str(lyrics)]
+             "--prompt", str(prompt), "--lyrics", str(lyrics)]
         )
     )
     assert code == EXIT_OK
@@ -377,7 +391,7 @@ def test_generate_with_predicted_durations(tmp_path):
     code = main(
         _tiny_args(
             ["generate", "--out-dir", str(too_long), "--checkpoint", str(ckpt),
-             "--prompt", str(prompt), "--predict-durations", "--lyrics", str(lyrics)]
+             "--prompt", str(prompt), "--lyrics", str(lyrics)]
         )
     )
     assert code == EXIT_DATA
@@ -763,13 +777,23 @@ MALFORMED = [
      "JSON nests too deeply"),
     ("dpo-deep-nesting", "dpo-pairs", {"scores.jsonl": _DEEP}, EXIT_DATA,
      "line 1: bad score row: JSON nests too deeply"),
-    ("train-deep-config", "train", {"config.json": _DEEP}, EXIT_DATA, "JSON nests too deeply"),
+    ("train-deep-config", "train", {"config.json": _DEEP}, EXIT_DATA,
+     "config.json: config is not JSON: JSON nests too deeply"),
     ("generate-deep-prompt", "generate", {"prompt.json": _DEEP}, EXIT_DATA,
-     "JSON nests too deeply"),
+     "prompt.json: prompt is not JSON: JSON nests too deeply"),
     ("checkpoint-deep-nesting", "generate", {"ckpt.json": _DEEP}, EXIT_DATA,
-     "JSON nests too deeply"),
+     "ckpt.json: checkpoint is not JSON: JSON nests too deeply"),
     ("eval-deep-latent", "eval", {"latent.json": _DEEP}, EXIT_DATA,
      "latent.json: latent is not JSON: JSON nests too deeply"),
+    # An input file that is not JSON or not UTF-8 is named in the error.
+    ("train-config-syntax-error", "train", {"config.json": '{"train": }'}, EXIT_DATA,
+     "config.json: config is not JSON: Expecting value: line 1 column 11 (char 10)"),
+    ("generate-prompt-syntax-error", "generate", {"prompt.json": '{"global": }'}, EXIT_DATA,
+     "prompt.json: prompt is not JSON: Expecting value: line 1 column 12 (char 11)"),
+    ("generate-non-utf8-lrc", "generate", {"x.lrc": b"[00:00.00] p0 \xff\n"}, EXIT_DATA,
+     "x.lrc: LRC is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("pretrain-non-utf8-manifest", "pretrain", {"manifest.jsonl": b'{"id": "\xff"}\n'}, EXIT_DATA,
+     "manifest.jsonl: manifest is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     # A bad record is a schema reject in the stage's report, and the stage succeeds.
     ("duration-dataset-string-lines", "duration-dataset", {"manifest.jsonl": _manifest_text(lines="ab")},
      EXIT_OK, "segment lines"),

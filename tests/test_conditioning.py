@@ -335,7 +335,7 @@ def _halves(encoder, spec, T=8):
 def test_dropout_zero_probability_is_identity(rng):
     encoder = _encoder()
     bundle, spec, doc = _bundle(encoder)
-    flags = apply_condition_dropout(0.0, 0.0, rng)
+    flags = apply_condition_dropout(0.0, 0.0, 0.0, rng)
     assert flags == (False, False, False)
     e_text, e_lyrics, _ = _encode(encoder, spec, doc, 8, *flags)
     assert np.array_equal(e_text, bundle.e_text.data[0])
@@ -345,7 +345,7 @@ def test_dropout_zero_probability_is_identity(rng):
 def test_dropout_certain_event_zeroes_global(rng):
     encoder = _encoder()
     bundle, spec, doc = _bundle(encoder)
-    flags = apply_condition_dropout(1.0, 0.0, rng)
+    flags = apply_condition_dropout(1.0, 0.0, 0.0, rng)
     assert flags == (True, False, False)
     e_text, e_lyrics, row = _encode(encoder, spec, doc, 8, *flags)
     assert row.drop_global and not row.drop_segment
@@ -364,7 +364,7 @@ def test_dropout_rates_and_independence():
     n = 10_000
     flags = np.zeros((n, 2), dtype=bool)
     for i in range(n):
-        drop_g, drop_s, drop_l = apply_condition_dropout(0.2, 0.2, rng)
+        drop_g, drop_s, drop_l = apply_condition_dropout(0.2, 0.2, 0.0, rng)
         assert not drop_l
         flags[i] = (drop_g, drop_s)
     rates = flags.mean(axis=0)
@@ -405,17 +405,17 @@ def test_encode_rows_match_one_row_encodes():
 
 
 def test_dropout_rejects_probability_outside_unit_interval(rng):
-    for args in ((1.5, 0.0), (0.0, -0.1)):
+    for args in ((1.5, 0.0, 0.0), (0.0, -0.1, 0.0)):
         with pytest.raises(ContractError):
             apply_condition_dropout(*args, rng)
     with pytest.raises(ContractError):
-        apply_condition_dropout(0.0, 0.0, rng, p_lyrics=2.0)
+        apply_condition_dropout(0.0, 0.0, 2.0, rng)
 
 
 def test_dropped_lyrics_are_all_zero(rng):
     encoder = _encoder()
     bundle, spec, doc = _bundle(encoder)
-    flags = apply_condition_dropout(0.0, 0.0, rng, p_lyrics=1.0)
+    flags = apply_condition_dropout(0.0, 0.0, 1.0, rng)
     assert flags == (False, False, True)
     e_text, e_lyrics, row = _encode(encoder, spec, doc, 8, *flags)
     assert row.drop_lyrics

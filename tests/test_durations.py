@@ -19,7 +19,7 @@ def test_syllable_count_cjk_per_character():
 
 
 def test_single_line_with_hint():
-    doc = predict_durations(["one lonely line"], total_duration_hint=10.0)
+    doc = predict_durations(["one lonely line"], "", [], total_duration_hint=10.0)
     assert len(doc.lines) == 1
     assert doc.total_duration == 10.0
     unscaled_total = 2 * GAP_SECONDS + line_seconds("one lonely line", chorus=False)
@@ -28,9 +28,9 @@ def test_single_line_with_hint():
 
 def test_empty_lyrics_is_contract_error():
     with pytest.raises(ContractError):
-        predict_durations([])
+        predict_durations([], "", [], None)
     with pytest.raises(ContractError):
-        predict_durations(["", "   "])
+        predict_durations(["", "   "], "", [], None)
 
 
 def _line_durations(doc, n_first_group):
@@ -47,8 +47,8 @@ def test_doubling_characters_increases_every_duration(rng):
             "".join(syllables[int(i)] for i in rng.integers(0, len(syllables), size=rng.integers(1, 5)))
             for _ in range(n)
         ]
-        base = predict_durations(lines)
-        doubled = predict_durations([ln + ln for ln in lines])
+        base = predict_durations(lines, "", [], None)
+        doubled = predict_durations([ln + ln for ln in lines], "", [], None)
         for ln in lines:
             assert line_seconds(ln + ln, False) > line_seconds(ln, False)
         # Onset gaps within the single group reflect the increase directly.
@@ -58,8 +58,8 @@ def test_doubling_characters_increases_every_duration(rng):
 
 def test_hint_double_is_pure_scale():
     lines = ["la la la", "mi mi", "so"]
-    base = predict_durations(lines)
-    scaled = predict_durations(lines, total_duration_hint=base.total_duration * 2)
+    base = predict_durations(lines, "", [], None)
+    scaled = predict_durations(lines, "", [], total_duration_hint=base.total_duration * 2)
     for a, b in zip(base.lines, scaled.lines):
         assert b.timestamp == pytest.approx(2.0 * a.timestamp)
     assert scaled.total_duration == pytest.approx(2.0 * base.total_duration)
@@ -67,8 +67,8 @@ def test_hint_double_is_pure_scale():
 
 def test_chorus_segments_run_slower():
     lines = ["same words here", "same words here"]
-    verse = predict_durations(lines, segment_prompts=["gentle verse", "gentle verse"])
-    chorus = predict_durations(lines, segment_prompts=["soaring chorus", "soaring chorus"])
+    verse = predict_durations(lines, "", ["gentle verse", "gentle verse"], None)
+    chorus = predict_durations(lines, "", ["soaring chorus", "soaring chorus"], None)
     assert line_seconds("same words here", True) == pytest.approx(
         1.1 * line_seconds("same words here", False)
     )
@@ -84,9 +84,9 @@ def test_output_always_parses_and_validates(rng):
             for _ in range(n)
         ]
         k = int(rng.integers(0, 4))
-        prompts = [f"part {i}" for i in range(k)] or None
+        prompts = [f"part {i}" for i in range(k)]
         hint = float(rng.uniform(20, 200)) if rng.random() < 0.5 else None
-        doc = predict_durations(lines, segment_prompts=prompts, total_duration_hint=hint)
+        doc = predict_durations(lines, "", prompts, total_duration_hint=hint)
         text = serialize_lrc(doc)
         back = parse_lrc(text, total_duration=doc.total_duration)
         assert len(back.lines) == n

@@ -44,7 +44,7 @@ def _tiny_overrides(steps=5, batch=2):
 
 def _tiny_setup(steps=5, batch=2):
     cfg = load_config(overrides=_tiny_overrides(steps, batch))
-    system = build_song_model(cfg)
+    system = build_song_model(cfg, trainable=True)
     dataset = SyntheticDataset(cfg.task_spec(), max_segments=2, min_width=4)
     return cfg, system, dataset
 
@@ -121,7 +121,7 @@ def test_cfm_loss_zero_for_oracle_model(rng):
     for ex in batch.examples:
         oracle._current = ex
         single = TrainBatch((ex,))
-        loss = cfm_loss(oracle, system.encoder, single, np.random.default_rng(7))
+        loss = cfm_loss(oracle, system.encoder, single, np.random.default_rng(7), 0.0, 0.0, 0.0)
         total += float(loss.data)
     assert total < 1e-18
 
@@ -146,7 +146,7 @@ def test_cfm_loss_of_zero_model_matches_variance_sum():
             return Tensor(np.zeros_like(x_t.data))
 
     loss = cfm_loss(ZeroModel(), system.encoder, TrainBatch(tuple(examples)),
-                    np.random.default_rng(11))
+                    np.random.default_rng(11), 0.0, 0.0, 0.0)
     assert abs(float(loss.data) - 2.0) < 0.3
     assert float(loss.data) >= 0.0
 
@@ -170,6 +170,7 @@ def test_cfm_loss_gradient_matches_finite_differences(rng):
             np.random.default_rng(21),  # frozen (t, x0, dropout) draw
             p_drop_global=0.5,
             p_drop_segment=0.5,
+            p_drop_lyrics=0.0,
         )
 
     assert fd_max_rel_error(build_loss, params) < 1e-3
@@ -186,7 +187,8 @@ def test_cfm_loss_projects_each_example_once_under_dropout(rng, monkeypatch):
         return projection(self, e_cat)
 
     monkeypatch.setattr(OutputProjection, "__call__", counted)
-    cfm_loss(system.model, system.encoder, batch, rng, p_drop_global=1.0)
+    cfm_loss(system.model, system.encoder, batch, rng, p_drop_global=1.0, p_drop_segment=0.0,
+             p_drop_lyrics=0.0)
     assert [e_cat.shape[0] for e_cat in calls] == [3]  # one call carrying the 3 rows
     d_global = system.encoder.global_embedder.dimension
     assert not calls[0][..., :d_global].any()
@@ -235,7 +237,7 @@ def test_cfm_loss_tape_does_not_grow_with_the_batch(rng):
     cfg, system, dataset = _tiny_setup()
     counts = [
         _tape_nodes(cfm_loss(system.model, system.encoder, dataset.draw(rng, b), rng,
-                             p_drop_global=0.5, p_drop_segment=0.5))
+                             p_drop_global=0.5, p_drop_segment=0.5, p_drop_lyrics=0.0))
         for b in (1, 4)
     ]
     assert counts[0] == counts[1] > 0
@@ -264,7 +266,7 @@ def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
     monkeypatch.setattr(flow_mod, "backward", planting_backward)
     monkeypatch.setattr(flow_mod, "adam_step", counted_adam)
     with pytest.raises(NumericAbort) as err:
-        train(system, dataset, config, checkpoint_dir=tmp_path)
+        train(system, dataset, config, tmp_path)
     assert err.value.step == 1 and len(err.value.batch_ids) == 2
     assert "gradient is not finite" in str(err.value)
     assert (seen["backward"], seen["adam"]) == (2, 1)
@@ -272,12 +274,14 @@ def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
     state = seen["state"]
     assert state.step == 1
     assert all(np.array_equal(a, b) for a, b in zip(state.m + state.v, seen["moments"]))
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint-000001.json"]
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert written == ["checkpoint-000001.json", "train_log.jsonl"]
+    assert (tmp_path / "train_log.jsonl").read_text().count("\n") == 1  # step 0 only
     saved = load_params(tmp_path / "checkpoint-000001.json")
     assert all(np.array_equal(a, s) for (_, a), s in zip(saved, seen["params"]))
 
 
-def test_train_drops_each_graph_before_the_next_forward(monkeypatch):
+def test_train_drops_each_graph_before_the_next_forward(tmp_path, monkeypatch):
     cfg, system, dataset = _tiny_setup(steps=4, batch=2)
     real = flow_mod.cfm_loss
     losses = []
@@ -290,7 +294,7 @@ def test_train_drops_each_graph_before_the_next_forward(monkeypatch):
         return loss
 
     monkeypatch.setattr(flow_mod, "cfm_loss", tracked)
-    train(system, dataset, cfg.train)
+    train(system, dataset, cfg.train, tmp_path)
     assert len(losses) == 4
 
 
@@ -298,7 +302,7 @@ def test_backward_peak_memory_stays_near_the_forward_graph():
     """One default-config step: backward allocates at most 30% on top of
     the graph that cfm_loss leaves alive (allocations are deterministic)."""
     cfg = load_config()
-    system = build_song_model(cfg)
+    system = build_song_model(cfg, trainable=True)
     dataset = SyntheticDataset(cfg.task_spec(), max_segments=cfg.task.max_segments,
                                min_width=cfg.task.min_width)
     rng = np.random.default_rng(0)
@@ -327,17 +331,18 @@ def test_train_is_deterministic(tmp_path):
     a_dir.mkdir(), b_dir.mkdir()
     for out in (a_dir, b_dir):
         cfg, system, dataset = _tiny_setup(steps=5, batch=2)
-        train(system, dataset, cfg.train, checkpoint_dir=out)
+        train(system, dataset, cfg.train, out)
     assert (a_dir / "checkpoint.json").read_bytes() == (b_dir / "checkpoint.json").read_bytes()
 
 
 def test_train_reduces_loss_and_logs(tmp_path):
     cfg, system, dataset = _tiny_setup(steps=60, batch=4)
-    log = tmp_path / "log.jsonl"
-    report = train(system, dataset, cfg.train, log_path=log)
+    report = train(system, dataset, cfg.train, tmp_path)
+    log = tmp_path / "train_log.jsonl"
     assert report.steps == 60
-    first, last = report.smoothed(k=15)
+    first, last = np.mean(report.losses[:15]), np.mean(report.losses[-15:])
     assert last < first
+    assert report.smoothed() == (np.mean(report.losses[:50]), np.mean(report.losses[-50:]))
     import json
 
     lines = [json.loads(l) for l in log.read_text().splitlines()]
@@ -346,7 +351,7 @@ def test_train_reduces_loss_and_logs(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_train_aborts_on_nan_with_diagnostics():
+def test_train_aborts_on_nan_with_diagnostics(tmp_path):
     cfg, system, dataset = _tiny_setup(steps=3, batch=2)
 
     class PoisonedDataset:
@@ -362,23 +367,23 @@ def test_train_aborts_on_nan_with_diagnostics():
             return TrainBatch((bad,) + batch.examples[1:])
 
     with pytest.raises(NumericAbort) as err:
-        train(system, PoisonedDataset(dataset), cfg.train)
+        train(system, PoisonedDataset(dataset), cfg.train, tmp_path)
     assert err.value.step == 0
     assert "poison" in err.value.batch_ids
 
 
-def test_dropout_frequency_during_training(monkeypatch):
+def test_dropout_frequency_during_training(tmp_path, monkeypatch):
     cfg, system, dataset = _tiny_setup(steps=2500, batch=2)
     observed = []
     real = flow_mod.apply_condition_dropout
 
-    def spy(p_g, p_l, rng, p_lyrics=0.0):
-        flags = real(p_g, p_l, rng, p_lyrics=p_lyrics)
+    def spy(p_g, p_l, p_lyrics, rng):
+        flags = real(p_g, p_l, p_lyrics, rng)
         observed.append(flags[:2])
         return flags
 
     monkeypatch.setattr(flow_mod, "apply_condition_dropout", spy)
-    train(system, dataset, cfg.train)
+    train(system, dataset, cfg.train, tmp_path)
     flags = np.array(observed, dtype=float)
     assert flags.shape[0] == 2500 * 2
     assert abs(flags[:, 0].mean() - cfg.train.p_drop_global) <= 0.02

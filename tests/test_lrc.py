@@ -112,6 +112,30 @@ def test_canonical_text_is_a_fixpoint_of_parse_then_serialize(rng):
     assert serialize_lrc(parse_lrc(long_song)) == long_song
 
 
+# The breaks str.splitlines() knows that LrcLine does not forbid.
+_TEXT_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _TEXT_BREAKS, ids=[f"U+{ord(c):04X}" for c in _TEXT_BREAKS])
+def test_line_text_with_a_unicode_break_round_trips(brk):
+    doc = LrcDocument(lines=(LrcLine(1.0, f"la{brk}la"), LrcLine(2.5, f"so {brk}")),
+                      total_duration=3.5)
+    once = serialize_lrc(doc)
+    parsed = parse_lrc(once, total_duration=3.5)
+    assert parsed == doc
+    assert serialize_lrc(parsed) == once
+
+
+def test_crlf_and_cr_text_parse_as_lf():
+    lf = "[00:01.00] a\n\n[00:02.50] b c\n[00:03.00]\n"
+    expected = parse_lrc(lf)
+    assert parse_lrc(lf.replace("\n", "\r\n")) == expected
+    assert parse_lrc(lf.replace("\n", "\r")) == expected
+    with pytest.raises(ParseError) as err:  # line numbers count CRLF and CR breaks once
+        parse_lrc("[00:01.00] a\r\n\r\nstray\r")
+    assert err.value.line_number == 3
+
+
 def test_time_to_frame_examples():
     assert time_to_frame(0.0, 21.5) == 0
     assert time_to_frame(2.0, 21.5) == 43

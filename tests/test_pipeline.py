@@ -598,9 +598,11 @@ def _json_loads(text):
 
 
 def _reference_read_manifest(path):
-    """read_manifest as per-line json.loads defines it."""
+    """read_manifest as per-line json.loads defines it, with JSON Lines'
+    line rule: lines end at "\n" (universal newlines has turned "\r\n" and
+    "\r" into "\n")."""
     records, rejects = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -624,6 +626,9 @@ _DECODED_LINES = [
     ("vertical-tab", _LINE + "\x0b" + _LINE.replace('"ok"', '"vt"')),
     ("form-feed", _LINE + "\x0c " + _LINE.replace('"ok"', '"ff"') + " \x0c"),
     ("line-separator", _LINE + "\u2028" + _LINE.replace('"ok"', '"ls"')),
+    ("line-separator-in-string", _LINE.replace('"ok"', '"o\u2028k"')),
+    ("next-line-in-string", _LINE.replace('"ok"', '"o\x85k"')),
+    ("carriage-returns", _LINE + "\r" + _LINE.replace('"ok"', '"cr"') + "\r\n" + _LINE),
     ("bom", "\ufeff" + _LINE),
     ("nan-token", _LINE.replace("60.0", "NaN")),
     ("infinity-token", _LINE.replace("1.5", "Infinity")),
@@ -653,6 +658,18 @@ def test_read_manifest_equals_per_line_json_loads(tmp_path, text):
     assert [r.to_json() for r in records] == [r.to_json() for r in expected_records]
     assert rejects == expected_rejects
     assert records[-1].id == "after"
+
+
+@pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+def test_a_raw_unicode_break_inside_a_string_keeps_one_record(tmp_path, brk):
+    """json.dumps(ensure_ascii=False) writes these three raw, and JSON allows
+    them inside a string, so they do not end a manifest line."""
+    record = {**json.loads(_LINE), "lyrics": [f"first{brk}second"]}
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    records, rejects = read_manifest(path)
+    assert rejects == []
+    assert [r.lyrics for r in records] == [[f"first{brk}second"]]
 
 
 def _score_outcome(path):

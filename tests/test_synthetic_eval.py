@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from songflow.conditioning import PromptSpec, prompt_spec_to_json
+from songflow.config import RunConfig, TaskConfig
 from songflow.errors import ContractError, ValidationError
 from songflow.evaluate import (
     PatternOracleScorer,
@@ -33,8 +34,16 @@ from songflow.synthetic import (
 )
 
 
+# The task section's values: the synthetic task's one home for them.
+_TASK = TaskConfig()
+
+
 def _noiseless_task():
-    return default_task(noise_sigma=0.0)
+    return default_task(_TASK.T, _TASK.d_audio, _TASK.frame_rate, noise_sigma=0.0)
+
+
+def _dataset(task):
+    return SyntheticDataset(task, max_segments=_TASK.max_segments, min_width=_TASK.min_width)
 
 
 def _spec(task, entries):
@@ -104,9 +113,9 @@ def test_unknown_text_is_contract_error(rng):
 
 
 def test_sample_prompt_layouts_are_valid(rng):
-    task = default_task()
+    task = RunConfig().task_spec()
     for _ in range(50):
-        spec, doc = sample_prompt(task, rng)
+        spec, doc = sample_prompt(task, rng, _TASK.max_segments, _TASK.min_width)
         assert spec.segments
         assert spec.global_text in task.global_vocab
         for seg in spec.segments:
@@ -116,9 +125,9 @@ def test_sample_prompt_layouts_are_valid(rng):
 
 
 def test_dataset_draw_is_deterministic():
-    task = default_task()
-    a = SyntheticDataset(task).draw(np.random.default_rng(3), 4)
-    b = SyntheticDataset(task).draw(np.random.default_rng(3), 4)
+    task = RunConfig().task_spec()
+    a = _dataset(task).draw(np.random.default_rng(3), 4)
+    b = _dataset(task).draw(np.random.default_rng(3), 4)
     for ea, eb in zip(a.examples, b.examples):
         assert ea.id == eb.id
         assert np.array_equal(ea.x1, eb.x1)
@@ -132,7 +141,7 @@ DEFAULT_DRAW_SHA256 = "f237834f46215967bc840fd6bddf0c1abab5164e010cd50277f48c18b
 
 
 def test_default_draw_stream_is_pinned():
-    dataset = SyntheticDataset(default_task())
+    dataset = _dataset(RunConfig().task_spec())
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
     for _ in range(4):

@@ -2,10 +2,10 @@
 rewrites it.
 
 `artifact_hashes()` runs train (with a periodic checkpoint), generate with
---lrc and with --predict-durations, predict-durations, eval and all five
-pipeline stages at a tiny config, in one fresh interpreter with one BLAS
-thread and a fixed working directory (eval echoes its input paths), and
-returns the SHA-256 of every artifact by its path under that directory.
+--lrc and with --lyrics, predict-durations, eval and all five pipeline
+stages at a tiny config, in one fresh interpreter with one BLAS thread and
+a fixed working directory (eval echoes its input paths), and returns the
+SHA-256 of every artifact by its path under that directory.
 `train_log.jsonl` is left out: its `wall_ms` field is a wall-clock time.
 
 A change that moves artifact bytes on purpose rewrites the table with
@@ -86,7 +86,7 @@ COMMANDS = [
     ["generate", "--out-dir", "gen-lrc", "--checkpoint", "train/checkpoint.json",
      "--prompt", "prompt.json", "--lrc", "song.lrc"],
     ["generate", "--out-dir", "gen-predict", "--checkpoint", "train/checkpoint.json",
-     "--prompt", "prompt.json", "--predict-durations", "--lyrics", "lyrics.txt"],
+     "--prompt", "prompt.json", "--lyrics", "lyrics.txt"],
     ["predict-durations", "--out-dir", "predict", "--lyrics", "lyrics.txt",
      "--global-prompt", "calm song", "--segment-prompt", "verse", "--segment-prompt", "chorus",
      "--duration-hint", "30"],
