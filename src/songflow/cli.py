@@ -6,7 +6,9 @@ dpo-pairs. generate takes its lyrics either timestamped (--lrc) or as plain
 lines (--lyrics), which it timestamps as predict-durations does and writes
 to predicted.lrc; exactly one of the two is required. Every command takes
 one JSON config (--config) plus dotted-key overrides (--set), writes its
-artifacts into --out-dir, and records them in run_manifest.json.
+artifacts into --out-dir, and records them in run_manifest.json. The
+directory is made only once every input has been read and checked, so a
+data error leaves none behind.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
 that cannot be read, or that is not UTF-8 or not JSON, named in the
@@ -51,7 +53,7 @@ import numpy as np
 
 from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .conditioning import prompt_spec_from_json
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import ContractError, DimensionError, NumericAbort, ParseError, ValidationError
 from .evaluate import PatternOracleScorer, duration_mae, segment_alignment_score
 from .durations import predict_durations
@@ -150,11 +152,12 @@ def _write_run_manifest(out_dir: Path, command: str, files: list[str]) -> None:
     write_json_atomic(out_dir / "run_manifest.json", payload)
 
 
-def _prepare(args) -> tuple[RunConfig, Path]:
-    cfg = load_config(args.config, args.overrides)
+def _out_dir(args) -> Path:
+    """--out-dir, made only once the command has read and checked every
+    input, so a data error leaves no directory behind."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return out_dir
 
 
 # -----------------------------------------------------------------------------
@@ -191,8 +194,7 @@ def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
 
 
 def cmd_pipeline(args) -> int:
-    cfg, out_dir = _prepare(args)
-    pc = cfg.pipeline
+    pc = load_config(args.config, args.overrides).pipeline
     files: list[str] = []
 
     if args.stage == "dpo-pairs":
@@ -205,6 +207,7 @@ def cmd_pipeline(args) -> int:
             if len(groups[gid]) >= 2
             for w, l in dpo_pair_select(groups[gid], pc.dpo_min_diff)
         ]
+        out_dir = _out_dir(args)
         out = out_dir / "dpo_pairs.json"
         write_json_atomic(out, {"pairs": pairs})
         files.append(out.name)
@@ -232,11 +235,12 @@ def cmd_pipeline(args) -> int:
             payload = report.to_json()
         else:  # duration-dataset
             entries, skipped = build_duration_dataset(records)
-            dataset_path = out_dir / "duration_dataset.jsonl"
-            write_jsonl_atomic(dataset_path, entries)
-            files.append(dataset_path.name)
             payload = {"emitted": len(entries), "skipped": [list(s) for s in skipped]}
         payload["schema_rejects"] = [{"line": ln, "error": err} for ln, err in schema_rejects]
+        out_dir = _out_dir(args)
+        if args.stage == "duration-dataset":
+            write_jsonl_atomic(out_dir / "duration_dataset.jsonl", entries)
+            files.append("duration_dataset.jsonl")
         out = out_dir / f"{args.stage.replace('-', '_')}_report.json"
         write_json_atomic(out, payload)
         files.append(out.name)
@@ -253,11 +257,12 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, out_dir = _prepare(args)
+    cfg = load_config(args.config, args.overrides)
     system = build_song_model(cfg, trainable=True)
     dataset = SyntheticDataset(
         cfg.task_spec(), max_segments=cfg.task.max_segments, min_width=cfg.task.min_width
     )
+    out_dir = _out_dir(args)
     report = train(system, dataset, cfg.train, out_dir)
     first, last = report.smoothed()
     files = [Path(report.checkpoint_path).name, "train_log.jsonl"]
@@ -297,9 +302,8 @@ def _read_latent(path, d_audio: int) -> np.ndarray:
 
 
 def cmd_generate(args) -> int:
-    cfg, out_dir = _prepare(args)
+    cfg = load_config(args.config, args.overrides)
     spec = prompt_spec_from_json(read_json(args.prompt, "prompt"))
-    files: list[str] = []
     if args.lyrics is not None:
         doc = predict_durations(
             split_lines(read_text(args.lyrics, "lyrics")),
@@ -316,10 +320,6 @@ def cmd_generate(args) -> int:
             f"duration {duration} s exceeds pipeline.pretrain_max_duration "
             f"({cfg.pipeline.pretrain_max_duration} s)"
         )
-    if args.lyrics is not None:  # only once the duration is in bounds
-        predicted = out_dir / "predicted.lrc"
-        write_text_atomic(predicted, serialize_lrc(doc))
-        files.append(predicted.name)
     T = frame_count(duration, cfg.task.frame_rate)
 
     system = build_song_model(cfg, trainable=False)
@@ -327,6 +327,12 @@ def cmd_generate(args) -> int:
     triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
     latent, step_log = euler_sample(system.model, triple, cfg.guidance, T, cfg.task.d_audio)
 
+    out_dir = _out_dir(args)
+    files: list[str] = []
+    if args.lyrics is not None:
+        predicted = out_dir / "predicted.lrc"
+        write_text_atomic(predicted, serialize_lrc(doc))
+        files.append(predicted.name)
     latent_path = out_dir / "latent.json"
     _write_latent(latent_path, latent)
     log_path = out_dir / "sample_log.jsonl"
@@ -363,7 +369,7 @@ def _eval_one(index, latent_path, prompt_path, cfg, scorer):
 
 
 def cmd_eval(args) -> int:
-    cfg, out_dir = _prepare(args)
+    cfg = load_config(args.config, args.overrides)
     if len(args.latent) != len(args.prompt):
         raise ValidationError(
             f"{len(args.latent)} latent files but {len(args.prompt)} prompt files"
@@ -400,6 +406,7 @@ def cmd_eval(args) -> int:
         aggregate["duration_mae_mean"] = sum(m["duration_mae"] for m in maes) / len(maes)
 
     report = {"samples": samples, "duration": maes, "aggregate": aggregate}
+    out_dir = _out_dir(args)
     out = out_dir / "report.json"
     write_json_atomic(out, report)
     _write_run_manifest(out_dir, "eval", [out.name])
@@ -413,7 +420,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict_durations(args) -> int:
-    cfg, out_dir = _prepare(args)
+    cfg = load_config(args.config, args.overrides)
     hint, longest = args.duration_hint, cfg.pipeline.pretrain_max_duration
     if hint is not None and not 0.0 < hint <= longest:  # also refuses NaN and inf
         raise ValidationError(
@@ -426,6 +433,7 @@ def cmd_predict_durations(args) -> int:
         segment_prompts=args.segment_prompts,
         total_duration_hint=hint,
     )
+    out_dir = _out_dir(args)
     out = out_dir / "predicted.lrc"
     write_text_atomic(out, serialize_lrc(doc))
     _write_run_manifest(out_dir, "predict-durations", [out.name])

@@ -235,10 +235,22 @@ def broadcast_prompt_halves(
 # -----------------------------------------------------------------------------
 
 
+# Main CJK blocks: unified ideographs (+ext A), hiragana, katakana, hangul.
+_CJK_RANGES = (
+    (0x3400, 0x4DBF),
+    (0x4E00, 0x9FFF),
+    (0x3040, 0x30FF),
+    (0xAC00, 0xD7AF),
+)
+
+
+def _is_cjk(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+
+
 def lyric_tokens(text: str) -> list[str]:
     """CJK characters are single tokens; other runs split on whitespace."""
-    from .durations import _is_cjk
-
     tokens: list[str] = []
     buf: list[str] = []
 

@@ -12,25 +12,13 @@ from __future__ import annotations
 
 import re
 
+from .conditioning import _is_cjk
 from .errors import ContractError
 from .lrc import LrcDocument, LrcLine
 
 __all__ = ["line_seconds", "syllable_count", "predict_durations"]
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-
-# Main CJK blocks: unified ideographs (+ext A), hiragana, katakana, hangul.
-_CJK_RANGES = (
-    (0x3400, 0x4DBF),
-    (0x4E00, 0x9FFF),
-    (0x3040, 0x30FF),
-    (0xAC00, 0xD7AF),
-)
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
 def syllable_count(text: str) -> int:

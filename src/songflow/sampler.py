@@ -124,5 +124,15 @@ def euler_sample(
         x = x + h * v
         if not np.isfinite(x).all():
             raise NumericAbort("trajectory left finite range", step=k)
-        step_log.append({"step": k, "t": t, "v_norm": float(np.linalg.norm(v))})
+        step_log.append({"step": k, "t": t, "v_norm": _norm(v)})
     return x, step_log
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a finite array, finite whenever the true norm is.
+    v is divided by the power of two just above max|v| before it is squared,
+    and the norm multiplied back, so nothing overflows. Scaling by a power of
+    two is exact, so wherever np.linalg.norm(v) neither overflows nor
+    underflows the result is the same, bit for bit."""
+    e = np.frexp(np.abs(v).max(initial=0.0))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))

@@ -3,11 +3,12 @@
 Each operation records its parents and a vector-Jacobian closure on the
 result tensor, so the graph lives on the results themselves; there is no
 global tape and independent graphs share no state. backward() walks the
-recorded graph once in reverse topological order. Gradients are kept on
-leaves only (tensors with no recorded op, such as parameters and inputs);
-an intermediate result's gradient is freed as soon as its vjp has run, so
-its `.grad` stays None. Repeated calls without zeroing keep accumulating
-into the leaves. Dropping the loss frees the whole graph.
+recorded graph once in reverse topological order and consumes it: each
+node's closure and parent links are dropped as soon as its vjp has run, so
+the arrays it saved are freed during the walk, and a graph can be walked
+once. Gradients are kept on leaves only (tensors with no recorded op, such
+as parameters and inputs); an intermediate result's `.grad` stays None.
+Backward calls on separate graphs keep accumulating into the leaves.
 
 Activations may carry leading batch axes: `matmul`, `add_row`, `layer_norm`,
 `concat_channels` and `attention` act on the last one or two axes of a
@@ -281,11 +282,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
 
     Head h reads channels [h*d/H, (h+1)*d/H) of q, k and v and writes the
     same channels of the output; its scores are scaled by 1/sqrt(d/H) (folded
-    into q) and softmaxed over the keys. Heads and leading axes are one array
-    axis of (T, T) score blocks. On the tape every block is kept for the
-    backward pass and all are computed at once; off the tape the blocks are
-    computed one at a time in a single reused buffer. A given sink gets a
-    copy of each head's normalized (T, T) weights, leading index first.
+    into q) and softmaxed over the keys. Heads are strided (N, H, T, d/H)
+    views (N the product of the leading axes), and the output and the
+    gradients are written through such views of (..., T, d) arrays, so no
+    head is split or merged by a copy: beside its parents the node keeps
+    only the scaled q and the (N, H, T, T) weights. On the tape all weight
+    blocks are computed at once and kept for the backward pass; off the tape
+    they are computed one at a time in one reused (T, T) buffer. A given
+    sink gets a copy of each head's normalized (T, T) weights, leading
+    index first.
 
     The row-max shift of the softmax is skipped when a bound shows it is not
     needed. With q scaled, B = sqrt(max_t |q_t|^2 * max_t |k_t|^2) over every
@@ -312,51 +317,54 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     hd = d // n_heads
     c = 1.0 / np.sqrt(hd)
 
-    def split(a):  # (..., T, d) -> (N*H, T, hd)
-        return a.reshape(-1, T, n_heads, hd).transpose(0, 2, 1, 3).reshape(-1, T, hd)
+    def heads(a):  # (..., T, d) -> (N, H, T, hd), a view of a contiguous a
+        return a.reshape(-1, T, n_heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(a):  # (N*H, T, hd) -> (..., T, d)
-        return a.reshape(-1, n_heads, T, hd).transpose(0, 2, 1, 3).reshape(shape)
-
-    qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
-    n = qh.shape[0]
-    bound = np.sqrt(np.einsum("ntd,ntd->nt", qh, qh).max(initial=0.0)) * np.sqrt(
-        np.einsum("ntd,ntd->nt", kh, kh).max(initial=0.0)
+    qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
+    bound = np.sqrt(np.einsum("nhtd,nhtd->nht", qh, qh).max(initial=0.0)) * np.sqrt(
+        np.einsum("nhtd,nhtd->nht", kh, kh).max(initial=0.0)
     )
     vmax = max(v.data.max(initial=0.0), -v.data.min(initial=0.0))
     shift = not (vmax > 0 and bound + np.log(T) + abs(np.log(vmax)) <= _UNSHIFTED_EXP_LIMIT)
-    record = q.requires_grad or k.requires_grad or v.requires_grad
-    probs = np.empty((n, T, T)) if record else None
-    chunk = n if record else 1
-    scores = None
-    out = np.empty_like(qh)
-    for i in range(0, n, chunk):
-        rows = slice(i, i + chunk)
-        scores = np.matmul(qh[rows], kh[rows].transpose(0, 2, 1), out=probs if record else scores)
+    data = np.empty(shape)
+    out = heads(data)
+    if q.requires_grad or k.requires_grad or v.requires_grad:
+        probs = np.matmul(qh, kh.swapaxes(-1, -2))
         if shift:
-            scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        total = scores.sum(axis=-1, keepdims=True)
-        if record:
-            scores *= 1.0 / total
-            np.matmul(scores, vh[rows], out=out[rows])
-        else:
-            np.matmul(scores, vh[rows], out=out[rows])
-            out[rows] /= total
+            probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs *= 1.0 / probs.sum(axis=-1, keepdims=True)
+        np.matmul(probs, vh, out=out)
         if sink is not None:
-            sink.extend(scores.copy() if record else scores / total)
+            sink.extend(probs.reshape(-1, T, T).copy())
+    else:
+        probs = None
+        scores = np.empty((T, T))
+        for i in np.ndindex(out.shape[:2]):
+            np.matmul(qh[i], kh[i].T, out=scores)
+            if shift:
+                scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            total = scores.sum(axis=-1, keepdims=True)
+            np.matmul(scores, vh[i], out=out[i])
+            out[i] /= total
+            if sink is not None:
+                sink.append(scores / total)
 
     def vjp(g):
-        gh = split(g)
-        dv = np.matmul(probs.transpose(0, 2, 1), gh)
-        ds = np.matmul(gh, vh.transpose(0, 2, 1))
+        gh = heads(g)
+        dq, dk, dv = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.matmul(probs.swapaxes(-1, -2), gh, out=heads(dv))
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        dq = np.matmul(ds, kh)
-        dq *= c
-        return merge(dq), merge(np.matmul(ds.transpose(0, 2, 1), qh)), merge(dv)
+        dqh = heads(dq)
+        np.matmul(ds, kh, out=dqh)
+        dqh *= c
+        np.matmul(ds.swapaxes(-1, -2), qh, out=heads(dk))
+        return dq, dk, dv
 
-    return _result(merge(out), (q, k, v), vjp)
+    return _result(data, (q, k, v), vjp)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
@@ -376,6 +384,11 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 # -----------------------------------------------------------------------------
 # Reverse pass
 # -----------------------------------------------------------------------------
+
+
+def _consumed(g):
+    """The vjp a node keeps once backward has consumed its graph."""
+    raise ContractError("backward reached a tensor whose graph an earlier backward consumed")
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -400,32 +413,43 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d loss / d leaf into .grad of every requires_grad leaf
-    (a tensor with no recorded op) reachable from a scalar loss.
+    (a tensor with no recorded op) reachable from a scalar loss, consuming
+    the graph as it goes.
 
-    Intermediate results keep grad None: each one's gradient is dropped as
-    soon as its vjp has run. The graph itself stays intact, so calling
-    backward again on the same loss adds the same gradients to the leaves.
+    Intermediate results keep grad None. Once a node's vjp has run, its
+    vjp and parent links are dropped, so the arrays the vjp saved, and the
+    node itself once nothing else holds it, are freed before the walk goes
+    on. A consumed node keeps its data; its vjp becomes `_consumed`, which
+    tells it apart from a leaf. A backward whose graph reaches a consumed
+    node, such as a second backward on the same loss, raises ContractError
+    before any gradient moves. Leaves keep accumulating across backward
+    calls on separate graphs.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to any differentiable tensor")
     order = _topo_order(loss)
+    if any(node._vjp is _consumed for node in order):
+        _consumed(None)  # raises before any gradient moves
     # A vjp may return views of g or one array for two parents (add), so
     # arrays in gmap are never written into: sums are formed out of place,
     # and a leaf's first contribution is copied, since .grad is its own.
     gmap: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = gmap.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
             if node.grad is None:
                 node.grad = g
             else:
                 node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        node._vjp, node._parents = _consumed, ()
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = gmap.get(id(parent))

@@ -933,6 +933,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
             assert reject["line"] == 1 and message in reject["error"], reject
     else:
         assert err.startswith("data error:") and message in err, err
+        assert not out.exists()  # inputs are checked before --out-dir is made
     _assert_strict_json(out)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel
 from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
-from songflow.tensor import Tensor, concat_channels
+from songflow.tensor import Tensor, backward, concat_channels, mse, zero_grads
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +33,38 @@ def test_tracer_installs_over_the_hooks_and_undoes(monkeypatch):
     assert tracer.calls["backbone.forward"] == tracer.calls["backbone.block"] == 1
     assert tracer.calls["tensor.op.concat_channels"] == 1  # the input concat is traced
     assert VelocityModel.forward is forward and backbone.concat_channels is concat_channels
+
+
+def _tiny_on_tape_model():
+    rng = np.random.default_rng(1)
+    model = VelocityModel(ModelConfig(n_blocks=1, model_width=8, n_heads=2, d_t=4), 4, 2, 2, rng)
+    for _, p in model.named_parameters():  # the zero head would zero every upstream gradient
+        p.data += 0.1 * rng.standard_normal(p.data.shape)
+    bundle = ConditioningBundle(Tensor(rng.standard_normal((2, 5, 4))),
+                                Tensor(rng.standard_normal((2, 5, 2))),
+                                (ConditionRow(PromptSpec("g")), ConditionRow(PromptSpec("h"))))
+    x_t, target = Tensor(rng.standard_normal((2, 5, 2))), Tensor(rng.standard_normal((2, 5, 2)))
+    return model, lambda: mse(model.forward(x_t, bundle, [0.25, 0.75]), target)
+
+
+def test_traced_backward_runs_every_wrapped_vjp(monkeypatch):
+    """The tracer wraps each vjp when the op is recorded; backward must call
+    exactly those wrappers, one per tape node, and give the same gradients."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    model, build_loss = _tiny_on_tape_model()
+    params = [p for _, p in model.named_parameters()]
+    backward(build_loss())
+    untraced = [p.grad.copy() for p in params]
+    zero_grads(params)
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    try:
+        tracing.install_tracer(tracer, patches)
+        backward(build_loss())
+    finally:
+        patches.undo()
+    vjp_calls = {name: n for name, n in tracer.calls.items() if name.startswith("tensor.vjp.")}
+    assert vjp_calls["tensor.vjp.matmul"] > 0 and vjp_calls["tensor.vjp.attention"] == 1
+    assert sum(vjp_calls.values()) == tracer.counts["tape_nodes"] > 0
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params, untraced))

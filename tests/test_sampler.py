@@ -275,8 +275,24 @@ def test_euler_is_deterministic_and_logs():
     assert [e["step"] for e in log_a] == list(range(8))
 
 
-# The step log's norm of the 1e200-scale field overflows a step before the trajectory does.
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_step_log_norm_of_a_huge_finite_field_is_finite():
+    """A 1e200-scale field keeps the trajectory finite, and so its logged
+    norm (its square would overflow; RuntimeWarning is an error here)."""
+    cfg, system = _small_system()
+    T, d = cfg.task.T, cfg.task.d_audio
+
+    class Huge:
+        def forward(self, x_t, cond, t):
+            return Tensor(np.full(x_t.data.shape, 1e200))
+
+    latent, log = euler_sample(
+        Huge(), _dummy_triple(system, T), GuidanceConfig(1.0, 0.0, 4, seed=0), T, d
+    )
+    assert np.isfinite(latent).all() and len(log) == 4
+    for row in log:
+        assert abs(row["v_norm"] - 1e200 * np.sqrt(T * d)) <= 1e-15 * row["v_norm"]
+
+
 def test_euler_aborts_on_divergence():
     cfg, system = _small_system()
     T, d = cfg.task.T, cfg.task.d_audio

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -157,12 +160,49 @@ def test_backward_requires_scalar():
 
 
 def test_backward_accumulates_without_reset():
+    """Two fresh graphs of the same loss add their gradients in the leaf."""
     w = Tensor([1.0, 2.0], requires_grad=True)
-    loss = mse(w, _zeros_like(w))
-    backward(loss)
+    backward(mse(w, _zeros_like(w)))
     first = w.grad.copy()
-    backward(loss)
+    backward(mse(w, _zeros_like(w)))
     assert np.array_equal(w.grad, 2.0 * first)
+
+
+def test_backward_consumes_its_graph(rng):
+    """A walked graph cannot be walked again: a second backward on the same
+    loss, or one whose graph reaches a consumed tensor, raises before any
+    leaf gradient moves."""
+    x = random_tensor(rng, (3, 4))
+    w = random_tensor(rng, (4, 2))
+    h = matmul(x, w)
+    loss = mse(silu(h), _zeros_like(h))
+    backward(loss)
+    grads = x.grad.copy(), w.grad.copy()
+    assert h._vjp is tensor_module._consumed and h._parents == ()  # not a leaf: _vjp is not None
+    with pytest.raises(ContractError, match="consumed"):
+        backward(loss)
+    with pytest.raises(ContractError, match="consumed"):
+        backward(mse(add(h, matmul(x, w)), _zeros_like(h)))
+    assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
+
+
+def test_backward_frees_each_node_before_its_parents_vjp_runs(rng):
+    """The walk drops a node once its vjp has run: while the caller still
+    holds the loss, silu(h) is gone by the time h's own vjp is called."""
+    h = silu(random_tensor(rng, (3, 4)))
+    a = silu(h)
+    loss = mse(a, _zeros_like(a))
+    probe = weakref.ref(a)
+    del a
+    vjp, alive = h._vjp, []
+
+    def checking_vjp(g):
+        alive.append(probe() is not None)
+        return vjp(g)
+
+    h._vjp = checking_vjp
+    backward(loss)
+    assert alive == [False]
 
 
 def test_backward_keeps_gradients_on_leaves_only(rng):
@@ -357,6 +397,24 @@ def test_attention_batch_rows_are_independent(rng):
     for b in range(3):
         alone = attention(*(Tensor(a.data[b]) for a in (q, k, v)), 3)
         assert np.allclose(out.data[b], alone.data, rtol=0, atol=1e-14)
+
+
+def test_attention_on_the_tape_keeps_no_head_copies(rng):
+    """The node holds its output, the scaled q and the (N, H, T, T) weights;
+    k and v are read through views of the parents' own data, and the output
+    is written in place, not merged from a head-split copy."""
+    q, k, v = (random_tensor(rng, (2, 64, 32)) for _ in range(3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = attention(q, k, v, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    weights = 2 * 2 * 64 * 64 * 8
+    assert out._vjp is not None
+    # 8 KiB for the node and its closure; head-split k and v would add 64 KiB
+    assert held <= 2 * q.data.nbytes + weights + 8192, (held, q.data.nbytes, weights)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
