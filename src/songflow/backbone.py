@@ -88,12 +88,14 @@ class Block:
         self.w_down = fan_in_uniform(rng, (ff, width))
 
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
+        # q goes straight into attention, which keeps only a scaled copy, so
+        # no local holds it through the feed-forward half.
         h = layer_norm(x, self.ln1_g, self.ln1_b)
-        q, k, v = matmul(h, self.wq), matmul(h, self.wk), matmul(h, self.wv)
-        x = add(x, matmul(attention(q, k, v, self.n_heads, sink=attn_sink), self.wo))
-        h2 = layer_norm(x, self.ln2_g, self.ln2_b)
-        ff = matmul(mul(silu(matmul(h2, self.w_gate)), matmul(h2, self.w_up)), self.w_down)
-        return add(x, ff)
+        a = attention(matmul(h, self.wq), matmul(h, self.wk), matmul(h, self.wv), self.n_heads,
+                      sink=attn_sink)
+        x = add(x, matmul(a, self.wo))
+        h = layer_norm(x, self.ln2_g, self.ln2_b)
+        return add(x, matmul(mul(silu(matmul(h, self.w_gate)), matmul(h, self.w_up)), self.w_down))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [

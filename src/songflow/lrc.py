@@ -44,7 +44,9 @@ BOUNDARY = "boundary"
 # carries no explicit duration.
 DEFAULT_TAIL_SECONDS = 1.0
 
-_LINE_RE = re.compile(r"^\[(\d{2,}):([0-5]\d)\.(\d{2})\](?:\Z| (.*)$)")
+# ASCII only: a bare \d also matches every other Unicode decimal digit, and
+# int() reads those, so "[٠١:02.٠٣]" would parse as 01:02.03.
+_LINE_RE = re.compile(r"^\[(\d{2,}):([0-5]\d)\.(\d{2})\](?:\Z| (.*)$)", re.ASCII)
 
 
 @dataclass(frozen=True)

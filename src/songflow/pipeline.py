@@ -174,15 +174,24 @@ class FilterReport:
 
 
 def read_manifest(path) -> tuple[list[RecordManifest], list[tuple[int, str]]]:
-    """JSON-lines reader; malformed records are returned as (line, error)."""
+    """JSON-lines reader; malformed records are returned as (line, error),
+    and so is a record whose id an earlier record has: its error names the
+    earlier record's line."""
     records, rejects = [], []
+    id_lines: dict[str, int] = {}
     for lineno, line in enumerate(split_lines(read_text(path, "manifest")), start=1):
         if not line.strip():
             continue
         try:
-            records.append(RecordManifest.from_json(loads(line)))
+            record = RecordManifest.from_json(loads(line))
         except (TypeError, KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
             rejects.append((lineno, str(exc)))
+            continue
+        first = id_lines.setdefault(record.id, lineno)
+        if first == lineno:
+            records.append(record)
+        else:
+            rejects.append((lineno, f"record {record.id!r}: id repeats line {first}"))
     return records, rejects
 
 

@@ -1,14 +1,19 @@
 """Dense float64 tensors with dynamic tape-based reverse-mode differentiation.
 
-Each operation records its parents and a vector-Jacobian closure on the
-result tensor, so the graph lives on the results themselves; there is no
-global tape and independent graphs share no state. backward() walks the
-recorded graph once in reverse topological order and consumes it: each
-node's closure and parent links are dropped as soon as its vjp has run, so
-the arrays it saved are freed during the walk, and a graph can be walked
-once. Gradients are kept on leaves only (tensors with no recorded op, such
-as parameters and inputs); an intermediate result's `.grad` stays None.
-Backward calls on separate graphs keep accumulating into the leaves.
+Each operation that a gradient can flow through records a small graph node
+on its result: the node's parents (each parent's own node, a leaf tensor
+that requires grad, or None for a parent that needs no gradient) and a
+vector-Jacobian closure. There is no global tape and independent graphs
+share no state. The node does not hold the result's array, and a closure
+keeps only the arrays its vjp reads, so an intermediate array lives only as
+long as the caller or a closure holds it; a tensor the caller still holds
+keeps its data. backward() walks the nodes once in reverse topological
+order and consumes them: each node's closure and parent links are dropped
+as soon as its vjp has run, so the arrays it saved are freed during the
+walk, and a graph can be walked once. Gradients are kept on leaves only
+(tensors with no recorded op, such as parameters and inputs); an
+intermediate result's `.grad` stays None. Backward calls on separate graphs
+keep accumulating into the leaves.
 
 Activations may carry leading batch axes: `matmul`, `add_row`, `layer_norm`,
 `concat_channels` and `attention` act on the last one or two axes of a
@@ -44,10 +49,22 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A float64 array plus optional gradient and the recorded op that made it."""
+class _Node:
+    """One recorded op: its parents' graph links and its vjp, which maps the
+    result's gradient to one gradient (or None) per parent. A parent link is
+    the parent's node, a leaf Tensor that requires grad, or None."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("parents", "vjp", "__weakref__")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
+class Tensor:
+    """A float64 array plus optional gradient and the node of the op that made it."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.asarray(values, dtype=np.float64)
@@ -56,8 +73,7 @@ class Tensor:
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,9 +85,15 @@ class Tensor:
         out.data = data
         out.requires_grad = True
         out.grad = None
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(tuple(_link(p) for p in parents), vjp)
         return out
+
+
+def _link(parent: Tensor):
+    """What a node keeps of a parent: its node, the leaf itself, or None."""
+    if parent._node is not None:
+        return parent._node
+    return parent if parent.requires_grad else None
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -82,8 +104,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out.data = data
     out.requires_grad = False
     out.grad = None
-    out._parents = ()
-    out._vjp = None
+    out._node = None
     return out
 
 
@@ -108,13 +129,17 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
         raise DimensionError(f"matmul: inner dims {x.data.shape} @ {w.data.shape}")
     k, n = w.data.shape
+    shape = x.data.shape
     x2 = x.data.reshape(-1, k)
-    data = (x2 @ w.data).reshape(x.data.shape[:-1] + (n,))
+    data = (x2 @ w.data).reshape(shape[:-1] + (n,))
+    # Each operand is kept only for the other's gradient.
+    w_data = w.data if x.requires_grad else None
+    x2 = x2 if w.requires_grad else None
 
     def vjp(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
-        return gx, x2.T @ g2 if w.requires_grad else None
+        gx = (g2 @ w_data.T).reshape(shape) if w_data is not None else None
+        return gx, x2.T @ g2 if x2 is not None else None
 
     return _result(data, (x, w), vjp)
 
@@ -140,11 +165,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "mul")
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g * b.data, g * a.data
+        return g * b_data, g * a_data
 
-    return _result(a.data * b.data, (a, b), vjp)
+    return _result(a_data * b_data, (a, b), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -174,15 +200,16 @@ def add_row(x: Tensor, bias: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), with sigmoid(x) = (1 + tanh(x / 2)) / 2: nothing
     overflows, and the temporaries are updated in place."""
-    s = np.multiply(x.data, 0.5)
+    x_data = x.data
+    s = np.multiply(x_data, 0.5)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
-    data = x.data * s
+    data = x_data * s
 
     def vjp(g):
         d = 1.0 - s
-        d *= x.data
+        d *= x_data
         d += 1.0
         d *= s
         d *= g
@@ -216,7 +243,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var += 1e-5
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
-    data = xhat * gain.data
+    gain_data = gain.data
+    data = xhat * gain_data
     data += bias.data
 
     def vjp(g):
@@ -225,7 +253,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         scratch = g * xhat
         dgain = scratch.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dx = g * gain.data
+        dx = g * gain_data
         mean_dx = dx.mean(axis=-1, keepdims=True)
         np.multiply(dx, xhat, out=scratch)
         mean_dx_xhat = scratch.mean(axis=-1, keepdims=True)
@@ -251,7 +279,7 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
     offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
     def vjp(g):
-        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., start:stop] for start, stop in zip(offsets[:-1], offsets[1:]))
 
     return _result(data, tuple(parts), vjp)
 
@@ -259,13 +287,13 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     """Channel range [start, stop) of a (T, d) tensor."""
     _need_2d(x, "slice_channels")
-    d = x.data.shape[1]
-    if not (0 <= start <= stop <= d):
-        raise DimensionError(f"slice_channels: [{start}, {stop}) outside width {d}")
+    shape = x.data.shape
+    if not (0 <= start <= stop <= shape[1]):
+        raise DimensionError(f"slice_channels: [{start}, {stop}) outside width {shape[1]}")
     data = x.data[:, start:stop].copy()
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[:, start:stop] = g
         return (full,)
 
@@ -285,12 +313,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     into q) and softmaxed over the keys. Heads are strided (N, H, T, d/H)
     views (N the product of the leading axes), and the output and the
     gradients are written through such views of (..., T, d) arrays, so no
-    head is split or merged by a copy: beside its parents the node keeps
-    only the scaled q and the (N, H, T, T) weights. On the tape all weight
-    blocks are computed at once and kept for the backward pass; off the tape
-    they are computed one at a time in one reused (T, T) buffer. A given
-    sink gets a copy of each head's normalized (T, T) weights, leading
-    index first.
+    head is split or merged by a copy: the node keeps the scaled q, views of
+    k and v and the (N, H, T, T) weights, and not the unscaled q. On the
+    tape all weight blocks are computed at once and kept for the backward
+    pass; off the tape they are computed one at a time in one reused (T, T)
+    buffer. A given sink gets a copy of each head's normalized (T, T)
+    weights, leading index first.
 
     The row-max shift of the softmax is skipped when a bound shows it is not
     needed. With q scaled, B = sqrt(max_t |q_t|^2 * max_t |k_t|^2) over every
@@ -387,15 +415,16 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def _consumed(g):
-    """The vjp a node keeps once backward has consumed its graph."""
-    raise ContractError("backward reached a tensor whose graph an earlier backward consumed")
+    """The vjp a node keeps once backward has consumed it."""
+    raise ContractError("backward reached a node that an earlier backward consumed")
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Parents-before-children order via iterative DFS."""
-    order: list[Tensor] = []
+def _topo_order(root) -> list:
+    """The nodes and leaves reachable from root (a node or a leaf), parents
+    before children, via iterative DFS."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -405,9 +434,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        if isinstance(node, _Node):
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
     return order
 
 
@@ -416,47 +446,51 @@ def backward(loss: Tensor) -> None:
     (a tensor with no recorded op) reachable from a scalar loss, consuming
     the graph as it goes.
 
-    Intermediate results keep grad None. Once a node's vjp has run, its
-    vjp and parent links are dropped, so the arrays the vjp saved, and the
-    node itself once nothing else holds it, are freed before the walk goes
-    on. A consumed node keeps its data; its vjp becomes `_consumed`, which
-    tells it apart from a leaf. A backward whose graph reaches a consumed
-    node, such as a second backward on the same loss, raises ContractError
-    before any gradient moves. Leaves keep accumulating across backward
-    calls on separate graphs.
+    The walk runs over nodes, not tensors: a node keeps its parents' links
+    and the arrays its vjp reads, never its result, so a result the caller
+    dropped was freed during the forward unless a vjp reads it, while a
+    tensor the caller still holds keeps its data. Intermediate results keep
+    grad None. Once a node's vjp has run, its vjp and parent links are
+    dropped, so the arrays the vjp saved, and the node itself once nothing
+    else holds it, are freed before the walk goes on. A consumed node's vjp
+    becomes `_consumed`. A backward whose graph reaches a consumed node,
+    such as a second backward on the same loss, raises ContractError before
+    any gradient moves. Leaves keep accumulating across backward calls on
+    separate graphs.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to any differentiable tensor")
-    order = _topo_order(loss)
-    if any(node._vjp is _consumed for node in order):
+    root = loss if loss._node is None else loss._node
+    order = _topo_order(root)
+    if any(isinstance(node, _Node) and node.vjp is _consumed for node in order):
         _consumed(None)  # raises before any gradient moves
     # A vjp may return views of g or one array for two parents (add), so
     # arrays in gmap are never written into: sums are formed out of place,
     # and a leaf's first contribution is copied, since .grad is its own.
-    gmap: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    gmap: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
         g = gmap.pop(id(node), None)
         if g is None:
             continue
-        vjp, parents = node._vjp, node._parents
-        if vjp is None:
+        if isinstance(node, Tensor):  # a leaf
             if node.grad is None:
                 node.grad = g
             else:
                 node.grad += g
             continue
-        node._vjp, node._parents = _consumed, ()
+        vjp, parents = node.vjp, node.parents
+        node.vjp, node.parents = _consumed, ()
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if parent is None or pg is None:
                 continue
             acc = gmap.get(id(parent))
             if acc is not None:
                 gmap[id(parent)] = acc + pg
             else:
-                gmap[id(parent)] = np.array(pg) if parent._vjp is None else pg
+                gmap[id(parent)] = np.array(pg) if isinstance(parent, Tensor) else pg
 
 
 def zero_grads(tensors) -> None:

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import fd_max_rel_error
+from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel, time_embedding
 from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
 from songflow.errors import ContractError, DimensionError, ValidationError
@@ -200,3 +203,24 @@ def test_batched_forward_matches_single_rows(rng):
         assert np.abs(out[b] - alone).max() <= 1e-12 * np.abs(alone).max()
     with pytest.raises(DimensionError):
         model.forward(Tensor(x), bundle, ts[:2])
+
+
+def test_block_on_the_tape_keeps_no_projection_no_vjp_reads(rng, monkeypatch):
+    """q (attention keeps a scaled copy) and the wo and w_down projections
+    (add reads neither) are freed before Block.forward returns."""
+    block = _tiny_model(rng).blocks[0]
+    names = ("wq", "wo", "w_down")
+    probes = {}
+    real = backbone.matmul
+
+    def recording(x, w):
+        out = real(x, w)
+        for name in names:
+            if w is getattr(block, name):
+                probes[name] = weakref.ref(out)
+        return out
+
+    monkeypatch.setattr(backbone, "matmul", recording)
+    out = block.forward(Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True))
+    assert out._node is not None
+    assert {name: probe() for name, probe in probes.items()} == dict.fromkeys(names)

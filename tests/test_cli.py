@@ -527,6 +527,7 @@ def _pipeline_fixture(tmp_path):
         rec("bad-lrc", **{**song, "lyrics": None,
                           "lyrics_lrc": "[00:09.00] late\n[00:08.00] early\n"}),
         rec("unverified", lyrics=["la la"]),
+        rec("keep", duration=10.0),  # a repeated id: a schema reject, not a second "keep"
     )]
     rows.insert(3, "not json")
     rows.insert(5, json.dumps(rec("neg", duration=-1.0)))
@@ -538,7 +539,8 @@ def _pipeline_fixture(tmp_path):
 
 
 _SCHEMA_REJECTS = [{"line": 4, "error": "Expecting value: line 1 column 1 (char 0)"},
-                   {"line": 6, "error": "record 'neg': duration must be positive"}]
+                   {"line": 6, "error": "record 'neg': duration must be positive"},
+                   {"line": 13, "error": "record 'keep': id repeats line 1"}]
 _MISSING = "missing-timestamps"
 # Each stage's report, as the indented writer produced it; only the content
 # is pinned, not the formatting.

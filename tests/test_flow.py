@@ -21,7 +21,7 @@ from songflow.flow import (
 )
 from songflow.synthetic import SyntheticDataset
 from songflow.system import build_song_model
-from songflow.tensor import Tensor, _topo_order, backward, zero_grads
+from songflow.tensor import Tensor, _Node, _topo_order, backward, zero_grads
 
 
 def _tiny_overrides(steps=5, batch=2):
@@ -229,8 +229,8 @@ def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
 
 
 def _tape_nodes(root):
-    """Op results reachable from root (leaves and constants excluded)."""
-    return sum(node._vjp is not None for node in _topo_order(root))
+    """Op nodes reachable from the loss root (leaves and constants excluded)."""
+    return sum(isinstance(node, _Node) for node in _topo_order(root._node))
 
 
 def test_cfm_loss_tape_does_not_grow_with_the_batch(rng):
@@ -298,9 +298,10 @@ def test_train_drops_each_graph_before_the_next_forward(tmp_path, monkeypatch):
     assert len(losses) == 4
 
 
-def test_backward_peak_memory_stays_near_the_forward_graph():
-    """One default-config step: backward allocates at most 15% on top of
-    the graph that cfm_loss leaves alive (allocations are deterministic)."""
+def _default_step_memory():
+    """(graph alive after cfm_loss, forward peak, backward peak) in bytes of
+    one default-config step, traced from the start of cfm_loss
+    (allocations are deterministic)."""
     cfg = load_config()
     system = build_song_model(cfg, trainable=True)
     dataset = SyntheticDataset(cfg.task_spec(), max_segments=cfg.task.max_segments,
@@ -312,12 +313,28 @@ def test_backward_peak_memory_stays_near_the_forward_graph():
     tracemalloc.start()
     try:
         loss = cfm_loss(system.model, system.encoder, batch, rng, **drops)
-        alive = tracemalloc.get_traced_memory()[0]
+        alive, forward_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return alive, forward_peak, backward_peak
+
+
+def test_backward_peak_memory_stays_near_the_forward_graph():
+    """backward allocates at most 15% on top of the graph that cfm_loss
+    leaves alive."""
+    alive, _, peak = _default_step_memory()
+    assert peak <= 1.15 * alive, (peak, alive)
+
+
+def test_default_step_graph_holds_only_what_the_vjps_read():
+    """Nodes hold no result array, so the residual sums and the projections
+    into them are gone once cfm_loss returns, and the forward's peak stays
+    near the graph too."""
+    alive, peak, _ = _default_step_memory()
+    assert alive <= 14e6, alive
     assert peak <= 1.15 * alive, (peak, alive)
 
 

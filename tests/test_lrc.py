@@ -44,6 +44,17 @@ def test_parse_rejects_a_minute_field_past_float_range():
         assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize(
+    "line", ["[\u0660\u0661:02.\u0660\u0663] la", "[01:0\u0662.03] la", "[01:02.\uff10\uff13] la"]
+)
+def test_parse_rejects_non_ascii_digits_in_a_timestamp(line):
+    """int() reads every Unicode decimal digit, so only the pattern can keep
+    "[\u0660\u0661:02.\u0660\u0663]" from parsing as 62.03 s."""
+    with pytest.raises(ParseError) as err:
+        parse_lrc("[00:01.00] ok\n" + line)
+    assert err.value.line_number == 2
+
+
 def test_parse_rejects_malformed_and_reports_line():
     with pytest.raises(ParseError) as err:
         parse_lrc("[00:01.00] ok\nnot a lyric line")

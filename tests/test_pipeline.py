@@ -575,6 +575,24 @@ def test_manifest_roundtrip_and_schema_rejects(tmp_path):
             RecordManifest.from_json({"id": "direct", **base, **fields})
 
 
+def test_read_manifest_rejects_a_repeated_id_naming_the_earlier_line(tmp_path):
+    """The first record with an id is kept; a later one is a schema reject,
+    so no stage reports that id twice. A schema reject claims no id."""
+    path = tmp_path / "m.jsonl"
+    write_manifest([_record("a", duration=60.0), _record("a", duration=10.0), _record("b")], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"id": "c", "duration": -1, "sampling_rate": 44100, "channels": 2}\n')
+        fh.write('{"id": "c", "duration": 30, "sampling_rate": 44100, "channels": 2}\n')
+        fh.write('{"id": "b", "duration": 30, "sampling_rate": 44100, "channels": 2}\n')
+    records, rejects = read_manifest(path)
+    assert [(r.id, r.duration) for r in records] == [("a", 60.0), ("b", 120.0), ("c", 30)]
+    assert [line for line, _ in rejects] == [2, 4, 6]
+    assert rejects[0][1] == "record 'a': id repeats line 1"
+    assert rejects[2][1] == "record 'b': id repeats line 3"
+    report = pretrain_filter(records, **_PRETRAIN)
+    assert sorted(report.kept + [rid for rid, _ in report.rejected]) == ["a", "b", "c"]
+
+
 def test_filter_report_partition_property(rng):
     records = [
         _record(f"r{i}", duration=float(rng.uniform(5, 400))) for i in range(25)
@@ -600,15 +618,22 @@ def _json_loads(text):
 def _reference_read_manifest(path):
     """read_manifest as per-line json.loads defines it, with JSON Lines'
     line rule: lines end at "\n" (universal newlines has turned "\r\n" and
-    "\r" into "\n")."""
-    records, rejects = [], []
+    "\r" into "\n"). The first record with an id keeps it."""
+    records, record_lines, rejects = [], [], []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            records.append(RecordManifest.from_json(_json_loads(line)))
+            record = RecordManifest.from_json(_json_loads(line))
         except (TypeError, KeyError, ValueError) as exc:
             rejects.append((lineno, str(exc)))
+            continue
+        earlier = [ln for ln, r in zip(record_lines, records) if r.id == record.id]
+        if earlier:
+            rejects.append((lineno, f"record {record.id!r}: id repeats line {earlier[0]}"))
+        else:
+            records.append(record)
+            record_lines.append(lineno)
     return records, rejects
 
 

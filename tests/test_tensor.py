@@ -178,7 +178,7 @@ def test_backward_consumes_its_graph(rng):
     loss = mse(silu(h), _zeros_like(h))
     backward(loss)
     grads = x.grad.copy(), w.grad.copy()
-    assert h._vjp is tensor_module._consumed and h._parents == ()  # not a leaf: _vjp is not None
+    assert h._node.vjp is tensor_module._consumed and h._node.parents == ()
     with pytest.raises(ContractError, match="consumed"):
         backward(loss)
     with pytest.raises(ContractError, match="consumed"):
@@ -188,21 +188,53 @@ def test_backward_consumes_its_graph(rng):
 
 def test_backward_frees_each_node_before_its_parents_vjp_runs(rng):
     """The walk drops a node once its vjp has run: while the caller still
-    holds the loss, silu(h) is gone by the time h's own vjp is called."""
+    holds the loss, the node of silu(h) is gone by the time h's own vjp is
+    called."""
     h = silu(random_tensor(rng, (3, 4)))
     a = silu(h)
     loss = mse(a, _zeros_like(a))
-    probe = weakref.ref(a)
+    probe = weakref.ref(a._node)
     del a
-    vjp, alive = h._vjp, []
+    vjp, alive = h._node.vjp, []
 
     def checking_vjp(g):
         alive.append(probe() is not None)
         return vjp(g)
 
-    h._vjp = checking_vjp
+    h._node.vjp = checking_vjp
     backward(loss)
     assert alive == [False]
+
+
+def test_a_dropped_result_no_vjp_reads_is_freed_during_the_forward(rng):
+    """add and layer_norm read none of their inputs' arrays, so a sum the
+    caller drops is freed before backward, while a sum the caller holds
+    keeps its data; the leaf gradients are the same either way."""
+    x, w, gain, bias = (random_tensor(rng, shape) for shape in ((3, 4), (4, 4), (4,), (4,)))
+    params = [x, w, gain, bias]
+
+    def build(keep: bool):
+        total = add(matmul(x, w), x)
+        out = layer_norm(total, gain, bias)
+        return mse(out, _zeros_like(out)), total if keep else weakref.ref(total)
+
+    loss, probe = build(keep=False)
+    assert probe() is None and loss._node is not None
+    backward(loss)
+    dropped = [p.grad.copy() for p in params]
+    zero_grads(params)
+    loss, total = build(keep=True)
+    backward(loss)
+    assert np.array_equal(total.data, matmul(x, w).data + x.data)
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params, dropped))
+
+
+def test_a_node_keeps_no_parent_that_needs_no_gradient(rng):
+    x = random_tensor(rng, (3, 4))
+    c = random_tensor(rng, (3, 4), requires_grad=False)
+    s = silu(x)
+    assert mul(s, c)._node.parents == (s._node, None)
+    assert mul(x, c)._node.parents == (x, None)  # a leaf that needs grad is its own link
 
 
 def test_backward_keeps_gradients_on_leaves_only(rng):
@@ -278,7 +310,7 @@ def test_two_runs_are_deterministic(rng):
 def test_no_graph_recorded_without_requires_grad(rng):
     x = random_tensor(rng, (3, 3), requires_grad=False)
     out = matmul(x, x)
-    assert out._vjp is None and out._parents == ()
+    assert out._node is None
 
 
 def test_silu_matches_the_logaddexp_form():
@@ -412,7 +444,7 @@ def test_attention_on_the_tape_keeps_no_head_copies(rng):
     finally:
         tracemalloc.stop()
     weights = 2 * 2 * 64 * 64 * 8
-    assert out._vjp is not None
+    assert out._node is not None
     # 8 KiB for the node and its closure; head-split k and v would add 64 KiB
     assert held <= 2 * q.data.nbytes + weights + 8192, (held, q.data.nbytes, weights)
 
