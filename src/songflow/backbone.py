@@ -43,23 +43,25 @@ class ModelConfig:
     ff_mult: int = 2
 
     def __post_init__(self):
-        if min(self.n_blocks, self.model_width, self.n_heads, self.ff_mult) < 1:
-            raise ValidationError("n_blocks, model_width, n_heads, ff_mult must be positive")
+        if self.n_blocks < 1:
+            raise ValidationError("model.n_blocks must be >= 1")
+        if self.model_width < 1:
+            raise ValidationError("model.model_width must be >= 1")
+        if self.n_heads < 1:
+            raise ValidationError("model.n_heads must be >= 1")
         if self.model_width % self.n_heads != 0:
-            raise ValidationError(
-                f"model_width {self.model_width} not divisible by n_heads {self.n_heads}"
-            )
+            raise ValidationError("model.model_width must be a multiple of model.n_heads")
         if self.d_t < 4 or self.d_t % 2 != 0:
-            raise ValidationError("d_t must be an even integer >= 4")
+            raise ValidationError("model.d_t must be an even integer >= 4")
+        if self.ff_mult < 1:
+            raise ValidationError("model.ff_mult must be >= 1")
 
 
 def time_embedding(t: float, d_t: int) -> np.ndarray:
     """Sinusoidal features: pairs (sin(w_k t), cos(w_k t)) with w_k spaced
-    geometrically in [1, 1000]."""
+    geometrically in [1, 1000]. d_t is ModelConfig's, checked there."""
     if not (0.0 <= t <= 1.0):
         raise ContractError(f"time step {t} outside [0, 1]")
-    if d_t < 4 or d_t % 2 != 0:
-        raise ContractError("d_t must be an even integer >= 4")
     half = d_t // 2
     omegas = 1000.0 ** (np.arange(half) / (half - 1))
     emb = np.empty(d_t)

@@ -12,7 +12,8 @@ data error leaves none behind.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
 that cannot be read, or that is not UTF-8 or not JSON, named in the
-message; a prompt or --duration-hint longer than
+message; a setting outside its range (named by its key; its `config`
+section holds the rule); a prompt or --duration-hint longer than
 pipeline.pretrain_max_duration, a time with no finite frame, an LRC minute
 field past float range, a JSON integer too large for a float, JSON nested
 too deeply, and a prompt key that is unknown or missing; `schema` holds
@@ -265,9 +266,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args)
     report = train(system, dataset, cfg.train, out_dir)
     first, last = report.smoothed()
-    files = [Path(report.checkpoint_path).name, "train_log.jsonl"]
-    files += [p.name for p in out_dir.glob("checkpoint-*.json")]
-    _write_run_manifest(out_dir, "train", files)
+    _write_run_manifest(out_dir, "train", report.files)
     print(
         f"train: {report.steps} steps, smoothed loss {first:.4f} -> {last:.4f}, "
         f"{report.wall_seconds:.1f}s, checkpoint {report.checkpoint_path}"

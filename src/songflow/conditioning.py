@@ -67,8 +67,6 @@ class HashEmbedder:
     cached read-only arrays."""
 
     def __init__(self, namespace: str, dimension: int):
-        if dimension < 1:
-            raise ContractError("embedder dimension must be >= 1")
         self.namespace = namespace
         self.dimension = dimension
         self._cache: dict[str, np.ndarray] = {}
@@ -349,9 +347,6 @@ def apply_condition_dropout(
     """Independently draw whether to drop the global half, the segment half
     and the lyric frames, one uniform each in that fixed order. Returns the
     (drop_global, drop_segment, drop_lyrics) flags for encode."""
-    for p in (p_global, p_segment, p_lyrics):
-        if not (0.0 <= p <= 1.0):
-            raise ContractError(f"dropout probability {p} outside [0, 1]")
     drop_g = bool(rng.random() < p_global)
     drop_s = bool(rng.random() < p_segment)
     drop_l = bool(rng.random() < p_lyrics)
@@ -369,8 +364,6 @@ class ConditioningEncoder:
         out_proj: OutputProjection,
         frame_rate: float,
     ):
-        if frame_rate <= 0:
-            raise ContractError("frame_rate must be positive")
         self.global_embedder = global_embedder
         self.segment_embedder = segment_embedder
         self.lyric_embedder = lyric_embedder

@@ -4,6 +4,10 @@ root seed from which every stochastic component derives its own stream.
 Precedence is CLI override > file > defaults. Unless a section pins its own
 seed, training uses derive_seed(seed, "train") and sampling
 derive_seed(seed, "generate"), so partial reruns stay reproducible.
+
+Each section checks its keys' ranges when it is built: a value outside its
+range is a ValidationError naming <section>.<key> at load, before any input
+is read or output made. Consumers trust the typed section and do not check again.
 """
 
 from __future__ import annotations
@@ -46,8 +50,14 @@ class ConditioningDims:
     d_lyrics: int = 16
 
     def __post_init__(self):
+        if self.d_global < 1:
+            raise ValidationError("conditioning.d_global must be >= 1")
+        if self.d_segment < 1:
+            raise ValidationError("conditioning.d_segment must be >= 1")
         if self.d_text < 1:
             raise ValidationError("conditioning.d_text must be >= 1")
+        if self.d_lyrics < 1:
+            raise ValidationError("conditioning.d_lyrics must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,14 @@ class TaskConfig:
     min_width: int = 8
 
     def __post_init__(self):
+        if self.T < 1:
+            raise ValidationError("task.T must be >= 1")
+        if self.d_audio < 1:
+            raise ValidationError("task.d_audio must be >= 1")
+        if self.frame_rate <= 0:
+            raise ValidationError("task.frame_rate must be > 0")
+        if self.noise_sigma < 0:
+            raise ValidationError("task.noise_sigma must be >= 0")
         if self.max_segments < 1:
             raise ValidationError("task.max_segments must be >= 1")
         if self.min_width < 1:
@@ -78,8 +96,6 @@ class PipelineConfig:
     dpo_min_diff: float | None = None  # deliberately no default; required for dpo-pairs
 
     def __post_init__(self):
-        # Checked at load: a stage would otherwise take a bad value silently
-        # or fail only on manifests where some record reaches it.
         if self.pretrain_min_sampling_rate <= 0:
             raise ValidationError("pipeline.pretrain_min_sampling_rate must be > 0")
         if self.finetune_min_sampling_rate <= 0:
@@ -124,6 +140,7 @@ _SECTION_TYPES = {
 }
 _FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
 _TOP_TYPES = {"seed": int, "negative": dict, **dict.fromkeys(_SECTION_TYPES, dict)}
+_SEED_STREAMS = {"train": "train", "guidance": "generate"}  # derive_seed names of unpinned seeds
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -158,10 +175,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     sections = {}
     for name, cls in _SECTION_TYPES.items():
         data = dict(check_object(raw.get(name, {}), _FIELD_TYPES[name], name))
-        if name == "train" and "seed" not in data:
-            data["seed"] = derive_seed(seed, "train")
-        if name == "guidance" and "seed" not in data:
-            data["seed"] = derive_seed(seed, "generate")
+        if name in _SEED_STREAMS:
+            data.setdefault("seed", derive_seed(seed, _SEED_STREAMS[name]))
         sections[name] = cls(**data)
     negative = NegativePrompts.from_json(raw.get("negative", {}), "negative")
     return RunConfig(seed=seed, negative=negative, **sections)

@@ -117,7 +117,7 @@ _REPORT_SAMPLE_KEYS = {"global_alignment", "segment_alignment"}
 
 def validate_report(report: dict) -> None:
     """Structural check of the metric-report JSON emitted by the CLI."""
-    if set(report) < {"samples", "aggregate"}:
+    if not {"samples", "aggregate"} <= set(report):
         raise ContractError("report must carry 'samples' and 'aggregate'")
     if not isinstance(report["samples"], list):
         raise ContractError("'samples' must be a list")

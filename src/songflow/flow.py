@@ -92,16 +92,23 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ContractError("steps must be >= 1")
+            raise ValidationError("train.steps must be >= 1")
         if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
-        for p in (self.p_drop_global, self.p_drop_segment):
-            if not (0.0 <= p <= 1.0):
-                raise ContractError(f"dropout probability {p} outside [0, 1]")
-        if self.p_drop_lyrics is not None and not (0.0 <= self.p_drop_lyrics <= 1.0):
-            raise ContractError(f"dropout probability {self.p_drop_lyrics} outside [0, 1]")
+            raise ValidationError("train.batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValidationError("train.learning_rate must be > 0")
+        if not 0 <= self.p_drop_global <= 1:
+            raise ValidationError("train.p_drop_global must be in [0, 1]")
+        if not 0 <= self.p_drop_segment <= 1:
+            raise ValidationError("train.p_drop_segment must be in [0, 1]")
+        if self.p_drop_lyrics is not None and not 0 <= self.p_drop_lyrics <= 1:
+            raise ValidationError("train.p_drop_lyrics must be in [0, 1]")
+        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+            raise ValidationError("train.grad_clip_norm must be > 0")
         if self.checkpoint_every < 0:
             raise ValidationError("train.checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("train.seed must be >= 0")
 
     @property
     def lyric_dropout(self) -> float:
@@ -140,6 +147,7 @@ class TrainReport:
     losses: list[float] = field(default_factory=list)
     steps: int = 0
     checkpoint_path: str | None = None
+    files: list[str] = field(default_factory=list)  # names written into out_dir
     wall_seconds: float = 0.0
 
     def smoothed(self) -> tuple[float, float]:
@@ -152,11 +160,11 @@ def train(system, dataset, config: TrainConfig, out_dir: Path) -> TrainReport:
     """Deterministic under config.seed. Streams a JSON-lines log (step,
     loss, wall_ms) to out_dir/train_log.jsonl and writes out_dir/checkpoint.json
     at the end, plus checkpoint-<step>.json every config.checkpoint_every
-    steps."""
+    steps; report.files names exactly the files this run wrote."""
     rng = np.random.default_rng(config.seed)
     params = [t for _, t in system.named_parameters()]
     state = adam_init(params, config.learning_rate)
-    report = TrainReport()
+    report = TrainReport(files=["train_log.jsonl"])
     started = time.perf_counter()
     with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as log_file:
         for step in range(config.steps):
@@ -185,9 +193,11 @@ def train(system, dataset, config: TrainConfig, out_dir: Path) -> TrainReport:
                 and (step + 1) % config.checkpoint_every == 0
                 and step + 1 < config.steps
             ):
-                system.save(out_dir / f"checkpoint-{step + 1:06d}.json")
+                report.files.append(f"checkpoint-{step + 1:06d}.json")
+                system.save(out_dir / report.files[-1])
     final = out_dir / "checkpoint.json"
     system.save(final)
+    report.files.append(final.name)
     report.checkpoint_path = str(final)
     report.wall_seconds = time.perf_counter() - started
     return report

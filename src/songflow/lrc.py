@@ -197,8 +197,6 @@ def time_to_frame(t: float, frame_rate: float) -> int:
     floor the float product."""
     if t < 0:
         raise ContractError(f"negative time {t}")
-    if frame_rate <= 0:
-        raise ContractError("frame_rate must be positive")
     return _grid_frames(t, frame_rate, up=False)
 
 
@@ -206,8 +204,8 @@ def frame_count(total_duration: float, frame_rate: float) -> int:
     """Number of latent frames covering [0, total_duration): ceil(duration * rate),
     exact on the centisecond grid like time_to_frame, so 0.07 s at 100 Hz is
     7 frames (the float product is 7.000000000000001)."""
-    if total_duration <= 0 or frame_rate <= 0:
-        raise ContractError("duration and frame rate must be positive")
+    if total_duration <= 0:
+        raise ContractError("duration must be positive")
     return _grid_frames(total_duration, frame_rate, up=True)
 
 

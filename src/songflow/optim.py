@@ -38,8 +38,6 @@ def _views(flat: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
 
 
 def adam_init(params: list[Tensor], learning_rate: float) -> AdamState:
-    if learning_rate <= 0:
-        raise ContractError("learning rate must be positive")
     size = sum(p.data.size for p in params)
     flat_m, flat_v = np.zeros(size), np.zeros(size)
     return AdamState(
@@ -105,8 +103,6 @@ def grad_norm(params: list[Tensor]) -> float:
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale all gradients jointly so their global L2 norm is at most max_norm."""
-    if max_norm <= 0:
-        raise ContractError("max_norm must be positive")
     norm = grad_norm(params)
     if norm > max_norm:
         factor = max_norm / norm

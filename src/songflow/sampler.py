@@ -23,7 +23,7 @@ from .conditioning import (
     NegativePrompts,
     PromptSpec,
 )
-from .errors import ContractError, DimensionError, NumericAbort
+from .errors import DimensionError, NumericAbort, ValidationError
 from .lrc import LrcDocument
 from .tensor import Tensor
 
@@ -45,7 +45,9 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ContractError("steps must be >= 1")
+            raise ValidationError("guidance.steps must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("guidance.seed must be >= 0")
 
 
 def guided_velocity(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import HashEmbedder, PromptSpec
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 from .flow import TrainBatch, TrainExample
 from .lrc import LYRIC, LrcDocument, LrcLine, SegmentSpec, windows_from_segments
 
@@ -45,20 +45,6 @@ class SyntheticTaskSpec:
     global_vocab: dict[str, np.ndarray]  # text -> offset vector (d_audio,)
     segment_vocab: dict[str, tuple[float, int]]  # text -> (amplitude, period >= 2)
     noise_sigma: float = 0.05
-
-    def __post_init__(self):
-        if self.T < 1 or self.d_audio < 1 or self.frame_rate <= 0:
-            raise ValidationError("T, d_audio, frame_rate must be positive")
-        if not self.global_vocab or not self.segment_vocab:
-            raise ValidationError("vocabularies must be non-empty")
-        for text, vec in self.global_vocab.items():
-            if np.asarray(vec).shape != (self.d_audio,):
-                raise ValidationError(f"offset for {text!r} must have shape ({self.d_audio},)")
-        for text, (amp, period) in self.segment_vocab.items():
-            if period < 2:
-                raise ValidationError(f"period for {text!r} must be >= 2 frames")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
 
     @property
     def duration(self) -> float:

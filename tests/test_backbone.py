@@ -51,8 +51,6 @@ def test_time_embedding_contract():
         time_embedding(-0.01, 16)
     with pytest.raises(ContractError):
         time_embedding(1.01, 16)
-    with pytest.raises(ContractError):
-        time_embedding(0.5, 7)
 
 
 def test_model_config_validation():

@@ -346,6 +346,22 @@ def test_train_twice_is_byte_identical(tmp_path):
     assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
 
 
+def test_train_manifest_lists_only_the_files_the_run_wrote(tmp_path):
+    """A second run into the same --out-dir does not list the checkpoints an
+    earlier run left there."""
+    out = tmp_path / "run"
+
+    def files(steps, every):
+        argv = _tiny_args(["train", "--out-dir", str(out), "--set", f"train.steps={steps}",
+                           "--set", f"train.checkpoint_every={every}"])
+        assert main(argv) == EXIT_OK
+        return json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["files"]
+
+    assert files(4, 2) == ["checkpoint-000002.json", "checkpoint.json", "train_log.jsonl"]
+    assert files(2, 0) == ["checkpoint.json", "train_log.jsonl"]
+    assert (out / "checkpoint-000002.json").exists()  # left by the first run, not listed
+
+
 def test_generate_twice_is_byte_identical_and_logged(tmp_path):
     ckpt = _train_tiny(tmp_path)
     prompt = tmp_path / "p.json"
@@ -829,7 +845,7 @@ MALFORMED = [
     ("train-zero-d-text", "train", {"config.json": '{"conditioning": {"d_text": 0}}'}, EXIT_DATA,
      "conditioning.d_text must be >= 1"),
     ("train-zero-ff-mult", "train", {"config.json": '{"model": {"ff_mult": 0}}'}, EXIT_DATA,
-     "ff_mult must be positive"),
+     "model.ff_mult must be >= 1"),
     ("train-negative-checkpoint-every", "train",
      {"config.json": '{"train": {"checkpoint_every": -1}}'}, EXIT_DATA,
      "train.checkpoint_every must be >= 0"),

@@ -404,14 +404,6 @@ def test_encode_rows_match_one_row_encodes():
     assert np.array_equal(taken.e_text.data, bundle.e_text.data[[2, 0]])
 
 
-def test_dropout_rejects_probability_outside_unit_interval(rng):
-    for args in ((1.5, 0.0, 0.0), (0.0, -0.1, 0.0)):
-        with pytest.raises(ContractError):
-            apply_condition_dropout(*args, rng)
-    with pytest.raises(ContractError):
-        apply_condition_dropout(0.0, 0.0, 2.0, rng)
-
-
 def test_dropped_lyrics_are_all_zero(rng):
     encoder = _encoder()
     bundle, spec, doc = _bundle(encoder)

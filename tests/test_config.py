@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +143,113 @@ def test_pipeline_range_bounds_are_accepted(override):
     """Each range check's closed end is a valid value."""
     key, _, value = override.partition("=")
     assert getattr(load_config(overrides=[override]).pipeline, key.split(".")[1]) == json.loads(value)
+
+
+@pytest.mark.parametrize("override", [
+    "train.seed=0",
+    "guidance.seed=0",
+    "task.noise_sigma=0",
+    "train.p_drop_global=0",
+    "train.p_drop_global=1",
+    "train.p_drop_segment=0",
+    "train.p_drop_segment=1",
+    "train.p_drop_lyrics=0",
+    "train.p_drop_lyrics=1",
+])
+def test_setting_range_bounds_are_accepted(override):
+    """The closed ends of the other sections' ranges are valid values too."""
+    key, _, value = override.partition("=")
+    assert _config_value(load_config(overrides=[override]), key) == json.loads(value)
+
+
+# (override, the key the message names): one row per range rule of every
+# section. Each is a ValidationError at load, so every command exits 2
+# before it reads an input, makes --out-dir or runs a step.
+OUT_OF_RANGE = [
+    ("model.n_blocks=0", "model.n_blocks"),
+    ("model.model_width=0", "model.model_width"),
+    ("model.n_heads=0", "model.n_heads"),
+    ("model.n_heads=3", "model.n_heads"),  # 64 is not divisible by 3
+    ("model.d_t=5", "model.d_t"),
+    ("model.d_t=2", "model.d_t"),
+    ("model.ff_mult=0", "model.ff_mult"),
+    ("conditioning.d_global=0", "conditioning.d_global"),
+    ("conditioning.d_segment=0", "conditioning.d_segment"),
+    ("conditioning.d_text=0", "conditioning.d_text"),
+    ("conditioning.d_lyrics=0", "conditioning.d_lyrics"),
+    ("train.steps=0", "train.steps"),
+    ("train.batch_size=0", "train.batch_size"),
+    ("train.learning_rate=0", "train.learning_rate"),
+    ("train.learning_rate=-0.1", "train.learning_rate"),
+    ("train.p_drop_global=1.5", "train.p_drop_global"),
+    ("train.p_drop_segment=-0.1", "train.p_drop_segment"),
+    ("train.p_drop_lyrics=2.0", "train.p_drop_lyrics"),
+    ("train.grad_clip_norm=0", "train.grad_clip_norm"),
+    ("train.checkpoint_every=-1", "train.checkpoint_every"),
+    ("train.seed=-1", "train.seed"),
+    ("guidance.steps=0", "guidance.steps"),
+    ("guidance.seed=-5", "guidance.seed"),
+    ("task.T=0", "task.T"),
+    ("task.d_audio=0", "task.d_audio"),
+    ("task.frame_rate=0", "task.frame_rate"),
+    ("task.frame_rate=-4", "task.frame_rate"),
+    ("task.noise_sigma=-0.01", "task.noise_sigma"),
+    ("task.max_segments=0", "task.max_segments"),
+    ("task.min_width=0", "task.min_width"),
+    ("pipeline.pretrain_min_sampling_rate=0", "pipeline.pretrain_min_sampling_rate"),
+    ("pipeline.finetune_min_sampling_rate=-1", "pipeline.finetune_min_sampling_rate"),
+    ("pipeline.pretrain_min_duration=-1", "pipeline.pretrain_min_duration"),
+    ("pipeline.pretrain_min_duration=400", "pipeline.pretrain_min_duration"),
+    ("pipeline.pretrain_drop_fraction=1.5", "pipeline.pretrain_drop_fraction"),
+    ("pipeline.finetune_channels=0", "pipeline.finetune_channels"),
+    ("pipeline.lyric_edit_max_distance=-0.5", "pipeline.lyric_edit_max_distance"),
+    ("pipeline.dpo_min_diff=-1", "pipeline.dpo_min_diff"),
+]
+
+
+@pytest.mark.parametrize("override, key", OUT_OF_RANGE, ids=[row[0] for row in OUT_OF_RANGE])
+def test_out_of_range_settings_are_rejected_at_load(tmp_path, capsys, override, key):
+    with pytest.raises(ValidationError, match=re.escape(key)):
+        load_config(overrides=[override])
+    out = tmp_path / "out"
+    # A short run, so a row the config let through fails fast; the row's
+    # override comes last and wins.
+    argv = ["train", "--set", "train.steps=1", "--set", "train.batch_size=1", "--set", override,
+            "--out-dir", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["guidance.seed=-5", "guidance.steps=0"])
+def test_generate_rejects_guidance_out_of_range_before_reading_inputs(tmp_path, capsys, override):
+    """The inputs do not exist: the config is loaded, and refused, first."""
+    out = tmp_path / "out"
+    argv = ["generate", "--checkpoint", str(tmp_path / "missing.json"), "--prompt",
+            str(tmp_path / "missing.json"), "--lrc", str(tmp_path / "missing.lrc"),
+            "--set", override, "--out-dir", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name, tiny", [
+    ("train-t64", False), ("train-t64", True),
+    ("generate-t256", False), ("generate-t256", True),
+    ("curate-10k", True),  # its config does not depend on --tiny
+])
+def test_benchmark_configs_pass_the_range_rules(monkeypatch, tmp_path, name, tiny):
+    """Every config a benchmark workload writes loads, so a rule that would
+    refuse one fails here rather than in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS[name](0, tmp_path, tiny)
+    try:  # TrainWorkload installs its timing hooks when it is made
+        workload.setup()
+        load_config(workload.config_path)
+    finally:
+        workload.close()

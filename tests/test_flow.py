@@ -9,7 +9,7 @@ from conftest import fd_max_rel_error
 from songflow.conditioning import OutputProjection
 from songflow.checkpoint import load_params
 from songflow.config import load_config
-from songflow.errors import ContractError, DimensionError, NumericAbort
+from songflow.errors import ContractError, DimensionError, NumericAbort, ValidationError
 from songflow.flow import (
     TrainBatch,
     TrainConfig,
@@ -339,7 +339,7 @@ def test_default_step_graph_holds_only_what_the_vjps_read():
 
 
 def test_train_requires_at_least_one_step():
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError, match=r"train\.steps must be >= 1"):
         TrainConfig(steps=0)
 
 

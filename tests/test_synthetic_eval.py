@@ -7,7 +7,7 @@ import pytest
 
 from songflow.conditioning import PromptSpec, prompt_spec_to_json
 from songflow.config import RunConfig, TaskConfig
-from songflow.errors import ContractError, ValidationError
+from songflow.errors import ContractError
 from songflow.evaluate import (
     PatternOracleScorer,
     _pearson,
@@ -26,7 +26,6 @@ from songflow.lrc import (
 )
 from songflow.synthetic import (
     SyntheticDataset,
-    SyntheticTaskSpec,
     default_task,
     pattern_trace,
     sample_prompt,
@@ -60,18 +59,14 @@ def _spec(task, entries):
 
 
 def test_task_validation():
-    with pytest.raises(ValidationError):
-        SyntheticTaskSpec(
-            T=8, d_audio=2, frame_rate=4.0, global_vocab={}, segment_vocab={"p": (1.0, 4)}
-        )
-    with pytest.raises(ValidationError):
-        SyntheticTaskSpec(
-            T=8,
-            d_audio=2,
-            frame_rate=4.0,
-            global_vocab={"g": np.zeros(2)},
-            segment_vocab={"p": (1.0, 1)},
-        )
+    """SyntheticTaskSpec checks nothing itself: the task section checked the
+    numbers, and the fixed vocabularies hold what a draw needs at any
+    d_audio, as pinned here."""
+    for d_audio in (1, 2, _TASK.d_audio):
+        task = default_task(_TASK.T, d_audio, _TASK.frame_rate)
+        assert task.global_vocab and task.segment_vocab
+        assert all(np.shape(vec) == (d_audio,) for vec in task.global_vocab.values())
+        assert all(period >= 2 for _, period in task.segment_vocab.values())
 
 
 def test_noiseless_sample_without_segments_is_constant_offset(rng):
@@ -313,3 +308,8 @@ def test_validate_report():
         validate_report({"samples": []})
     with pytest.raises(ContractError):
         validate_report({"samples": [{}], "aggregate": {}})
+    # Every CLI report also carries "duration"; a missing key is still a ContractError.
+    with pytest.raises(ContractError):
+        validate_report({"samples": [], "duration": []})
+    with pytest.raises(ContractError):
+        validate_report({"aggregate": {}, "duration": []})
