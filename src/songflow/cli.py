@@ -11,22 +11,21 @@ directory is made only once every input has been read and checked, so a
 data error leaves none behind.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
-that cannot be read, or that is not UTF-8 or not JSON, named in the
-message; a setting outside its range (named by its key; its `config`
-section holds the rule); a prompt or --duration-hint longer than
-pipeline.pretrain_max_duration, a time with no finite frame, an LRC minute
-field past float range, a JSON integer too large for a float, JSON nested
-too deeply, and a prompt key that is unknown or missing; `schema` holds
-these rules), 3 numeric abort (also a non-finite value that would
-reach a JSON artifact). Artifacts other than the streamed
-train_log.jsonl are written atomically; JSON artifacts are strict (no
-NaN/Infinity tokens) and compact: without indentation json's C encoder
-writes them, about 4x faster than its pure-Python indenting encoder on a
-1,000-record shard's reports; checkpoints use the songflow-params-v2
-container described in `checkpoint`. Latents are JSON only:
-{"shape": [T, d_audio], "values": [...]} row-major. generate writes
-latent.json, and eval reads that form whatever a file's suffix; anything
-else is a data error.
+that cannot be read, or that is not UTF-8 or not JSON, named in the message; a
+setting outside its range (named by its key; its `config` section holds the
+rule); a prompt or --duration-hint longer than pipeline.pretrain_max_duration,
+a time with no finite frame or a duration with none, an LRC minute field past
+float range, a JSON integer too large for a float, JSON nested too deeply, and
+a prompt key that is unknown or missing; `schema` holds these rules), 3 numeric
+abort (also a non-finite value that would reach a JSON artifact). Any other
+exception is a program fault and propagates with its traceback. Artifacts other
+than the streamed train_log.jsonl are written atomically; JSON artifacts are
+strict (no NaN/Infinity tokens) and compact: without indentation json's C
+encoder writes them, about 4x faster than its pure-Python indenting encoder on
+a 1,000-record shard's reports; checkpoints use the songflow-params-v2
+container described in `checkpoint`. Latents are JSON only, row-major as
+{"shape": [T, d_audio], "values": [...]}: generate writes latent.json, and
+eval reads that form whatever a file's suffix; anything else is a data error.
 
 Allocator policy: `main` first calls `_keep_freed_memory_in_heap`. A
 generate request allocates and frees the same 0.4-0.8 MB arrays (stacked
@@ -59,7 +58,7 @@ from .errors import ContractError, DimensionError, NumericAbort, ParseError, Val
 from .evaluate import PatternOracleScorer, duration_mae, segment_alignment_score
 from .durations import predict_durations
 from .flow import train
-from .lrc import BOUNDARY, frame_count, parse_lrc, serialize_lrc, windows_from_segments
+from .lrc import frame_count, parse_lrc, serialize_lrc, windows_from_segments
 from .pipeline import (
     build_duration_dataset,
     dpo_pair_select,
@@ -205,7 +204,6 @@ def cmd_pipeline(args) -> int:
         pairs = [
             {"group": gid, "win": w, "lose": l}
             for gid in sorted(groups)
-            if len(groups[gid]) >= 2
             for w, l in dpo_pair_select(groups[gid], pc.dpo_min_diff)
         ]
         out_dir = _out_dir(args)
@@ -358,12 +356,11 @@ def _eval_one(index, latent_path, prompt_path, cfg, scorer):
         "prompt": str(prompt_path),
         "global_alignment": scorer.score(latent, spec.global_text),
     }
-    # Unscored when a segment floors to no frame or no segment is scorable.
-    if len(windows) == len(spec.segments) and any(s.kind != BOUNDARY for s in spec.segments):
+    # Unscored when a segment floors to no frame.
+    per, mean = [], None
+    if len(windows) == len(spec.segments):
         per, mean = segment_alignment_score(latent, windows, scorer)
-        sample["segment_alignment"] = {"per_segment": per, "mean": mean}
-    else:
-        sample["segment_alignment"] = {"per_segment": [], "mean": None}
+    sample["segment_alignment"] = {"per_segment": per, "mean": mean}
     return sample
 
 
@@ -484,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, ValidationError, ContractError, DimensionError, OSError, KeyError) as exc:
+    except (ParseError, ValidationError, ContractError, DimensionError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

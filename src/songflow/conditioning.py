@@ -219,8 +219,6 @@ def broadcast_prompt_halves(
     (a read-only broadcast view of the cached vector, not a copy); E_l starts
     at zeros and each segment's vector fills its frame window from
     windows_from_segments. Frames covered by no segment keep the zero row."""
-    if T < 1:
-        raise ContractError("T must be >= 1")
     e_g = np.broadcast_to(f_g.vector(spec.global_text), (T, f_g.dimension))
     e_l = np.zeros((T, f_l.dimension))
     for start, end, seg in windows_from_segments(spec.segments, frame_rate, T):
@@ -376,8 +374,6 @@ class ConditioningEncoder:
         still encoded so an onset outside [0, T) is an error whatever the
         flags."""
         rows = tuple(rows)
-        if not rows:
-            raise ContractError("encode needs at least one row")
         d_g, d_l = self.global_embedder.dimension, self.segment_embedder.dimension
         halves = np.zeros((len(rows), T, d_g + d_l))
         lyrics = np.zeros((len(rows), T, self.lyric_embedder.dimension))

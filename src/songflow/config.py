@@ -74,8 +74,8 @@ class TaskConfig:
             raise ValidationError("task.T must be >= 1")
         if self.d_audio < 1:
             raise ValidationError("task.d_audio must be >= 1")
-        if self.frame_rate <= 0:
-            raise ValidationError("task.frame_rate must be > 0")
+        if not 0 < self.frame_rate <= 1000:  # lrc's grid snap is exact up to 1000 Hz
+            raise ValidationError("task.frame_rate must be in (0, 1000]")
         if self.noise_sigma < 0:
             raise ValidationError("task.noise_sigma must be >= 0")
         if self.max_segments < 1:

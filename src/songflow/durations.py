@@ -57,13 +57,11 @@ def predict_durations(
     Lines are split evenly (in order) across the segment prompts, or all go
     under the global prompt when there are none; a segment whose prompt
     mentions "chorus" uses the slower chorus rate. Blank lines are dropped.
-    With a hint, all timestamps scale by hint / unscaled_total.
-    """
+    With a hint (positive: `--duration-hint` and PromptSpec hold that), all
+    timestamps scale by hint / unscaled_total."""
     lines = [ln.strip() for ln in lyrics if ln.strip()]
     if not lines:
         raise ContractError("predict_durations needs at least one non-empty lyric line")
-    if total_duration_hint is not None and total_duration_hint <= 0:
-        raise ContractError("total_duration_hint must be positive")
     prompts = segment_prompts[: len(lines)] or [global_prompt]  # never more groups than lines
 
     sizes = _split_even(len(lines), len(prompts))

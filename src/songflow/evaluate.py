@@ -78,18 +78,16 @@ def segment_alignment_score(
     latent: np.ndarray,
     windows: list[SegmentWindow],
     scorer: PatternOracleScorer,
-) -> tuple[list[float], float]:
+) -> tuple[list[float], float | None]:
     """Score each window's latent slice against its segment text; return
     (per-segment scores, their arithmetic mean). Boundary-marker segments are
-    excluded."""
+    excluded; with no other window the mean is undefined, so it is None."""
     scores = [
         scorer.score(latent[start:end], seg.text)
         for start, end, seg in windows
         if seg.kind != BOUNDARY
     ]
-    if not scores:
-        raise ContractError("no scorable segments: the mean is undefined")
-    return scores, sum(scores) / len(scores)
+    return scores, sum(scores) / len(scores) if scores else None
 
 
 def duration_mae(predicted: LrcDocument, truth: LrcDocument) -> float:

@@ -172,9 +172,10 @@ def _grid_frames(t: float, rate: float, up: bool) -> int:
     """floor (ceil when `up`) of t * rate. A time within 1e-8 s of the
     centisecond grid (every LRC stamp) is taken exactly as that many
     centiseconds, and the float rate exactly as the ratio of integers it
-    holds; other times round the float product. A time whose product is not
-    finite has no frame (ContractError). Memoized: training maps the same
-    few segment and line times every step."""
+    holds; other times round the float product. The snap moves t by at most
+    1e-8 s: 1e-5 frame at task.frame_rate's bound of 1000 Hz. A time whose
+    product is not finite has no frame (ContractError). Memoized: training
+    maps the same few segment and line times every step."""
     product = t * rate
     if not math.isfinite(product):
         raise ContractError(f"time {t} s at {rate} frames/s has no finite frame")
@@ -194,19 +195,18 @@ def time_to_frame(t: float, frame_rate: float) -> int:
     A time within 1e-8 s of the centisecond grid (every LRC stamp) is floored
     exactly as that many centiseconds: [00:00.57] at 100 Hz is frame 57, where
     the float product 0.57 * 100 = 56.99... would floor to 56. Other times
-    floor the float product."""
-    if t < 0:
-        raise ContractError(f"negative time {t}")
+    floor the float product. SegmentSpec and LrcLine hold t >= 0."""
     return _grid_frames(t, frame_rate, up=False)
 
 
 def frame_count(total_duration: float, frame_rate: float) -> int:
     """Number of latent frames covering [0, total_duration): ceil(duration * rate),
-    exact on the centisecond grid like time_to_frame, so 0.07 s at 100 Hz is
-    7 frames (the float product is 7.000000000000001)."""
-    if total_duration <= 0:
-        raise ContractError("duration must be positive")
-    return _grid_frames(total_duration, frame_rate, up=True)
+    exact on the centisecond grid like time_to_frame (0.07 s at 100 Hz is 7
+    frames, not 8). No frame, as for a duration snapped to 0 s, is a ContractError."""
+    frames = _grid_frames(total_duration, frame_rate, up=True)
+    if frames < 1:
+        raise ContractError(f"{total_duration} s at {frame_rate} frames/s covers no frame")
+    return frames
 
 
 # -----------------------------------------------------------------------------

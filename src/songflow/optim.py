@@ -60,8 +60,6 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         raise DimensionError(f"adam_step: {len(params)} params vs state for {len(state.m)}")
     grads = []
     for i, (p, m) in enumerate(zip(params, state.m)):
-        if p.grad is None:
-            raise ContractError(f"adam_step: parameter {i} has no gradient")
         if p.grad.shape != m.shape:
             raise DimensionError(f"adam_step: moment shape mismatch at parameter {i}")
         grads.append(p.grad)

@@ -19,7 +19,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .checkpoint import write_jsonl_atomic
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .lrc import parse_lrc, serialize_lrc
 from .schema import is_number, loads, read_text, split_lines
 
@@ -205,9 +205,8 @@ def write_manifest(records: list[RecordManifest], path) -> None:
 
 
 def quantile(values: list[float], q: float) -> float:
-    """Linear interpolation on the sorted sample (the inclusive convention)."""
-    if not values:
-        raise ContractError("quantile of an empty sample")
+    """Linear interpolation on the sorted sample (the inclusive convention),
+    which every caller passes non-empty."""
     ordered = sorted(values)
     pos = (len(ordered) - 1) * q
     lo = int(pos)
@@ -392,9 +391,8 @@ def dpo_pair_select(
 ) -> list[tuple[str, str]]:
     """Every ordered (win, lose) pair whose score difference exceeds min_diff
     and whose winner scores above the group's third quartile (linear
-    interpolation). Output sorted by (win id, lose id)."""
-    if len(group) < 2:
-        raise ContractError("pair selection needs a group of at least 2")
+    interpolation). Output sorted by (win id, lose id). A one-score group
+    gives no pair, since min_diff >= 0 (PipelineConfig holds it)."""
     q3 = quantile([score for _, score in group], 0.75)
     pairs = [
         (win_id, lose_id)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import songflow
+import songflow.cli as cli
 from songflow.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from songflow.lrc import parse_lrc
 from songflow.pipeline import RecordManifest, write_manifest
@@ -757,6 +758,9 @@ MALFORMED = [
     ("generate-infinite-frame-end", "generate",
      {"prompt.json": _prompt_text(segments=[{"start_s": 0.0, "end_s": 1.7e308, "text": "p"}])},
      EXIT_DATA, "has no finite frame"),
+    ("generate-sub-frame-duration", "generate",
+     {"prompt.json": _prompt_text(segments=[], duration_s=1e-9), "x.lrc": ""}, EXIT_DATA,
+     "covers no frame"),
     ("generate-huge-lrc-minute", "generate", {"x.lrc": _HUGE_MINUTE_LRC}, EXIT_DATA,
      "minute field out of range"),
     ("predict-durations-infinite-hint", "predict-durations", {"hint.txt": "1.7e308"}, EXIT_DATA,
@@ -891,6 +895,17 @@ def tiny_checkpoint_payload(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
     build_song_model(load_config(None, TINY), trainable=False).save(path)
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_a_key_error_is_a_program_fault_not_a_data_error(tmp_path, monkeypatch):
+    """Data paths that index a key check it first, so a KeyError reaching
+    main is a bug: it propagates with its traceback instead of exiting 2."""
+    def broken(*args):
+        raise KeyError("steps")
+
+    monkeypatch.setattr(cli, "load_config", broken)
+    with pytest.raises(KeyError, match="steps"):
+        main(["train", "--out-dir", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("case, command, files, expected, message", MALFORMED,

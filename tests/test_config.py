@@ -149,6 +149,7 @@ def test_pipeline_range_bounds_are_accepted(override):
     "train.seed=0",
     "guidance.seed=0",
     "task.noise_sigma=0",
+    "task.frame_rate=1000",
     "train.p_drop_global=0",
     "train.p_drop_global=1",
     "train.p_drop_segment=0",
@@ -193,6 +194,7 @@ OUT_OF_RANGE = [
     ("task.d_audio=0", "task.d_audio"),
     ("task.frame_rate=0", "task.frame_rate"),
     ("task.frame_rate=-4", "task.frame_rate"),
+    ("task.frame_rate=1001", "task.frame_rate"),  # past 1000 Hz lrc's grid snap moves frames
     ("task.noise_sigma=-0.01", "task.noise_sigma"),
     ("task.max_segments=0", "task.max_segments"),
     ("task.min_width=0", "task.min_width"),

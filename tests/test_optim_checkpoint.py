@@ -9,7 +9,7 @@ import songflow.checkpoint as checkpoint
 import songflow.cli as cli
 from songflow.checkpoint import load_into, load_params, save_params
 from songflow.errors import ContractError, ValidationError
-from songflow.optim import adam_init, adam_step, clip_grad_norm
+from songflow.optim import adam_init, adam_step, clip_grad_norm, grad_norm
 from songflow.tensor import Tensor, backward, mse, zero_grads
 
 
@@ -43,10 +43,10 @@ def test_converges_to_quadratic_minimum():
 
 
 def test_missing_grad_is_contract_error():
+    """grad_norm holds the rule: flow.train calls it before every adam_step."""
     w = Tensor([1.0], requires_grad=True)
-    state = adam_init([w], learning_rate=0.1)
     with pytest.raises(ContractError):
-        adam_step([w], state)
+        grad_norm([w])
 
 
 def test_step_counter_increases_and_grads_untouched():

@@ -6,7 +6,7 @@ import pytest
 
 from songflow import cli
 from songflow.config import PipelineConfig
-from songflow.errors import ContractError, ParseError, ValidationError
+from songflow.errors import ParseError, ValidationError
 from songflow.lrc import parse_lrc
 from songflow.pipeline import (
     BOUNDARY_END_TEXT,
@@ -347,9 +347,8 @@ def test_dpo_hand_example_with_q3():
     assert pairs == [("d", "a"), ("d", "b")]
 
 
-def test_dpo_needs_two():
-    with pytest.raises(ContractError):
-        dpo_pair_select([("a", 1.0)], min_diff=0.1)
+def test_dpo_one_score_group_has_no_pair():
+    assert dpo_pair_select([("a", 1.0)], min_diff=0.1) == []
 
 
 def test_dpo_matches_brute_force_on_random_groups(rng):

@@ -21,6 +21,7 @@ from songflow.lrc import (
     LrcDocument,
     LrcLine,
     SegmentSpec,
+    SegmentWindow,
     serialize_lrc,
     windows_from_segments,
 )
@@ -218,9 +219,12 @@ def test_boundary_segments_excluded_by_default(rng):
 
 
 def test_empty_segment_list_is_undefined_mean(rng):
+    """No window, or only boundary windows: no score, and the mean is None."""
     task = _noiseless_task()
-    with pytest.raises(ContractError):
-        segment_alignment_score(np.zeros((task.T, task.d_audio)), [], PatternOracleScorer(task))
+    x, scorer = np.zeros((task.T, task.d_audio)), PatternOracleScorer(task)
+    boundary = SegmentWindow(0, 4, SegmentSpec(0.0, 1.0, "start-marker", kind=BOUNDARY))
+    assert segment_alignment_score(x, [], scorer) == ([], None)
+    assert segment_alignment_score(x, [boundary], scorer) == ([], None)
 
 
 def test_global_alignment_self_is_max(rng):
