@@ -321,8 +321,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     weights, leading index first.
 
     The row-max shift of the softmax is skipped when a bound shows it is not
-    needed. With q scaled, B = sqrt(max_t |q_t|^2 * max_t |k_t|^2) over every
-    head's rows bounds every score to [-B, B] (Cauchy-Schwarz). Unshifted,
+    needed. It is decided for each leading row n on its own, so a row's output
+    does not depend on the rows batched with it; below, every max runs over
+    all heads of one row n. With q scaled, B = sqrt(max_t |q_t|^2 *
+    max_t |k_t|^2) bounds every score to [-B, B] (Cauchy-Schwarz). Unshifted,
     exp(s) lies in [e^-B, e^B], a row sum in [e^-B, T e^B] and an entry of
     exp(S) V within T e^B max|v|. So when B + ln T + |ln max|v|| <= 700,
     nothing overflows, every exp(s) is a normal double, and a product
@@ -349,17 +351,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
         return a.reshape(-1, T, n_heads, hd).transpose(0, 2, 1, 3)
 
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
-    bound = np.sqrt(np.einsum("nhtd,nhtd->nht", qh, qh).max(initial=0.0)) * np.sqrt(
-        np.einsum("nhtd,nhtd->nht", kh, kh).max(initial=0.0)
-    )
-    vmax = max(v.data.max(initial=0.0), -v.data.min(initial=0.0))
-    shift = not (vmax > 0 and bound + np.log(T) + abs(np.log(vmax)) <= _UNSHIFTED_EXP_LIMIT)
+    bound = np.sqrt(np.einsum("nhtd,nhtd->nht", qh, qh).max(axis=(1, 2), initial=0.0))
+    bound *= np.sqrt(np.einsum("nhtd,nhtd->nht", kh, kh).max(axis=(1, 2), initial=0.0))
+    vmax = np.maximum(vh.max(axis=(1, 2, 3), initial=0.0), -vh.min(axis=(1, 2, 3), initial=0.0))
+    # ln max|v| of an all-zero or NaN row is left at inf, so that row shifts
+    ln_vmax = np.log(vmax, out=np.full(vmax.shape, np.inf), where=vmax > 0)
+    shift = ~(bound + np.log(T) + np.abs(ln_vmax) <= _UNSHIFTED_EXP_LIMIT)
     data = np.empty(shape)
     out = heads(data)
     if q.requires_grad or k.requires_grad or v.requires_grad:
         probs = np.matmul(qh, kh.swapaxes(-1, -2))
-        if shift:
-            probs -= probs.max(axis=-1, keepdims=True)
+        for n in np.flatnonzero(shift):
+            probs[n] -= probs[n].max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs *= 1.0 / probs.sum(axis=-1, keepdims=True)
         np.matmul(probs, vh, out=out)
@@ -370,7 +373,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
         scores = np.empty((T, T))
         for i in np.ndindex(out.shape[:2]):
             np.matmul(qh[i], kh[i].T, out=scores)
-            if shift:
+            if shift[i[0]]:
                 scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             total = scores.sum(axis=-1, keepdims=True)

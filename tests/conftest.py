@@ -1,6 +1,8 @@
 """Shared oracles: central finite differences and a brute-force per-frame
 reference for prompt broadcasting."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,14 @@ def brute_force_text_embedding(spec, T, f_g, f_l, out_proj, frame_rate):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test: waitpid(-1, WNOHANG) gave {left}")

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -311,3 +314,124 @@ def test_euler_aborts_on_divergence():
             Explode(), _dummy_triple(system, T), GuidanceConfig(1.0, 0.0, 4, seed=0), T, d
         )
     assert err.value.step is not None
+
+
+# -----------------------------------------------------------------------------
+# the second guidance group's worker process
+# -----------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the sampler sees; returns the list of fork calls."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def allow(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forks
+
+    return allow
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cfg_pair", [(3.0, 1.0), (2.0, 0.0), (1.0, 0.0)])
+def test_euler_sample_bytes_do_not_depend_on_the_cpu_count(cpus, cfg_pair):
+    cfg, system = _perturbed_system(seed=2)
+    spec, doc = _spec_and_doc()
+    T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
+    gc = GuidanceConfig(*cfg_pair, steps=6, seed=7)
+    runs = {}
+    for n_cpus in (1, 2):
+        forks = cpus(n_cpus)
+        runs[n_cpus] = euler_sample(system.model, triple, gc, T, d)
+        # one row, as with cfg 1 / cfg_n 0, leaves no second group
+        assert len(forks) == (n_cpus == 2 and cfg_pair != (1.0, 0.0))
+        forks.clear()
+    (one, log_one), (two, log_two) = runs[1], runs[2]
+    assert np.array_equal(one, two)
+    assert log_one == log_two
+    _no_child_left()
+
+
+def test_a_failed_fork_runs_both_groups_in_the_caller(cpus, monkeypatch):
+    cfg, system = _perturbed_system(seed=2)
+    spec, doc = _spec_and_doc()
+    T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
+    gc = GuidanceConfig(3.0, 1.0, steps=4, seed=7)
+    cpus(1)
+    expected = euler_sample(system.model, triple, gc, T, d)
+    cpus(2)
+    open_fds = len(os.listdir("/proc/self/fd"))
+
+    def no_process(*args):
+        raise BlockingIOError("fork: no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    latent, log = euler_sample(system.model, triple, gc, T, d)
+    assert np.array_equal(latent, expected[0]) and log == expected[1]
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_no_worker_outlives_a_numeric_abort(cpus):
+    cfg, system = _small_system()
+    T, d = cfg.task.T, cfg.task.d_audio
+
+    class ExplodeConditional:
+        """Runaway conditional field, row 0 of the caller's two rows; the
+        other fields are zero, so guidance forms no inf - inf."""
+
+        def forward(self, x_t, cond, t):
+            out = Tensor(np.zeros_like(x_t.data))
+            if x_t.data.shape[0] == 2:
+                with np.errstate(over="ignore"):
+                    out.data[0] = x_t.data[0] * 1e200
+            return out
+
+    forks = cpus(2)
+    with pytest.raises(NumericAbort):
+        euler_sample(ExplodeConditional(), _dummy_triple(system, T), GuidanceConfig(3.0, 1.0, 4, seed=0), T, d)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_worker_crash_is_a_runtime_error_not_a_hang(cpus):
+    """The worker's forward (one row of three) raises; the caller sees its
+    pipe end and raises RuntimeError, with the worker reaped."""
+    cfg, system = _small_system()
+    T, d = cfg.task.T, cfg.task.d_audio
+
+    class FailsForOneRow:
+        def forward(self, x_t, cond, t):
+            if x_t.data.shape[0] == 1:
+                raise ValueError("worker forward failed")
+            return Tensor(np.zeros_like(x_t.data))
+
+    def hung(signum, frame):
+        raise TimeoutError("euler_sample hung after the worker died")
+
+    forks = cpus(2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="worker"):
+            euler_sample(
+                FailsForOneRow(), _dummy_triple(system, T), GuidanceConfig(3.0, 1.0, 4, seed=0), T, d
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    _no_child_left()

@@ -422,13 +422,21 @@ def test_attention_is_exact_on_both_sides_of_the_shift_limit(v_scale):
 
 
 def test_attention_batch_rows_are_independent(rng):
-    q, k, v = (random_tensor(rng, (3, 5, 6), requires_grad=False) for _ in range(3))
-    sink = []
-    out = attention(q, k, v, 3, sink=sink)
-    assert len(sink) == 3 * 3
-    for b in range(3):
-        alone = attention(*(Tensor(a.data[b]) for a in (q, k, v)), 3)
-        assert np.allclose(out.data[b], alone.data, rtol=0, atol=1e-14)
+    """Row 0's scores pass the shift limit and rows 1 and 2 stay below it:
+    each row's shift is its own, so on and off the tape every row matches
+    itself run alone."""
+    row_scale = np.array([30.0, 1.0, 1.0])[:, None, None]
+    q, k, v = (row_scale * rng.uniform(-1, 1, (3, 5, 6)) for _ in range(3))
+    scores = np.einsum("btd,bsd->bts", q[..., :2], k[..., :2]) / np.sqrt(2.0)
+    assert np.abs(scores[0]).max() > tensor_module._UNSHIFTED_EXP_LIMIT
+    assert np.abs(scores[1:]).max() < 1.0
+    for requires_grad in (False, True):
+        sink = []
+        out = attention(*(Tensor(a, requires_grad) for a in (q, k, v)), 3, sink=sink)
+        assert len(sink) == 3 * 3
+        for b in range(3):
+            alone = attention(*(Tensor(a[b], requires_grad) for a in (q, k, v)), 3)
+            assert np.array_equal(out.data[b], alone.data)
 
 
 def test_attention_on_the_tape_keeps_no_head_copies(rng):
