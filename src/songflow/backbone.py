@@ -92,9 +92,16 @@ class Block:
     def forward(self, x: Tensor, attn_sink: list | None = None) -> Tensor:
         # q goes straight into attention, which keeps only a scaled copy, so
         # no local holds it through the feed-forward half.
+        return self.finish(x, attention(*self.project(x), self.n_heads, sink=attn_sink))
+
+    def project(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The pre-attention half: q, k and v of the layer-normed x."""
         h = layer_norm(x, self.ln1_g, self.ln1_b)
-        a = attention(matmul(h, self.wq), matmul(h, self.wk), matmul(h, self.wv), self.n_heads,
-                      sink=attn_sink)
+        return matmul(h, self.wq), matmul(h, self.wk), matmul(h, self.wv)
+
+    def finish(self, x: Tensor, a: Tensor) -> Tensor:
+        """The post-attention half: the residual add of the attention output
+        a, then the gated feed-forward and its residual add."""
         x = add(x, matmul(a, self.wo))
         h = layer_norm(x, self.ln2_g, self.ln2_b)
         return add(x, matmul(mul(silu(matmul(h, self.w_gate)), matmul(h, self.w_up)), self.w_down))
@@ -136,8 +143,16 @@ class VelocityModel:
         cond: ConditioningBundle,
         t: list[float],
         attn_sink: list | None = None,
+        attend=None,
     ) -> Tensor:
-        """Velocity of (B, T, d_audio) frames: row b at time t[b], under row b of cond."""
+        """Velocity of (B, T, d_audio) frames: row b at time t[b], under row b of cond.
+
+        Off the tape, attend(block, h) may stand in for each block's
+        attention over block.project(h). Every other op works per frame, so a
+        forward over a range of frames whose attend sees the keys and values
+        of all frames gives those frames' velocities; the sampler's token
+        split does this.
+        """
         if x_t.data.ndim != 3 or x_t.data.shape[2] != self.d_audio:
             raise DimensionError(f"x_t must be (B, T, {self.d_audio}), got {x_t.data.shape}")
         B, T, _ = x_t.data.shape
@@ -152,10 +167,15 @@ class VelocityModel:
         emb = np.stack([time_embedding(float(tb), self.config.d_t) for tb in t])
         e_t = Tensor(np.repeat(emb[:, None, :], T, axis=1))
         # Channel order (E_text, E_lyrics, E_audio = x_t, E_t): checkpoints depend on it.
-        x_in = concat_channels([cond.e_text, cond.e_lyrics, x_t, e_t])
-        h = add_row(matmul(x_in, self.w_in), self.b_in)
+        # No local keeps the concatenation: off the tape nothing reads it after
+        # the input projection.
+        h = add_row(matmul(concat_channels([cond.e_text, cond.e_lyrics, x_t, e_t]), self.w_in),
+                    self.b_in)
         for block in self.blocks:
-            h = block.forward(h, attn_sink=attn_sink)
+            if attend is None:
+                h = block.forward(h, attn_sink=attn_sink)
+            else:
+                h = block.finish(h, attend(block, h))
         return add_row(matmul(h, self.w_head), self.b_head)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

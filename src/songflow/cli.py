@@ -28,10 +28,10 @@ container described in `checkpoint`. Latents are JSON only, row-major as
 eval reads that form whatever a file's suffix; anything else is a data error.
 
 generate may use a second process: when this process may run on two or more
-CPUs, the sampler forks one worker per request for part of each Euler
-step's guidance rows (see `sampler`). The output bytes are the same either
-way; `taskset -c 0 songflow generate ...` keeps the request on one CPU and
-in one process.
+CPUs, the sampler forks one worker per request that runs the second half of
+the frames of each Euler step's forward, for every cfg pair (see
+`sampler`). The output bytes are the same either way; `taskset -c 0
+songflow generate ...` keeps the request on one CPU and in one process.
 
 Allocator policy: `main` first calls `_keep_freed_memory_in_heap`. A
 generate request allocates and frees the same 0.4-0.8 MB arrays (stacked

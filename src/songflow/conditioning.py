@@ -329,13 +329,13 @@ class ConditioningBundle:
     e_lyrics: Tensor
     rows: tuple[ConditionRow, ...]
 
-    def take(self, indices: Sequence[int]) -> "ConditioningBundle":
-        """The given rows, in that order, as a bundle off the tape."""
-        indices = list(indices)
+    def window(self, rows: slice, frames: slice = slice(None)) -> "ConditioningBundle":
+        """The given rows and frames as a bundle off the tape, whose arrays
+        are views of this bundle's."""
         return ConditioningBundle(
-            e_text=Tensor(self.e_text.data[indices]),
-            e_lyrics=Tensor(self.e_lyrics.data[indices]),
-            rows=tuple(self.rows[i] for i in indices),
+            e_text=Tensor(self.e_text.data[rows, frames]),
+            e_lyrics=Tensor(self.e_lyrics.data[rows, frames]),
+            rows=self.rows[rows],
         )
 
 

@@ -9,33 +9,48 @@ where v_c is conditioned on the prompt bundle, v_u on the fully dropped
 prompts replaced by negative text). Integration runs a forward Euler grid
 t_k = k/steps from a seeded standard-normal draw to the t = 1 endpoint.
 
-Each step's used guidance rows (see euler_sample) form two fixed groups: the
-caller keeps the first ceil(n/2) rows and the rest form the second group, so
-(cfg 3, cfg_n 1) runs {c, u} + {n} and (2, 0) runs {c} + {u}. When the
-process may use two CPUs and can fork, one worker process per request runs
-the second group: each step the caller writes t and x to one pipe, runs its
-own group, and reads the worker's (rows, T, d_audio) velocities from the
-other. Both sides wait by polling a non-blocking pipe, not by sleeping in a
-blocking read: Linux wakes a sleeping reader on the writer's CPU, so with
-blocking reads the two processes shared one CPU and a request ran no faster
-(1.05x of the one-process time against 0.71x with polling, T=256). The
-worker touches only the model forward and its two pipes and always leaves
-through os._exit; a worker that dies is seen as the end of its pipe, and
-the caller raises RuntimeError. fork copies only the calling thread, and
+Each step runs one forward over the used guidance rows (see euler_sample),
+stacked. Self-attention is the only op in it that mixes frames, so the
+forward splits by query token: when the process may use two CPUs and can
+fork, one worker process per request runs every row over the tokens
+[ceil(T/2), T) while the caller runs [0, ceil(T/2)). In each block both
+sides write their q, k and v tokens into one anonymous shared mmap, made
+before the fork, and attend from their own queries over all T tokens, so
+each row's softmax shift is decided from the whole row (see
+tensor.attention). The worker's velocities come back through the same
+mapping, so the guidance sum, the finite check and the step log's norm see
+the whole field. No data passes through a pipe: a side tells the other that
+its part is written with one byte on its pipe (a system call, which orders
+the writes before it on any CPU) and waits for the other's byte by polling
+its own non-blocking pipe, not by sleeping in a blocking read. Linux wakes a
+sleeping reader on the writer's CPU, so with blocking reads two processes
+share one CPU (a two-process split of this loop measured 1.05x of the
+one-process time that way, against 0.71x with polling, T=256). Between
+polls a side yields the CPU: that returns at once when nothing else wants
+the CPU, and when the scheduler has put both sides on one CPU it runs the
+other side instead of spinning out a time slice. The worker touches only
+the model forward, the mapping and its two pipes and always leaves through
+os._exit; a worker that dies is seen as the end of its pipe, and the caller
+raises RuntimeError. fork copies only the calling thread, and
 generate starts no other, so no lock the worker needs is held at the fork.
-With one CPU, or when no pipe or process can be made, the caller runs the
-same two groups one after the other. Either way every forward has the same rows,
-and attention decides its row-max shift per row, so the latent and the step
-log are the same bytes whatever the CPU count.
+With one CPU, when T < 4, or when no mapping, pipe or process can be made,
+the caller runs one full forward instead. Token-chunked GEMMs and row
+reductions equal the full ones as long as each chunk has two or more rows,
+so the latent and the step log are the same bytes whatever the CPU count; a
+half of one token would make one-row products, which BLAS computes on its
+matrix-vector path and rounds differently, hence the T >= 4 floor.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .backbone import Block, VelocityModel
 from .conditioning import (
     ConditioningBundle,
     ConditioningEncoder,
@@ -45,7 +60,7 @@ from .conditioning import (
 )
 from .errors import DimensionError, NumericAbort, ValidationError
 from .lrc import LrcDocument
-from .tensor import Tensor
+from .tensor import Tensor, attention
 
 __all__ = [
     "GuidanceConfig",
@@ -123,8 +138,9 @@ def euler_sample(
 
     triple holds the conditional, unconditional and negative rows (see
     build_condition_triple). Only the rows that the guidance coefficients
-    use are run, in the two groups the module docstring describes; the
-    combination rule is unchanged either way.
+    use are run, stacked in one forward per step, which two processes split
+    by query token as the module docstring describes; the combination rule
+    is unchanged either way.
     """
     if len(triple.rows) != 3:
         raise DimensionError(f"need the three guidance rows, got {len(triple.rows)}")
@@ -132,25 +148,17 @@ def euler_sample(
     need_u = not (gc.cfg == 1.0 and gc.cfg_n == 0.0)
     need_n = gc.cfg_n != 0.0
     used = [i for i, need in enumerate((need_c, need_u, need_n)) if need]
-    half = (len(used) + 1) // 2
-    own = triple.take(used[:half])
-    rest = triple.take(used[half:]) if half < len(used) else None
+    cond = triple.window(slice(used[0], used[-1] + 1))  # a run: n is never used without u
     rng = np.random.default_rng(gc.seed)
     x = rng.standard_normal((T, d_audio))
     h = 1.0 / gc.steps
     zero = np.zeros_like(x)
     step_log = []
-    worker = _start_worker(model, rest, x.shape)
+    split = _start_split(model, cond, T, d_audio)
     try:
         for k in range(gc.steps):
             t = k / gc.steps
-            if worker is not None:
-                worker.send(t, x)
-            v_rows = list(_velocities(model, own, t, x))
-            if worker is not None:
-                v_rows.extend(worker.receive())
-            elif rest is not None:
-                v_rows.extend(_velocities(model, rest, t, x))
+            v_rows = _velocities(model, cond, t, x) if split is None else split.velocities(t, x)
             out = dict(zip(used, v_rows))
             v = guided_velocity(out.get(1, zero), out.get(0, zero), out.get(2, zero), gc.cfg, gc.cfg_n)
             x = x + h * v
@@ -158,44 +166,58 @@ def euler_sample(
                 raise NumericAbort("trajectory left finite range", step=k)
             step_log.append({"step": k, "t": t, "v_norm": _norm(v)})
     finally:
-        if worker is not None:
-            worker.close()
+        if split is not None:
+            split.close()
     return x, step_log
 
 
-def _velocities(model, cond: ConditioningBundle, t: float, x: np.ndarray) -> np.ndarray:
-    """The (rows, T, d_audio) velocities of x at time t under each row of cond."""
+def _velocities(model, cond: ConditioningBundle, t: float, x: np.ndarray, **kw) -> np.ndarray:
+    """The (rows, frames, d_audio) velocities of x's frames at time t under
+    each row of cond; keyword arguments go to model.forward."""
     n = len(cond.rows)
-    return model.forward(Tensor(np.broadcast_to(x, (n, *x.shape))), cond, [t] * n).data
+    return model.forward(Tensor(np.broadcast_to(x, (n, *x.shape))), cond, [t] * n, **kw).data
 
 
-def _start_worker(
-    model, rest: ConditioningBundle | None, x_shape: tuple[int, int]
-) -> _Worker | None:
-    """A worker for the rest group when this process may use a second CPU;
-    None when there is no rest group or no second CPU, or when no pipe or
-    process can be made (the caller then runs both groups itself, to the
-    same bytes)."""
-    if rest is None or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+def _start_split(model, cond: ConditioningBundle, T: int, d_audio: int) -> _TokenSplit | None:
+    """A worker for the tokens [ceil(T/2), T) when this process may use a
+    second CPU. None with one CPU, when T < 4 (see the module docstring),
+    for a model that is not a VelocityModel (the split runs its blocks'
+    halves), or when no mapping, pipe or process can be made: the caller
+    then runs the full forward itself, to the same bytes."""
+    if T < 4 or not isinstance(model, VelocityModel):
+        return None
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     if len(os.sched_getaffinity(0)) < 2:
         return None
     try:
-        return _Worker(model, rest, x_shape)
+        return _TokenSplit(model, cond, T, d_audio)
     except OSError:
         return None
 
 
-class _Worker:
-    """A forked process that runs one guidance group's forward each step.
+class _TokenSplit:
+    """A forked worker that runs the query tokens [ceil(T/2), T) of each
+    step's forward while the caller runs [0, ceil(T/2)).
 
-    send writes t and x (8 + x.size * 8 bytes) to the request pipe; receive
-    reads the group's velocities back from the result pipe. close ends the
-    request pipe, which the worker reads as its signal to exit, and reaps it.
+    The shared mapping holds, as float64: t; the worker's frames of x,
+    (T - ceil(T/2), d_audio); two (3, rows, T, width) slots of q, k and v;
+    and the worker's (rows, T - ceil(T/2), d_audio) velocities. Each side
+    writes only its own tokens. Blocks use the two slots in turn, so a side
+    writes into a slot again only after both sides have passed the next
+    block's exchange, when neither can still be reading it. A step's bytes
+    on the pipes run: the caller's "t and x are written", then one byte each
+    way per block, then the worker's "velocities are written". velocities
+    and close are the caller's; the worker runs _serve until the caller
+    closes its pipe.
     """
 
-    def __init__(self, model, cond: ConditioningBundle, x_shape: tuple[int, int]):
-        self.shape = (len(cond.rows), *x_shape)
+    def __init__(self, model: VelocityModel, cond: ConditioningBundle, T: int, d_audio: int):
+        n, half = len(cond.rows), (T + 1) // 2
+        width = model.config.model_width
+        shapes = [(1,), (T - half, d_audio), (2, 3, n, T, width), (n, T - half, d_audio)]
+        self.model = model
+        self._map = mmap.mmap(-1, 8 * sum(math.prod(shape) for shape in shapes))
         fds: list[int] = []
         try:
             fds += os.pipe()
@@ -204,74 +226,95 @@ class _Worker:
         except OSError:
             for fd in fds:
                 os.close(fd)
+            self._map.close()
             raise
-        req_r, req_w, res_r, res_w = fds
+        to_worker_r, to_worker_w, to_caller_r, to_caller_w = fds
+        flat = np.frombuffer(self._map, dtype=np.float64)
+        offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        self.t, self.x, self.qkv, self.v = (
+            flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes)
+        )
+        self.slots = [tuple(Tensor(a) for a in slot) for slot in self.qkv]
+        self.slot = 0
         if pid == 0:
             status = 1  # an exception here too ends the pipe the caller reads
             try:
-                os.close(req_w)
-                os.close(res_r)
-                _serve(model, cond, req_r, res_w, x_shape)
+                os.close(to_worker_w)
+                os.close(to_caller_r)
+                self._recv, self._send = to_worker_r, to_caller_w
+                os.set_blocking(self._recv, False)
+                self.tokens = (half, T)
+                self._serve(cond.window(slice(None), slice(half, T)))
                 status = 0
             finally:
                 os._exit(status)
-        os.close(req_r)
-        os.close(res_w)
-        os.set_blocking(res_r, False)
-        self.pid, self.request, self.result = pid, req_w, res_r
+        os.close(to_worker_r)
+        os.close(to_caller_w)
+        self._recv, self._send = to_caller_r, to_worker_w
+        os.set_blocking(self._recv, False)
+        self.pid = pid
+        self.tokens = (0, half)
+        self.cond = cond.window(slice(None), slice(0, half))
 
-    def send(self, t: float, x: np.ndarray) -> None:
-        msg = np.empty(1 + x.size)
-        msg[0] = t
-        msg[1:] = x.reshape(-1)
-        try:
-            _write_all(self.request, msg)
-        except BrokenPipeError:
-            raise RuntimeError("the guidance worker exited before its request") from None
-
-    def receive(self) -> np.ndarray:
-        v = np.empty(self.shape)
-        if not _read_polling(self.result, v):
-            raise RuntimeError("the guidance worker exited before returning its rows")
-        return v
+    def velocities(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The (rows, T, d_audio) velocities of x at time t: the caller's
+        tokens from its own forward, the worker's from the mapping."""
+        start, stop = self.tokens
+        self.t[0] = t
+        self.x[...] = x[stop:]
+        self._signal()
+        own = _velocities(self.model, self.cond, t, x[start:stop], attend=self._attend)
+        self._wait()
+        return np.concatenate([own, self.v], axis=1)
 
     def close(self) -> None:
-        os.close(self.request)
-        os.close(self.result)
+        """End the worker's pipe, which it reads as its signal to exit, reap
+        it, and unmap the shared memory."""
+        os.close(self._send)
+        os.close(self._recv)
         os.waitpid(self.pid, 0)
+        self.t = self.x = self.qkv = self.v = self.slots = None
+        self._map.close()
 
+    def _serve(self, cond: ConditioningBundle) -> None:
+        """The worker's loop: a forward of its tokens per step."""
+        while self._poll():
+            t = float(self.t[0])
+            self.v[...] = _velocities(self.model, cond, t, self.x, attend=self._attend)
+            self._signal()
 
-def _serve(
-    model, cond: ConditioningBundle, request: int, result: int, x_shape: tuple[int, int]
-) -> None:
-    """The worker's loop: answer each (t, x) request until the caller closes
-    the request pipe."""
-    os.set_blocking(request, False)
-    msg = np.empty(1 + x_shape[0] * x_shape[1])
-    while _read_polling(request, msg):
-        v = _velocities(model, cond, float(msg[0]), msg[1:].reshape(x_shape))
-        _write_all(result, np.ascontiguousarray(v))
+    def _attend(self, block: Block, h: Tensor) -> Tensor:
+        """The block's attention from this side's query tokens over all T:
+        write the q, k and v of this side's tokens h into the block's slot,
+        trade a byte with the other side, then attend. No local holds a view
+        of the mapping while this waits, so close can unmap it after a
+        RuntimeError."""
+        start, stop = self.tokens
+        self.slot ^= 1
+        for i, part in enumerate(block.project(h)):
+            self.qkv[self.slot, i, :, start:stop] = part.data
+        self._signal()
+        self._wait()
+        return attention(*self.slots[self.slot], block.n_heads, queries=self.tokens)
 
-
-def _read_polling(fd: int, out: np.ndarray) -> bool:
-    """Fill out from the non-blocking fd, spinning until its bytes arrive;
-    False if the pipe ends first."""
-    view = memoryview(out).cast("B")
-    while view:
+    def _signal(self) -> None:
         try:
-            n = os.readv(fd, [view])
-        except BlockingIOError:
-            continue
-        if n == 0:
-            return False
-        view = view[n:]
-    return True
+            os.write(self._send, b"\0")
+        except BrokenPipeError:
+            raise RuntimeError("the token-split worker exited mid-request") from None
 
+    def _wait(self) -> None:
+        if not self._poll():
+            raise RuntimeError("the token-split worker exited mid-request")
 
-def _write_all(fd: int, data: np.ndarray) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
+    def _poll(self) -> bool:
+        """Poll, yielding the CPU between reads, until the other side's byte
+        arrives; False if its pipe ends first."""
+        while True:
+            try:
+                return os.read(self._recv, 1) != b""
+            except BlockingIOError:
+                os.sched_yield()
 
 
 def _norm(v: np.ndarray) -> float:

@@ -305,7 +305,10 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 _UNSHIFTED_EXP_LIMIT = 700.0
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None = None) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None = None,
+    queries: tuple[int, int] | None = None,
+) -> Tensor:
     """Multi-head scaled dot-product self-attention over (..., T, d) inputs.
 
     Head h reads channels [h*d/H, (h+1)*d/H) of q, k and v and writes the
@@ -337,6 +340,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     Off the tape, exp(S) V is formed first and its (T, hd) rows are divided
     by the row sums, so the (T, T) weights are never scaled. On the tape the
     weights are normalized in place, since the backward pass reads them.
+
+    Off the tape, queries=(start, stop) computes only the output of query
+    tokens [start, stop), a (..., stop - start, d) result whose weight blocks
+    are (stop - start, T). q, k and v still hold all T tokens, so the shift
+    is decided from the whole row. For a range of two or more tokens those
+    output rows are the same bytes as the same rows of the full result:
+    token-chunked GEMMs and row reductions equal the full ones, but a
+    one-row product takes BLAS's matrix-vector path, whose sums round
+    differently. A token-split forward (see sampler) relies on this.
     """
     _need_same_shape(q, k, "attention")
     _need_same_shape(q, v, "attention")
@@ -346,9 +358,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     T, d = shape[-2:]
     hd = d // n_heads
     c = 1.0 / np.sqrt(hd)
+    taped = q.requires_grad or k.requires_grad or v.requires_grad
+    start, stop = (0, T) if queries is None else queries
+    if taped and queries is not None:
+        raise ContractError("attention: a query range is for the off-tape path only")
 
-    def heads(a):  # (..., T, d) -> (N, H, T, hd), a view of a contiguous a
-        return a.reshape(-1, T, n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(a):  # (..., rows, d) -> (N, H, rows, hd), a view of a contiguous a
+        return a.reshape(-1, a.shape[-2], n_heads, hd).transpose(0, 2, 1, 3)
 
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
     bound = np.sqrt(np.einsum("nhtd,nhtd->nht", qh, qh).max(axis=(1, 2), initial=0.0))
@@ -357,9 +373,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
     # ln max|v| of an all-zero or NaN row is left at inf, so that row shifts
     ln_vmax = np.log(vmax, out=np.full(vmax.shape, np.inf), where=vmax > 0)
     shift = ~(bound + np.log(T) + np.abs(ln_vmax) <= _UNSHIFTED_EXP_LIMIT)
-    data = np.empty(shape)
+    data = np.empty(shape[:-2] + (stop - start, d))
     out = heads(data)
-    if q.requires_grad or k.requires_grad or v.requires_grad:
+    if taped:
         probs = np.matmul(qh, kh.swapaxes(-1, -2))
         for n in np.flatnonzero(shift):
             probs[n] -= probs[n].max(axis=-1, keepdims=True)
@@ -370,9 +386,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, sink: list | None =
             sink.extend(probs.reshape(-1, T, T).copy())
     else:
         probs = None
-        scores = np.empty((T, T))
+        scores = np.empty((stop - start, T))
         for i in np.ndindex(out.shape[:2]):
-            np.matmul(qh[i], kh[i].T, out=scores)
+            np.matmul(qh[i][start:stop], kh[i].T, out=scores)
             if shift[i[0]]:
                 scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)

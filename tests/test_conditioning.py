@@ -399,9 +399,11 @@ def test_encode_rows_match_one_row_encodes():
                                       row.drop_segment, row.drop_lyrics)
         assert np.allclose(bundle.e_text.data[b], e_text, rtol=1e-14, atol=1e-15)
         assert np.array_equal(bundle.e_lyrics.data[b], e_lyrics)
-    taken = bundle.take([2, 0])
-    assert taken.rows == (rows[2], rows[0])
-    assert np.array_equal(taken.e_text.data, bundle.e_text.data[[2, 0]])
+    window = bundle.window(slice(1, 3), slice(2, 6))
+    assert window.rows == (rows[1], rows[2])
+    assert np.array_equal(window.e_text.data, bundle.e_text.data[1:3, 2:6])
+    assert np.array_equal(window.e_lyrics.data, bundle.e_lyrics.data[1:3, 2:6])
+    assert np.shares_memory(window.e_text.data, bundle.e_text.data)
 
 
 def test_dropped_lyrics_are_all_zero(rng):

@@ -1,10 +1,12 @@
+import mmap
 import os
 import signal
 
 import numpy as np
 import pytest
 
-from songflow.conditioning import ConditionRow, NegativePrompts, PromptSpec
+from songflow.backbone import Block
+from songflow.conditioning import ConditioningBundle, ConditionRow, NegativePrompts, PromptSpec
 from songflow.config import load_config
 from songflow.errors import ContractError, DimensionError, NumericAbort
 from songflow.lrc import LrcDocument, LrcLine, SegmentSpec, windows_from_segments
@@ -14,9 +16,11 @@ from songflow.sampler import (
     build_negative_condition,
     euler_sample,
     guided_velocity,
+    _TokenSplit,
+    _velocities,
 )
 from songflow.system import build_song_model
-from songflow.tensor import Tensor
+from songflow.tensor import Tensor, attention
 
 
 def _small_system():
@@ -161,7 +165,7 @@ def test_condition_triple_shares_shapes():
     assert unconditional.drop_lyrics
     assert negative == build_negative_condition(spec, doc, cfg.negative)
     with pytest.raises(DimensionError):
-        euler_sample(system.model, triple.take([0, 1]), GuidanceConfig(), T, d)
+        euler_sample(system.model, triple.window(slice(0, 2)), GuidanceConfig(), T, d)
 
 
 def _perturbed_system(seed=0):
@@ -181,7 +185,7 @@ def test_stacked_guidance_rows_match_separate_forwards(rng):
     x = rng.standard_normal((T, d))
     stacked = system.model.forward(Tensor(np.broadcast_to(x, (3, T, d))), triple, [0.3] * 3).data
     for i in range(3):
-        alone = system.model.forward(Tensor(x[None]), triple.take([i]), [0.3]).data[0]
+        alone = system.model.forward(Tensor(x[None]), triple.window(slice(i, i + 1)), [0.3]).data[0]
         assert np.abs(stacked[i]).max() > 1e-3
         assert np.abs(stacked[i] - alone).max() <= 1e-12 * np.abs(alone).max()
 
@@ -199,7 +203,7 @@ def test_euler_sample_matches_per_branch_forwards(cfg_pair):
     for k in range(gc.steps):
         t = k / gc.steps
         v_c, v_u, v_n = (
-            system.model.forward(Tensor(x[None]), triple.take([i]), [t]).data[0] for i in range(3)
+            system.model.forward(Tensor(x[None]), triple.window(slice(i, i + 1)), [t]).data[0] for i in range(3)
         )
         v = guided_velocity(v_u, v_c, v_n, gc.cfg, gc.cfg_n)
         assert abs(log[k]["v_norm"] - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
@@ -317,7 +321,7 @@ def test_euler_aborts_on_divergence():
 
 
 # -----------------------------------------------------------------------------
-# the second guidance group's worker process
+# the token split: a worker process runs the query tokens [ceil(T/2), T)
 # -----------------------------------------------------------------------------
 
 
@@ -345,7 +349,79 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cfg_pair", [(3.0, 1.0), (2.0, 0.0), (1.0, 0.0)])
+def _shifted_row_case(T):
+    """The default model and a three-row bundle in which only row 0's
+    block-0 q and k are large, and only in the worker's tokens, so the row's
+    softmax shift is decided by tokens the caller does not compute.
+
+    Layer norm rescales every frame, except that a frame whose variance is
+    far below its 1e-5 epsilon stays near zero. So the input projection
+    reads the conditioning only (the x and time channels are zeroed, with
+    the bias), the conditioning is 1e-4 small everywhere but in row 0's
+    worker frames, and block 0's ln1 gain is raised."""
+    cfg = load_config(overrides=[f"task.T={T}"])
+    system = build_song_model(cfg, trainable=False)
+    rng = np.random.default_rng(5)
+    for _, p in system.named_parameters():
+        p.data += 0.05 * rng.standard_normal(p.data.shape)
+    model = system.model
+    model.w_in.data[model.d_text + model.d_lyrics:] = 0.0
+    model.b_in.data[...] = 0.0
+    model.blocks[0].ln1_g.data[...] = 40.0
+    spec = PromptSpec(global_text="ember", duration_s=T / cfg.task.frame_rate)
+    scale = np.full((3, T, 1), 1e-4)
+    scale[0, (T + 1) // 2:] = 1.0
+    cond = ConditioningBundle(
+        e_text=Tensor(scale * rng.standard_normal((3, T, cfg.conditioning.d_text))),
+        e_lyrics=Tensor(scale * rng.standard_normal((3, T, cfg.conditioning.d_lyrics))),
+        rows=(ConditionRow(spec),) * 3,
+    )
+    return model, cond, 1e-4 * rng.standard_normal((T, cfg.task.d_audio))
+
+
+def _unshifted_bound(q, k, v, n_heads):
+    """attention's B + ln T + |ln max|v|| for one row's (T, d) q, k and v:
+    the row takes the shifted path when this exceeds 700."""
+    T, d = q.shape
+    hd = d // n_heads
+    qq = (((q / np.sqrt(hd)).reshape(T, n_heads, hd)) ** 2).sum(-1).max()
+    kk = (k.reshape(T, n_heads, hd) ** 2).sum(-1).max()
+    return np.sqrt(qq) * np.sqrt(kk) + np.log(T) + abs(np.log(np.abs(v).max()))
+
+
+@pytest.mark.parametrize("T", [256, 101])
+@pytest.mark.parametrize("used", [[0, 1, 2], [0, 1], [0]], ids=["cfg3-1", "cfg2-0", "cfg1-0"])
+def test_token_split_forward_equals_the_full_forward(T, used):
+    """The used rows of (3, 1), (2, 0) and (1, 0), whose row 0 takes the
+    shifted softmax path only because of the worker's tokens: the two halves
+    of a token-split forward are the full forward's bytes."""
+    model, cond, x = _shifted_row_case(T)
+    cond = cond.window(slice(0, len(used)))
+    blocks = []
+
+    def record(block, h):
+        q, k, v = block.project(h)
+        blocks.append((q.data, k.data, v.data))
+        return attention(q, k, v, block.n_heads)
+
+    full = _velocities(model, cond, 0.3, x, attend=record)
+    assert np.array_equal(full, _velocities(model, cond, 0.3, x))
+    q, k, v = blocks[0]
+    heads, half = model.config.n_heads, (T + 1) // 2
+    assert _unshifted_bound(q[0], k[0], v[0], heads) > 800.0
+    assert _unshifted_bound(q[0, :half], k[0, :half], v[0, :half], heads) < 600.0
+    for row in range(1, len(used)):
+        assert _unshifted_bound(q[row], k[row], v[row], heads) < 600.0
+    split = _TokenSplit(model, cond, T, x.shape[1])
+    try:
+        assert np.array_equal(split.velocities(0.3, x), full)
+    finally:
+        split.close()
+
+
+@pytest.mark.parametrize(
+    "cfg_pair", [(3.0, 1.0), (2.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.5)]
+)
 def test_euler_sample_bytes_do_not_depend_on_the_cpu_count(cpus, cfg_pair):
     cfg, system = _perturbed_system(seed=2)
     spec, doc = _spec_and_doc()
@@ -356,8 +432,7 @@ def test_euler_sample_bytes_do_not_depend_on_the_cpu_count(cpus, cfg_pair):
     for n_cpus in (1, 2):
         forks = cpus(n_cpus)
         runs[n_cpus] = euler_sample(system.model, triple, gc, T, d)
-        # one row, as with cfg 1 / cfg_n 0, leaves no second group
-        assert len(forks) == (n_cpus == 2 and cfg_pair != (1.0, 0.0))
+        assert len(forks) == (n_cpus == 2)  # every cfg pair splits its tokens
         forks.clear()
     (one, log_one), (two, log_two) = runs[1], runs[2]
     assert np.array_equal(one, two)
@@ -365,7 +440,25 @@ def test_euler_sample_bytes_do_not_depend_on_the_cpu_count(cpus, cfg_pair):
     _no_child_left()
 
 
-def test_a_failed_fork_runs_both_groups_in_the_caller(cpus, monkeypatch):
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_songs_shorter_than_four_frames_run_in_one_process(cpus, T):
+    """A worker half of one frame would make one-row products, which BLAS
+    rounds differently, so T < 4 keeps the whole forward in the caller; from
+    T = 4 on the split gives the same bytes."""
+    cfg, system = _perturbed_system(seed=3)
+    spec = PromptSpec(global_text="ember", duration_s=T / cfg.task.frame_rate)
+    triple = build_condition_triple(system.encoder, spec, None, T, cfg.negative)
+    gc = GuidanceConfig(3.0, 1.0, steps=3, seed=1)
+    cpus(1)
+    expected = euler_sample(system.model, triple, gc, T, cfg.task.d_audio)
+    forks = cpus(2)
+    latent, log = euler_sample(system.model, triple, gc, T, cfg.task.d_audio)
+    assert len(forks) == (T >= 4)
+    assert np.array_equal(latent, expected[0]) and log == expected[1]
+
+
+@pytest.mark.parametrize("fails", ["fork", "mmap"])
+def test_a_failed_fork_or_mapping_runs_the_full_forward_in_the_caller(cpus, monkeypatch, fails):
     cfg, system = _perturbed_system(seed=2)
     spec, doc = _spec_and_doc()
     T, d = cfg.task.T, cfg.task.d_audio
@@ -373,51 +466,57 @@ def test_a_failed_fork_runs_both_groups_in_the_caller(cpus, monkeypatch):
     gc = GuidanceConfig(3.0, 1.0, steps=4, seed=7)
     cpus(1)
     expected = euler_sample(system.model, triple, gc, T, d)
-    cpus(2)
+    forks = cpus(2)
     open_fds = len(os.listdir("/proc/self/fd"))
 
-    def no_process(*args):
-        raise BlockingIOError("fork: no process to spare")
+    def no_resource(*args):
+        raise BlockingIOError(f"{fails}: nothing to spare")
 
-    monkeypatch.setattr(os, "fork", no_process)
+    if fails == "fork":
+        monkeypatch.setattr(os, "fork", no_resource)
+    else:
+        monkeypatch.setattr(mmap, "mmap", no_resource)
     latent, log = euler_sample(system.model, triple, gc, T, d)
     assert np.array_equal(latent, expected[0]) and log == expected[1]
     assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert not forks
 
 
 def test_no_worker_outlives_a_numeric_abort(cpus):
+    """An infinite head bias makes every velocity inf at the first step
+    (cfg 1 forms no inf - inf); the caller raises NumericAbort with the
+    worker reaped."""
     cfg, system = _small_system()
+    spec, doc = _spec_and_doc()
     T, d = cfg.task.T, cfg.task.d_audio
-
-    class ExplodeConditional:
-        """Runaway conditional field, row 0 of the caller's two rows; the
-        other fields are zero, so guidance forms no inf - inf."""
-
-        def forward(self, x_t, cond, t):
-            out = Tensor(np.zeros_like(x_t.data))
-            if x_t.data.shape[0] == 2:
-                with np.errstate(over="ignore"):
-                    out.data[0] = x_t.data[0] * 1e200
-            return out
-
+    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
+    system.model.b_head.data[...] = np.inf
     forks = cpus(2)
-    with pytest.raises(NumericAbort):
-        euler_sample(ExplodeConditional(), _dummy_triple(system, T), GuidanceConfig(3.0, 1.0, 4, seed=0), T, d)
+    with pytest.raises(NumericAbort) as err:
+        euler_sample(system.model, triple, GuidanceConfig(1.0, 0.0, 4, seed=0), T, d)
+    assert err.value.step == 0
     assert len(forks) == 1
     _no_child_left()
 
 
-def test_a_worker_crash_is_a_runtime_error_not_a_hang(cpus):
-    """The worker's forward (one row of three) raises; the caller sees its
-    pipe end and raises RuntimeError, with the worker reaped."""
-    cfg, system = _small_system()
+def test_a_worker_crash_is_a_runtime_error_not_a_hang(cpus, monkeypatch):
+    """The worker's forward raises after the first of two block exchanges;
+    the caller sees its pipe end and raises RuntimeError, with the worker
+    reaped."""
+    cfg = load_config(overrides=["model.n_blocks=2", "model.model_width=8", "model.n_heads=2",
+                                 "task.T=12", "task.d_audio=2"])
+    system = build_song_model(cfg, trainable=False)
+    spec, doc = _spec_and_doc()
     T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
+    caller, finish = os.getpid(), Block.finish
 
-    class FailsForOneRow:
-        def forward(self, x_t, cond, t):
-            if x_t.data.shape[0] == 1:
-                raise ValueError("worker forward failed")
-            return Tensor(np.zeros_like(x_t.data))
+    def fails_in_the_worker(self, x, a):
+        if os.getpid() != caller:
+            raise ValueError("worker block failed")
+        return finish(self, x, a)
+
+    monkeypatch.setattr(Block, "finish", fails_in_the_worker)
 
     def hung(signum, frame):
         raise TimeoutError("euler_sample hung after the worker died")
@@ -427,9 +526,7 @@ def test_a_worker_crash_is_a_runtime_error_not_a_hang(cpus):
     signal.alarm(20)
     try:
         with pytest.raises(RuntimeError, match="worker"):
-            euler_sample(
-                FailsForOneRow(), _dummy_triple(system, T), GuidanceConfig(3.0, 1.0, 4, seed=0), T, d
-            )
+            euler_sample(system.model, triple, GuidanceConfig(3.0, 1.0, 4, seed=0), T, d)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

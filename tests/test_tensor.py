@@ -439,6 +439,21 @@ def test_attention_batch_rows_are_independent(rng):
             assert np.array_equal(out.data[b], alone.data)
 
 
+def test_attention_query_range_gives_the_full_rows(rng):
+    """Off the tape, a query range of two or more tokens computes those rows
+    of the full result, bytes included, with the shift still decided from
+    all tokens: row 0's q is large only outside the first ranges. On the
+    tape a range is refused."""
+    q, k, v = (rng.uniform(-1, 1, (3, 9, 8)) for _ in range(3))
+    q[0, 6:] *= 1e3
+    full = attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    for start, stop in ((0, 5), (5, 9), (2, 4), (0, 9)):
+        part = attention(Tensor(q), Tensor(k), Tensor(v), 2, queries=(start, stop)).data
+        assert np.array_equal(part, full[:, start:stop])
+    with pytest.raises(ContractError):
+        attention(Tensor(q, True), Tensor(k), Tensor(v), 2, queries=(0, 5))
+
+
 def test_attention_on_the_tape_keeps_no_head_copies(rng):
     """The node holds its output, the scaled q and the (N, H, T, T) weights;
     k and v are read through views of the parents' own data, and the output
