@@ -1,91 +1,80 @@
-"""Bias-corrected adaptive-moment (Adam) updates plus gradient utilities."""
+"""Bias-corrected adaptive-moment (Adam) updates plus gradient utilities.
+
+Training's flat layout is owned here: `adam_init` lays the parameters' values
+and gradients out as views of two flat buffers, in list order, which the
+moments share, so each step runs once over all parameters. `generate`,
+`eval` and standalone tensors keep one array per parameter."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_init", "adam_step", "grad_norm", "clip_grad_norm"]
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
-    """First and second moments, each one flat buffer over all parameters in
-    list order (`flat_m`, `flat_v`); m[i] and v[i] are parameter i's views."""
+    """The flat layout `adam_init` made: each parameter's data and grad are
+    consecutive views of `values` and `grads`, in list order, as are `m` and `v`."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    values: np.ndarray
+    grads: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-
-def _views(flat: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
-    views, start = [], 0
-    for p in params:
-        stop = start + p.data.size
-        views.append(flat[start:stop].reshape(p.data.shape))
-        start = stop
-    return views
 
 
 def adam_init(params: list[Tensor], learning_rate: float) -> AdamState:
+    """Copy the values into the layout and rebind each `p.data` and `p.grad`
+    (zeroed) to its views."""
     size = sum(p.data.size for p in params)
-    flat_m, flat_v = np.zeros(size), np.zeros(size)
-    return AdamState(
-        learning_rate=learning_rate,
-        flat_m=flat_m,
-        flat_v=flat_v,
-        m=_views(flat_m, params),
-        v=_views(flat_v, params),
-    )
+    values, grads = np.empty(size), np.zeros(size)
+    start = 0
+    for p in params:
+        stop = start + p.data.size
+        values[start:stop] = p.data.reshape(-1)
+        p.data = values[start:stop].reshape(p.data.shape)
+        p.grad = grads[start:stop].reshape(p.data.shape)
+        start = stop
+    return AdamState(learning_rate, values, grads, np.zeros(size), np.zeros(size))
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
     """One in-place update. Gradients are left untouched; the caller zeroes them.
 
-    The gradients are gathered into one flat array, and each elementwise
-    operation of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps) runs once over all of them, in
-    the per-parameter order, so the bytes equal a per-parameter loop's."""
-    if len(params) != len(state.m):
-        raise DimensionError(f"adam_step: {len(params)} params vs state for {len(state.m)}")
-    grads = []
-    for i, (p, m) in enumerate(zip(params, state.m)):
-        if p.grad.shape != m.shape:
-            raise DimensionError(f"adam_step: moment shape mismatch at parameter {i}")
-        grads.append(p.grad)
+    Each elementwise operation of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps) runs once over the flat layout,
+    in the per-parameter order, so the bytes equal a per-parameter loop's. A
+    parameter whose data or grad has left the layout is a ContractError."""
+    for p in params:
+        if p.data.base is not state.values or p.grad is None or p.grad.base is not state.grads:
+            raise ContractError("adam_step: a parameter has left the flat layout of adam_init")
     state.step += 1
-    if not params:
-        return
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
-    m, v = state.flat_m, state.flat_v
-    g = np.concatenate(grads, axis=None)
-    update = np.multiply(g, 1.0 - b1)
-    m *= b1
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
+    m, v, g = state.m, state.v, state.grads
+    update = np.multiply(g, 1.0 - BETA1)
+    m *= BETA1
     m += update
-    v *= b2
-    g *= g
-    g *= 1.0 - b2
-    v += g
+    v *= BETA2
+    sq = np.multiply(g, g)
+    sq *= 1.0 - BETA2
+    v += sq
     np.divide(m, bc1, out=update)
     update *= state.learning_rate
-    np.divide(v, bc2, out=g)
-    np.sqrt(g, out=g)
-    g += state.epsilon
-    update /= g
-    for p, delta in zip(params, _views(update, params)):
-        p.data -= delta
+    np.divide(v, bc2, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += EPSILON
+    update /= sq
+    state.values -= update
 
 
 def grad_norm(params: list[Tensor]) -> float:

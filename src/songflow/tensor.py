@@ -13,7 +13,8 @@ as soon as its vjp has run, so the arrays it saved are freed during the
 walk, and a graph can be walked once. Gradients are kept on leaves only
 (tensors with no recorded op, such as parameters and inputs); an
 intermediate result's `.grad` stays None. Backward calls on separate graphs
-keep accumulating into the leaves.
+keep accumulating into the leaves in place, so a `.grad` that is a view of
+`optim.adam_init`'s flat layout stays one; only a None `.grad` gets a copy.
 
 Activations may carry leading batch axes: `matmul`, `add_row`, `layer_norm`,
 `concat_channels` and `attention` act on the last one or two axes of a
@@ -475,7 +476,8 @@ def backward(loss: Tensor) -> None:
     becomes `_consumed`. A backward whose graph reaches a consumed node,
     such as a second backward on the same loss, raises ContractError before
     any gradient moves. Leaves keep accumulating across backward calls on
-    separate graphs.
+    separate graphs, in place; a first contribution is copied only into a
+    None `.grad`.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -486,8 +488,7 @@ def backward(loss: Tensor) -> None:
     if any(isinstance(node, _Node) and node.vjp is _consumed for node in order):
         _consumed(None)  # raises before any gradient moves
     # A vjp may return views of g or one array for two parents (add), so
-    # arrays in gmap are never written into: sums are formed out of place,
-    # and a leaf's first contribution is copied, since .grad is its own.
+    # arrays in gmap are never written into: sums are formed out of place.
     gmap: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
@@ -496,7 +497,7 @@ def backward(loss: Tensor) -> None:
             continue
         if isinstance(node, Tensor):  # a leaf
             if node.grad is None:
-                node.grad = g
+                node.grad = np.array(g)
             else:
                 node.grad += g
             continue
@@ -509,12 +510,14 @@ def backward(loss: Tensor) -> None:
             if acc is not None:
                 gmap[id(parent)] = acc + pg
             else:
-                gmap[id(parent)] = np.array(pg) if isinstance(parent, Tensor) else pg
+                gmap[id(parent)] = pg
 
 
 def zero_grads(tensors) -> None:
+    """Zero each gradient in place: a view stays a view, and None stays None."""
     for t in tensors:
-        t.grad = None
+        if t.grad is not None:
+            t.grad.fill(0.0)
 
 
 def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:

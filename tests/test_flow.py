@@ -19,6 +19,7 @@ from songflow.flow import (
     target_velocity,
     train,
 )
+from songflow.optim import adam_init
 from songflow.synthetic import SyntheticDataset
 from songflow.system import build_song_model
 from songflow.tensor import Tensor, _Node, _topo_order, backward, zero_grads
@@ -228,6 +229,54 @@ def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
         assert np.abs(g_batched - g_mean).max() <= 1e-12 * max(np.abs(g_mean).max(), 1e-300)
 
 
+def _assert_flat_layout(system, state):
+    """Every parameter's data and grad are views of state.values and
+    state.grads at consecutive offsets, in named_parameters order."""
+    start = 0
+    for name, p in system.named_parameters():
+        for arr, flat in ((p.data, state.values), (p.grad, state.grads)):
+            assert arr.base is flat and arr.flags.c_contiguous, name
+            assert arr.ctypes.data == flat[start:].ctypes.data, name
+        start += p.data.size
+    assert start == state.values.size == state.grads.size
+
+
+def test_training_keeps_every_parameter_in_the_flat_layout(tmp_path, monkeypatch):
+    cfg, system, dataset = _tiny_setup(steps=1)
+    params = [t for _, t in system.named_parameters()]
+    before = [p.data.copy() for p in params]
+    state = adam_init(params, cfg.train.learning_rate)
+    _assert_flat_layout(system, state)
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+    assert not state.grads.any()
+
+    system.save(tmp_path / "checkpoint.json")
+    state.values += 1.0
+    system.load(tmp_path / "checkpoint.json")
+    _assert_flat_layout(system, state)
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+    state.grads[...] = 1.0
+    zero_grads(params)
+    _assert_flat_layout(system, state)
+    assert not state.grads.any()
+    standalone = Tensor([1.0], requires_grad=True)
+    zero_grads([standalone])
+    assert standalone.grad is None
+
+    seen = {}
+    real_adam = flow_mod.adam_step
+
+    def capturing_adam(ps, train_state):
+        real_adam(ps, train_state)
+        seen["state"] = train_state
+
+    monkeypatch.setattr(flow_mod, "adam_step", capturing_adam)
+    train(system, dataset, cfg.train, tmp_path)
+    _assert_flat_layout(system, seen["state"])
+    assert seen["state"].step == 1 and seen["state"].grads.any()
+
+
 def _tape_nodes(root):
     """Op nodes reachable from the loss root (leaves and constants excluded)."""
     return sum(isinstance(node, _Node) for node in _topo_order(root._node))
@@ -261,7 +310,7 @@ def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
         real_adam(ps, state)
         seen["adam"] += 1
         seen["state"] = state
-        seen["moments"] = [m.copy() for m in state.m + state.v]
+        seen["moments"] = (state.m.tobytes(), state.v.tobytes())
 
     monkeypatch.setattr(flow_mod, "backward", planting_backward)
     monkeypatch.setattr(flow_mod, "adam_step", counted_adam)
@@ -273,7 +322,7 @@ def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
     assert all(np.array_equal(p.data, s) for p, s in zip(params, seen["params"]))
     state = seen["state"]
     assert state.step == 1
-    assert all(np.array_equal(a, b) for a, b in zip(state.m + state.v, seen["moments"]))
+    assert (state.m.tobytes(), state.v.tobytes()) == seen["moments"]
     written = sorted(f.name for f in tmp_path.iterdir())
     assert written == ["checkpoint-000001.json", "train_log.jsonl"]
     assert (tmp_path / "train_log.jsonl").read_text().count("\n") == 1  # step 0 only

@@ -52,13 +52,13 @@ def test_missing_grad_is_contract_error():
 def test_step_counter_increases_and_grads_untouched():
     w = Tensor([1.0, 2.0], requires_grad=True)
     state = adam_init([w], learning_rate=0.01)
-    w.grad = np.array([0.5, -0.5])
+    w.grad[...] = [0.5, -0.5]
     g = w.grad.copy()
     for expected in (1, 2, 3):
         adam_step([w], state)
         assert state.step == expected
     assert np.array_equal(w.grad, g)
-    assert state.m[0].shape == w.data.shape and state.v[0].shape == w.data.shape
+    assert state.m.shape == state.v.shape == (w.data.size,)
 
 
 def test_flat_adam_equals_a_per_parameter_update_bit_for_bit():
@@ -75,7 +75,7 @@ def test_flat_adam_equals_a_per_parameter_update_bit_for_bit():
     for step in range(1, 6):
         grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
         for p, g in zip(params, grads):
-            p.grad = g.copy()
+            p.grad[...] = g
         adam_step(params, state)
         bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
         for r, m, v, g in zip(ref, ref_m, ref_v, grads):
@@ -84,12 +84,28 @@ def test_flat_adam_equals_a_per_parameter_update_bit_for_bit():
             v *= b2
             v += (1.0 - b2) * (g * g)
             r -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        for p, r, m, v, sm, sv, g in zip(params, ref, ref_m, ref_v, state.m, state.v, grads):
+        start = 0
+        for p, r, m, v, g in zip(params, ref, ref_m, ref_v, grads):
+            stop = start + r.size
             assert p.data.shape == r.shape and p.data.tobytes() == r.tobytes()
-            assert sm.tobytes() == m.tobytes() and sv.tobytes() == v.tobytes()
+            assert state.m[start:stop].tobytes() == m.tobytes()
+            assert state.v[start:stop].tobytes() == v.tobytes()
             assert np.array_equal(p.grad, g)  # gradients untouched
-    assert all(np.shares_memory(m, state.flat_m) for m in state.m)
-    assert all(np.shares_memory(v, state.flat_v) for v in state.v)
+            start = stop
+    assert start == state.m.size == state.v.size
+
+
+@pytest.mark.parametrize("field", ["grad", "data"])
+def test_adam_step_refuses_a_parameter_that_left_the_layout(field):
+    """A rebound array would be skipped silently by the flat update."""
+    params = [Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0], requires_grad=True)]
+    state = adam_init(params, learning_rate=0.1)
+    state.grads[...] = 1.0
+    before = state.values.copy()
+    setattr(params[1], field, np.array([0.5]))
+    with pytest.raises(ContractError, match="flat layout"):
+        adam_step(params, state)
+    assert state.step == 0 and np.array_equal(state.values, before)
 
 
 def test_clip_grad_norm_scales_jointly():

@@ -68,3 +68,22 @@ def test_traced_backward_runs_every_wrapped_vjp(monkeypatch):
     assert vjp_calls["tensor.vjp.matmul"] > 0 and vjp_calls["tensor.vjp.attention"] == 1
     assert sum(vjp_calls.values()) == tracer.counts["tape_nodes"] > 0
     assert all(np.array_equal(p.grad, g) for p, g in zip(params, untraced))
+
+
+def test_benchmark_train_items_pass_their_checks(monkeypatch, tmp_path):
+    """Two tiny train-t64 items, in-process: the step hooks on
+    `SyntheticDataset.draw` and `flow.adam_step`, the loss gates and the
+    byte-exact reload of the final checkpoint all hold."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.TrainWorkload(3, tmp_path, tiny=True)
+    run = workloads.Run()
+    try:  # TrainWorkload installs its timing hooks when it is made
+        workload.setup()
+        workload.item(run)
+        workload.item(run)
+    finally:
+        workload.close()
+    assert run.errors == [] and run.failed == 0
+    assert run.items == 2 * workload.steps
