@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import ConditioningBundle
-from .errors import ContractError, DimensionError, ValidationError
+from .errors import ContractError, ValidationError
 from .tensor import (
     Tensor,
     add,
@@ -154,16 +154,16 @@ class VelocityModel:
         split does this.
         """
         if x_t.data.ndim != 3 or x_t.data.shape[2] != self.d_audio:
-            raise DimensionError(f"x_t must be (B, T, {self.d_audio}), got {x_t.data.shape}")
+            raise ContractError(f"x_t must be (B, T, {self.d_audio}), got {x_t.data.shape}")
         B, T, _ = x_t.data.shape
         for name, e, width in (
             ("e_text", cond.e_text, self.d_text),
             ("e_lyrics", cond.e_lyrics, self.d_lyrics),
         ):
             if e.data.shape != (B, T, width):
-                raise DimensionError(f"{name} must be ({B}, {T}, {width}), got {e.data.shape}")
+                raise ContractError(f"{name} must be ({B}, {T}, {width}), got {e.data.shape}")
         if len(t) != B:
-            raise DimensionError(f"need one time step per row: {len(t)} for {B} rows")
+            raise ContractError(f"need one time step per row: {len(t)} for {B} rows")
         emb = np.stack([time_embedding(float(tb), self.config.d_t) for tb in t])
         e_t = Tensor(np.repeat(emb[:, None, :], T, axis=1))
         # Channel order (E_text, E_lyrics, E_audio = x_t, E_t): checkpoints depend on it.

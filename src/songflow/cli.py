@@ -10,22 +10,26 @@ artifacts into --out-dir, and records them in run_manifest.json. The
 directory is made only once every input has been read and checked, so a
 data error leaves none behind.
 
-Exit codes are stable: 0 success, 1 usage, 2 data error (also an input file
-that cannot be read, or that is not UTF-8 or not JSON, named in the message; a
-setting outside its range (named by its key; its `config` section holds the
-rule); a prompt or --duration-hint longer than pipeline.pretrain_max_duration,
-a time with no finite frame or a duration with none, an LRC minute field past
-float range, a JSON integer too large for a float, JSON nested too deeply, and
-a prompt key that is unknown or missing; `schema` holds these rules), 3 numeric
-abort (also a non-finite value that would reach a JSON artifact). Any other
-exception is a program fault and propagates with its traceback. Artifacts other
-than the streamed train_log.jsonl are written atomically; JSON artifacts are
-strict (no NaN/Infinity tokens) and compact: without indentation json's C
-encoder writes them, about 4x faster than its pure-Python indenting encoder on
-a 1,000-record shard's reports; checkpoints use the songflow-params-v2
-container described in `checkpoint`. Latents are JSON only, row-major as
-{"shape": [T, d_audio], "values": [...]}: generate writes latent.json, and
-eval reads that form whatever a file's suffix; anything else is a data error.
+Exit codes are stable: 0 success, 1 usage, 2 data error, 3 numeric abort.
+Exit 2 is a `ValidationError` (a `ParseError` is one, with a line number) or
+an `OSError`: outside input that is wrong or cannot be read. That includes an
+input file that is not UTF-8 or not JSON, named in the message; a setting
+outside its range, named by its key (its `config` section holds the rule); a
+prompt or --duration-hint longer than pipeline.pretrain_max_duration, a time
+with no finite frame or a duration with none, an LRC minute field past float
+range, a JSON integer too large for a float, JSON nested too deeply, and a
+prompt key that is unknown or missing (`schema` holds these rules). Exit 3 is
+a `NumericAbort`, also a non-finite value that would reach a JSON artifact.
+Any other exception, a `ContractError` or a `KeyError` included, is a program
+fault and propagates with its traceback.
+Artifacts other than the streamed train_log.jsonl are written atomically; JSON
+artifacts are strict (no NaN/Infinity tokens) and compact: without indentation
+json's C encoder writes them, about 4x faster than its pure-Python indenting
+encoder on a 1,000-record shard's reports; checkpoints use the
+songflow-params-v2 container described in `checkpoint`. Latents are JSON only,
+row-major as {"shape": [T, d_audio], "values": [...]}: generate writes
+latent.json, and eval reads that form whatever a file's suffix; anything else
+is a data error.
 
 generate may use a second process: when this process may run on two or more
 CPUs, the sampler forks one worker per request that runs the second half of
@@ -60,7 +64,7 @@ import numpy as np
 from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .conditioning import prompt_spec_from_json
 from .config import load_config
-from .errors import ContractError, DimensionError, NumericAbort, ParseError, ValidationError
+from .errors import NumericAbort, ParseError, ValidationError
 from .evaluate import PatternOracleScorer, duration_mae, segment_alignment_score
 from .durations import predict_durations
 from .flow import train
@@ -487,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, ValidationError, ContractError, DimensionError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

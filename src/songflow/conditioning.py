@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
 from .lrc import (
     LYRIC,
     LrcDocument,
@@ -287,7 +287,7 @@ def encode_lyrics(
         return e
     starts = [time_to_frame(line.timestamp, frame_rate) for line in doc.lines]
     if max(starts) >= T:
-        raise ContractError("a lyric line's onset maps outside [0, T)")
+        raise ValidationError("a lyric line's onset maps outside [0, T)")
     ends = starts[1:]
     ends.append(T)
     for line, start, end in zip(doc.lines, starts, ends):

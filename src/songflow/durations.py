@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .conditioning import _is_cjk
-from .errors import ContractError
+from .errors import ValidationError
 from .lrc import LrcDocument, LrcLine
 
 __all__ = ["line_seconds", "syllable_count", "predict_durations"]
@@ -61,7 +61,7 @@ def predict_durations(
     timestamps scale by hint / unscaled_total."""
     lines = [ln.strip() for ln in lyrics if ln.strip()]
     if not lines:
-        raise ContractError("predict_durations needs at least one non-empty lyric line")
+        raise ValidationError("predict_durations needs at least one non-empty lyric line")
     prompts = segment_prompts[: len(lines)] or [global_prompt]  # never more groups than lines
 
     sizes = _split_even(len(lines), len(prompts))

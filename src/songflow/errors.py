@@ -1,15 +1,15 @@
-"""Shared exception types. The CLI maps these onto stable exit codes."""
+"""Shared exception types, one per origin of a failure: `ValidationError`
+means outside input is wrong (a `ParseError` is one, with a line number), and
+`ContractError` means code inside the program broke a precondition, a program
+fault. `cli.main` maps `ValidationError` and `OSError` to exit 2 and lets a
+`ContractError` propagate with its traceback; `NumericAbort` is exit 3."""
 
 
-class DimensionError(ValueError):
-    """Operand shapes do not satisfy an operation's contract."""
+class ValidationError(ValueError):
+    """Outside input is wrong."""
 
 
-class ContractError(ValueError):
-    """A precondition other than shape compatibility was violated."""
-
-
-class ParseError(ValueError):
+class ParseError(ValidationError):
     """Malformed textual input, carrying the offending line number when known."""
 
     def __init__(self, message: str, line_number: int | None = None):
@@ -19,8 +19,8 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-class ValidationError(ValueError):
-    """Well-formed input that violates a structural invariant."""
+class ContractError(ValueError):
+    """Code inside the program broke a precondition: a program fault."""
 
 
 class NumericAbort(RuntimeError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, ValidationError
 from .lrc import BOUNDARY, LrcDocument, SegmentWindow
 from .synthetic import SyntheticTaskSpec, pattern_trace
 
@@ -40,7 +40,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
-        raise DimensionError(f"pearson: shapes {a.shape} vs {b.shape}")
+        raise ContractError(f"pearson: shapes {a.shape} vs {b.shape}")
     if a.size < 2 or a.min() == a.max() or b.min() == b.max():
         return 0.0
     ac = a - a.mean()
@@ -65,13 +65,13 @@ class PatternOracleScorer:
     def score(self, latent: np.ndarray, text: str) -> float:
         latent = np.asarray(latent, dtype=np.float64)
         if latent.ndim != 2:
-            raise DimensionError(f"latent must be (frames, channels), got {latent.shape}")
+            raise ContractError(f"latent must be (frames, channels), got {latent.shape}")
         if text in self.task.segment_vocab:
             trace = latent.mean(axis=1)
             return _pearson(trace, pattern_trace(self.task, text, len(trace)))
         if text in self.task.global_vocab:
             return _pearson(latent.mean(axis=0), self.task.global_vocab[text])
-        raise ContractError(f"text {text!r} is in neither vocabulary")
+        raise ValidationError(f"text {text!r} is in neither vocabulary")
 
 
 def segment_alignment_score(
@@ -93,14 +93,14 @@ def segment_alignment_score(
 def duration_mae(predicted: LrcDocument, truth: LrcDocument) -> float:
     """Mean absolute sentence-onset error in seconds; texts must line up."""
     if len(predicted.lines) != len(truth.lines):
-        raise ContractError(
+        raise ValidationError(
             f"line counts differ: {len(predicted.lines)} vs {len(truth.lines)}"
         )
     if not truth.lines:
-        raise ContractError("documents have no lines")
+        raise ValidationError("documents have no lines")
     for i, (p, t) in enumerate(zip(predicted.lines, truth.lines)):
         if _normalize_line(p.text) != _normalize_line(t.text):
-            raise ContractError(f"line {i + 1} texts differ after normalization")
+            raise ValidationError(f"line {i + 1} texts differ after normalization")
     return sum(abs(p.timestamp - t.timestamp) for p, t in zip(predicted.lines, truth.lines)) / len(
         truth.lines
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditioning import ConditioningEncoder, ConditionRow, PromptSpec, apply_condition_dropout
-from .errors import ContractError, DimensionError, NumericAbort, ValidationError
+from .errors import ContractError, NumericAbort, ValidationError
 from .lrc import LrcDocument
 from .optim import adam_init, adam_step, clip_grad_norm, grad_norm
 from .tensor import Tensor, backward, mse, zero_grads
@@ -37,7 +37,7 @@ __all__ = [
 def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
     """x_t = (1 - t) x0 + t x1, exact at both endpoints."""
     if x0.shape != x1.shape:
-        raise DimensionError(f"interpolate: shapes {x0.shape} vs {x1.shape}")
+        raise ContractError(f"interpolate: shapes {x0.shape} vs {x1.shape}")
     if not (0.0 <= t <= 1.0):
         raise ContractError(f"t={t} outside [0, 1]")
     if t == 0.0:
@@ -50,7 +50,7 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
 def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """The regression target x1 - x0; independent of t."""
     if x0.shape != x1.shape:
-        raise DimensionError(f"target_velocity: shapes {x0.shape} vs {x1.shape}")
+        raise ContractError(f"target_velocity: shapes {x0.shape} vs {x1.shape}")
     return x1 - x0
 
 
@@ -65,14 +65,6 @@ class TrainExample:
 @dataclass(frozen=True)
 class TrainBatch:
     examples: tuple[TrainExample, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if not self.examples:
-            raise ContractError("batch must be non-empty")
-        shape = self.examples[0].x1.shape
-        if any(ex.x1.shape != shape for ex in self.examples):
-            raise DimensionError("batch elements must share T and d_audio")
 
     def ids(self) -> list[str]:
         return [ex.id for ex in self.examples]

@@ -174,11 +174,11 @@ def _grid_frames(t: float, rate: float, up: bool) -> int:
     centiseconds, and the float rate exactly as the ratio of integers it
     holds; other times round the float product. The snap moves t by at most
     1e-8 s: 1e-5 frame at task.frame_rate's bound of 1000 Hz. A time whose
-    product is not finite has no frame (ContractError). Memoized: training
+    product is not finite has no frame (ValidationError). Memoized: training
     maps the same few segment and line times every step."""
     product = t * rate
     if not math.isfinite(product):
-        raise ContractError(f"time {t} s at {rate} frames/s has no finite frame")
+        raise ValidationError(f"time {t} s at {rate} frames/s has no finite frame")
     scaled = t * 100.0
     if math.isfinite(scaled) and abs(scaled - round(scaled)) <= 1e-6:
         centis = round(scaled)
@@ -202,10 +202,10 @@ def time_to_frame(t: float, frame_rate: float) -> int:
 def frame_count(total_duration: float, frame_rate: float) -> int:
     """Number of latent frames covering [0, total_duration): ceil(duration * rate),
     exact on the centisecond grid like time_to_frame (0.07 s at 100 Hz is 7
-    frames, not 8). No frame, as for a duration snapped to 0 s, is a ContractError."""
+    frames, not 8). No frame, as for a duration snapped to 0 s, is a ValidationError."""
     frames = _grid_frames(total_duration, frame_rate, up=True)
     if frames < 1:
-        raise ContractError(f"{total_duration} s at {frame_rate} frames/s covers no frame")
+        raise ValidationError(f"{total_duration} s at {frame_rate} frames/s covers no frame")
     return frames
 
 
@@ -240,7 +240,7 @@ def windows_from_segments(segments, frame_rate: float, T: int) -> list[SegmentWi
         js = time_to_frame(seg.t_s, frame_rate)
         je = time_to_frame(seg.t_e, frame_rate)
         if je > T:
-            raise ContractError(f"segment [{seg.t_s}, {seg.t_e})s maps past frame {T}")
+            raise ValidationError(f"segment [{seg.t_s}, {seg.t_e})s maps past frame {T}")
         if js >= je:
             continue
         windows.append(SegmentWindow(js, je, seg))

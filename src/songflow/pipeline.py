@@ -19,7 +19,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .checkpoint import write_jsonl_atomic
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .lrc import parse_lrc, serialize_lrc
 from .schema import is_number, loads, read_text, split_lines
 
@@ -367,7 +367,7 @@ def lyric_edit_filter(records: list[RecordManifest], max_normalized_distance: fl
             continue
         try:
             lyric = _lyric_text(rec)
-        except (ParseError, ValidationError):
+        except ValidationError:
             report.rejected.append((rec.id, "invalid-lrc"))
             continue
         a = normalize_lyric_text(lyric)
@@ -480,7 +480,7 @@ def build_duration_dataset(
             continue
         try:
             doc = parse_lrc(rec.lyrics_lrc, total_duration=rec.duration)
-        except (ParseError, ValidationError):
+        except ValidationError:
             doc = None
         lines = rec.lyrics
         if lines is None and doc is not None:

@@ -58,7 +58,7 @@ from .conditioning import (
     NegativePrompts,
     PromptSpec,
 )
-from .errors import DimensionError, NumericAbort, ValidationError
+from .errors import ContractError, NumericAbort, ValidationError
 from .lrc import LrcDocument
 from .tensor import Tensor, attention
 
@@ -91,7 +91,7 @@ def guided_velocity(
     """v_u + cfg (v_c - v_u) - cfg_n (v_n - v_u). The cfg=1/cfg_n=0 and
     cfg=0/cfg_n=0 cases short-circuit so they reproduce v_c / v_u bit-exactly."""
     if not (v_u.shape == v_c.shape == v_n.shape):
-        raise DimensionError(f"shapes differ: {v_u.shape}, {v_c.shape}, {v_n.shape}")
+        raise ContractError(f"shapes differ: {v_u.shape}, {v_c.shape}, {v_n.shape}")
     if cfg_n == 0.0:
         if cfg == 1.0:
             return v_c.copy()
@@ -121,13 +121,17 @@ def build_condition_triple(
     defaults: NegativePrompts,
 ) -> ConditioningBundle:
     """The conditional, fully-dropped unconditional and negative rows, in
-    that order, encoded as one three-row bundle."""
+    that order, encoded as one three-row bundle. Finite weights that
+    overflow the text projection are a NumericAbort, as in sampling."""
     rows = (
         ConditionRow(spec, doc),
         ConditionRow(spec, doc, drop_global=True, drop_segment=True, drop_lyrics=True),
         build_negative_condition(spec, doc, defaults),
     )
-    return encoder.encode(rows, T)
+    bundle = encoder.encode(rows, T)
+    if not np.isfinite(bundle.e_text.data).all():
+        raise NumericAbort("condition encoding left finite range")
+    return bundle
 
 
 def euler_sample(
@@ -143,7 +147,7 @@ def euler_sample(
     is unchanged either way.
     """
     if len(triple.rows) != 3:
-        raise DimensionError(f"need the three guidance rows, got {len(triple.rows)}")
+        raise ContractError(f"need the three guidance rows, got {len(triple.rows)}")
     need_c = gc.cfg != 0.0
     need_u = not (gc.cfg == 1.0 and gc.cfg_n == 0.0)
     need_n = gc.cfg_n != 0.0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 __all__ = [
     "Tensor",
@@ -111,12 +111,12 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 def _need_2d(x: Tensor, op: str) -> None:
     if x.data.ndim != 2:
-        raise DimensionError(f"{op} needs a 2-D tensor, got shape {x.data.shape}")
+        raise ContractError(f"{op} needs a 2-D tensor, got shape {x.data.shape}")
 
 
 def _need_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+        raise ContractError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 # -----------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     """(..., m, k) @ (k, n) -> (..., m, n): one GEMM over all leading rows."""
     _need_2d(w, "matmul")
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[0]:
-        raise DimensionError(f"matmul: inner dims {x.data.shape} @ {w.data.shape}")
+        raise ContractError(f"matmul: inner dims {x.data.shape} @ {w.data.shape}")
     k, n = w.data.shape
     shape = x.data.shape
     x2 = x.data.reshape(-1, k)
@@ -190,7 +190,7 @@ def add_row(x: Tensor, bias: Tensor) -> Tensor:
     """Add a (d,) bias row to every row of a (..., d) tensor."""
     d = x.data.shape[-1] if x.data.ndim >= 2 else -1
     if bias.data.shape != (d,):
-        raise DimensionError(f"add_row: bias {bias.data.shape} vs rows of {x.data.shape}")
+        raise ContractError(f"add_row: bias {bias.data.shape} vs rows of {x.data.shape}")
 
     def vjp(g):
         return g, g.reshape(-1, d).sum(axis=0)
@@ -237,7 +237,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     added to the variance), then affine."""
     d = x.data.shape[-1] if x.data.ndim >= 2 else -1
     if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError(f"layer_norm: gain/bias must be ({d},) for rows of {x.data.shape}")
+        raise ContractError(f"layer_norm: gain/bias must be ({d},) for rows of {x.data.shape}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.einsum("...d,...d->...", xhat, xhat)[..., None]
     var /= d
@@ -270,10 +270,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def concat_channels(parts: list[Tensor]) -> Tensor:
     """Concatenate (..., d_i) tensors along channels, preserving order."""
     if not parts:
-        raise DimensionError("concat_channels: need at least one part")
+        raise ContractError("concat_channels: need at least one part")
     lead = parts[0].data.shape[:-1]
     if len(lead) < 1 or any(p.data.shape[:-1] != lead for p in parts):
-        raise DimensionError(
+        raise ContractError(
             f"concat_channels: leading shapes differ: {[p.data.shape for p in parts]}"
         )
     data = np.concatenate([p.data for p in parts], axis=-1)
@@ -290,7 +290,7 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     _need_2d(x, "slice_channels")
     shape = x.data.shape
     if not (0 <= start <= stop <= shape[1]):
-        raise DimensionError(f"slice_channels: [{start}, {stop}) outside width {shape[1]}")
+        raise ContractError(f"slice_channels: [{start}, {stop}) outside width {shape[1]}")
     data = x.data[:, start:stop].copy()
 
     def vjp(g):
@@ -355,7 +355,7 @@ def attention(
     _need_same_shape(q, v, "attention")
     shape = q.data.shape
     if len(shape) < 2 or n_heads < 1 or shape[-1] % n_heads != 0:
-        raise DimensionError(f"attention: {shape} does not split into {n_heads} heads")
+        raise ContractError(f"attention: {shape} does not split into {n_heads} heads")
     T, d = shape[-2:]
     hd = d // n_heads
     c = 1.0 / np.sqrt(hd)

@@ -7,7 +7,7 @@ from conftest import fd_max_rel_error
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel, time_embedding
 from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
-from songflow.errors import ContractError, DimensionError, ValidationError
+from songflow.errors import ContractError, ValidationError
 from songflow.tensor import Tensor, mse, zero_grads
 
 
@@ -77,7 +77,7 @@ def test_forward_rejects_mismatched_widths(rng):
     bundle = _bundle_from_arrays(
         rng.standard_normal((4, model.d_text + 1)), rng.standard_normal((4, model.d_lyrics))
     )
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         _forward(model, rng.standard_normal((4, model.d_audio)), bundle, 0.5)
 
 
@@ -199,7 +199,7 @@ def test_batched_forward_matches_single_rows(rng):
     for b in range(B):
         alone = _forward(model, x[b], _bundle_from_arrays(e_text[b], e_lyr[b]), ts[b]).data[0]
         assert np.abs(out[b] - alone).max() <= 1e-12 * np.abs(alone).max()
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         model.forward(Tensor(x), bundle, ts[:2])
 
 

@@ -13,6 +13,7 @@ import pytest
 import songflow
 import songflow.cli as cli
 from songflow.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from songflow.errors import ContractError
 from songflow.lrc import parse_lrc
 from songflow.pipeline import RecordManifest, write_manifest
 
@@ -680,6 +681,15 @@ def _non_finite(p):
     p["params"][0]["f64le"] = base64.b64encode(bytes(raw)).decode("ascii")
 
 
+def _filled(value):
+    """A checkpoint edit: every parameter entry set to the finite `value`."""
+    def edit(p):
+        for rec in p["params"]:
+            values = np.full(int(np.prod(rec["shape"])), value, dtype="<f8")
+            rec["f64le"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return edit
+
+
 _NAN_LATENT = '{"shape": [12, 2], "values": [' + ", ".join(["0.5"] * 23 + ["NaN"]) + "]}"
 
 _HUGE_MINUTE_LRC = "[" + "9" * 400 + ":00.00] hello there\n"
@@ -767,6 +777,25 @@ MALFORMED = [
      "pretrain_max_duration"),
     ("predict-durations-huge-hint", "predict-durations", {"hint.txt": "1e300"}, EXIT_DATA,
      "pretrain_max_duration"),
+    # Lyrics, LRC files and prompts that no computation fits are data errors too.
+    ("predict-durations-empty-lyrics", "predict-durations", {"lyrics.txt": "\n   \n"}, EXIT_DATA,
+     "predict_durations needs at least one non-empty lyric line"),
+    ("generate-empty-lyrics", "generate-lyrics", {"lyrics.txt": " \n"}, EXIT_DATA,
+     "predict_durations needs at least one non-empty lyric line"),
+    # 1.000000005 s snaps to the 1.00 s grid mark, 4 frames: the line at 1.00 s has none.
+    ("generate-onset-snapped-to-end", "generate",
+     {"prompt.json": _prompt_text(segments=[], duration_s=1.000000005),
+      "x.lrc": "[00:00.00] p0\n[00:01.00] p1\n"}, EXIT_DATA, "a lyric line's onset maps outside [0, T)"),
+    ("eval-unknown-text", "eval", {"prompt.json": _prompt_text(**{"global": "nowhere"})}, EXIT_DATA,
+     "text 'nowhere' is in neither vocabulary"),
+    ("eval-prompt-past-latent", "eval", {"latent.json": _latent_text([8, 2], [0.5] * 16)}, EXIT_DATA,
+     "segment [1.5, 3.0)s maps past frame 8"),
+    ("eval-lrc-line-counts", "eval-lrc", {"true.lrc": "[00:00.00] p0 p1 p2\n"}, EXIT_DATA,
+     "line counts differ: 2 vs 1"),
+    ("eval-lrc-texts", "eval-lrc", {"true.lrc": "[00:00.00] p0 p1 p2\n[00:01.50] p3\n"}, EXIT_DATA,
+     "line 2 texts differ after normalization"),
+    ("eval-lrc-no-lines", "eval-lrc", {"pred.lrc": "", "true.lrc": ""}, EXIT_DATA,
+     "documents have no lines"),
     ("checkpoint-bad-base64", "generate", {"ckpt.json": _checkpoint_with(_bad_base64)},
      EXIT_DATA, "base64"),
     ("checkpoint-short-payload", "generate", {"ckpt.json": _checkpoint_with(_short_payload)},
@@ -775,6 +804,11 @@ MALFORMED = [
      "songflow-params-v1"),
     ("checkpoint-non-finite", "generate", {"ckpt.json": _checkpoint_with(_non_finite)},
      EXIT_DATA, "non-finite"),
+    # Finite weights that overflow are a numeric abort, whichever value overflows first.
+    ("checkpoint-overflowing-encoding", "generate", {"ckpt.json": _checkpoint_with(_filled(1e200))},
+     EXIT_NUMERIC, "condition encoding left finite range"),
+    ("checkpoint-overflowing-trajectory", "generate", {"ckpt.json": _checkpoint_with(_filled(1e100))},
+     EXIT_NUMERIC, "trajectory left finite range (step 0)"),
     ("dpo-nan-string", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": "nan"}'},
      EXIT_DATA, "finite number"),
     ("dpo-nan-token", "dpo-pairs", {"scores.jsonl": '{"group": "g", "id": "a", "score": NaN}'},
@@ -897,14 +931,16 @@ def tiny_checkpoint_payload(tmp_path_factory):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def test_a_key_error_is_a_program_fault_not_a_data_error(tmp_path, monkeypatch):
-    """Data paths that index a key check it first, so a KeyError reaching
-    main is a bug: it propagates with its traceback instead of exiting 2."""
+@pytest.mark.parametrize("fault", [KeyError, ContractError])
+def test_a_program_fault_is_not_a_data_error(tmp_path, monkeypatch, fault):
+    """Data paths that index a key check it first, and outside input raises
+    ValidationError, so a KeyError or ContractError reaching main is a bug:
+    it propagates with its traceback instead of exiting 2."""
     def broken(*args):
-        raise KeyError("steps")
+        raise fault("steps")
 
     monkeypatch.setattr(cli, "load_config", broken)
-    with pytest.raises(KeyError, match="steps"):
+    with pytest.raises(fault, match="steps"):
         main(["train", "--out-dir", str(tmp_path / "out")])
 
 
@@ -912,9 +948,13 @@ def test_a_key_error_is_a_program_fault_not_a_data_error(tmp_path, monkeypatch):
                          ids=[row[0] for row in MALFORMED])
 def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
                                     case, command, files, expected, message):
+    lrc = "[00:00.00] p0 p1 p2\n[00:01.50] p0 p1 p2\n"
     inputs = {
         "prompt.json": _prompt_text(),
-        "x.lrc": "[00:00.00] p0 p1 p2\n[00:01.50] p0 p1 p2\n",
+        "latent.json": _latent_text([12, 2], [0.5] * 24),
+        "x.lrc": lrc,
+        "pred.lrc": lrc,
+        "true.lrc": lrc,
         "ckpt.json": json.dumps(tiny_checkpoint_payload),
         "scores.jsonl": '{"group": "g", "id": "a", "score": 1.0}\n'
                         '{"group": "g", "id": "b", "score": 2.0}\n',
@@ -935,11 +975,15 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
     if command == "eval":
         argv = _tiny_args(["eval", "--out-dir", str(out), "--latent", str(tmp_path / "latent.json"),
                            "--prompt", str(tmp_path / "prompt.json")])
-    elif command == "generate":
+    elif command == "eval-lrc":
+        argv = _tiny_args(["eval", "--out-dir", str(out), "--pred-lrc", str(tmp_path / "pred.lrc"),
+                           "--true-lrc", str(tmp_path / "true.lrc")])
+    elif command in ("generate", "generate-lyrics"):
+        lyrics = ["--lyrics", str(tmp_path / "lyrics.txt")] if command == "generate-lyrics" else [
+            "--lrc", str(tmp_path / "x.lrc")]
         argv = _tiny_args(["generate", "--out-dir", str(out),
                            "--checkpoint", str(tmp_path / "ckpt.json"),
-                           "--prompt", str(tmp_path / "prompt.json"),
-                           "--lrc", str(tmp_path / "x.lrc")])
+                           "--prompt", str(tmp_path / "prompt.json"), *lyrics])
     elif command == "predict-durations":
         argv = ["predict-durations", "--out-dir", str(out), "--lyrics", str(tmp_path / "lyrics.txt"),
                 "--duration-hint", (tmp_path / "hint.txt").read_text(encoding="utf-8")]
@@ -950,7 +994,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         argv = ["pipeline", "--stage", command, "--config", str(tmp_path / "config.json"),
                 "--set", "pipeline.dpo_min_diff=0.5",
                 "--manifest", str(tmp_path / manifest), "--out-dir", str(out)]
-    code = main(argv)  # returns: nothing may escape as a traceback
+    with np.errstate(all="ignore" if expected == EXIT_NUMERIC else None):  # those rows overflow
+        code = main(argv)  # returns: nothing may escape as a traceback
     err = capsys.readouterr().err
     assert code == expected, err
     if expected == EXIT_OK:
@@ -965,7 +1010,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
             [reject] = report["schema_rejects"]
             assert reject["line"] == 1 and message in reject["error"], reject
     else:
-        assert err.startswith("data error:") and message in err, err
+        prefix = "numeric abort:" if expected == EXIT_NUMERIC else "data error:"
+        assert err.startswith(prefix) and message in err, err
         assert not out.exists()  # inputs are checked before --out-dir is made
     _assert_strict_json(out)
 
@@ -978,14 +1024,18 @@ def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
     prompt.write_text(_prompt_text(), encoding="utf-8")
     lrc = tmp_path / "x.lrc"
     _write_lrc(lrc)
+    lyrics = tmp_path / "lyrics.txt"
+    lyrics.write_text("la la la\nso so\n", encoding="utf-8")
     gen = tmp_path / "g"
     assert main(_tiny_args(["generate", "--out-dir", str(gen), "--checkpoint", str(ckpt),
                             "--prompt", str(prompt), "--lrc", str(lrc)])) == EXIT_OK
+    assert main(_tiny_args(["generate", "--out-dir", str(tmp_path / "gl"), "--checkpoint", str(ckpt),
+                            "--prompt", str(prompt), "--lyrics", str(lyrics)])) == EXIT_OK
     latent = tmp_path / "latent.json"
     latent.write_text(_latent_text([12, 2], [0.5] * 24), encoding="utf-8")
     assert main(_tiny_args(["eval", "--out-dir", str(tmp_path / "e"), "--latent", str(latent),
-                            str(gen / "latent.json"), "--prompt", str(prompt),
-                            str(prompt)])) == EXIT_OK
+                            str(gen / "latent.json"), "--prompt", str(prompt), str(prompt),
+                            "--pred-lrc", str(lrc), "--true-lrc", str(lrc)])) == EXIT_OK
     scores = tmp_path / "scores.jsonl"
     scores.write_text('{"group": "g", "id": "a", "score": 1}\n'
                       '{"group": "g", "id": "b", "score": 2.0}\n', encoding="utf-8")
@@ -1000,8 +1050,6 @@ def test_valid_inputs_of_the_table_succeed(tmp_path, tiny_checkpoint_payload):
     assert main(["pipeline", "--stage", "duration-dataset", "--manifest", str(manifest),
                  "--out-dir", str(dataset)]) == EXIT_OK
     assert json.loads((dataset / "duration_dataset_report.json").read_text())["emitted"] == 1
-    lyrics = tmp_path / "lyrics.txt"
-    lyrics.write_text("la la la\nso so\n", encoding="utf-8")
     assert main(["predict-durations", "--out-dir", str(tmp_path / "p"), "--lyrics", str(lyrics),
                  "--duration-hint", "30.0"]) == EXIT_OK
     config = tmp_path / "config.json"

@@ -16,7 +16,7 @@ from songflow.conditioning import (
     prompt_spec_from_json,
     prompt_spec_to_json,
 )
-from songflow.errors import ContractError, DimensionError, ValidationError
+from songflow.errors import ValidationError
 from songflow.lrc import LrcDocument, LrcLine, SegmentSpec, time_to_frame
 from songflow.tensor import Tensor
 
@@ -114,10 +114,10 @@ def test_adjacent_segments_switch_exactly_at_boundary():
     assert all(np.array_equal(e_l[f], b) for f in range(4, 8))
 
 
-def test_segment_window_outside_frames_is_contract_error():
+def test_segment_window_outside_frames_is_validation_error():
     f_g, f_l = _embedders()
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(t_s=0.0, t_e=5.0, text="x"),))
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError, match="maps past frame 8"):
         broadcast_prompt_halves(spec, 8, f_g, f_l, frame_rate=4.0)
 
 
@@ -311,7 +311,7 @@ def test_embedder_caches_are_read_only():
 def test_encode_lyrics_onset_outside_frames_is_error():
     emb = HashEmbedder("lyr", 4)
     doc = LrcDocument(lines=(LrcLine(9.0, "late"),), total_duration=10.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError, match="onset maps outside"):
         encode_lyrics(doc, emb, 8, 4.0)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from songflow.durations import GAP_SECONDS, line_seconds, predict_durations, syllable_count
-from songflow.errors import ContractError
+from songflow.errors import ValidationError
 from songflow.lrc import parse_lrc, serialize_lrc
 
 
@@ -26,10 +26,10 @@ def test_single_line_with_hint():
     assert doc.lines[0].timestamp == pytest.approx(GAP_SECONDS * 10.0 / unscaled_total)
 
 
-def test_empty_lyrics_is_contract_error():
-    with pytest.raises(ContractError):
+def test_empty_lyrics_is_validation_error():
+    with pytest.raises(ValidationError):
         predict_durations([], "", [], None)
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError):
         predict_durations(["", "   "], "", [], None)
 
 

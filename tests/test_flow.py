@@ -9,7 +9,7 @@ from conftest import fd_max_rel_error
 from songflow.conditioning import OutputProjection
 from songflow.checkpoint import load_params
 from songflow.config import load_config
-from songflow.errors import ContractError, DimensionError, NumericAbort, ValidationError
+from songflow.errors import ContractError, NumericAbort, ValidationError
 from songflow.flow import (
     TrainBatch,
     TrainConfig,
@@ -64,7 +64,7 @@ def test_interpolate_midpoint_constant():
 
 
 def test_interpolate_contracts():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         interpolate(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
     with pytest.raises(ContractError):
         interpolate(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from songflow.errors import ContractError, ParseError, ValidationError
+from songflow.errors import ParseError, ValidationError
 from songflow.lrc import (
     LrcDocument,
     LrcLine,
@@ -172,11 +172,11 @@ def test_time_to_frame_is_exact_on_every_centisecond_stamp(rate):
 
 def test_time_to_frame_contract_and_monotonicity(rng):
     for t in (1.7e308, math.inf, math.nan):  # no finite frame
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError):
             time_to_frame(t, 4.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError):
         frame_count(1.7e308, 4.0)
-    with pytest.raises(ContractError, match="covers no frame"):
+    with pytest.raises(ValidationError, match="covers no frame"):
         frame_count(1e-9, 4.0)  # within 1e-8 s of the grid mark 0
     assert time_to_frame(1e307, 4.0) == math.floor(1e307 * 4.0)  # t * 100 overflows, t * rate does not
     ts = np.sort(rng.uniform(0, 100, size=200))

@@ -8,7 +8,7 @@ import pytest
 from songflow.backbone import Block
 from songflow.conditioning import ConditioningBundle, ConditionRow, NegativePrompts, PromptSpec
 from songflow.config import load_config
-from songflow.errors import ContractError, DimensionError, NumericAbort
+from songflow.errors import ContractError, NumericAbort
 from songflow.lrc import LrcDocument, LrcLine, SegmentSpec, windows_from_segments
 from songflow.sampler import (
     GuidanceConfig,
@@ -85,7 +85,7 @@ def test_guidance_hand_value_on_constant_fields():
 
 
 def test_guidance_shape_error(rng):
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         guided_velocity(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), 3.0, 1.0)
 
 
@@ -164,7 +164,7 @@ def test_condition_triple_shares_shapes():
     assert unconditional.drop_global and unconditional.drop_segment
     assert unconditional.drop_lyrics
     assert negative == build_negative_condition(spec, doc, cfg.negative)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         euler_sample(system.model, triple.window(slice(0, 2)), GuidanceConfig(), T, d)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from songflow.conditioning import PromptSpec, prompt_spec_to_json
 from songflow.config import RunConfig, TaskConfig
-from songflow.errors import ContractError
+from songflow.errors import ContractError, ValidationError
 from songflow.evaluate import (
     PatternOracleScorer,
     _pearson,
@@ -291,9 +291,9 @@ def test_duration_mae_matches_brute_force(rng):
 
 
 def test_duration_mae_contract_errors():
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError):
         duration_mae(_doc([1.0]), _doc([1.0, 2.0]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError):
         duration_mae(_doc([1.0], texts=["one"]), _doc([1.0], texts=["different"]))
 
 

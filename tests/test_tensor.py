@@ -6,7 +6,7 @@ import pytest
 
 import songflow.tensor as tensor_module
 from conftest import fd_max_rel_error, random_tensor
-from songflow.errors import ContractError, DimensionError
+from songflow.errors import ContractError
 from songflow.optim import clip_grad_norm
 from songflow.tensor import (
     Tensor,
@@ -60,7 +60,7 @@ def test_matmul_gradient_hand_value():
 
 
 def test_matmul_shape_error():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
@@ -73,7 +73,7 @@ def test_add_identity_and_silu_zero():
 def test_elementwise_shape_errors():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))
     for op in (add, mul, mse):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError):
             op(a, b)
 
 
@@ -113,7 +113,7 @@ def test_concat_gradient_routes_exact_slices(rng):
 
 
 def test_concat_length_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         concat_channels([Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1)))])
 
 
@@ -482,7 +482,7 @@ def test_attention_gradients_match_finite_differences(n_heads):
 
 def test_attention_shape_errors():
     x = Tensor(np.ones((4, 6)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         attention(x, x, x, 4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError):
         attention(x, Tensor(np.ones((5, 6))), x, 2)
