@@ -74,7 +74,6 @@ class Block:
     """Pre-norm self-attention + gated feed-forward, both with residuals."""
 
     def __init__(self, width: int, n_heads: int, ff_mult: int, rng: np.random.Generator):
-        self.width = width
         self.n_heads = n_heads
         ff = ff_mult * width
         self.ln1_g = Tensor(np.ones(width), requires_grad=True)

@@ -21,7 +21,9 @@ range, a JSON integer too large for a float, JSON nested too deeply, and a
 prompt key that is unknown or missing (`schema` holds these rules). Exit 3 is
 a `NumericAbort`, also a non-finite value that would reach a JSON artifact.
 Any other exception, a `ContractError` or a `KeyError` included, is a program
-fault and propagates with its traceback.
+fault and propagates with its traceback. Commands run with numpy's overflow
+and invalid-value warnings off: every non-finite value is caught explicitly,
+so a warning would only print lines ahead of the `numeric abort:` message.
 Artifacts other than the streamed train_log.jsonl are written atomically; JSON
 artifacts are strict (no NaN/Infinity tokens) and compact: without indentation
 json's C encoder writes them, about 4x faster than its pure-Python indenting
@@ -65,7 +67,7 @@ from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .conditioning import prompt_spec_from_json
 from .config import load_config
 from .errors import NumericAbort, ParseError, ValidationError
-from .evaluate import PatternOracleScorer, duration_mae, segment_alignment_score
+from .evaluate import alignment_score, duration_mae, segment_alignment_score
 from .durations import predict_durations
 from .flow import train
 from .lrc import frame_count, parse_lrc, serialize_lrc, windows_from_segments
@@ -276,8 +278,8 @@ def cmd_train(args) -> int:
     first, last = report.smoothed()
     _write_run_manifest(out_dir, "train", report.files)
     print(
-        f"train: {report.steps} steps, smoothed loss {first:.4f} -> {last:.4f}, "
-        f"{report.wall_seconds:.1f}s, checkpoint {report.checkpoint_path}"
+        f"train: {len(report.losses)} steps, smoothed loss {first:.4f} -> {last:.4f}, "
+        f"{report.wall_seconds:.1f}s, checkpoint {out_dir / report.files[-1]}"
     )
     return EXIT_OK
 
@@ -355,7 +357,7 @@ def cmd_generate(args) -> int:
 # -----------------------------------------------------------------------------
 
 
-def _eval_one(index, latent_path, prompt_path, cfg, scorer):
+def _eval_one(index, latent_path, prompt_path, cfg, task):
     latent = _read_latent(latent_path, cfg.task.d_audio)
     spec = prompt_spec_from_json(read_json(prompt_path, "prompt"))
     T = latent.shape[0]
@@ -364,12 +366,12 @@ def _eval_one(index, latent_path, prompt_path, cfg, scorer):
         "index": index,
         "latent": str(latent_path),
         "prompt": str(prompt_path),
-        "global_alignment": scorer.score(latent, spec.global_text),
+        "global_alignment": alignment_score(task, latent, spec.global_text),
     }
     # Unscored when a segment floors to no frame.
     per, mean = [], None
     if len(windows) == len(spec.segments):
-        per, mean = segment_alignment_score(latent, windows, scorer)
+        per, mean = segment_alignment_score(latent, windows, task)
     sample["segment_alignment"] = {"per_segment": per, "mean": mean}
     return sample
 
@@ -384,11 +386,11 @@ def cmd_eval(args) -> int:
         raise ValidationError(
             f"{len(args.pred_lrc)} predicted LRC files but {len(args.true_lrc)} references"
         )
-    scorer = PatternOracleScorer(cfg.task_spec())
+    task = cfg.task_spec()
     with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
         samples = list(
             pool.map(
-                lambda item: _eval_one(item[0], item[1][0], item[1][1], cfg, scorer),
+                lambda item: _eval_one(item[0], item[1][0], item[1][1], cfg, task),
                 enumerate(zip(args.latent, args.prompt)),
             )
         )
@@ -484,7 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -319,23 +319,20 @@ class ConditioningBundle:
     """The prompt and lyric conditioning of B samples that share T frames.
 
     e_text is the projected (B, T, d_text) text embedding and e_lyrics the
-    (B, T, d_lyrics) lyric frames; rows[b] is what row b was encoded from. A
-    dropped half was zeroed before the projection; dropped lyric frames are
-    all zero. The noisy frames and the time embedding change every forward
-    pass, so they are not part of the bundle: VelocityModel.forward adds them.
+    (B, T, d_lyrics) lyric frames. A dropped half was zeroed before the
+    projection; dropped lyric frames are all zero. The noisy frames and the
+    time embedding change every forward pass, so they are not part of the
+    bundle: VelocityModel.forward adds them.
     """
 
     e_text: Tensor
     e_lyrics: Tensor
-    rows: tuple[ConditionRow, ...]
 
     def window(self, rows: slice, frames: slice = slice(None)) -> "ConditioningBundle":
         """The given rows and frames as a bundle off the tape, whose arrays
         are views of this bundle's."""
         return ConditioningBundle(
-            e_text=Tensor(self.e_text.data[rows, frames]),
-            e_lyrics=Tensor(self.e_lyrics.data[rows, frames]),
-            rows=self.rows[rows],
+            Tensor(self.e_text.data[rows, frames]), Tensor(self.e_lyrics.data[rows, frames])
         )
 
 
@@ -373,7 +370,6 @@ class ConditioningEncoder:
         all rows at once. Dropped lyric frames are zeroed; the lyrics are
         still encoded so an onset outside [0, T) is an error whatever the
         flags."""
-        rows = tuple(rows)
         d_g, d_l = self.global_embedder.dimension, self.segment_embedder.dimension
         halves = np.zeros((len(rows), T, d_g + d_l))
         lyrics = np.zeros((len(rows), T, self.lyric_embedder.dimension))
@@ -388,9 +384,7 @@ class ConditioningEncoder:
             lyr = encode_lyrics(row.doc, self.lyric_embedder, T, self.frame_rate)
             if not row.drop_lyrics:
                 lyrics[b] = lyr
-        return ConditioningBundle(
-            e_text=self.out_proj(Tensor(halves)), e_lyrics=Tensor(lyrics), rows=rows
-        )
+        return ConditioningBundle(e_text=self.out_proj(Tensor(halves)), e_lyrics=Tensor(lyrics))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return self.out_proj.named_parameters()

@@ -1,10 +1,9 @@
 """Alignment and timing metrics.
 
-Alignment is scored by PatternOracleScorer, the synthetic-task oracle (a
-subclass may override `score`): segment texts score by Pearson correlation
-between a window's mean-channel trace and the text's anchored pattern
-template; global texts score by correlation across channels between the
-time-averaged frame and the text's offset vector.
+Alignment is scored by alignment_score, the synthetic-task oracle: segment
+texts score by Pearson correlation between a window's mean-channel trace and
+the text's anchored pattern template; global texts score by correlation
+across channels between the time-averaged frame and the text's offset vector.
 Ground-truth noiseless samples maximize both scores by construction.
 """
 
@@ -17,7 +16,7 @@ from .lrc import BOUNDARY, LrcDocument, SegmentWindow
 from .synthetic import SyntheticTaskSpec, pattern_trace
 
 __all__ = [
-    "PatternOracleScorer",
+    "alignment_score",
     "segment_alignment_score",
     "duration_mae",
     "validate_report",
@@ -55,35 +54,28 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip((ac * bc).sum() / denom, -1.0, 1.0))
 
 
-class PatternOracleScorer:
-    """Maximal-at-truth scorer for the synthetic task: deterministic
-    (latent slice or full latent, text) -> score in [-1, 1]."""
-
-    def __init__(self, task: SyntheticTaskSpec):
-        self.task = task
-
-    def score(self, latent: np.ndarray, text: str) -> float:
-        latent = np.asarray(latent, dtype=np.float64)
-        if latent.ndim != 2:
-            raise ContractError(f"latent must be (frames, channels), got {latent.shape}")
-        if text in self.task.segment_vocab:
-            trace = latent.mean(axis=1)
-            return _pearson(trace, pattern_trace(self.task, text, len(trace)))
-        if text in self.task.global_vocab:
-            return _pearson(latent.mean(axis=0), self.task.global_vocab[text])
-        raise ValidationError(f"text {text!r} is in neither vocabulary")
+def alignment_score(task: SyntheticTaskSpec, latent: np.ndarray, text: str) -> float:
+    """Maximal-at-truth score in [-1, 1] of a latent slice or full latent
+    against a segment or global text of the synthetic task."""
+    latent = np.asarray(latent, dtype=np.float64)
+    if latent.ndim != 2:
+        raise ContractError(f"latent must be (frames, channels), got {latent.shape}")
+    if text in task.segment_vocab:
+        trace = latent.mean(axis=1)
+        return _pearson(trace, pattern_trace(task, text, len(trace)))
+    if text in task.global_vocab:
+        return _pearson(latent.mean(axis=0), task.global_vocab[text])
+    raise ValidationError(f"text {text!r} is in neither vocabulary")
 
 
 def segment_alignment_score(
-    latent: np.ndarray,
-    windows: list[SegmentWindow],
-    scorer: PatternOracleScorer,
+    latent: np.ndarray, windows: list[SegmentWindow], task: SyntheticTaskSpec
 ) -> tuple[list[float], float | None]:
     """Score each window's latent slice against its segment text; return
     (per-segment scores, their arithmetic mean). Boundary-marker segments are
     excluded; with no other window the mean is undefined, so it is None."""
     scores = [
-        scorer.score(latent[start:end], seg.text)
+        alignment_score(task, latent[start:end], seg.text)
         for start, end, seg in windows
         if seg.kind != BOUNDARY
     ]

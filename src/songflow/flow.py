@@ -26,7 +26,6 @@ __all__ = [
     "interpolate",
     "target_velocity",
     "TrainExample",
-    "TrainBatch",
     "TrainConfig",
     "cfm_loss",
     "TrainReport",
@@ -38,8 +37,6 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
     """x_t = (1 - t) x0 + t x1, exact at both endpoints."""
     if x0.shape != x1.shape:
         raise ContractError(f"interpolate: shapes {x0.shape} vs {x1.shape}")
-    if not (0.0 <= t <= 1.0):
-        raise ContractError(f"t={t} outside [0, 1]")
     if t == 0.0:
         return x0.copy()
     if t == 1.0:
@@ -49,8 +46,6 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
 
 def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """The regression target x1 - x0; independent of t."""
-    if x0.shape != x1.shape:
-        raise ContractError(f"target_velocity: shapes {x0.shape} vs {x1.shape}")
     return x1 - x0
 
 
@@ -60,14 +55,6 @@ class TrainExample:
     spec: PromptSpec
     doc: LrcDocument | None
     x1: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrainBatch:
-    examples: tuple[TrainExample, ...]
-
-    def ids(self) -> list[str]:
-        return [ex.id for ex in self.examples]
 
 
 @dataclass(frozen=True)
@@ -110,7 +97,7 @@ class TrainConfig:
 def cfm_loss(
     model,
     encoder: ConditioningEncoder,
-    batch: TrainBatch,
+    batch: tuple[TrainExample, ...],
     rng: np.random.Generator,
     p_drop_global: float,
     p_drop_segment: float,
@@ -122,7 +109,7 @@ def cfm_loss(
     whole batch is then encoded, run forward and scored as one graph.
     """
     rows, ts, x_t, u = [], [], [], []
-    for ex in batch.examples:
+    for ex in batch:
         t = float(rng.random())
         x0 = rng.standard_normal(ex.x1.shape)
         ts.append(t)
@@ -130,15 +117,13 @@ def cfm_loss(
         u.append(target_velocity(x0, ex.x1))
         drops = apply_condition_dropout(p_drop_global, p_drop_segment, p_drop_lyrics, rng)
         rows.append(ConditionRow(ex.spec, ex.doc, *drops))
-    bundle = encoder.encode(rows, batch.examples[0].x1.shape[0])
+    bundle = encoder.encode(rows, batch[0].x1.shape[0])
     return mse(model.forward(Tensor(np.stack(x_t)), bundle, ts), Tensor(np.stack(u)))
 
 
 @dataclass
 class TrainReport:
     losses: list[float] = field(default_factory=list)
-    steps: int = 0
-    checkpoint_path: str | None = None
     files: list[str] = field(default_factory=list)  # names written into out_dir
     wall_seconds: float = 0.0
 
@@ -166,17 +151,18 @@ def train(system, dataset, config: TrainConfig, out_dir: Path) -> TrainReport:
                             config.p_drop_segment, config.lyric_dropout)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
-                raise NumericAbort("loss is not finite", step=step, batch_ids=batch.ids())
+                raise NumericAbort("loss is not finite", step=step,
+                                   batch_ids=[ex.id for ex in batch])
             zero_grads(params)
             backward(loss)
             del loss  # free this step's graph before the next forward
             if not np.isfinite(grad_norm(params)):
-                raise NumericAbort("gradient is not finite", step=step, batch_ids=batch.ids())
+                raise NumericAbort("gradient is not finite", step=step,
+                                   batch_ids=[ex.id for ex in batch])
             if config.grad_clip_norm is not None:
                 clip_grad_norm(params, config.grad_clip_norm)
             adam_step(params, state)
             report.losses.append(loss_value)
-            report.steps = step + 1
             wall_ms = (time.perf_counter() - step_started) * 1000.0
             row = {"step": step, "loss": loss_value, "wall_ms": wall_ms}
             log_file.write(json.dumps(row, allow_nan=False) + "\n")
@@ -187,9 +173,7 @@ def train(system, dataset, config: TrainConfig, out_dir: Path) -> TrainReport:
             ):
                 report.files.append(f"checkpoint-{step + 1:06d}.json")
                 system.save(out_dir / report.files[-1])
-    final = out_dir / "checkpoint.json"
-    system.save(final)
-    report.files.append(final.name)
-    report.checkpoint_path = str(final)
+    report.files.append("checkpoint.json")
+    system.save(out_dir / report.files[-1])
     report.wall_seconds = time.perf_counter() - started
     return report

@@ -146,8 +146,8 @@ def euler_sample(
     by query token as the module docstring describes; the combination rule
     is unchanged either way.
     """
-    if len(triple.rows) != 3:
-        raise ContractError(f"need the three guidance rows, got {len(triple.rows)}")
+    if triple.e_text.data.shape[0] != 3:
+        raise ContractError(f"need the three guidance rows, got {triple.e_text.data.shape[0]}")
     need_c = gc.cfg != 0.0
     need_u = not (gc.cfg == 1.0 and gc.cfg_n == 0.0)
     need_n = gc.cfg_n != 0.0
@@ -178,7 +178,7 @@ def euler_sample(
 def _velocities(model, cond: ConditioningBundle, t: float, x: np.ndarray, **kw) -> np.ndarray:
     """The (rows, frames, d_audio) velocities of x's frames at time t under
     each row of cond; keyword arguments go to model.forward."""
-    n = len(cond.rows)
+    n = cond.e_text.data.shape[0]
     return model.forward(Tensor(np.broadcast_to(x, (n, *x.shape))), cond, [t] * n, **kw).data
 
 
@@ -217,22 +217,11 @@ class _TokenSplit:
     """
 
     def __init__(self, model: VelocityModel, cond: ConditioningBundle, T: int, d_audio: int):
-        n, half = len(cond.rows), (T + 1) // 2
+        n, half = cond.e_text.data.shape[0], (T + 1) // 2
         width = model.config.model_width
         shapes = [(1,), (T - half, d_audio), (2, 3, n, T, width), (n, T - half, d_audio)]
         self.model = model
         self._map = mmap.mmap(-1, 8 * sum(math.prod(shape) for shape in shapes))
-        fds: list[int] = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            self._map.close()
-            raise
-        to_worker_r, to_worker_w, to_caller_r, to_caller_w = fds
         flat = np.frombuffer(self._map, dtype=np.float64)
         offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
         self.t, self.x, self.qkv, self.v = (
@@ -240,21 +229,34 @@ class _TokenSplit:
         )
         self.slots = [tuple(Tensor(a) for a in slot) for slot in self.qkv]
         self.slot = 0
+        fds: list[int] = []  # to-worker read, write end; to-caller read, write end
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            del flat  # mmap.close raises BufferError while a view of the mapping lives
+            self.t = self.x = self.qkv = self.v = self.slots = None
+            self._map.close()
+            raise
         if pid == 0:
-            status = 1  # an exception here too ends the pipe the caller reads
+            # The worker runs nothing outside this try, so it never returns
+            # into the caller's stack; an exception too ends the caller's pipe.
             try:
-                os.close(to_worker_w)
-                os.close(to_caller_r)
-                self._recv, self._send = to_worker_r, to_caller_w
+                os.close(fds[1])
+                os.close(fds[2])
+                self._recv, self._send = fds[0], fds[3]
                 os.set_blocking(self._recv, False)
                 self.tokens = (half, T)
                 self._serve(cond.window(slice(None), slice(half, T)))
-                status = 0
+                os._exit(0)
             finally:
-                os._exit(status)
-        os.close(to_worker_r)
-        os.close(to_caller_w)
-        self._recv, self._send = to_caller_r, to_worker_w
+                os._exit(1)
+        os.close(fds[0])
+        os.close(fds[3])
+        self._recv, self._send = fds[2], fds[1]
         os.set_blocking(self._recv, False)
         self.pid = pid
         self.tokens = (0, half)

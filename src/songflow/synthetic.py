@@ -24,7 +24,7 @@ import numpy as np
 
 from .conditioning import HashEmbedder, PromptSpec
 from .errors import ContractError
-from .flow import TrainBatch, TrainExample
+from .flow import TrainExample
 from .lrc import LYRIC, LrcDocument, LrcLine, SegmentSpec, windows_from_segments
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "default_task",
     "pattern_trace",
     "synth_sample",
+    "segment_lines",
     "sample_prompt",
     "SyntheticDataset",
 ]
@@ -188,7 +189,7 @@ class SyntheticDataset:
         self.min_width = min_width
         self._counter = 0
 
-    def draw(self, rng: np.random.Generator, n: int) -> TrainBatch:
+    def draw(self, rng: np.random.Generator, n: int) -> tuple[TrainExample, ...]:
         examples = []
         for _ in range(n):
             spec, doc = sample_prompt(
@@ -199,4 +200,4 @@ class SyntheticDataset:
                 TrainExample(id=f"synth-{self._counter:06d}", spec=spec, doc=doc, x1=x1)
             )
             self._counter += 1
-        return TrainBatch(tuple(examples))
+        return tuple(examples)

@@ -24,10 +24,6 @@ class SongModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return self.model.named_parameters() + self.encoder.named_parameters()
 
-    def set_trainable(self, flag: bool) -> None:
-        for _, t in self.named_parameters():
-            t.requires_grad = flag
-
     def save(self, path) -> None:
         save_params(self.named_parameters(), path)
 
@@ -50,5 +46,6 @@ def build_song_model(cfg: RunConfig, trainable: bool) -> SongModel:
         frame_rate=cfg.task.frame_rate,
     )
     system = SongModel(model, encoder)
-    system.set_trainable(trainable)
+    for _, t in system.named_parameters():
+        t.requires_grad = trainable
     return system

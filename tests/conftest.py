@@ -67,10 +67,18 @@ def rng():
     return np.random.default_rng(0)
 
 
+# The pid of the test session. A forked copy that returns into a test must
+# not go on to run the rest of the session, which would exit 0 on its own.
+_SESSION_PID = os.getpid()
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process behind, running or unreaped."""
+    """Fail a test that leaves a child process behind, running or unreaped,
+    and end a forked copy of the session that reaches a test's teardown."""
     yield
+    if os.getpid() != _SESSION_PID:
+        os._exit(1)
     try:
         left = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

@@ -6,7 +6,7 @@ import pytest
 from conftest import fd_max_rel_error
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel, time_embedding
-from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
+from songflow.conditioning import ConditioningBundle
 from songflow.errors import ContractError, ValidationError
 from songflow.tensor import Tensor, mse, zero_grads
 
@@ -19,11 +19,7 @@ def _tiny_model(rng):
 
 def _bundle_from_arrays(e_text, e_lyrics):
     """A one-row bundle from (T, d) arrays."""
-    return ConditioningBundle(
-        e_text=Tensor(e_text[None]),
-        e_lyrics=Tensor(e_lyrics[None]),
-        rows=(ConditionRow(PromptSpec("unused")),),
-    )
+    return ConditioningBundle(e_text=Tensor(e_text[None]), e_lyrics=Tensor(e_lyrics[None]))
 
 
 def _forward(model, x, bundle, t, **kwargs):
@@ -191,8 +187,7 @@ def test_batched_forward_matches_single_rows(rng):
     e_lyr = rng.standard_normal((B, T, model.d_lyrics))
     x = rng.standard_normal((B, T, model.d_audio))
     ts = [0.1, 0.5, 0.9]
-    rows = (ConditionRow(PromptSpec("unused")),) * B
-    bundle = ConditioningBundle(Tensor(e_text), Tensor(e_lyr), rows=rows)
+    bundle = ConditioningBundle(Tensor(e_text), Tensor(e_lyr))
     sink = []
     out = model.forward(Tensor(x), bundle, ts, attn_sink=sink).data
     assert len(sink) == B * model.config.n_blocks * model.config.n_heads

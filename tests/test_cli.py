@@ -994,8 +994,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         argv = ["pipeline", "--stage", command, "--config", str(tmp_path / "config.json"),
                 "--set", "pipeline.dpo_min_diff=0.5",
                 "--manifest", str(tmp_path / manifest), "--out-dir", str(out)]
-    with np.errstate(all="ignore" if expected == EXIT_NUMERIC else None):  # those rows overflow
-        code = main(argv)  # returns: nothing may escape as a traceback
+    code = main(argv)  # returns: nothing may escape as a traceback
     err = capsys.readouterr().err
     assert code == expected, err
     if expected == EXIT_OK:

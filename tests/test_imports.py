@@ -1,5 +1,8 @@
 """Every module-level import in `src/songflow` is used: a deleted check
-must not leave its error class (or anything else) imported for nothing."""
+must not leave its error class (or anything else) imported for nothing. And
+each module's `__all__` names exactly its public top-level functions and
+classes, plus constants it binds: no public def goes unexported and no
+deleted name stays exported."""
 
 import ast
 from pathlib import Path
@@ -53,3 +56,39 @@ def test_the_check_finds_an_unused_import():
         "x = np.zeros(1)\n"
     )
     assert _unused_imports(tree) == {"ContractError": 3}
+
+
+def _export_mismatch(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(public top-level defs and classes missing from `__all__`, names in
+    `__all__` that the module neither defines nor assigns)."""
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assigned = {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    exported = _exported_names(tree)
+    return public - exported, exported - public - assigned
+
+
+_WITH_ALL = [p for p in sorted(SRC.glob("*.py")) if "__all__" in p.read_text(encoding="utf-8")]
+
+
+@pytest.mark.parametrize("path", _WITH_ALL, ids=lambda p: p.name)
+def test_all_names_exactly_the_public_defs(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    missing, stale = _export_mismatch(tree)
+    assert not missing and not stale, f"{path.name}: unexported {missing}, stale {stale}"
+
+
+def test_the_check_finds_an_unexported_and_a_stale_name():
+    tree = ast.parse(
+        "LIMIT = 3\n"
+        "__all__ = ['LIMIT', 'kept', 'Gone']\n"
+        "def kept(): pass\n"
+        "def new(): pass\n"
+        "def _private(): pass\n"
+    )
+    assert _export_mismatch(tree) == ({"new"}, {"Gone"})

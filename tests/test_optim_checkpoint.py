@@ -9,7 +9,7 @@ import songflow.checkpoint as checkpoint
 import songflow.cli as cli
 from songflow.checkpoint import load_into, load_params, save_params
 from songflow.errors import ContractError, ValidationError
-from songflow.optim import adam_init, adam_step, clip_grad_norm, grad_norm
+from songflow.optim import adam_init, adam_step, clip_grad_norm
 from songflow.tensor import Tensor, backward, mse, zero_grads
 
 
@@ -40,13 +40,6 @@ def test_converges_to_quadratic_minimum():
         backward(mse(w, target))  # f(w) = (w - 3)^2
         adam_step([w], state)
     assert abs(float(w.data[0]) - 3.0) < 0.05
-
-
-def test_missing_grad_is_contract_error():
-    """grad_norm holds the rule: flow.train calls it before every adam_step."""
-    w = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ContractError):
-        grad_norm([w])
 
 
 def test_step_counter_increases_and_grads_untouched():

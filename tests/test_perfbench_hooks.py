@@ -8,7 +8,7 @@ import numpy as np
 
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel
-from songflow.conditioning import ConditioningBundle, ConditionRow, PromptSpec
+from songflow.conditioning import ConditioningBundle
 from songflow.tensor import Tensor, backward, concat_channels, mse, zero_grads
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -22,8 +22,7 @@ def test_tracer_installs_over_the_hooks_and_undoes(monkeypatch):
     forward = VelocityModel.forward
     rng = np.random.default_rng(0)
     model = VelocityModel(ModelConfig(n_blocks=1, model_width=8, n_heads=2, d_t=4), 4, 2, 2, rng)
-    bundle = ConditioningBundle(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 2))),
-                                (ConditionRow(PromptSpec("g")),))
+    bundle = ConditioningBundle(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 2))))
     tracer, patches = tracing.Tracer(), tracing.Patches()
     try:
         tracing.install_tracer(tracer, patches)
@@ -41,8 +40,7 @@ def _tiny_on_tape_model():
     for _, p in model.named_parameters():  # the zero head would zero every upstream gradient
         p.data += 0.1 * rng.standard_normal(p.data.shape)
     bundle = ConditioningBundle(Tensor(rng.standard_normal((2, 5, 4))),
-                                Tensor(rng.standard_normal((2, 5, 2))),
-                                (ConditionRow(PromptSpec("g")), ConditionRow(PromptSpec("h"))))
+                                Tensor(rng.standard_normal((2, 5, 2))))
     x_t, target = Tensor(rng.standard_normal((2, 5, 2))), Tensor(rng.standard_normal((2, 5, 2)))
     return model, lambda: mse(model.forward(x_t, bundle, [0.25, 0.75]), target)
 

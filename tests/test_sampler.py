@@ -5,6 +5,7 @@ import signal
 import numpy as np
 import pytest
 
+import songflow.sampler as sampler
 from songflow.backbone import Block
 from songflow.conditioning import ConditioningBundle, ConditionRow, NegativePrompts, PromptSpec
 from songflow.config import load_config
@@ -159,11 +160,15 @@ def test_condition_triple_shares_shapes():
     triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
     assert triple.e_text.data.shape == (3, T, cfg.conditioning.d_text)
     assert triple.e_lyrics.data.shape == (3, T, cfg.conditioning.d_lyrics)
-    conditional, unconditional, negative = triple.rows
-    assert conditional == ConditionRow(spec, doc)
-    assert unconditional.drop_global and unconditional.drop_segment
-    assert unconditional.drop_lyrics
-    assert negative == build_negative_condition(spec, doc, cfg.negative)
+    rows = (
+        ConditionRow(spec, doc),
+        ConditionRow(spec, doc, drop_global=True, drop_segment=True, drop_lyrics=True),
+        build_negative_condition(spec, doc, cfg.negative),
+    )
+    for b, row in enumerate(rows):
+        alone = system.encoder.encode([row], T)
+        assert np.allclose(triple.e_text.data[b], alone.e_text.data[0], rtol=1e-14, atol=1e-15)
+        assert np.array_equal(triple.e_lyrics.data[b], alone.e_lyrics.data[0])
     with pytest.raises(ContractError):
         euler_sample(system.model, triple.window(slice(0, 2)), GuidanceConfig(), T, d)
 
@@ -368,13 +373,11 @@ def _shifted_row_case(T):
     model.w_in.data[model.d_text + model.d_lyrics:] = 0.0
     model.b_in.data[...] = 0.0
     model.blocks[0].ln1_g.data[...] = 40.0
-    spec = PromptSpec(global_text="ember", duration_s=T / cfg.task.frame_rate)
     scale = np.full((3, T, 1), 1e-4)
     scale[0, (T + 1) // 2:] = 1.0
     cond = ConditioningBundle(
         e_text=Tensor(scale * rng.standard_normal((3, T, cfg.conditioning.d_text))),
         e_lyrics=Tensor(scale * rng.standard_normal((3, T, cfg.conditioning.d_lyrics))),
-        rows=(ConditionRow(spec),) * 3,
     )
     return model, cond, 1e-4 * rng.standard_normal((T, cfg.task.d_audio))
 
@@ -532,3 +535,36 @@ def test_a_worker_crash_is_a_runtime_error_not_a_hang(cpus, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert len(forks) == 1
     _no_child_left()
+
+
+def test_the_worker_never_returns_into_the_caller(tmp_path, monkeypatch):
+    """The worker runs nothing outside its os._exit guard. With Tensor
+    failing in the worker only (an overflowing checkpoint writes inf into
+    the slots it reads), the worker exits, the caller raises RuntimeError,
+    and no second copy of the program unwinds through the caller's stack.
+    _TokenSplit is made directly, so it forks whatever the CPU count."""
+    cfg, system = _small_system()
+    spec, doc = _spec_and_doc()
+    T, d = cfg.task.T, cfg.task.d_audio
+    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
+    caller, tensor = os.getpid(), sampler.Tensor
+
+    def fails_in_the_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            raise ContractError("tensor values must be finite")
+        return tensor(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "Tensor", fails_in_the_worker)
+    escaped = tmp_path / "escaped"
+    try:
+        split = _TokenSplit(system.model, triple, T, d)
+    finally:
+        if os.getpid() != caller:  # a worker came back here: record it and leave
+            escaped.write_text(str(os.getpid()))
+            os._exit(0)
+    try:
+        with pytest.raises(RuntimeError, match="worker"):
+            split.velocities(0.3, np.zeros((T, d)))
+    finally:
+        split.close()
+    assert not escaped.exists()
