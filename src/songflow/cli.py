@@ -270,9 +270,8 @@ def cmd_pipeline(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.overrides)
     system = build_song_model(cfg, trainable=True)
-    dataset = SyntheticDataset(
-        cfg.task_spec(), max_segments=cfg.task.max_segments, min_width=cfg.task.min_width
-    )
+    dataset = SyntheticDataset(cfg.task, max_segments=cfg.task.max_segments,
+                               min_width=cfg.task.min_width)
     out_dir = _out_dir(args)
     report = train(system, dataset, cfg.train, out_dir)
     first, last = report.smoothed()
@@ -357,7 +356,7 @@ def cmd_generate(args) -> int:
 # -----------------------------------------------------------------------------
 
 
-def _eval_one(index, latent_path, prompt_path, cfg, task):
+def _eval_one(index, latent_path, prompt_path, cfg):
     latent = _read_latent(latent_path, cfg.task.d_audio)
     spec = prompt_spec_from_json(read_json(prompt_path, "prompt"))
     T = latent.shape[0]
@@ -366,12 +365,12 @@ def _eval_one(index, latent_path, prompt_path, cfg, task):
         "index": index,
         "latent": str(latent_path),
         "prompt": str(prompt_path),
-        "global_alignment": alignment_score(task, latent, spec.global_text),
+        "global_alignment": alignment_score(cfg.task, latent, spec.global_text),
     }
     # Unscored when a segment floors to no frame.
     per, mean = [], None
     if len(windows) == len(spec.segments):
-        per, mean = segment_alignment_score(latent, windows, task)
+        per, mean = segment_alignment_score(latent, windows, cfg.task)
     sample["segment_alignment"] = {"per_segment": per, "mean": mean}
     return sample
 
@@ -386,11 +385,10 @@ def cmd_eval(args) -> int:
         raise ValidationError(
             f"{len(args.pred_lrc)} predicted LRC files but {len(args.true_lrc)} references"
         )
-    task = cfg.task_spec()
     with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
         samples = list(
             pool.map(
-                lambda item: _eval_one(item[0], item[1][0], item[1][1], cfg, task),
+                lambda item: _eval_one(item[0], item[1][0], item[1][1], cfg),
                 enumerate(zip(args.latent, args.prompt)),
             )
         )

@@ -52,7 +52,6 @@ __all__ = [
     "prompt_spec_to_json",
     "ConditionRow",
     "ConditioningBundle",
-    "broadcast_prompt_halves",
     "lyric_tokens",
     "encode_lyrics",
     "apply_condition_dropout",
@@ -204,29 +203,6 @@ def prompt_spec_to_json(spec: PromptSpec) -> dict:
 
 
 # -----------------------------------------------------------------------------
-# Prompt broadcasting (global across all frames, segments into their windows)
-# -----------------------------------------------------------------------------
-
-
-def broadcast_prompt_halves(
-    spec: PromptSpec,
-    T: int,
-    f_g: HashEmbedder,
-    f_l: HashEmbedder,
-    frame_rate: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-projection halves: E_g repeats the global vector on every frame
-    (a read-only broadcast view of the cached vector, not a copy); E_l starts
-    at zeros and each segment's vector fills its frame window from
-    windows_from_segments. Frames covered by no segment keep the zero row."""
-    e_g = np.broadcast_to(f_g.vector(spec.global_text), (T, f_g.dimension))
-    e_l = np.zeros((T, f_l.dimension))
-    for start, end, seg in windows_from_segments(spec.segments, frame_rate, T):
-        e_l[start:end] = f_l.vector(seg.text)
-    return e_g, e_l
-
-
-# -----------------------------------------------------------------------------
 # Lyric alignment
 # -----------------------------------------------------------------------------
 
@@ -366,21 +342,20 @@ class ConditioningEncoder:
         self.frame_rate = frame_rate
 
     def encode(self, rows: Sequence[ConditionRow], T: int) -> ConditioningBundle:
-        """Broadcast each row's prompts, zero its dropped halves, and project
-        all rows at once. Dropped lyric frames are zeroed; the lyrics are
-        still encoded so an onset outside [0, T) is an error whatever the
-        flags."""
-        d_g, d_l = self.global_embedder.dimension, self.segment_embedder.dimension
-        halves = np.zeros((len(rows), T, d_g + d_l))
+        """Write each row's global vector on every frame and each segment's
+        vector into its window, leave dropped halves and lyrics zero, and
+        project all rows at once. Every row's windows and lyrics are mapped,
+        so a segment or onset past frame T is an error whatever the flags."""
+        d_g = self.global_embedder.dimension
+        halves = np.zeros((len(rows), T, d_g + self.segment_embedder.dimension))
         lyrics = np.zeros((len(rows), T, self.lyric_embedder.dimension))
         for b, row in enumerate(rows):
-            e_g, e_l = broadcast_prompt_halves(
-                row.spec, T, self.global_embedder, self.segment_embedder, self.frame_rate
-            )
+            windows = windows_from_segments(row.spec.segments, self.frame_rate, T)
             if not row.drop_global:
-                halves[b, :, :d_g] = e_g
+                halves[b, :, :d_g] = self.global_embedder.vector(row.spec.global_text)
             if not row.drop_segment:
-                halves[b, :, d_g:] = e_l
+                for start, end, seg in windows:
+                    halves[b, start:end, d_g:] = self.segment_embedder.vector(seg.text)
             lyr = encode_lyrics(row.doc, self.lyric_embedder, T, self.frame_rate)
             if not row.drop_lyrics:
                 lyrics[b] = lyr

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractError, ValidationError
 from .lrc import BOUNDARY, LrcDocument, SegmentWindow
-from .synthetic import SyntheticTaskSpec, pattern_trace
+from .synthetic import SEGMENT_PATTERNS, TaskConfig, pattern_trace
 
 __all__ = [
     "alignment_score",
@@ -54,22 +54,22 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip((ac * bc).sum() / denom, -1.0, 1.0))
 
 
-def alignment_score(task: SyntheticTaskSpec, latent: np.ndarray, text: str) -> float:
+def alignment_score(task: TaskConfig, latent: np.ndarray, text: str) -> float:
     """Maximal-at-truth score in [-1, 1] of a latent slice or full latent
     against a segment or global text of the synthetic task."""
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2:
         raise ContractError(f"latent must be (frames, channels), got {latent.shape}")
-    if text in task.segment_vocab:
+    if text in SEGMENT_PATTERNS:
         trace = latent.mean(axis=1)
-        return _pearson(trace, pattern_trace(task, text, len(trace)))
+        return _pearson(trace, pattern_trace(text, len(trace)))
     if text in task.global_vocab:
         return _pearson(latent.mean(axis=0), task.global_vocab[text])
     raise ValidationError(f"text {text!r} is in neither vocabulary")
 
 
 def segment_alignment_score(
-    latent: np.ndarray, windows: list[SegmentWindow], task: SyntheticTaskSpec
+    latent: np.ndarray, windows: list[SegmentWindow], task: TaskConfig
 ) -> tuple[list[float], float | None]:
     """Score each window's latent slice against its segment text; return
     (per-segment scores, their arithmetic mean). Boundary-marker segments are

@@ -19,7 +19,7 @@ import numpy as np
 from .conditioning import ConditioningEncoder, ConditionRow, PromptSpec, apply_condition_dropout
 from .errors import ContractError, NumericAbort, ValidationError
 from .lrc import LrcDocument
-from .optim import adam_init, adam_step, clip_grad_norm, grad_norm
+from .optim import adam_init, adam_step, grad_norm
 from .tensor import Tensor, backward, mse, zero_grads
 
 __all__ = [
@@ -156,11 +156,12 @@ def train(system, dataset, config: TrainConfig, out_dir: Path) -> TrainReport:
             zero_grads(params)
             backward(loss)
             del loss  # free this step's graph before the next forward
-            if not np.isfinite(grad_norm(params)):
+            norm = grad_norm(params)
+            if not np.isfinite(norm):
                 raise NumericAbort("gradient is not finite", step=step,
                                    batch_ids=[ex.id for ex in batch])
-            if config.grad_clip_norm is not None:
-                clip_grad_norm(params, config.grad_clip_norm)
+            if config.grad_clip_norm is not None and norm > config.grad_clip_norm:
+                state.grads *= config.grad_clip_norm / norm
             adam_step(params, state)
             report.losses.append(loss_value)
             wall_ms = (time.perf_counter() - step_started) * 1000.0

@@ -1,4 +1,4 @@
-"""Bias-corrected adaptive-moment (Adam) updates plus gradient utilities.
+"""Bias-corrected adaptive-moment (Adam) updates plus the global gradient norm.
 
 Training's flat layout is owned here: `adam_init` lays the parameters' values
 and gradients out as views of two flat buffers, in list order, which the
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
-__all__ = ["AdamState", "adam_init", "adam_step", "grad_norm", "clip_grad_norm"]
+__all__ = ["AdamState", "adam_init", "adam_step", "grad_norm"]
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
@@ -84,13 +84,3 @@ def grad_norm(params: list[Tensor]) -> float:
     for p in params:
         total += float(np.vdot(p.grad, p.grad))
     return float(np.sqrt(total))
-
-
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm."""
-    norm = grad_norm(params)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in params:
-            p.grad *= factor
-    return norm

@@ -79,6 +79,10 @@ class RecordManifest:
         channels = self.channels
         if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
             return "channels must be an integer >= 1"
+        if not isinstance(self.compression_ok, bool):
+            return "compression_ok must be a boolean"
+        if not isinstance(self.energy_ok, bool):
+            return "energy_ok must be a boolean"
         # A string where a list of lines belongs would otherwise be joined
         # per character by the lyric gate.
         for name, lines in (("lyrics", self.lyrics), ("transcript", self.transcript)):
@@ -230,8 +234,9 @@ def pretrain_filter(
     drop_fraction: float,
 ) -> FilterReport:
     """Stage-one gate: reject sampling rates below min_sampling_rate (the
-    boundary is kept), durations outside [min_duration, max_duration], then
-    the lowest drop_fraction by aggregate quality score. Reason codes name
+    boundary is kept), durations outside [min_duration, max_duration],
+    records flagged compression_ok or energy_ok false, then the lowest
+    drop_fraction by aggregate quality score. Reason codes name
     the first rule that fired. PipelineConfig holds the defaults."""
     report = FilterReport()
     survivors: list[tuple[RecordManifest, float]] = []
@@ -241,6 +246,12 @@ def pretrain_filter(
             continue
         if not (min_duration <= rec.duration <= max_duration):
             report.rejected.append((rec.id, "duration-out-of-range"))
+            continue
+        if not rec.compression_ok:
+            report.rejected.append((rec.id, "compression"))
+            continue
+        if not rec.energy_ok:
+            report.rejected.append((rec.id, "energy"))
             continue
         agg = _aggregate_score(rec)
         if agg is None:

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import HashEmbedder, PromptSpec
-from .errors import ContractError
+from .errors import ContractError, ValidationError
 from .flow import TrainExample
 from .lrc import LYRIC, LrcDocument, LrcLine, SegmentSpec, windows_from_segments
 
 __all__ = [
-    "SyntheticTaskSpec",
+    "SEGMENT_PATTERNS",
+    "TaskConfig",
     "default_task",
     "pattern_trace",
     "synth_sample",
@@ -38,24 +39,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SyntheticTaskSpec:
-    T: int
-    d_audio: int
-    frame_rate: float
-    global_vocab: dict[str, np.ndarray]  # text -> offset vector (d_audio,)
-    segment_vocab: dict[str, tuple[float, int]]  # text -> (amplitude, period >= 2)
-    noise_sigma: float = 0.05
-
-    @property
-    def duration(self) -> float:
-        return self.T / self.frame_rate
-
-
 _OFFSET_SCALE = 0.8
 _GAP_PROBABILITY = 0.25
 _GLOBAL_WORDS = ("ember", "tide", "neon", "moss")
-_SEGMENT_PATTERNS = {
+SEGMENT_PATTERNS = {  # text -> (amplitude, period >= 2 in frames)
     "pulse": (1.0, 3),
     "wave": (1.0, 4),
     "drift": (0.9, 5),
@@ -64,28 +51,56 @@ _SEGMENT_PATTERNS = {
 }
 
 
+@dataclass(frozen=True)
+class TaskConfig:
+    """The `task` config section is the synthetic task: its frame grid,
+    channel count and noise, and the layouts `sample_prompt` draws."""
+
+    T: int = 64
+    d_audio: int = 8
+    frame_rate: float = 4.0
+    noise_sigma: float = 0.05
+    max_segments: int = 3
+    min_width: int = 8
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValidationError("task.T must be >= 1")
+        if self.d_audio < 1:
+            raise ValidationError("task.d_audio must be >= 1")
+        if not 0 < self.frame_rate <= 1000:  # lrc's grid snap is exact up to 1000 Hz
+            raise ValidationError("task.frame_rate must be in (0, 1000]")
+        if self.noise_sigma < 0:
+            raise ValidationError("task.noise_sigma must be >= 0")
+        if self.max_segments < 1:
+            raise ValidationError("task.max_segments must be >= 1")
+        if self.min_width < 1:
+            raise ValidationError("task.min_width must be >= 1")
+
+    @property
+    def duration(self) -> float:
+        return self.T / self.frame_rate
+
+    @functools.cached_property
+    def global_vocab(self) -> dict[str, np.ndarray]:
+        """Global text -> (d_audio,) offset vector, derived once per task: the
+        deterministic hash embedding of the text, scaled to norm _OFFSET_SCALE."""
+        offsets = HashEmbedder("synthetic-offset", self.d_audio)
+        return {w: _OFFSET_SCALE * offsets.vector(w) for w in _GLOBAL_WORDS}
+
+
 def default_task(
     T: int, d_audio: int, frame_rate: float, noise_sigma: float = 0.05
-) -> SyntheticTaskSpec:
-    """Fixed vocabularies; offsets come from the deterministic hash embedder,
-    scaled to norm _OFFSET_SCALE."""
-    offsets = HashEmbedder("synthetic-offset", d_audio)
-    return SyntheticTaskSpec(
-        T=T,
-        d_audio=d_audio,
-        frame_rate=frame_rate,
-        global_vocab={w: _OFFSET_SCALE * offsets.vector(w) for w in _GLOBAL_WORDS},
-        segment_vocab=dict(_SEGMENT_PATTERNS),
-        noise_sigma=noise_sigma,
-    )
+) -> TaskConfig:
+    return TaskConfig(T=T, d_audio=d_audio, frame_rate=frame_rate, noise_sigma=noise_sigma)
 
 
-def pattern_trace(task: SyntheticTaskSpec, text: str, length: int) -> np.ndarray:
+def pattern_trace(text: str, length: int) -> np.ndarray:
     """The anchored template: amplitude * cos(2 pi k / period), k = 0..length-1.
     Cached per (amplitude, period, length) and read-only: callers only read it."""
-    if text not in task.segment_vocab:
+    if text not in SEGMENT_PATTERNS:
         raise ContractError(f"unknown segment text {text!r}")
-    return _trace(*task.segment_vocab[text], length)
+    return _trace(*SEGMENT_PATTERNS[text], length)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -96,7 +111,7 @@ def _trace(amp: float, period: int, length: int) -> np.ndarray:
     return trace
 
 
-def synth_sample(task: SyntheticTaskSpec, spec: PromptSpec, rng: np.random.Generator) -> np.ndarray:
+def synth_sample(task: TaskConfig, spec: PromptSpec, rng: np.random.Generator) -> np.ndarray:
     """frame f = offset + (pattern at f, phase-anchored to the window start)
     + N(0, sigma^2) noise."""
     if spec.global_text not in task.global_vocab:
@@ -104,16 +119,16 @@ def synth_sample(task: SyntheticTaskSpec, spec: PromptSpec, rng: np.random.Gener
     x = np.empty((task.T, task.d_audio))
     x[:] = task.global_vocab[spec.global_text]
     for start, end, seg in windows_from_segments(spec.segments, task.frame_rate, task.T):
-        x[start:end] += pattern_trace(task, seg.text, end - start)[:, None]
+        x[start:end] += pattern_trace(seg.text, end - start)[:, None]
     if task.noise_sigma > 0:
         x += rng.normal(0.0, task.noise_sigma, size=x.shape)
     return x
 
 
-def segment_lines(task: SyntheticTaskSpec, text: str, ws: int, we: int) -> list[LrcLine]:
+def segment_lines(task: TaskConfig, text: str, ws: int, we: int) -> list[LrcLine]:
     """One line per pattern cycle starting at the window start; each line's
     tokens fill its cycle one frame apiece, so token j marks phase j."""
-    period = task.segment_vocab[text][1]
+    period = SEGMENT_PATTERNS[text][1]
     return [
         _cycle_line(start, min(period, we - start), task.frame_rate)
         for start in range(ws, we, period)
@@ -130,7 +145,7 @@ def _cycle_line(start: int, n: int, frame_rate: float) -> LrcLine:
 
 
 def sample_prompt(
-    task: SyntheticTaskSpec, rng: np.random.Generator, max_segments: int, min_width: int
+    task: TaskConfig, rng: np.random.Generator, max_segments: int, min_width: int
 ) -> tuple[PromptSpec, LrcDocument]:
     """Draw a random layout of contiguous windows over [0, T); each window
     becomes a segment with a random pattern text, or (with _GAP_PROBABILITY)
@@ -153,7 +168,7 @@ def sample_prompt(
         cuts.append(_choice(rng, candidates))
     cuts = sorted(cuts)
 
-    texts = list(task.segment_vocab)
+    texts = list(SEGMENT_PATTERNS)
     segments: list[SegmentSpec] = []
     lines: list[LrcLine] = []
     for ws, we in zip(cuts[:-1], cuts[1:]):
@@ -183,7 +198,7 @@ def _choice(rng: np.random.Generator, items: list):
 class SyntheticDataset:
     """Infinite stream of freshly drawn (prompt, lyric doc, latent) examples."""
 
-    def __init__(self, task: SyntheticTaskSpec, max_segments: int, min_width: int):
+    def __init__(self, task: TaskConfig, max_segments: int, min_width: int):
         self.task = task
         self.max_segments = max_segments
         self.min_width = min_width

@@ -10,7 +10,6 @@ from songflow.conditioning import (
     OutputProjection,
     PromptSpec,
     apply_condition_dropout,
-    broadcast_prompt_halves,
     encode_lyrics,
     lyric_tokens,
     prompt_spec_from_json,
@@ -19,10 +18,6 @@ from songflow.conditioning import (
 from songflow.errors import ValidationError
 from songflow.lrc import LrcDocument, LrcLine, SegmentSpec, time_to_frame
 from songflow.tensor import Tensor
-
-
-def _embedders(dg=4, dl=4):
-    return HashEmbedder("g", dg), HashEmbedder("l", dl)
 
 
 def _encoder(dg=4, dl=4, dly=3, d_text=5, frame_rate=4.0, seed=0):
@@ -39,6 +34,17 @@ def _encode(encoder, spec, doc, T, *flags):
     """encode() of one row, as (T, d) arrays: (e_text, e_lyrics)."""
     bundle = encoder.encode([ConditionRow(spec, doc, *flags)], T)
     return bundle.e_text.data[0], bundle.e_lyrics.data[0]
+
+
+def _halves(encoder, spec, T=8):
+    """encode()'s pre-projection halves (E_g, E_l) of one undropped row: the
+    same embedders behind an identity projection."""
+    identity = ConditioningEncoder(encoder.global_embedder, encoder.segment_embedder,
+                                   encoder.lyric_embedder, lambda e_cat: e_cat,
+                                   encoder.frame_rate)
+    e_cat = identity.encode([ConditionRow(spec)], T).e_text.data[0]
+    d_g = encoder.global_embedder.dimension
+    return e_cat[:, :d_g], e_cat[:, d_g:]
 
 
 # -----------------------------------------------------------------------------
@@ -74,24 +80,23 @@ def test_stub_embedder_collisions_are_rare():
 
 
 def test_no_segments_leaves_zero_segment_half():
-    f_g, f_l = _embedders()
-    spec = PromptSpec(global_text="calm song")
-    e_g, e_l = broadcast_prompt_halves(spec, 6, f_g, f_l, frame_rate=4.0)
-    assert np.array_equal(e_l, np.zeros((6, 4)))
-    assert np.array_equal(e_g, np.tile(f_g.vector("calm song"), (6, 1)))
     encoder = _encoder(d_text=5)
+    spec = PromptSpec(global_text="calm song")
+    e_g, e_l = _halves(encoder, spec, 6)
+    assert np.array_equal(e_l, np.zeros((6, 4)))
+    assert np.array_equal(e_g, np.tile(encoder.global_embedder.vector("calm song"), (6, 1)))
     out, _ = _encode(encoder, spec, None, 6)
     expected = encoder.out_proj(Tensor(np.concatenate([e_g, e_l], axis=1))).data
     assert np.array_equal(out, expected)
 
 
 def test_single_segment_fills_only_its_window():
-    f_g, f_l = _embedders()
+    encoder = _encoder()
     spec = PromptSpec(
         global_text="g", segments=(SegmentSpec(t_s=0.5, t_e=1.0, text="strings"),)
     )
-    _, e_l = broadcast_prompt_halves(spec, 8, f_g, f_l, frame_rate=4.0)
-    vec = f_l.vector("strings")
+    _, e_l = _halves(encoder, spec, 8)
+    vec = encoder.segment_embedder.vector("strings")
     for f in range(8):
         if 2 <= f < 4:
             assert np.array_equal(e_l[f], vec)
@@ -100,7 +105,7 @@ def test_single_segment_fills_only_its_window():
 
 
 def test_adjacent_segments_switch_exactly_at_boundary():
-    f_g, f_l = _embedders()
+    encoder = _encoder()
     spec = PromptSpec(
         global_text="g",
         segments=(
@@ -108,17 +113,18 @@ def test_adjacent_segments_switch_exactly_at_boundary():
             SegmentSpec(t_s=1.0, t_e=2.0, text="second"),
         ),
     )
-    _, e_l = broadcast_prompt_halves(spec, 8, f_g, f_l, frame_rate=4.0)
-    a, b = f_l.vector("first"), f_l.vector("second")
+    _, e_l = _halves(encoder, spec, 8)
+    a, b = encoder.segment_embedder.vector("first"), encoder.segment_embedder.vector("second")
     assert all(np.array_equal(e_l[f], a) for f in range(0, 4))
     assert all(np.array_equal(e_l[f], b) for f in range(4, 8))
 
 
 def test_segment_window_outside_frames_is_validation_error():
-    f_g, f_l = _embedders()
+    """Whatever the drop flags: a dropped segment half still maps its windows."""
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(t_s=0.0, t_e=5.0, text="x"),))
-    with pytest.raises(ValidationError, match="maps past frame 8"):
-        broadcast_prompt_halves(spec, 8, f_g, f_l, frame_rate=4.0)
+    for flags in ((), (True, True, True)):
+        with pytest.raises(ValidationError, match="maps past frame 8"):
+            _encoder().encode([ConditionRow(spec, None, *flags)], 8)
 
 
 def _random_spec(rng, T, frame_rate, f_l_vocab=("a", "b", "c", "d", "e", "f", "g", "h")):
@@ -157,21 +163,20 @@ def test_encode_prompts_matches_brute_force_bit_exactly(rng):
 
 
 def test_locality_of_segment_text_changes(rng):
-    f_g, f_l = _embedders()
-    frame_rate = 4.0
+    encoder = _encoder()
+    frame_rate = encoder.frame_rate
     T = 64
     for _ in range(20):
         spec = _random_spec(rng, T, frame_rate)
         if not spec.segments:
             continue
-        _, before = broadcast_prompt_halves(spec, T, f_g, f_l, frame_rate)
+        _, before = _halves(encoder, spec, T)
         idx = int(rng.integers(0, len(spec.segments)))
         seg = spec.segments[idx]
         changed = list(spec.segments)
         changed[idx] = SegmentSpec(t_s=seg.t_s, t_e=seg.t_e, text=seg.text + "-changed")
-        _, after = broadcast_prompt_halves(
-            PromptSpec(global_text=spec.global_text, segments=tuple(changed)),
-            T, f_g, f_l, frame_rate,
+        _, after = _halves(
+            encoder, PromptSpec(global_text=spec.global_text, segments=tuple(changed)), T
         )
         js = int(seg.t_s * frame_rate)
         je = int(seg.t_e * frame_rate)
@@ -324,12 +329,6 @@ def _bundle(encoder, T=8):
     spec = PromptSpec(global_text="g", segments=(SegmentSpec(0.0, 1.0, "s"),))
     doc = LrcDocument(lines=(LrcLine(0.0, "la"),), total_duration=T / 4.0)
     return encoder.encode([ConditionRow(spec, doc)], T), spec, doc
-
-
-def _halves(encoder, spec, T=8):
-    return broadcast_prompt_halves(
-        spec, T, encoder.global_embedder, encoder.segment_embedder, encoder.frame_rate
-    )
 
 
 def test_dropout_zero_probability_is_identity(rng):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import weakref
 
@@ -45,7 +46,7 @@ def _tiny_overrides(steps=5, batch=2):
 def _tiny_setup(steps=5, batch=2):
     cfg = load_config(overrides=_tiny_overrides(steps, batch))
     system = build_song_model(cfg, trainable=True)
-    dataset = SyntheticDataset(cfg.task_spec(), max_segments=2, min_width=4)
+    dataset = SyntheticDataset(cfg.task, max_segments=2, min_width=4)
     return cfg, system, dataset
 
 
@@ -349,7 +350,7 @@ def _default_step_memory():
     (allocations are deterministic)."""
     cfg = load_config()
     system = build_song_model(cfg, trainable=True)
-    dataset = SyntheticDataset(cfg.task_spec(), max_segments=cfg.task.max_segments,
+    dataset = SyntheticDataset(cfg.task, max_segments=cfg.task.max_segments,
                                min_width=cfg.task.min_width)
     rng = np.random.default_rng(0)
     batch = dataset.draw(rng, cfg.train.batch_size)
@@ -381,6 +382,53 @@ def test_default_step_graph_holds_only_what_the_vjps_read():
     alive, peak, _ = _default_step_memory()
     assert alive <= 14e6, alive
     assert peak <= 1.15 * alive, (peak, alive)
+
+
+def test_train_clips_the_gradient_norm_jointly(tmp_path, monkeypatch):
+    """Above train.grad_clip_norm, every gradient is scaled by one factor,
+    clip / norm, so Adam sees the clip norm; at or below it, the gradients
+    reach Adam as they are. The guard's norm is the only one computed."""
+    cfg, system, dataset = _tiny_setup(steps=4, batch=2)
+    config = TrainConfig(**{**cfg.train.__dict__, "grad_clip_norm": 1.1})
+    real_norm, real_adam = flow_mod.grad_norm, flow_mod.adam_step
+    seen = []
+
+    def guard_norm(params):
+        norm = real_norm(params)
+        seen.append((norm, np.concatenate([p.grad.reshape(-1) for p in params])))
+        return norm
+
+    def checking_adam(params, state):
+        norm, before = seen[-1]
+        if norm > 1.1:
+            assert np.array_equal(state.grads, before * (1.1 / norm))
+            assert real_norm(params) == pytest.approx(1.1, rel=1e-12)
+        else:
+            assert np.array_equal(state.grads, before)
+        real_adam(params, state)
+
+    monkeypatch.setattr(flow_mod, "grad_norm", guard_norm)
+    monkeypatch.setattr(flow_mod, "adam_step", checking_adam)
+    train(system, dataset, config, tmp_path)
+    clipped = [norm > 1.1 for norm, _ in seen]
+    assert len(seen) == 4 and any(clipped) and not all(clipped)
+
+
+# SHA-256 of the checkpoints of a tiny run clipped at train.grad_clip_norm=1.1,
+# where steps 0 and 1 clip and steps 2 and 3 do not.
+CLIPPED_CHECKPOINT_SHA256 = {
+    "checkpoint-000002.json": "fb4c5a4809b693ae3623d9ec2e4090cb89ee8ff60de89786d59a9eadfba22f67",
+    "checkpoint.json": "d75c742187bc2a6e064c51611beffc44b059d3b5c6c588760dd88b816a350c4f",
+}
+
+
+def test_clipped_train_checkpoints_are_pinned(tmp_path):
+    cfg, system, dataset = _tiny_setup(steps=4, batch=2)
+    config = TrainConfig(**{**cfg.train.__dict__, "grad_clip_norm": 1.1, "checkpoint_every": 2})
+    report = train(system, dataset, config, tmp_path)
+    hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in report.files[1:]}
+    assert hashes == CLIPPED_CHECKPOINT_SHA256
 
 
 def test_train_requires_at_least_one_step():

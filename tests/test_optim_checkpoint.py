@@ -9,7 +9,7 @@ import songflow.checkpoint as checkpoint
 import songflow.cli as cli
 from songflow.checkpoint import load_into, load_params, save_params
 from songflow.errors import ContractError, ValidationError
-from songflow.optim import adam_init, adam_step, clip_grad_norm
+from songflow.optim import adam_init, adam_step
 from songflow.tensor import Tensor, backward, mse, zero_grads
 
 
@@ -99,16 +99,6 @@ def test_adam_step_refuses_a_parameter_that_left_the_layout(field):
     with pytest.raises(ContractError, match="flat layout"):
         adam_step(params, state)
     assert state.step == 0 and np.array_equal(state.values, before)
-
-
-def test_clip_grad_norm_scales_jointly():
-    a = Tensor([3.0], requires_grad=True)
-    b = Tensor([4.0], requires_grad=True)
-    a.grad, b.grad = np.array([3.0]), np.array([4.0])
-    norm = clip_grad_norm([a, b], max_norm=1.0)
-    assert norm == pytest.approx(5.0)
-    total = np.sqrt(float(a.grad[0] ** 2 + b.grad[0] ** 2))
-    assert total == pytest.approx(1.0)
 
 
 def test_checkpoint_roundtrip_is_value_exact(tmp_path, rng):

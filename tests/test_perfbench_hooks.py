@@ -1,10 +1,13 @@
 """The benchmark's tracer wraps songflow names by attribute lookup, so a
 deleted or renamed hook would otherwise fail only under
-`python3 perfbench/run.py --trace 1`. Installing it here fails tier-1 instead."""
+`python3 perfbench/run.py --trace 1`. Installing it here fails tier-1 instead.
+Tiny items of each workload run here too, so a songflow name that the
+benchmark's inputs or gates call cannot change unseen."""
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel
@@ -85,3 +88,25 @@ def test_benchmark_train_items_pass_their_checks(monkeypatch, tmp_path):
         workload.close()
     assert run.errors == [] and run.failed == 0
     assert run.items == 2 * workload.steps
+
+
+@pytest.mark.parametrize("name", ["generate-t256", "curate-10k"])
+def test_benchmark_generate_and_curate_items_pass_their_checks(monkeypatch, tmp_path, name):
+    """Two tiny items and `finish`, in-process: the input builders in
+    `inputs.py` (prompts through `sample_prompt`, shard manifests through
+    `RecordManifest` and `write_manifest`), the generate gate's repeat and
+    `eval --workers` report check, and every curate stage's planted
+    outcomes all hold."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS[name](3, tmp_path, tiny=True)
+    run = workloads.Run()
+    try:
+        workload.setup()
+        workload.item(run)
+        workload.item(run)
+        workload.finish(run)
+    finally:
+        workload.close()
+    assert run.errors == [] and run.failed == 0

@@ -107,6 +107,49 @@ def test_pretrain_missing_score():
     assert report.kept == ["b"]
 
 
+def test_pretrain_rejects_flagged_records_in_rule_order():
+    """compression and energy come after the metadata rules and before the
+    score rules, so a flagged record is left out of the quality percentile."""
+    records = [
+        _record("compressed", compression_ok=False),
+        _record("quiet", energy_ok=False),
+        _record("both", compression_ok=False, energy_ok=False),
+        _record("low-rate", rate=16_000.0, compression_ok=False, energy_ok=False),
+        _record("too-long", duration=400.0, compression_ok=False, energy_ok=False),
+        _record("quiet-unscored", scores={}, energy_ok=False),
+        _record("compressed-low", scores={"q": -100.0}, compression_ok=False),
+        *[_record(f"r{i}", scores={"q": float(i)}) for i in range(20)],
+    ]
+    report = pretrain_filter(records, **_PRETRAIN)
+    assert report.rejected[:7] == [
+        ("compressed", "compression"),
+        ("quiet", "energy"),
+        ("both", "compression"),
+        ("low-rate", "sampling-rate"),
+        ("too-long", "duration-out-of-range"),
+        ("quiet-unscored", "energy"),
+        ("compressed-low", "compression"),
+    ]
+    # Over r0..r19 alone the 5% cutoff is 0.95, so r0 goes; with -100 among
+    # the scores it would be 0.0, and r0 would stay.
+    assert report.rejected[7:] == [("r0", "quality-percentile")]
+    assert report.kept == [f"r{i}" for i in range(1, 20)]
+
+
+@pytest.mark.parametrize("flag", ["compression_ok", "energy_ok"])
+def test_quality_flags_must_be_booleans(tmp_path, flag):
+    base = {"id": "x", "duration": 60.0, "sampling_rate": 44100, "channels": 2}
+    for value in ("no", "false", 0, 1, None):
+        with pytest.raises(ValidationError, match=f"{flag} must be a boolean"):
+            RecordManifest.from_json({**base, flag: value})
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({**base, flag: "no"}) + "\n" + json.dumps({**base, "id": "y"}) + "\n",
+                    encoding="utf-8")
+    records, rejects = read_manifest(path)
+    assert [r.id for r in records] == ["y"]
+    assert rejects == [(1, f"record 'x': {flag} must be a boolean")]
+
+
 def test_pretrain_matches_brute_force_on_random_manifests(rng):
     for _ in range(30):
         n = int(rng.integers(1, 40))

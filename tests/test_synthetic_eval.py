@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from songflow.conditioning import PromptSpec, prompt_spec_to_json
-from songflow.config import RunConfig, TaskConfig
 from songflow.errors import ContractError, ValidationError
 import songflow.evaluate as evaluate
 from songflow.evaluate import (
@@ -27,20 +26,21 @@ from songflow.lrc import (
     windows_from_segments,
 )
 from songflow.synthetic import (
+    SEGMENT_PATTERNS,
     SyntheticDataset,
-    default_task,
+    TaskConfig,
     pattern_trace,
     sample_prompt,
     synth_sample,
 )
 
 
-# The task section's values: the synthetic task's one home for them.
+# The default task section.
 _TASK = TaskConfig()
 
 
 def _noiseless_task():
-    return default_task(_TASK.T, _TASK.d_audio, _TASK.frame_rate, noise_sigma=0.0)
+    return TaskConfig(noise_sigma=0.0)
 
 
 def _dataset(task):
@@ -61,14 +61,15 @@ def _spec(task, entries):
 
 
 def test_task_validation():
-    """SyntheticTaskSpec checks nothing itself: the task section checked the
-    numbers, and the fixed vocabularies hold what a draw needs at any
-    d_audio, as pinned here."""
+    """The task section checks its numbers at load (test_config); the fixed
+    vocabularies hold what a draw needs at any d_audio, as pinned here, and
+    each task derives its offsets once."""
     for d_audio in (1, 2, _TASK.d_audio):
-        task = default_task(_TASK.T, d_audio, _TASK.frame_rate)
-        assert task.global_vocab and task.segment_vocab
+        task = TaskConfig(d_audio=d_audio)
+        assert task.global_vocab and SEGMENT_PATTERNS
+        assert task.global_vocab is task.global_vocab
         assert all(np.shape(vec) == (d_audio,) for vec in task.global_vocab.values())
-        assert all(period >= 2 for _, period in task.segment_vocab.values())
+        assert all(period >= 2 for _, period in SEGMENT_PATTERNS.values())
 
 
 def test_noiseless_sample_without_segments_is_constant_offset(rng):
@@ -85,9 +86,9 @@ def test_pattern_repeats_exactly_over_its_period(rng):
     x = synth_sample(task, spec, rng)
     window = x[:8] - task.global_vocab["ember"]
     assert np.allclose(window[:4], window[4:8], atol=1e-12)
-    amp, period = task.segment_vocab[text]
+    amp, period = SEGMENT_PATTERNS[text]
     assert period == 4
-    assert np.allclose(window[:, 0], pattern_trace(task, text, 8), atol=1e-12)
+    assert np.allclose(window[:, 0], pattern_trace(text, 8), atol=1e-12)
 
 
 def test_changing_segment_text_changes_only_its_window(rng):
@@ -110,19 +111,19 @@ def test_unknown_text_is_contract_error(rng):
 
 
 def test_sample_prompt_layouts_are_valid(rng):
-    task = RunConfig().task_spec()
+    task = _TASK
     for _ in range(50):
         spec, doc = sample_prompt(task, rng, _TASK.max_segments, _TASK.min_width)
         assert spec.segments
         assert spec.global_text in task.global_vocab
         for seg in spec.segments:
-            assert seg.text in task.segment_vocab
+            assert seg.text in SEGMENT_PATTERNS
         assert doc.total_duration == task.duration
         synth_sample(task, spec, rng)  # must be constructible
 
 
 def test_dataset_draw_is_deterministic():
-    task = RunConfig().task_spec()
+    task = _TASK
     a = _dataset(task).draw(np.random.default_rng(3), 4)
     b = _dataset(task).draw(np.random.default_rng(3), 4)
     for ea, eb in zip(a, b):
@@ -138,7 +139,7 @@ DEFAULT_DRAW_SHA256 = "f237834f46215967bc840fd6bddf0c1abab5164e010cd50277f48c18b
 
 
 def test_default_draw_stream_is_pinned():
-    dataset = _dataset(RunConfig().task_spec())
+    dataset = _dataset(_TASK)
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
     for _ in range(4):
@@ -205,7 +206,7 @@ def test_boundary_segments_excluded_by_default(rng, monkeypatch):
     spec = PromptSpec(global_text="ember", segments=segments, duration_s=task.duration)
     windows = windows_from_segments(spec.segments, task.frame_rate, task.T)
     x = np.zeros((task.T, task.d_audio))
-    x[2:32] += pattern_trace(task, "pulse", 30)[:, None]
+    x[2:32] += pattern_trace("pulse", 30)[:, None]
 
     def tolerant(task, latent, text):
         if text == "start-marker":

@@ -7,7 +7,7 @@ import pytest
 import songflow.tensor as tensor_module
 from conftest import fd_max_rel_error, random_tensor
 from songflow.errors import ContractError
-from songflow.optim import clip_grad_norm
+from songflow.optim import grad_norm
 from songflow.tensor import (
     Tensor,
     add,
@@ -254,14 +254,16 @@ def test_backward_keeps_gradients_on_leaves_only(rng):
 
 def test_leaf_gradients_own_their_memory():
     """add hands one array to both parents; each leaf gets its own copy, so
-    clip_grad_norm's in-place scaling reaches each gradient exactly once."""
+    the next backward's in-place accumulation reaches each gradient exactly
+    once."""
     a = Tensor([1.5, 0.5], requires_grad=True)
     b = Tensor([0.5, 1.5], requires_grad=True)
-    total = add(a, b)  # [2, 2], so each leaf's gradient is [2, 2]
-    backward(mse(total, _zeros_like(total)))
-    assert not np.shares_memory(a.grad, b.grad)
-    assert clip_grad_norm([a, b], 1.0) == 4.0
-    assert a.grad.tolist() == b.grad.tolist() == [0.5, 0.5]
+    for _ in range(2):
+        total = add(a, b)  # [2, 2], so each pass adds [2, 2] to each leaf's gradient
+        backward(mse(total, _zeros_like(total)))
+        assert not np.shares_memory(a.grad, b.grad)
+    assert grad_norm([a, b]) == 8.0
+    assert a.grad.tolist() == b.grad.tolist() == [4.0, 4.0]
 
 
 def test_softmax_rows_sum_to_one(rng):
