@@ -16,7 +16,7 @@ Version 1 (values written as JSON float reprs) is not read: a v1 file is
 rejected with a `ValidationError` that names its format.
 
 Every artifact the CLI writes, except the per-step `train_log.jsonl` that
-training streams, goes through `write_bytes_atomic`: a reader sees the old
+training streams, goes through `write_text_atomic`: a reader sees the old
 file or the new one, never a partial one. JSON artifacts are strict
 (`allow_nan=False`), so any JSON parser can read them.
 """
@@ -39,7 +39,6 @@ FORMAT = "songflow-params-v2"
 
 __all__ = [
     "FORMAT",
-    "write_bytes_atomic",
     "write_text_atomic",
     "write_json_atomic",
     "write_jsonl_atomic",
@@ -49,23 +48,19 @@ __all__ = [
 ]
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
-    """Write `data` to a temp file in the same directory, then rename it
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` as UTF-8 to a temp file beside `path`, then rename it
     over `path`: a reader sees the old file or the new one, never a partial
     one. A failed write removes the temp file and leaves `path` as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def write_text_atomic(path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def _strict_dumps(payload, **dump_kw) -> str:

@@ -8,10 +8,10 @@ their token embeddings placed one-per-frame from each line's onset. The full
 model input concatenates (E_text, E_lyrics, E_audio, E_t) along channels.
 
 Training encodes the same few texts every step, so nothing is embedded or
-tokenized twice: each HashEmbedder caches its vectors and stacked line
-blocks (per embedder, unbounded: an embedder sees one model's vocabulary),
-and line tokenization is memoized in a bounded LRU of 4,096 texts. Cached
-arrays are read-only.
+tokenized twice: each HashEmbedder caches its vectors (per embedder,
+unbounded: an embedder sees one model's vocabulary), and each lyric line's
+block of token vectors is memoized per (embedder, text) in one bounded LRU
+of 4,096 entries. Cached arrays are read-only.
 
 ConditioningEncoder.encode is the one path that broadcasts, zeroes and
 projects. It encodes a batch of rows (prompt spec, lyrics, three drop flags)
@@ -52,6 +52,7 @@ __all__ = [
     "prompt_spec_to_json",
     "ConditionRow",
     "ConditioningBundle",
+    "is_cjk",
     "lyric_tokens",
     "encode_lyrics",
     "apply_condition_dropout",
@@ -62,14 +63,13 @@ __all__ = [
 class HashEmbedder:
     """Stand-in encoder: a unit-norm vector seeded by a keyed hash of
     (namespace, text). Equal texts always embed identically; distinct short
-    texts collide with negligible probability. `vector` and `stack` return
-    cached read-only arrays."""
+    texts collide with negligible probability. `vector` returns cached
+    read-only arrays."""
 
     def __init__(self, namespace: str, dimension: int):
         self.namespace = namespace
         self.dimension = dimension
         self._cache: dict[str, np.ndarray] = {}
-        self._blocks: dict[tuple[str, ...], np.ndarray] = {}
 
     def vector(self, text: str) -> np.ndarray:
         """The cached, read-only embedding of `text`."""
@@ -86,16 +86,6 @@ class HashEmbedder:
             vec.flags.writeable = False
             self._cache[text] = vec
         return vec
-
-    def stack(self, texts: tuple[str, ...]) -> np.ndarray:
-        """The cached, read-only (len(texts), dimension) rows of `texts`."""
-        block = self._blocks.get(texts)
-        if block is None:
-            block = np.array([self.vector(text) for text in texts])
-            block = block.reshape(len(texts), self.dimension)  # (0, d) for no texts
-            block.flags.writeable = False
-            self._blocks[texts] = block
-        return block
 
 
 class OutputProjection:
@@ -216,7 +206,7 @@ _CJK_RANGES = (
 )
 
 
-def _is_cjk(ch: str) -> bool:
+def is_cjk(ch: str) -> bool:
     cp = ord(ch)
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
@@ -232,7 +222,7 @@ def lyric_tokens(text: str) -> list[str]:
             buf.clear()
 
     for ch in text:
-        if _is_cjk(ch):
+        if is_cjk(ch):
             flush()
             tokens.append(ch)
         else:
@@ -242,10 +232,15 @@ def lyric_tokens(text: str) -> list[str]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _line_tokens(text: str) -> tuple[str, ...]:
-    """lyric_tokens of one line text, memoized: training encodes the same
-    lines every step."""
-    return tuple(lyric_tokens(text))
+def _line_block(embedder: HashEmbedder, text: str) -> np.ndarray:
+    """The read-only (n_tokens, d) token vectors of one line, (0, d) for a
+    line with no tokens; memoized, since training encodes the same lines
+    every step."""
+    tokens = lyric_tokens(text)
+    block = np.array([embedder.vector(token) for token in tokens])
+    block = block.reshape(len(tokens), embedder.dimension)
+    block.flags.writeable = False
+    return block
 
 
 def encode_lyrics(
@@ -257,7 +252,7 @@ def encode_lyrics(
     """Place each line's token embeddings one-per-frame, left-aligned at the
     line's onset frame and clipped at the next line's onset (or T). Unfilled
     frames stay zero. Each line is one slice write of its cached
-    (n_tokens, d) block from the embedder."""
+    (n_tokens, d) block."""
     e = np.zeros((T, lyric_embedder.dimension))
     if doc is None or not doc.lines:
         return e
@@ -267,7 +262,7 @@ def encode_lyrics(
     ends = starts[1:]
     ends.append(T)
     for line, start, end in zip(doc.lines, starts, ends):
-        block = lyric_embedder.stack(_line_tokens(line.text))
+        block = _line_block(lyric_embedder, line.text)
         n = min(len(block), max(0, end - start))
         e[start:start + n] = block[:n]
     return e

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .conditioning import _is_cjk
+from .conditioning import is_cjk
 from .errors import ValidationError
 from .lrc import LrcDocument, LrcLine
 
@@ -24,8 +24,8 @@ _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 def syllable_count(text: str) -> int:
     """CJK characters count one each; Latin-script syllables are approximated
     by maximal vowel groups."""
-    cjk = sum(1 for ch in text if _is_cjk(ch))
-    rest = "".join(ch for ch in text if not _is_cjk(ch)).lower()
+    cjk = sum(1 for ch in text if is_cjk(ch))
+    rest = "".join(ch for ch in text if not is_cjk(ch)).lower()
     return cjk + len(_VOWEL_GROUP_RE.findall(rest))
 
 

@@ -24,7 +24,6 @@ from .tensor import Tensor, backward, mse, zero_grads
 
 __all__ = [
     "interpolate",
-    "target_velocity",
     "TrainExample",
     "TrainConfig",
     "cfm_loss",
@@ -42,11 +41,6 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
     if t == 1.0:
         return x1.copy()
     return (1.0 - t) * x0 + t * x1
-
-
-def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """The regression target x1 - x0; independent of t."""
-    return x1 - x0
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,7 @@ def cfm_loss(
         x0 = rng.standard_normal(ex.x1.shape)
         ts.append(t)
         x_t.append(interpolate(x0, ex.x1, t))
-        u.append(target_velocity(x0, ex.x1))
+        u.append(ex.x1 - x0)  # the regression target; independent of t
         drops = apply_condition_dropout(p_drop_global, p_drop_segment, p_drop_lyrics, rng)
         rows.append(ConditionRow(ex.spec, ex.doc, *drops))
     bundle = encoder.encode(rows, batch[0].x1.shape[0])

@@ -14,18 +14,20 @@ U+2029) may sit raw inside a JSON string or an LRC line's text, so they
 stay inside their line.
 
 A value fits a type hint (a class, `list[X]` of a class, or a union such as
-`float | None`) when it is an instance of it, with one number rule: an int
-or float is a number only when `is_number` holds, and a float hint also
-takes an int. `check_object` checks a whole object against the hints of its
-known keys. Manifest records and score rows, read once per line on every
-pipeline pass, keep their own plain loops and share only `loads` and
-`is_number`.
+`float | None`) when it is an instance of it, with two rules: an int or
+float is a number only when `is_number` holds, and a float hint also takes
+an int; a str is text only when it holds no surrogate code point, which a
+JSON escape can spell but UTF-8 cannot encode. `check_object` checks a
+whole object against the hints of its known keys. Manifest records and
+score rows, read once per line on every pipeline pass, keep their own plain
+loops and share only `loads` and `is_number`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import typing
 from pathlib import Path
@@ -35,6 +37,7 @@ from .errors import ValidationError
 __all__ = ["read_text", "read_json", "split_lines", "loads", "is_number", "fits", "check_object"]
 
 _FLOAT_MAX = sys.float_info.max
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # The C scanner json.loads runs, with its defaults; it keeps nothing between
 # calls (its key memo is cleared after each scan).
 _scan_once = json.JSONDecoder().scan_once
@@ -104,6 +107,8 @@ def _check_for(kind):
         return is_number
     if kind is int:
         return lambda value: isinstance(value, int) and is_number(value)
+    if kind is str:
+        return lambda value: isinstance(value, str) and not _SURROGATE.search(value)
     return lambda value: isinstance(value, kind)
 
 

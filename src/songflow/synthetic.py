@@ -10,9 +10,9 @@ token at a frame encodes the frame's phase. That is what anchors pattern
 phase: the network sees position only through conditioning.
 
 A draw builds no template or lyric line twice: pattern traces are cached per
-(amplitude, period, length) as read-only arrays and cycle lines per (onset
-frame, token count, frame rate) as frozen LrcLines, each in a bounded LRU of
-4,096 entries.
+(segment text, length) as read-only arrays and cycle lines per (onset frame,
+token count, frame rate) as frozen LrcLines, each in a bounded LRU of 4,096
+entries.
 """
 
 from __future__ import annotations
@@ -95,16 +95,13 @@ def default_task(
     return TaskConfig(T=T, d_audio=d_audio, frame_rate=frame_rate, noise_sigma=noise_sigma)
 
 
+@functools.lru_cache(maxsize=4096)
 def pattern_trace(text: str, length: int) -> np.ndarray:
     """The anchored template: amplitude * cos(2 pi k / period), k = 0..length-1.
-    Cached per (amplitude, period, length) and read-only: callers only read it."""
+    Cached per (text, length) and read-only: callers only read it."""
     if text not in SEGMENT_PATTERNS:
         raise ContractError(f"unknown segment text {text!r}")
-    return _trace(*SEGMENT_PATTERNS[text], length)
-
-
-@functools.lru_cache(maxsize=4096)
-def _trace(amp: float, period: int, length: int) -> np.ndarray:
+    amp, period = SEGMENT_PATTERNS[text]
     k = np.arange(length)
     trace = amp * np.cos(2.0 * np.pi * k / period)
     trace.flags.writeable = False

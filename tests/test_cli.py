@@ -756,6 +756,18 @@ MALFORMED = [
      EXIT_DATA, "prompt.duration_s must be float | None"),
     ("generate-negative-list", "generate", {"prompt.json": _prompt_text(negative=["x"])},
      EXIT_DATA, "negative"),
+    # A JSON escape can spell a lone surrogate, which no UTF-8 text holds.
+    ("generate-surrogate-global", "generate",
+     {"prompt.json": _prompt_text(**{"global": "ember\ud800"})}, EXIT_DATA, r"prompt.global must be str, got 'ember\ud800'"),
+    ("generate-surrogate-segment", "generate",
+     {"prompt.json": _prompt_text(segments=[{"start_s": 0.0, "end_s": 1.5, "text": "pulse\udc00"}])},
+     EXIT_DATA, r"prompt.segments[0].text must be str, got 'pulse\udc00'"),
+    ("generate-surrogate-negative", "generate",
+     {"prompt.json": _prompt_text(negative={"global": "hiss", "segment": "hum\udfff"})},
+     EXIT_DATA, r"prompt.negative.segment must be str, got 'hum\udfff'"),
+    ("generate-surrogate-config-negative", "generate",
+     {"config.json": json.dumps({"negative": {"global": "x\ud800"}})},
+     EXIT_DATA, r"negative.global must be str, got 'x\ud800'"),
     ("generate-nan-duration", "generate",
      {"prompt.json": _prompt_text(duration_s=None).replace("null", "NaN")}, EXIT_DATA,
      "duration_s"),
@@ -981,7 +993,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
     elif command in ("generate", "generate-lyrics"):
         lyrics = ["--lyrics", str(tmp_path / "lyrics.txt")] if command == "generate-lyrics" else [
             "--lrc", str(tmp_path / "x.lrc")]
-        argv = _tiny_args(["generate", "--out-dir", str(out),
+        argv = _tiny_args(["generate", "--out-dir", str(out), "--config", str(tmp_path / "config.json"),
                            "--checkpoint", str(tmp_path / "ckpt.json"),
                            "--prompt", str(tmp_path / "prompt.json"), *lyrics])
     elif command == "predict-durations":

@@ -9,6 +9,7 @@ from songflow.conditioning import (
     HashEmbedder,
     OutputProjection,
     PromptSpec,
+    _line_block,
     apply_condition_dropout,
     encode_lyrics,
     lyric_tokens,
@@ -305,12 +306,23 @@ def test_encode_lyrics_blocks_equal_the_per_token_reference(rng):
 def test_embedder_caches_are_read_only():
     emb = HashEmbedder("lyr", 4)
     assert emb.vector("la") is emb.vector("la")
-    block = emb.stack(("la", "li", "la"))
+    block = _line_block(emb, "la li la")
     assert block.shape == (3, 4) and np.array_equal(block[2], emb.vector("la"))
-    assert emb.stack(("la", "li", "la")) is block and emb.stack(()).shape == (0, 4)
+    assert _line_block(emb, "la li la") is block and _line_block(emb, "  ").shape == (0, 4)
     for cached in (emb.vector("la"), block):
         with pytest.raises(ValueError):
             cached[0] = 1.0
+
+
+def test_line_blocks_key_on_the_embedder_as_well_as_the_text():
+    """Two embedders share one memo, so a block cached for one line text must
+    not be served to another embedder."""
+    line = "la 歌 li"
+    first, second = HashEmbedder("lyr-a", 4), HashEmbedder("lyr-b", 4)
+    blocks = [_line_block(emb, line) for emb in (first, second)]
+    assert not np.array_equal(*blocks)
+    for emb, block in zip((first, second), blocks):
+        assert np.array_equal(block, np.array([emb.vector(tok) for tok in lyric_tokens(line)]))
 
 
 def test_encode_lyrics_onset_outside_frames_is_error():

@@ -16,7 +16,6 @@ from songflow.flow import (
     TrainExample,
     cfm_loss,
     interpolate,
-    target_velocity,
     train,
 )
 from songflow.optim import adam_init
@@ -78,18 +77,11 @@ def test_interpolate_is_affine_in_t(rng):
         assert np.abs(mid - avg).max() < 1e-12
 
 
-def test_target_velocity_examples(rng):
-    x = rng.standard_normal((3, 3))
-    assert np.array_equal(target_velocity(x, x), np.zeros_like(x))
-    y = rng.standard_normal((3, 3))
-    assert np.array_equal(target_velocity(np.zeros_like(y), y), y)
-
-
 def test_interpolation_identity(rng):
     x0 = rng.standard_normal((4, 2))
     x1 = rng.standard_normal((4, 2))
     for t in rng.uniform(0, 1, size=10):
-        lhs = interpolate(x0, x1, float(t)) + (1.0 - t) * target_velocity(x0, x1)
+        lhs = interpolate(x0, x1, float(t)) + (1.0 - t) * (x1 - x0)
         assert np.abs(lhs - x1).max() < 1e-12
 
 

@@ -2,7 +2,8 @@
 must not leave its error class (or anything else) imported for nothing. And
 each module's `__all__` names exactly its public top-level functions and
 classes, plus constants it binds: no public def goes unexported and no
-deleted name stays exported."""
+deleted name stays exported. No module imports another module's private
+(`_`-prefixed) name: a name two modules share is public."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,28 @@ def test_the_check_finds_an_unexported_and_a_stale_name():
         "def _private(): pass\n"
     )
     assert _export_mismatch(tree) == ({"new"}, {"Gone"})
+
+
+def _private_imports(tree: ast.Module) -> dict[str, int]:
+    """`_`-prefixed names imported from another module, at any depth,
+    mapped to their line."""
+    return {
+        alias.name: node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    private = _private_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not private, f"{path.name}: imports private names {private}"
+
+
+def test_the_check_finds_a_private_import():
+    tree = ast.parse(
+        "from .conditioning import lyric_tokens, _is_cjk\n"
+        "def f():\n"
+        "    from .tensor import _Node\n"
+        "    return _Node\n"
+    )
+    assert _private_imports(tree) == {"_is_cjk": 1, "_Node": 3}
