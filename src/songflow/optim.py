@@ -32,11 +32,16 @@ class AdamState:
     step: int = 0
 
 
-def adam_init(params: list[Tensor], learning_rate: float) -> AdamState:
+def adam_init(
+    params: list[Tensor], learning_rate: float, values: np.ndarray | None = None
+) -> AdamState:
     """Copy the values into the layout and rebind each `p.data` and `p.grad`
-    (zeroed) to its views."""
+    (zeroed) to its views. The values go into `values` when given, a flat
+    float64 array of the parameters' total size that is no view of another
+    array (such as one over a shared mapping), and a new array otherwise."""
     size = sum(p.data.size for p in params)
-    values, grads = np.empty(size), np.zeros(size)
+    values = np.empty(size) if values is None else values
+    grads = np.zeros(size)
     start = 0
     for p in params:
         stop = start + p.data.size

@@ -11,41 +11,24 @@ t_k = k/steps from a seeded standard-normal draw to the t = 1 endpoint.
 
 Each step runs one forward over the used guidance rows (see euler_sample),
 stacked. Self-attention is the only op in it that mixes frames, so the
-forward splits by query token: when the process may use two CPUs and can
-fork, one worker process per request runs every row over the tokens
-[ceil(T/2), T) while the caller runs [0, ceil(T/2)). In each block both
-sides write their q, k and v tokens into one anonymous shared mmap, made
-before the fork, and attend from their own queries over all T tokens, so
-each row's softmax shift is decided from the whole row (see
-tensor.attention). The worker's velocities come back through the same
-mapping, so the guidance sum, the finite check and the step log's norm see
-the whole field. No data passes through a pipe: a side tells the other that
-its part is written with one byte on its pipe (a system call, which orders
-the writes before it on any CPU) and waits for the other's byte by polling
-its own non-blocking pipe, not by sleeping in a blocking read. Linux wakes a
-sleeping reader on the writer's CPU, so with blocking reads two processes
-share one CPU (a two-process split of this loop measured 1.05x of the
-one-process time that way, against 0.71x with polling, T=256). Between
-polls a side yields the CPU: that returns at once when nothing else wants
-the CPU, and when the scheduler has put both sides on one CPU it runs the
-other side instead of spinning out a time slice. The worker touches only
-the model forward, the mapping and its two pipes and always leaves through
-os._exit; a worker that dies is seen as the end of its pipe, and the caller
-raises RuntimeError. fork copies only the calling thread, and
-generate starts no other, so no lock the worker needs is held at the fork.
-With one CPU, when T < 4, or when no mapping, pipe or process can be made,
-the caller runs one full forward instead. Token-chunked GEMMs and row
-reductions equal the full ones as long as each chunk has two or more rows,
-so the latent and the step log are the same bytes whatever the CPU count; a
-half of one token would make one-row products, which BLAS computes on its
-matrix-vector path and rounds differently, hence the T >= 4 floor.
+forward splits by query token: when `twin.start` gives a worker process (see
+songflow.twin), it runs every row over the tokens [ceil(T/2), T) for the
+whole request while the caller runs [0, ceil(T/2)). In each block both sides
+write their q, k and v tokens into the twin's shared mapping and attend from
+their own queries over all T tokens, so each row's softmax shift is decided
+from the whole row (see tensor.attention). The worker's velocities come back
+through the same mapping, so the guidance sum, the finite check and the step
+log's norm see the whole field. The worker touches only the model forward
+and the mapping. When T < 4, or when no worker runs, the caller runs one
+full forward instead. Token-chunked GEMMs and row reductions equal the full
+ones as long as each chunk has two or more rows, so the latent and the step
+log are the same bytes whatever the CPU count; a half of one token would
+make one-row products, which BLAS computes on its matrix-vector path and
+rounds differently, hence the T >= 4 floor.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +44,7 @@ from .conditioning import (
 from .errors import ContractError, NumericAbort, ValidationError
 from .lrc import LrcDocument
 from .tensor import Tensor, attention
+from .twin import Twin, start
 
 __all__ = [
     "GuidanceConfig",
@@ -183,28 +167,20 @@ def _velocities(model, cond: ConditioningBundle, t: float, x: np.ndarray, **kw) 
 
 
 def _start_split(model, cond: ConditioningBundle, T: int, d_audio: int) -> _TokenSplit | None:
-    """A worker for the tokens [ceil(T/2), T) when this process may use a
-    second CPU. None with one CPU, when T < 4 (see the module docstring),
-    for a model that is not a VelocityModel (the split runs its blocks'
-    halves), or when no mapping, pipe or process can be made: the caller
-    then runs the full forward itself, to the same bytes."""
+    """A worker for the tokens [ceil(T/2), T) when `twin.start` gives one.
+    None when T < 4 (see the module docstring) or for a model that is not a
+    VelocityModel (the split runs its blocks' halves): the caller then runs
+    the full forward itself, to the same bytes."""
     if T < 4 or not isinstance(model, VelocityModel):
         return None
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
-    if len(os.sched_getaffinity(0)) < 2:
-        return None
-    try:
-        return _TokenSplit(model, cond, T, d_audio)
-    except OSError:
-        return None
+    return start(lambda: _TokenSplit(model, cond, T, d_audio))
 
 
 class _TokenSplit:
     """A forked worker that runs the query tokens [ceil(T/2), T) of each
     step's forward while the caller runs [0, ceil(T/2)).
 
-    The shared mapping holds, as float64: t; the worker's frames of x,
+    The twin's mapping holds, as float64: t; the worker's frames of x,
     (T - ceil(T/2), d_audio); two (3, rows, T, width) slots of q, k and v;
     and the worker's (rows, T - ceil(T/2), d_audio) velocities. Each side
     writes only its own tokens. Blocks use the two slots in turn, so a side
@@ -212,53 +188,20 @@ class _TokenSplit:
     block's exchange, when neither can still be reading it. A step's bytes
     on the pipes run: the caller's "t and x are written", then one byte each
     way per block, then the worker's "velocities are written". velocities
-    and close are the caller's; the worker runs _serve until the caller
-    closes its pipe.
+    and close are the caller's; the worker runs _serve once per step.
     """
 
     def __init__(self, model: VelocityModel, cond: ConditioningBundle, T: int, d_audio: int):
         n, half = cond.e_text.data.shape[0], (T + 1) // 2
         width = model.config.model_width
-        shapes = [(1,), (T - half, d_audio), (2, 3, n, T, width), (n, T - half, d_audio)]
         self.model = model
-        self._map = mmap.mmap(-1, 8 * sum(math.prod(shape) for shape in shapes))
-        flat = np.frombuffer(self._map, dtype=np.float64)
-        offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        self.t, self.x, self.qkv, self.v = (
-            flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes)
-        )
+        self.twin = Twin([(1,), (T - half, d_audio), (2, 3, n, T, width), (n, T - half, d_audio)])
+        self.t, self.x, self.qkv, self.v = self.twin.arrays
         self.slots = [tuple(Tensor(a) for a in slot) for slot in self.qkv]
         self.slot = 0
-        fds: list[int] = []  # to-worker read, write end; to-caller read, write end
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            del flat  # mmap.close raises BufferError while a view of the mapping lives
-            self.t = self.x = self.qkv = self.v = self.slots = None
-            self._map.close()
-            raise
-        if pid == 0:
-            # The worker runs nothing outside this try, so it never returns
-            # into the caller's stack; an exception too ends the caller's pipe.
-            try:
-                os.close(fds[1])
-                os.close(fds[2])
-                self._recv, self._send = fds[0], fds[3]
-                os.set_blocking(self._recv, False)
-                self.tokens = (half, T)
-                self._serve(cond.window(slice(None), slice(half, T)))
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(fds[0])
-        os.close(fds[3])
-        self._recv, self._send = fds[2], fds[1]
-        os.set_blocking(self._recv, False)
-        self.pid = pid
+        self.tokens = (half, T)  # the worker's: fork returns only in the caller
+        worker_cond = cond.window(slice(None), slice(half, T))
+        self.twin.fork(lambda: self._serve(worker_cond))
         self.tokens = (0, half)
         self.cond = cond.window(slice(None), slice(0, half))
 
@@ -268,59 +211,31 @@ class _TokenSplit:
         start, stop = self.tokens
         self.t[0] = t
         self.x[...] = x[stop:]
-        self._signal()
+        self.twin.signal()
         own = _velocities(self.model, self.cond, t, x[start:stop], attend=self._attend)
-        self._wait()
+        self.twin.wait()
         return np.concatenate([own, self.v], axis=1)
 
     def close(self) -> None:
-        """End the worker's pipe, which it reads as its signal to exit, reap
-        it, and unmap the shared memory."""
-        os.close(self._send)
-        os.close(self._recv)
-        os.waitpid(self.pid, 0)
+        """Reap the worker and drop this side's views of the mapping."""
+        self.twin.close()
         self.t = self.x = self.qkv = self.v = self.slots = None
-        self._map.close()
 
     def _serve(self, cond: ConditioningBundle) -> None:
-        """The worker's loop: a forward of its tokens per step."""
-        while self._poll():
-            t = float(self.t[0])
-            self.v[...] = _velocities(self.model, cond, t, self.x, attend=self._attend)
-            self._signal()
+        """The worker's part of a step: a forward of its tokens."""
+        self.v[...] = _velocities(self.model, cond, float(self.t[0]), self.x, attend=self._attend)
 
     def _attend(self, block: Block, h: Tensor) -> Tensor:
         """The block's attention from this side's query tokens over all T:
         write the q, k and v of this side's tokens h into the block's slot,
-        trade a byte with the other side, then attend. No local holds a view
-        of the mapping while this waits, so close can unmap it after a
-        RuntimeError."""
+        trade a byte with the other side, then attend."""
         start, stop = self.tokens
         self.slot ^= 1
         for i, part in enumerate(block.project(h)):
             self.qkv[self.slot, i, :, start:stop] = part.data
-        self._signal()
-        self._wait()
+        self.twin.signal()
+        self.twin.wait()
         return attention(*self.slots[self.slot], block.n_heads, queries=self.tokens)
-
-    def _signal(self) -> None:
-        try:
-            os.write(self._send, b"\0")
-        except BrokenPipeError:
-            raise RuntimeError("the token-split worker exited mid-request") from None
-
-    def _wait(self) -> None:
-        if not self._poll():
-            raise RuntimeError("the token-split worker exited mid-request")
-
-    def _poll(self) -> bool:
-        """Poll, yielding the CPU between reads, until the other side's byte
-        arrives; False if its pipe ends first."""
-        while True:
-            try:
-                return os.read(self._recv, 1) != b""
-            except BlockingIOError:
-                os.sched_yield()
 
 
 def _norm(v: np.ndarray) -> float:

@@ -415,12 +415,13 @@ def attention(
     return _result(data, (q, k, v), vjp)
 
 
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared elementwise difference, as a scalar tensor."""
+def mse(pred: Tensor, target: Tensor, n: int | None = None) -> Tensor:
+    """The sum of squared elementwise differences over n, as a scalar
+    tensor: their mean with the default n, the element count."""
     _need_same_shape(pred, target, "mse")
     diff = pred.data - target.data
-    n = diff.size
-    data = np.asarray((diff * diff).mean())
+    n = diff.size if n is None else n
+    data = np.asarray((diff * diff).sum() / n)
 
     def vjp(g):
         gd = (2.0 / n) * diff * g

@@ -67,6 +67,30 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count that `twin.start` sees; returns the list of fork calls."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def allow(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forks
+
+    return allow
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # The pid of the test session. A forked copy that returns into a test must
 # not go on to run the rest of the session, which would exit 0 on its own.
 _SESSION_PID = os.getpid()

@@ -1,4 +1,8 @@
 import hashlib
+import json
+import mmap
+import os
+import signal
 import tracemalloc
 import weakref
 
@@ -6,7 +10,7 @@ import numpy as np
 import pytest
 
 import songflow.flow as flow_mod
-from conftest import fd_max_rel_error
+from conftest import fd_max_rel_error, no_child_left
 from songflow.conditioning import OutputProjection
 from songflow.checkpoint import load_params
 from songflow.config import load_config
@@ -218,6 +222,29 @@ def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
         assert np.abs(g_batched - g_mean).max() <= 1e-12 * max(np.abs(g_mean).max(), 1e-300)
 
 
+def test_row_halves_of_cfm_loss_sum_to_the_whole_batch(rng):
+    """Each half's loss is its squared differences over the whole batch's
+    element count, from the same draws: the halves' losses and gradients
+    add up to the whole batch's, and each call leaves rng in one state."""
+    cfg, system, dataset = _tiny_setup()
+    _perturbed(system)
+    params = [t for _, t in system.named_parameters()]
+    batch = dataset.draw(rng, 5)
+    drops = dict(p_drop_global=0.5, p_drop_segment=0.5, p_drop_lyrics=0.5)
+    results = []
+    for rows in (slice(None), slice(0, 3), slice(3, 5)):
+        zero_grads(params)
+        draws = np.random.default_rng(4)
+        loss = cfm_loss(system.model, system.encoder, batch, draws, **drops, rows=rows)
+        backward(loss)
+        results.append((float(loss.data), np.concatenate([p.grad.ravel() for p in params]),
+                        draws.random()))
+    (whole, g, after), (l_a, g_a, after_a), (l_b, g_b, after_b) = results
+    assert after == after_a == after_b
+    assert abs(l_a + l_b - whole) <= 1e-14 * whole and 0 < l_b < whole
+    assert np.abs(g_a + g_b - g).max() <= 1e-13 * np.abs(g).max()
+
+
 def _assert_flat_layout(system, state):
     """Every parameter's data and grad are views of state.values and
     state.grads at consecutive offsets, in named_parameters order."""
@@ -281,7 +308,8 @@ def test_cfm_loss_tape_does_not_grow_with_the_batch(rng):
     assert counts[0] == counts[1] > 0
 
 
-def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
+def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch, cpus):
+    cpus(2)  # the worker's backward calls are its own: two in all, at step 1
     cfg, system, dataset = _tiny_setup(steps=4, batch=2)
     config = TrainConfig(**{**cfg.train.__dict__, "checkpoint_every": 1})
     params = [t for _, t in system.named_parameters()]
@@ -319,7 +347,8 @@ def test_train_aborts_on_non_finite_gradient(tmp_path, monkeypatch):
     assert all(np.array_equal(a, s) for (_, a), s in zip(saved, seen["params"]))
 
 
-def test_train_drops_each_graph_before_the_next_forward(tmp_path, monkeypatch):
+def test_train_drops_each_graph_before_the_next_forward(tmp_path, monkeypatch, cpus):
+    cpus(2)  # one cfm_loss call per step here, one in the worker
     cfg, system, dataset = _tiny_setup(steps=4, batch=2)
     real = flow_mod.cfm_loss
     losses = []
@@ -376,6 +405,34 @@ def test_default_step_graph_holds_only_what_the_vjps_read():
     assert peak <= 1.15 * alive, (peak, alive)
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_the_gradient_adam_sees_is_the_whole_batch_gradient(tmp_path, monkeypatch, cpus, n_cpus):
+    """Step 0's summed halves, from either process layout, against one
+    backward over the whole batch drawn from the same stream."""
+    cfg, system, dataset = _tiny_setup(steps=1, batch=3)
+    _perturbed(system)
+    seen = {}
+    real_adam = flow_mod.adam_step
+
+    def capturing_adam(params, state):
+        seen["grads"] = state.grads.copy()
+        real_adam(params, state)
+
+    monkeypatch.setattr(flow_mod, "adam_step", capturing_adam)
+    cpus(n_cpus)
+    report = train(system, dataset, cfg.train, tmp_path)
+    _, fresh, fresh_dataset = _tiny_setup(steps=1, batch=3)
+    params = [p for _, p in _perturbed(fresh).named_parameters()]
+    rng = np.random.default_rng(cfg.train.seed)
+    batch = fresh_dataset.draw(rng, 3)
+    loss = cfm_loss(fresh.model, fresh.encoder, batch, rng, cfg.train.p_drop_global,
+                    cfg.train.p_drop_segment, cfg.train.lyric_dropout)
+    backward(loss)
+    whole = np.concatenate([p.grad.ravel() for p in params])
+    assert abs(report.losses[0] - float(loss.data)) <= 1e-14 * float(loss.data)
+    assert np.abs(seen["grads"] - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
 def test_train_clips_the_gradient_norm_jointly(tmp_path, monkeypatch):
     """Above train.grad_clip_norm, every gradient is scaled by one factor,
     clip / norm, so Adam sees the clip norm; at or below it, the gradients
@@ -409,8 +466,8 @@ def test_train_clips_the_gradient_norm_jointly(tmp_path, monkeypatch):
 # SHA-256 of the checkpoints of a tiny run clipped at train.grad_clip_norm=1.1,
 # where steps 0 and 1 clip and steps 2 and 3 do not.
 CLIPPED_CHECKPOINT_SHA256 = {
-    "checkpoint-000002.json": "fb4c5a4809b693ae3623d9ec2e4090cb89ee8ff60de89786d59a9eadfba22f67",
-    "checkpoint.json": "d75c742187bc2a6e064c51611beffc44b059d3b5c6c588760dd88b816a350c4f",
+    "checkpoint-000002.json": "98cc99417a2804533bb219cabaf5264c7a881b9a5f1c49b514bd65a7e8938288",
+    "checkpoint.json": "38e5b868a9a9c95f9847722e3e224020e6556d99f69cc220852b2735b2b3e9ed",
 }
 
 
@@ -446,8 +503,6 @@ def test_train_reduces_loss_and_logs(tmp_path):
     first, last = np.mean(report.losses[:15]), np.mean(report.losses[-15:])
     assert last < first
     assert report.smoothed() == (np.mean(report.losses[:50]), np.mean(report.losses[-50:]))
-    import json
-
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert len(lines) == 60
     assert set(lines[0]) == {"step", "loss", "wall_ms"}
@@ -474,7 +529,8 @@ def test_train_aborts_on_nan_with_diagnostics(tmp_path):
     assert "poison" in err.value.batch_ids
 
 
-def test_dropout_frequency_during_training(tmp_path, monkeypatch):
+def test_dropout_frequency_during_training(tmp_path, monkeypatch, cpus):
+    cpus(2)  # the worker replays the same draws in its own process
     cfg, system, dataset = _tiny_setup(steps=2500, batch=2)
     observed = []
     real = flow_mod.apply_condition_dropout
@@ -490,3 +546,151 @@ def test_dropout_frequency_during_training(tmp_path, monkeypatch):
     assert flags.shape[0] == 2500 * 2
     assert abs(flags[:, 0].mean() - cfg.train.p_drop_global) <= 0.02
     assert abs(flags[:, 1].mean() - cfg.train.p_drop_segment) <= 0.02
+
+
+# -----------------------------------------------------------------------------
+# the train split: rows [ceil(B/2), B) of every step in a forked worker
+# -----------------------------------------------------------------------------
+
+
+def _train_bytes(tmp_path, batch, **overrides):
+    """The checkpoint bytes and the (step, loss) log of a tiny 4-step run
+    with a checkpoint every 2 steps."""
+    cfg, system, dataset = _tiny_setup(steps=4, batch=batch)
+    config = TrainConfig(**{**cfg.train.__dict__, "checkpoint_every": 2, **overrides})
+    out = tmp_path / f"run-{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    report = train(system, dataset, config, out)
+    log = [(row["step"], row["loss"]) for row in map(json.loads, (out / "train_log.jsonl").open())]
+    return {name: (out / name).read_bytes() for name in report.files[1:]}, log
+
+
+@pytest.mark.parametrize("batch, clip", [(1, None), (2, None), (3, None), (8, None), (2, 1.1)])
+def test_train_bytes_do_not_depend_on_the_cpu_count(tmp_path, cpus, batch, clip):
+    forks = cpus(1)
+    one = _train_bytes(tmp_path, batch, grad_clip_norm=clip)
+    assert not forks
+    forks = cpus(2)
+    two = _train_bytes(tmp_path, batch, grad_clip_norm=clip)
+    assert len(forks) == (batch > 1)  # one worker per train call; B = 1 starts none
+    assert list(one[0]) == ["checkpoint-000002.json", "checkpoint.json"] and len(one[1]) == 4
+    assert one == two
+    no_child_left()
+
+
+@pytest.mark.parametrize("fails", ["fork", "mmap"])
+def test_a_failed_fork_or_mapping_trains_in_the_caller_to_the_same_bytes(
+    tmp_path, cpus, monkeypatch, fails
+):
+    cpus(1)
+    expected = _train_bytes(tmp_path, 3)
+    forks = cpus(2)
+    open_fds = len(os.listdir("/proc/self/fd"))
+
+    def no_resource(*args):
+        raise BlockingIOError(f"{fails}: nothing to spare")
+
+    if fails == "fork":
+        monkeypatch.setattr(os, "fork", no_resource)
+    else:
+        monkeypatch.setattr(mmap, "mmap", no_resource)
+    assert _train_bytes(tmp_path, 3) == expected
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert not forks
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("half", ["caller", "worker"])
+def test_a_non_finite_loss_in_either_half_aborts_with_no_child_left(tmp_path, cpus, n_cpus, half):
+    """A 1e200-scaled example in the caller's rows (row 0) or the worker's
+    (row 2 of 3) overflows that half's loss at step 1."""
+    cfg, system, dataset = _tiny_setup(steps=3, batch=3)
+    row = 0 if half == "caller" else 2
+    draws = []
+
+    class PoisonedDataset:
+        def draw(self, rng, n):
+            batch = list(dataset.draw(rng, n))
+            draws.append(n)
+            if len(draws) == 2:
+                bad = batch[row]
+                batch[row] = TrainExample("poison", bad.spec, bad.doc, bad.x1 * 1e200)
+            return tuple(batch)
+
+    forks = cpus(n_cpus)
+    with pytest.raises(NumericAbort) as err:
+        train(system, PoisonedDataset(), cfg.train, tmp_path)
+    assert err.value.step == 1 and "loss is not finite" in str(err.value)
+    assert err.value.batch_ids[row] == "poison"
+    assert len(forks) == (n_cpus == 2)
+    no_child_left()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("half", ["caller", "worker"])
+def test_a_non_finite_gradient_in_either_half_aborts_with_no_child_left(
+    tmp_path, monkeypatch, cpus, n_cpus, half
+):
+    """An inf planted in one half's gradient at step 1 reaches the caller's
+    guard through the sum, whichever process ran that half."""
+    cfg, system, dataset = _tiny_setup(steps=4, batch=2)
+    params = [t for _, t in system.named_parameters()]
+    real_loss, real_backward = flow_mod.cfm_loss, flow_mod.backward
+    planted = {"rows": None, "calls": 0}
+
+    def recording_loss(*args, rows):
+        planted["rows"] = rows
+        return real_loss(*args, rows=rows)
+
+    def planting_backward(loss):
+        real_backward(loss)
+        if (planted["rows"].start == 0) == (half == "caller"):
+            planted["calls"] += 1
+            if planted["calls"] == 2:
+                params[-1].grad.reshape(-1)[0] = np.inf
+
+    monkeypatch.setattr(flow_mod, "cfm_loss", recording_loss)
+    monkeypatch.setattr(flow_mod, "backward", planting_backward)
+    forks = cpus(n_cpus)
+    with pytest.raises(NumericAbort) as err:
+        train(system, dataset, cfg.train, tmp_path)
+    assert err.value.step == 1 and "gradient is not finite" in str(err.value)
+    assert len(forks) == (n_cpus == 2)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["train_log.jsonl"]
+    no_child_left()
+
+
+def test_a_train_worker_crash_is_a_runtime_error_not_a_hang(tmp_path, monkeypatch, cpus):
+    """The worker's backward raises at step 2; the caller sees its pipe end
+    and raises RuntimeError, with the worker reaped and no checkpoint
+    written after it."""
+    cfg, system, dataset = _tiny_setup(steps=4, batch=2)
+    config = TrainConfig(**{**cfg.train.__dict__, "checkpoint_every": 1})
+    caller, real_backward = os.getpid(), flow_mod.backward
+    calls = []
+
+    def fails_in_the_worker(loss):
+        calls.append(1)
+        if os.getpid() != caller and len(calls) == 3:
+            raise ValueError("worker backward failed")
+        real_backward(loss)
+
+    monkeypatch.setattr(flow_mod, "backward", fails_in_the_worker)
+
+    def hung(signum, frame):
+        raise TimeoutError("train hung after the worker died")
+
+    forks = cpus(2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="worker"):
+            train(system, dataset, config, tmp_path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert written == ["checkpoint-000001.json", "checkpoint-000002.json", "train_log.jsonl"]
+    no_child_left()

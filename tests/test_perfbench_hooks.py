@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import no_child_left
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel
 from songflow.conditioning import ConditioningBundle
@@ -74,7 +75,8 @@ def test_traced_backward_runs_every_wrapped_vjp(monkeypatch):
 def test_benchmark_train_items_pass_their_checks(monkeypatch, tmp_path):
     """Two tiny train-t64 items, in-process: the step hooks on
     `SyntheticDataset.draw` and `flow.adam_step`, the loss gates and the
-    byte-exact reload of the final checkpoint all hold."""
+    byte-exact reload of the final checkpoint all hold, and no train worker
+    is left behind (the benchmark fails a run that leaves a process)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -88,6 +90,7 @@ def test_benchmark_train_items_pass_their_checks(monkeypatch, tmp_path):
         workload.close()
     assert run.errors == [] and run.failed == 0
     assert run.items == 2 * workload.steps
+    no_child_left()
 
 
 @pytest.mark.parametrize("name", ["generate-t256", "curate-10k"])
@@ -96,7 +99,7 @@ def test_benchmark_generate_and_curate_items_pass_their_checks(monkeypatch, tmp_
     `inputs.py` (prompts through `sample_prompt`, shard manifests through
     `RecordManifest` and `write_manifest`), the generate gate's repeat and
     `eval --workers` report check, and every curate stage's planted
-    outcomes all hold."""
+    outcomes all hold, and no token-split worker is left behind."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -110,3 +113,4 @@ def test_benchmark_generate_and_curate_items_pass_their_checks(monkeypatch, tmp_
     finally:
         workload.close()
     assert run.errors == [] and run.failed == 0
+    no_child_left()

@@ -1,12 +1,10 @@
-import mmap
 import os
-import signal
 
 import numpy as np
 import pytest
 
+from conftest import no_child_left
 import songflow.sampler as sampler
-from songflow.backbone import Block
 from songflow.conditioning import ConditioningBundle, ConditionRow, NegativePrompts, PromptSpec
 from songflow.config import load_config
 from songflow.errors import ContractError, NumericAbort
@@ -330,30 +328,6 @@ def test_euler_aborts_on_divergence():
 # -----------------------------------------------------------------------------
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU count the sampler sees; returns the list of fork calls."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def allow(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        return forks
-
-    return allow
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _shifted_row_case(T):
     """The default model and a three-row bundle in which only row 0's
     block-0 q and k are large, and only in the worker's tokens, so the row's
@@ -440,7 +414,7 @@ def test_euler_sample_bytes_do_not_depend_on_the_cpu_count(cpus, cfg_pair):
     (one, log_one), (two, log_two) = runs[1], runs[2]
     assert np.array_equal(one, two)
     assert log_one == log_two
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
@@ -458,83 +432,6 @@ def test_songs_shorter_than_four_frames_run_in_one_process(cpus, T):
     latent, log = euler_sample(system.model, triple, gc, T, cfg.task.d_audio)
     assert len(forks) == (T >= 4)
     assert np.array_equal(latent, expected[0]) and log == expected[1]
-
-
-@pytest.mark.parametrize("fails", ["fork", "mmap"])
-def test_a_failed_fork_or_mapping_runs_the_full_forward_in_the_caller(cpus, monkeypatch, fails):
-    cfg, system = _perturbed_system(seed=2)
-    spec, doc = _spec_and_doc()
-    T, d = cfg.task.T, cfg.task.d_audio
-    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
-    gc = GuidanceConfig(3.0, 1.0, steps=4, seed=7)
-    cpus(1)
-    expected = euler_sample(system.model, triple, gc, T, d)
-    forks = cpus(2)
-    open_fds = len(os.listdir("/proc/self/fd"))
-
-    def no_resource(*args):
-        raise BlockingIOError(f"{fails}: nothing to spare")
-
-    if fails == "fork":
-        monkeypatch.setattr(os, "fork", no_resource)
-    else:
-        monkeypatch.setattr(mmap, "mmap", no_resource)
-    latent, log = euler_sample(system.model, triple, gc, T, d)
-    assert np.array_equal(latent, expected[0]) and log == expected[1]
-    assert len(os.listdir("/proc/self/fd")) == open_fds
-    assert not forks
-
-
-def test_no_worker_outlives_a_numeric_abort(cpus):
-    """An infinite head bias makes every velocity inf at the first step
-    (cfg 1 forms no inf - inf); the caller raises NumericAbort with the
-    worker reaped."""
-    cfg, system = _small_system()
-    spec, doc = _spec_and_doc()
-    T, d = cfg.task.T, cfg.task.d_audio
-    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
-    system.model.b_head.data[...] = np.inf
-    forks = cpus(2)
-    with pytest.raises(NumericAbort) as err:
-        euler_sample(system.model, triple, GuidanceConfig(1.0, 0.0, 4, seed=0), T, d)
-    assert err.value.step == 0
-    assert len(forks) == 1
-    _no_child_left()
-
-
-def test_a_worker_crash_is_a_runtime_error_not_a_hang(cpus, monkeypatch):
-    """The worker's forward raises after the first of two block exchanges;
-    the caller sees its pipe end and raises RuntimeError, with the worker
-    reaped."""
-    cfg = load_config(overrides=["model.n_blocks=2", "model.model_width=8", "model.n_heads=2",
-                                 "task.T=12", "task.d_audio=2"])
-    system = build_song_model(cfg, trainable=False)
-    spec, doc = _spec_and_doc()
-    T, d = cfg.task.T, cfg.task.d_audio
-    triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
-    caller, finish = os.getpid(), Block.finish
-
-    def fails_in_the_worker(self, x, a):
-        if os.getpid() != caller:
-            raise ValueError("worker block failed")
-        return finish(self, x, a)
-
-    monkeypatch.setattr(Block, "finish", fails_in_the_worker)
-
-    def hung(signum, frame):
-        raise TimeoutError("euler_sample hung after the worker died")
-
-    forks = cpus(2)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(20)
-    try:
-        with pytest.raises(RuntimeError, match="worker"):
-            euler_sample(system.model, triple, GuidanceConfig(3.0, 1.0, 4, seed=0), T, d)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(forks) == 1
-    _no_child_left()
 
 
 def test_the_worker_never_returns_into_the_caller(tmp_path, monkeypatch):
