@@ -33,11 +33,11 @@ row-major as {"shape": [T, d_audio], "values": [...]}: generate writes
 latent.json, and eval reads that form whatever a file's suffix; anything else
 is a data error.
 
-generate may use a second process: when this process may run on two or more
-CPUs, the sampler forks one worker per request that runs the second half of
-the frames of each Euler step's forward, for every cfg pair (see
-`sampler`). The output bytes are the same either way; `taskset -c 0
-songflow generate ...` keeps the request on one CPU and in one process.
+generate and train may use a second process: on two or more CPUs, generate
+forks one worker per request that runs the second half of the frames of each
+Euler step's forward (see `sampler`), and train one per call that runs the
+second half of the rows of each step's batch (see `flow`). `taskset -c 0`
+keeps either command on one CPU and in one process, with the same bytes.
 
 Allocator policy: `main` first calls `_keep_freed_memory_in_heap`. A
 generate request allocates and frees the same 0.4-0.8 MB arrays (stacked

@@ -2,7 +2,12 @@
 means outside input is wrong (a `ParseError` is one, with a line number), and
 `ContractError` means code inside the program broke a precondition, a program
 fault. `cli.main` maps `ValidationError` and `OSError` to exit 2 and lets a
-`ContractError` propagate with its traceback; `NumericAbort` is exit 3."""
+`ContractError` propagate with its traceback; `NumericAbort` is exit 3.
+`ContractError` is raised only where a second caller or a stateful invariant
+can break a precondition: in the `tensor` ops, the one home of shape rules;
+in `optim.adam_step`, for a parameter that left the flat layout; and in
+`lrc.serialize_timestamp` and `evaluate.validate_report`, which only the
+benchmark harness calls."""
 
 
 class ValidationError(ValueError):

@@ -122,7 +122,6 @@ class Twin:
         os.close(self._send)
         os.close(self._recv)
         os.waitpid(self.pid, 0)
-        self.arrays = self._map = None
 
     def _open(self, recv: int, send: int) -> None:
         self._recv, self._send = recv, send

@@ -8,13 +8,15 @@ from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel, time_embedding
 from songflow.conditioning import ConditioningBundle
 from songflow.errors import ContractError, ValidationError
-from songflow.tensor import Tensor, mse, zero_grads
+from songflow.tensor import Tensor, mse
+
+
+D_TEXT, D_LYRICS, D_AUDIO = 4, 2, 2
 
 
 def _tiny_model(rng):
-    """d_text 4, d_lyrics 2, d_audio 2."""
     cfg = ModelConfig(n_blocks=1, model_width=8, n_heads=2, d_t=4, ff_mult=2)
-    return VelocityModel(cfg, 4, 2, 2, rng)
+    return VelocityModel(cfg, D_TEXT, D_LYRICS, D_AUDIO, rng)
 
 
 def _bundle_from_arrays(e_text, e_lyrics):
@@ -42,13 +44,6 @@ def test_time_embedding_is_lipschitz_smooth():
     assert np.abs(a - b).max() < 1e-6
 
 
-def test_time_embedding_contract():
-    with pytest.raises(ContractError):
-        time_embedding(-0.01, 16)
-    with pytest.raises(ContractError):
-        time_embedding(1.01, 16)
-
-
 def test_model_config_validation():
     with pytest.raises(ValidationError):
         ModelConfig(model_width=10, n_heads=3)
@@ -62,35 +57,47 @@ def test_model_config_validation():
 def test_forward_output_shape(T, rng):
     model = _tiny_model(rng)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((T, model.d_text)), rng.standard_normal((T, model.d_lyrics))
+        rng.standard_normal((T, D_TEXT)), rng.standard_normal((T, D_LYRICS))
     )
-    out = _forward(model, rng.standard_normal((T, model.d_audio)), bundle, 0.5)
-    assert out.data.shape == (1, T, model.d_audio)
+    out = _forward(model, rng.standard_normal((T, D_AUDIO)), bundle, 0.5)
+    assert out.data.shape == (1, T, D_AUDIO)
 
 
-def test_forward_rejects_mismatched_widths(rng):
-    model = _tiny_model(rng)
-    bundle = _bundle_from_arrays(
-        rng.standard_normal((4, model.d_text + 1)), rng.standard_normal((4, model.d_lyrics))
-    )
-    with pytest.raises(ContractError):
-        _forward(model, rng.standard_normal((4, model.d_audio)), bundle, 0.5)
+_FAULTS = {  # name -> (x_t shape, e_text shape, e_lyrics shape, time steps)
+    "e_text-width": ((1, 4, D_AUDIO), (1, 4, D_TEXT + 1), (1, 4, D_LYRICS), [0.5]),
+    "e_lyrics-frames": ((1, 4, D_AUDIO), (1, 4, D_TEXT), (1, 5, D_LYRICS), [0.5]),
+    "x_t-width": ((1, 4, D_AUDIO + 1), (1, 4, D_TEXT), (1, 4, D_LYRICS), [0.5]),
+    "2d-x_t": ((4, D_AUDIO), (1, 4, D_TEXT), (1, 4, D_LYRICS), [0.5]),
+    "too-few-time-steps": ((2, 4, D_AUDIO), (2, 4, D_TEXT), (2, 4, D_LYRICS), [0.5]),
+    "bundle-rows": ((2, 4, D_AUDIO), (1, 4, D_TEXT), (1, 4, D_LYRICS), [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_forward_rejects_mismatched_widths(rng, fault):
+    """The tensor ops hold the forward's shape rules: concat_channels or
+    matmul raises for each of these faults."""
+    x_shape, text_shape, lyrics_shape, t = _FAULTS[fault]
+    bundle = ConditioningBundle(Tensor(rng.standard_normal(text_shape)),
+                                Tensor(rng.standard_normal(lyrics_shape)))
+    with pytest.raises(ContractError, match="concat_channels|matmul"):
+        _tiny_model(rng).forward(Tensor(rng.standard_normal(x_shape)), bundle, t)
 
 
 def test_zero_initialized_head_gives_zero_field(rng):
     model = _tiny_model(rng)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((5, model.d_text)), rng.standard_normal((5, model.d_lyrics))
+        rng.standard_normal((5, D_TEXT)), rng.standard_normal((5, D_LYRICS))
     )
-    out = _forward(model, rng.standard_normal((5, model.d_audio)), bundle, 0.3)
-    assert np.array_equal(out.data, np.zeros((1, 5, model.d_audio)))
+    out = _forward(model, rng.standard_normal((5, D_AUDIO)), bundle, 0.3)
+    assert np.array_equal(out.data, np.zeros((1, 5, D_AUDIO)))
 
 
 def test_forward_is_deterministic(rng):
     model = _tiny_model(rng)
-    e_text = rng.standard_normal((6, model.d_text))
-    e_lyr = rng.standard_normal((6, model.d_lyrics))
-    x = rng.standard_normal((6, model.d_audio))
+    e_text = rng.standard_normal((6, D_TEXT))
+    e_lyr = rng.standard_normal((6, D_LYRICS))
+    x = rng.standard_normal((6, D_AUDIO))
     a = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data
     b = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data
     assert np.array_equal(a, b)
@@ -101,9 +108,9 @@ def test_permutation_equivariance(rng):
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)  # un-zero the head
     T = 9
-    e_text = rng.standard_normal((T, model.d_text))
-    e_lyr = rng.standard_normal((T, model.d_lyrics))
-    x = rng.standard_normal((T, model.d_audio))
+    e_text = rng.standard_normal((T, D_TEXT))
+    e_lyr = rng.standard_normal((T, D_LYRICS))
+    x = rng.standard_normal((T, D_AUDIO))
     perm = rng.permutation(T)
     out = _forward(model, x, _bundle_from_arrays(e_text, e_lyr), 0.5).data[0]
     out_perm = _forward(model, x[perm], _bundle_from_arrays(e_text[perm], e_lyr[perm]), 0.5).data[0]
@@ -115,10 +122,10 @@ def test_attention_rows_are_probability_distributions(rng):
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     bundle = _bundle_from_arrays(
-        rng.standard_normal((7, model.d_text)), rng.standard_normal((7, model.d_lyrics))
+        rng.standard_normal((7, D_TEXT)), rng.standard_normal((7, D_LYRICS))
     )
     sink = []
-    _forward(model, rng.standard_normal((7, model.d_audio)), bundle, 0.5, attn_sink=sink)
+    _forward(model, rng.standard_normal((7, D_AUDIO)), bundle, 0.5, attn_sink=sink)
     assert len(sink) == model.config.n_blocks * model.config.n_heads
     for weights in sink:
         assert (weights >= 0).all()
@@ -126,19 +133,18 @@ def test_attention_rows_are_probability_distributions(rng):
 
 
 def test_parameter_count_matches_closed_form(rng):
-    for model in (
-        _tiny_model(rng),
-        VelocityModel(ModelConfig(), 32, 16, 8, rng),
-        VelocityModel(ModelConfig(n_blocks=3, model_width=32, n_heads=8, d_t=8, ff_mult=3),
-                      16, 8, 4, rng),
+    for cfg, (d_text, d_lyrics, d_audio) in (
+        (_tiny_model(rng).config, (D_TEXT, D_LYRICS, D_AUDIO)),
+        (ModelConfig(), (32, 16, 8)),
+        (ModelConfig(n_blocks=3, model_width=32, n_heads=8, d_t=8, ff_mult=3), (16, 8, 4)),
     ):
-        cfg = model.config
+        model = VelocityModel(cfg, d_text, d_lyrics, d_audio, rng)
         total = sum(t.data.size for _, t in model.named_parameters())
         # input d_in*w + w; per block 4*w^2 + 3*w*ff + 4*w; head w*d_audio + d_audio
         w, ff = cfg.model_width, cfg.ff_mult * cfg.model_width
-        d_in = model.d_text + model.d_lyrics + model.d_audio + cfg.d_t
+        d_in = d_text + d_lyrics + d_audio + cfg.d_t
         per_block = 4 * w * w + 3 * w * ff + 4 * w
-        assert total == d_in * w + w + cfg.n_blocks * per_block + w * model.d_audio + model.d_audio
+        assert total == d_in * w + w + cfg.n_blocks * per_block + w * d_audio + d_audio
 
 
 def test_input_channels_are_text_lyrics_audio_time(rng):
@@ -148,9 +154,9 @@ def test_input_channels_are_text_lyrics_audio_time(rng):
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     T, t = 5, 0.25
-    e_text = rng.standard_normal((T, model.d_text))
-    e_lyr = rng.standard_normal((T, model.d_lyrics))
-    x = rng.standard_normal((T, model.d_audio))
+    e_text = rng.standard_normal((T, D_TEXT))
+    e_lyr = rng.standard_normal((T, D_LYRICS))
+    x = rng.standard_normal((T, D_AUDIO))
     e_t = np.tile(time_embedding(t, model.config.d_t), (T, 1))
     h = np.concatenate([e_text, e_lyr, x, e_t], axis=1) @ model.w_in.data + model.b_in.data
     for block in model.blocks:
@@ -166,10 +172,10 @@ def test_end_to_end_gradients_match_finite_differences(rng):
     for p in params:
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     T = 4
-    e_text = rng.standard_normal((T, model.d_text))
-    e_lyr = rng.standard_normal((T, model.d_lyrics))
-    x = rng.standard_normal((T, model.d_audio))
-    target = Tensor(rng.standard_normal((1, T, model.d_audio)))
+    e_text = rng.standard_normal((T, D_TEXT))
+    e_lyr = rng.standard_normal((T, D_LYRICS))
+    x = rng.standard_normal((T, D_AUDIO))
+    target = Tensor(rng.standard_normal((1, T, D_AUDIO)))
 
     def build_loss():
         bundle = _bundle_from_arrays(e_text, e_lyr)
@@ -183,9 +189,9 @@ def test_batched_forward_matches_single_rows(rng):
     for _, p in model.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     B, T = 3, 5
-    e_text = rng.standard_normal((B, T, model.d_text))
-    e_lyr = rng.standard_normal((B, T, model.d_lyrics))
-    x = rng.standard_normal((B, T, model.d_audio))
+    e_text = rng.standard_normal((B, T, D_TEXT))
+    e_lyr = rng.standard_normal((B, T, D_LYRICS))
+    x = rng.standard_normal((B, T, D_AUDIO))
     ts = [0.1, 0.5, 0.9]
     bundle = ConditioningBundle(Tensor(e_text), Tensor(e_lyr))
     sink = []

@@ -14,7 +14,7 @@ from conftest import fd_max_rel_error, no_child_left
 from songflow.conditioning import OutputProjection
 from songflow.checkpoint import load_params
 from songflow.config import load_config
-from songflow.errors import ContractError, NumericAbort, ValidationError
+from songflow.errors import NumericAbort, ValidationError
 from songflow.flow import (
     TrainConfig,
     TrainExample,
@@ -64,11 +64,6 @@ def test_interpolate_midpoint_constant():
     x0 = np.zeros((4, 2))
     x1 = np.full((4, 2), 2.0)
     assert np.array_equal(interpolate(x0, x1, 0.5), np.ones((4, 2)))
-
-
-def test_interpolate_contracts():
-    with pytest.raises(ContractError):
-        interpolate(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
 
 
 def test_interpolate_is_affine_in_t(rng):

@@ -3,7 +3,9 @@ must not leave its error class (or anything else) imported for nothing. And
 each module's `__all__` names exactly its public top-level functions and
 classes, plus constants it binds: no public def goes unexported and no
 deleted name stays exported. No module imports another module's private
-(`_`-prefixed) name: a name two modules share is public."""
+(`_`-prefixed) name: a name two modules share is public. Every top-level
+function and class is named somewhere other than its own definition: code
+that only tests reach is deleted."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "songflow"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -26,11 +29,15 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _is_all(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+    )
+
+
 def _exported_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
+        if _is_all(node):
             return set(ast.literal_eval(node.value))
     return set()
 
@@ -118,3 +125,60 @@ def test_the_check_finds_a_private_import():
         "    return _Node\n"
     )
     assert _private_imports(tree) == {"_is_cjk": 1, "_Node": 3}
+
+
+def _names_read(node: ast.AST, strings: bool = False) -> set[str]:
+    """Names a node reads, attributes included, and with strings=True its
+    string constants too."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def _unreferenced_defs(modules: dict[str, ast.Module], bench: list[ast.Module]) -> set[str]:
+    """"module.name" of each top-level function and class that no other
+    top-level statement of `modules` names, outside `__all__`, and that no
+    `bench` module names, as code or, since the tracer looks ops up by
+    string, as a string."""
+    bench_reads = set().union(*(_names_read(tree, strings=True) for tree in bench))
+    reads = [(stmt, _names_read(stmt)) for tree in modules.values() for stmt in tree.body
+             if not _is_all(stmt)]
+    return {
+        f"{module}.{stmt.name}"
+        for module, tree in modules.items() for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in bench_reads
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    }
+
+
+def _parse_all(paths) -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+
+
+def test_every_top_level_def_is_named_outside_itself():
+    unreferenced = _unreferenced_defs(
+        _parse_all(sorted(SRC.glob("*.py"))), list(_parse_all(sorted(BENCH.glob("*.py"))).values())
+    )
+    assert not unreferenced, f"named only by their own definitions or tests: {sorted(unreferenced)}"
+
+
+def test_the_check_finds_an_unreferenced_def():
+    modules = {
+        "a": ast.parse(
+            "__all__ = ['used', 'lone', 'traced']\n"
+            "def used(): pass\n"
+            "def lone(): return lone()\n"
+            "def traced(): pass\n"
+            "class _Kept: pass\n"
+            "k = _Kept\n"
+        ),
+        "b": ast.parse("from .a import used\nused()\n"),
+    }
+    bench = [ast.parse("patch(a, 'traced')\n")]
+    assert _unreferenced_defs(modules, bench) == {"a.lone"}

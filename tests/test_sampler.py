@@ -83,11 +83,6 @@ def test_guidance_hand_value_on_constant_fields():
     assert np.array_equal(out, np.full(shape, 2.5))
 
 
-def test_guidance_shape_error(rng):
-    with pytest.raises(ContractError):
-        guided_velocity(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), 3.0, 1.0)
-
-
 def test_guidance_is_affine(rng):
     v_u = rng.standard_normal((4, 2))
     v_c = rng.standard_normal((4, 2))
@@ -154,7 +149,7 @@ def test_negative_empty_segment_list_has_zero_segment_half():
 def test_condition_triple_shares_shapes():
     cfg, system = _small_system()
     spec, doc = _spec_and_doc()
-    T, d = cfg.task.T, cfg.task.d_audio
+    T = cfg.task.T
     triple = build_condition_triple(system.encoder, spec, doc, T, cfg.negative)
     assert triple.e_text.data.shape == (3, T, cfg.conditioning.d_text)
     assert triple.e_lyrics.data.shape == (3, T, cfg.conditioning.d_lyrics)
@@ -167,8 +162,6 @@ def test_condition_triple_shares_shapes():
         alone = system.encoder.encode([row], T)
         assert np.allclose(triple.e_text.data[b], alone.e_text.data[0], rtol=1e-14, atol=1e-15)
         assert np.array_equal(triple.e_lyrics.data[b], alone.e_lyrics.data[0])
-    with pytest.raises(ContractError):
-        euler_sample(system.model, triple.window(slice(0, 2)), GuidanceConfig(), T, d)
 
 
 def _perturbed_system(seed=0):
@@ -237,7 +230,8 @@ def _dummy_triple(system, T):
     return system.encoder.encode([ConditionRow(spec)] * 3, T)
 
 
-def test_constant_field_integrates_exactly():
+def test_constant_field_integrates_exactly(cpus):
+    cpus(1)  # a stand-in model has no blocks for the token split to run
     cfg, system = _small_system()
     T, d = cfg.task.T, cfg.task.d_audio
     for steps in (5, 13, 32):
@@ -285,9 +279,10 @@ def test_euler_is_deterministic_and_logs():
     assert [e["step"] for e in log_a] == list(range(8))
 
 
-def test_step_log_norm_of_a_huge_finite_field_is_finite():
+def test_step_log_norm_of_a_huge_finite_field_is_finite(cpus):
     """A 1e200-scale field keeps the trajectory finite, and so its logged
     norm (its square would overflow; RuntimeWarning is an error here)."""
+    cpus(1)
     cfg, system = _small_system()
     T, d = cfg.task.T, cfg.task.d_audio
 
@@ -303,7 +298,8 @@ def test_step_log_norm_of_a_huge_finite_field_is_finite():
         assert abs(row["v_norm"] - 1e200 * np.sqrt(T * d)) <= 1e-15 * row["v_norm"]
 
 
-def test_euler_aborts_on_divergence():
+def test_euler_aborts_on_divergence(cpus):
+    cpus(1)
     cfg, system = _small_system()
     T, d = cfg.task.T, cfg.task.d_audio
 
@@ -344,7 +340,7 @@ def _shifted_row_case(T):
     for _, p in system.named_parameters():
         p.data += 0.05 * rng.standard_normal(p.data.shape)
     model = system.model
-    model.w_in.data[model.d_text + model.d_lyrics:] = 0.0
+    model.w_in.data[cfg.conditioning.d_text + cfg.conditioning.d_lyrics:] = 0.0
     model.b_in.data[...] = 0.0
     model.blocks[0].ln1_g.data[...] = 40.0
     scale = np.full((3, T, 1), 1e-4)
@@ -393,7 +389,7 @@ def test_token_split_forward_equals_the_full_forward(T, used):
     try:
         assert np.array_equal(split.velocities(0.3, x), full)
     finally:
-        split.close()
+        split.twin.close()
 
 
 @pytest.mark.parametrize(
@@ -463,5 +459,5 @@ def test_the_worker_never_returns_into_the_caller(tmp_path, monkeypatch):
         with pytest.raises(RuntimeError, match="worker"):
             split.velocities(0.3, np.zeros((T, d)))
     finally:
-        split.close()
+        split.twin.close()
     assert not escaped.exists()
