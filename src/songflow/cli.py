@@ -11,19 +11,21 @@ directory is made only once every input has been read and checked, so a
 data error leaves none behind.
 
 Exit codes are stable: 0 success, 1 usage, 2 data error, 3 numeric abort.
-Exit 2 is a `ValidationError` (a `ParseError` is one, with a line number) or
-an `OSError`: outside input that is wrong or cannot be read. That includes an
-input file that is not UTF-8 or not JSON, named in the message; a setting
-outside its range, named by its key (its `config` section holds the rule); a
-prompt or --duration-hint longer than pipeline.pretrain_max_duration, a time
-with no finite frame or a duration with none, an LRC minute field past float
-range, a JSON integer too large for a float, JSON nested too deeply, and a
-prompt key that is unknown or missing (`schema` holds these rules). Exit 3 is
-a `NumericAbort`, also a non-finite value that would reach a JSON artifact.
-Any other exception, a `ContractError` or a `KeyError` included, is a program
-fault and propagates with its traceback. Commands run with numpy's overflow
-and invalid-value warnings off: every non-finite value is caught explicitly,
-so a warning would only print lines ahead of the `numeric abort:` message.
+Exit 2 is a `ValidationError` or an `OSError`: outside input that is wrong
+or cannot be read. That includes an input file that is not UTF-8 or not
+JSON, named in the message; a line of a text input that does not parse,
+named by its number; a setting outside its range, named by its key (its
+`config` section holds the rule); a prompt or --duration-hint longer than
+pipeline.pretrain_max_duration, a time with no finite frame or a duration
+with none, an LRC minute field past float range, a JSON integer too large
+for a float or past int()'s digit limit (4,300 digits by default), JSON
+nested too deeply, and a prompt key that is unknown or missing (`schema`
+holds these rules). Exit 3 is a `NumericAbort`, also a non-finite value that
+would reach a JSON artifact. Any other exception, a `ContractError` or a
+`KeyError` included, is a program fault and propagates with its traceback.
+Commands run with numpy's overflow and invalid-value warnings off: every
+non-finite value is caught explicitly, so a warning would only print lines
+ahead of the `numeric abort:` message.
 Artifacts other than the streamed train_log.jsonl are written atomically; JSON
 artifacts are strict (no NaN/Infinity tokens) and compact: without indentation
 json's C encoder writes them, about 4x faster than its pure-Python indenting
@@ -66,7 +68,7 @@ import numpy as np
 from .checkpoint import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .conditioning import prompt_spec_from_json
 from .config import load_config
-from .errors import NumericAbort, ParseError, ValidationError
+from .errors import NumericAbort, ValidationError
 from .evaluate import alignment_score, duration_mae, segment_alignment_score
 from .durations import predict_durations
 from .flow import train
@@ -179,7 +181,7 @@ def _out_dir(args) -> Path:
 
 def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
     """JSONL rows {"group": str, "id": str, "score": number}, each id at most
-    once per group. Anything else is a parse error naming the line: a group
+    once per group. Anything else is a data error naming the line: a group
     5 would merge with "5", a repeated id would pair with itself, and a NaN
     score would drop pairs silently, since it compares false against every
     margin."""
@@ -191,16 +193,16 @@ def _read_score_groups(path) -> dict[str, list[tuple[str, float]]]:
             row = loads(line)
             group, rid, score = row["group"], row["id"], row["score"]
         except (json.JSONDecodeError, ValidationError, KeyError, TypeError) as exc:
-            raise ParseError(f"bad score row: {exc}", line_number=lineno) from exc
+            raise ValidationError(f"line {lineno}: bad score row: {exc}") from exc
         if not isinstance(group, str):
-            raise ParseError(f"group must be a string, got {type(group).__name__}", line_number=lineno)
+            raise ValidationError(f"line {lineno}: group must be a string, got {type(group).__name__}")
         if not isinstance(rid, str):
-            raise ParseError(f"id must be a string, got {type(rid).__name__}", line_number=lineno)
+            raise ValidationError(f"line {lineno}: id must be a string, got {type(rid).__name__}")
         if not is_number(score):
-            raise ParseError(f"score must be a finite number, got {score!r}", line_number=lineno)
+            raise ValidationError(f"line {lineno}: score must be a finite number, got {score!r}")
         scores = groups.setdefault(group, {})
         if rid in scores:
-            raise ParseError(f"id {rid!r} repeats in group {group!r}", line_number=lineno)
+            raise ValidationError(f"line {lineno}: id {rid!r} repeats in group {group!r}")
         scores[rid] = float(score)
     return {gid: list(scores.items()) for gid, scores in groups.items()}
 

@@ -39,7 +39,7 @@ from .conditioning import ConditioningEncoder, ConditionRow, PromptSpec, apply_c
 from .errors import NumericAbort, ValidationError
 from .lrc import LrcDocument
 from .optim import adam_init, adam_step, grad_norm
-from .tensor import Tensor, backward, mse, zero_grads
+from .tensor import Tensor, backward, mse
 from .twin import Twin, start
 
 __all__ = [
@@ -257,7 +257,7 @@ class _Halves:
         loss = cfm_loss(self.system.model, self.system.encoder, batch, rng, c.p_drop_global,
                         c.p_drop_segment, c.lyric_dropout, rows=rows)
         value = float(loss.data)
-        zero_grads(self.params)
+        self.state.grads.fill(0.0)
         if np.isfinite(value):
             backward(loss)
         return value

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ContractError, ValidationError
 from .schema import split_lines
 
 __all__ = [
@@ -124,14 +124,14 @@ def parse_lrc(raw: str, total_duration: float | None = None) -> LrcDocument:
         if m is None:  # no blank line matches, so only a miss needs the strip
             if not raw_line.strip():
                 continue
-            raise ParseError(f"malformed LRC line: {raw_line!r}", line_number=lineno)
+            raise ValidationError(f"line {lineno}: malformed LRC line: {raw_line!r}")
         mm, ss, xx, text = m.groups()
         try:
             ts = 60.0 * int(mm) + int(ss) + int(xx) / 100.0
         except (OverflowError, ValueError):  # past float range, or past int()'s digit limit
             ts = math.inf
         if ts == math.inf:
-            raise ParseError(f"minute field out of range: {raw_line[:40]!r}", line_number=lineno)
+            raise ValidationError(f"line {lineno}: minute field out of range: {raw_line[:40]!r}")
         if ts < prev:
             raise ValidationError(f"line {lineno}: timestamp {ts}s decreases (previous {prev}s)")
         prev = ts

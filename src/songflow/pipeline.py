@@ -210,20 +210,30 @@ def write_manifest(records: list[RecordManifest], path) -> None:
 
 def quantile(values: list[float], q: float) -> float:
     """Linear interpolation on the sorted sample (the inclusive convention),
-    which every caller passes non-empty."""
+    which every caller passes non-empty. Two finite neighbours whose
+    distance overflows are weighted instead, so the result stays finite."""
     ordered = sorted(values)
     pos = (len(ordered) - 1) * q
     lo = int(pos)
     frac = pos - lo
     if lo + 1 >= len(ordered):
         return float(ordered[-1])
-    return float(ordered[lo] + frac * (ordered[lo + 1] - ordered[lo]))
+    a, b = float(ordered[lo]), float(ordered[lo + 1])
+    if b - a == float("inf"):
+        return a * (1.0 - frac) + b * frac
+    return a + frac * (b - a)
 
 
 def _aggregate_score(record: RecordManifest) -> float | None:
+    """The mean quality score; finite scores whose sum overflows are
+    divided before they are summed."""
     if not record.quality_scores:
         return None
-    return sum(record.quality_scores.values()) / len(record.quality_scores)
+    scores = [float(v) for v in record.quality_scores.values()]
+    total = sum(scores)
+    if abs(total) == float("inf"):
+        return sum(v / len(scores) for v in scores)
+    return total / len(scores)
 
 
 def pretrain_filter(

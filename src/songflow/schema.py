@@ -5,7 +5,8 @@ Every input file is read as UTF-8 by `read_text`, or by `read_json` for a
 file that holds one JSON value; a file that cannot be decoded is a
 ValidationError that names its path. All JSON input is decoded by `loads`,
 which gives `json.loads`'s value or error and turns nesting past the
-recursion limit into a ValidationError.
+recursion limit, or an integer past int()'s digit limit, into a
+ValidationError.
 
 Text breaks into lines only at "\n", "\r\n" and "\r" (`split_lines`): the
 breaks universal newlines reads and an LRC line's text may not hold. The
@@ -79,8 +80,9 @@ def loads(text: str):
     decodes without json.loads's Python wrappers (~2 us of a ~9 us manifest
     line); anything else (leading or trailing whitespace, extra data, a BOM,
     no value) goes to json.loads itself. A scan error at index 0 is
-    json.loads's own. JSON nested past the recursion limit is a
-    ValidationError instead of a RecursionError."""
+    json.loads's own. JSON nested past the recursion limit, and an integer
+    past int()'s digit limit (`sys.get_int_max_str_digits`), are a
+    ValidationError instead of a RecursionError or a ValueError."""
     try:
         try:
             value, end = _scan_once(text, 0)
@@ -89,6 +91,10 @@ def loads(text: str):
         return value if end == len(text) else json.loads(text)
     except RecursionError:
         raise ValidationError("JSON nests too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValidationError("JSON integer has too many digits") from None
 
 
 def is_number(value) -> bool:

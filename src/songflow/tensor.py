@@ -21,6 +21,12 @@ Activations may carry leading batch axes: `matmul`, `add_row`, `layer_norm`,
 (..., T, d) tensor, so a (B, T, d) batch and a single (T, d) sample take
 the same path. Weights, biases and gains stay 1-D or 2-D, and their
 gradients sum over every leading axis.
+
+A Tensor wraps its array without checking its values; `Tensor(values)` is
+the one way to build one. Non-finite values are caught at the boundaries:
+the loss and the gradient norm in `flow.train`, the condition encoding and
+the trajectory in `sampler`, checkpoint values in `checkpoint.load_into`,
+JSON artifacts in `checkpoint._strict_dumps` and JSON input in `schema`.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "attention",
     "mse",
     "backward",
-    "zero_grads",
     "fan_in_uniform",
 ]
 
@@ -68,10 +73,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
-        data = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(data).all():
-            raise ContractError("tensor values must be finite (NaN/Inf is an error state)")
-        self.data = data
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
@@ -82,10 +84,7 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
-        out = cls.__new__(cls)
-        out.data = data
-        out.requires_grad = True
-        out.grad = None
+        out = cls(data, requires_grad=True)
         out._node = _Node(tuple(_link(p) for p in parents), vjp)
         return out
 
@@ -101,12 +100,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result, recording the graph only when a parent needs grad."""
     if any(p.requires_grad for p in parents):
         return Tensor._from_op(data, parents, vjp)
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = False
-    out.grad = None
-    out._node = None
-    return out
+    return Tensor(data)
 
 
 def _need_2d(x: Tensor, op: str) -> None:
@@ -512,13 +506,6 @@ def backward(loss: Tensor) -> None:
                 gmap[id(parent)] = acc + pg
             else:
                 gmap[id(parent)] = pg
-
-
-def zero_grads(tensors) -> None:
-    """Zero each gradient in place: a view stays a view, and None stays None."""
-    for t in tensors:
-        if t.grad is not None:
-            t.grad.fill(0.0)
 
 
 def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:

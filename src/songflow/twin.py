@@ -18,9 +18,7 @@ into the caller's stack, flushes no buffer it inherited and writes no file
 its serve function does not; a worker that dies is seen as the end of its
 pipe, and the caller's wait raises RuntimeError. fork copies only the
 calling thread, and no user starts another, so no lock the worker needs is
-held at the fork. Build every checked Tensor over the mapping before the
-fork: one built in the worker afterwards checks whatever the other side has
-written by then, such as an overflowed caller's inf.
+held at the fork.
 
 The mapping is not closed explicitly: mmap.close raises BufferError while an
 array over it lives, and training's parameters stay views of it after the

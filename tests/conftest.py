@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from songflow.lrc import time_to_frame
-from songflow.tensor import Tensor, backward, zero_grads
+from songflow.tensor import Tensor, backward
 
 
 def fd_max_rel_error(build_loss, params, h=1e-4):
@@ -17,7 +17,8 @@ def fd_max_rel_error(build_loss, params, h=1e-4):
     Relative error uses max(1, |analytic|, |numeric|) as the scale so
     near-zero gradients are compared absolutely.
     """
-    zero_grads(params)
+    for p in params:
+        p.grad = None
     backward(build_loss())
     analytic = [p.grad.copy() for p in params]
     worst = 0.0

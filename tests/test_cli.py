@@ -698,6 +698,8 @@ _HUGE_MINUTE_RECORD = _manifest_text(lyrics=None, lyrics_lrc=_HUGE_MINUTE_LRC,
 
 # Valid JSON nested far past the recursion limit.
 _DEEP = "[" * 100_000 + "]" * 100_000
+# A JSON integer past int()'s default 4,300-digit limit.
+_DIGITS = "9" * 5000
 
 
 def _pipeline_config(**values):
@@ -853,6 +855,23 @@ MALFORMED = [
      "ckpt.json: checkpoint is not JSON: JSON nests too deeply"),
     ("eval-deep-latent", "eval", {"latent.json": _DEEP}, EXIT_DATA,
      "latent.json: latent is not JSON: JSON nests too deeply"),
+    # A JSON integer past int()'s digit limit: the same, in every JSON reader.
+    ("pretrain-digit-limit", "pretrain", {"manifest.jsonl": _DIGITS + "\n"}, EXIT_OK,
+     "JSON integer has too many digits"),
+    ("dpo-digit-limit", "dpo-pairs",
+     {"scores.jsonl": f'{{"group": "g", "id": "a", "score": {_DIGITS}}}'}, EXIT_DATA,
+     "line 1: bad score row: JSON integer has too many digits"),
+    ("train-digit-limit-config", "train", {"config.json": _DIGITS}, EXIT_DATA,
+     "config.json: config is not JSON: JSON integer has too many digits"),
+    ("train-digit-limit-set", "train", {"set.txt": "seed=" + _DIGITS}, EXIT_DATA,
+     "JSON integer has too many digits"),
+    ("generate-digit-limit-prompt", "generate",
+     {"prompt.json": _prompt_text(duration_s=None).replace("null", _DIGITS)}, EXIT_DATA,
+     "prompt.json: prompt is not JSON: JSON integer has too many digits"),
+    ("checkpoint-digit-limit", "generate", {"ckpt.json": _DIGITS}, EXIT_DATA,
+     "ckpt.json: checkpoint is not JSON: JSON integer has too many digits"),
+    ("eval-digit-limit-latent", "eval", {"latent.json": _DIGITS}, EXIT_DATA,
+     "latent.json: latent is not JSON: JSON integer has too many digits"),
     # An input file that is not JSON or not UTF-8 is named in the error.
     ("train-config-syntax-error", "train", {"config.json": '{"train": }'}, EXIT_DATA,
      "config.json: config is not JSON: Expecting value: line 1 column 11 (char 10)"),
@@ -973,6 +992,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         "manifest.jsonl": _manifest_text(),
         "lyrics.txt": "la la la\nso so\n",
         "hint.txt": "30.0",
+        "set.txt": "seed=0",
         "config.json": "{}",
         **files,
     }
@@ -1000,7 +1020,8 @@ def test_malformed_input_exit_codes(tmp_path, capsys, tiny_checkpoint_payload,
         argv = ["predict-durations", "--out-dir", str(out), "--lyrics", str(tmp_path / "lyrics.txt"),
                 "--duration-hint", (tmp_path / "hint.txt").read_text(encoding="utf-8")]
     elif command == "train":
-        argv = _TRAIN_ARGV + ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]
+        argv = _TRAIN_ARGV + ["--config", str(tmp_path / "config.json"), "--out-dir", str(out),
+                              "--set", (tmp_path / "set.txt").read_text(encoding="utf-8")]
     else:
         manifest = "scores.jsonl" if command == "dpo-pairs" else "manifest.jsonl"
         argv = ["pipeline", "--stage", command, "--config", str(tmp_path / "config.json"),

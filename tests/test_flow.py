@@ -25,7 +25,7 @@ from songflow.flow import (
 from songflow.optim import adam_init
 from songflow.synthetic import SyntheticDataset
 from songflow.system import build_song_model
-from songflow.tensor import Tensor, _Node, _topo_order, backward, zero_grads
+from songflow.tensor import Tensor, _Node, _topo_order, backward
 
 
 def _tiny_overrides(steps=5, batch=2):
@@ -199,12 +199,12 @@ def test_batched_cfm_loss_matches_mean_of_single_examples(rng):
     batch = dataset.draw(rng, 4)
     drops = dict(p_drop_global=0.5, p_drop_segment=0.5, p_drop_lyrics=0.5)
 
-    zero_grads(params)
+    state = adam_init(params, cfg.train.learning_rate)
     loss = cfm_loss(system.model, system.encoder, batch, np.random.default_rng(3), **drops)
     backward(loss)
     batched = [p.grad.copy() for p in params]
 
-    zero_grads(params)
+    state.grads.fill(0.0)
     single_rng = np.random.default_rng(3)  # the same stream, one example per call
     losses = []
     for ex in batch:
@@ -226,9 +226,10 @@ def test_row_halves_of_cfm_loss_sum_to_the_whole_batch(rng):
     params = [t for _, t in system.named_parameters()]
     batch = dataset.draw(rng, 5)
     drops = dict(p_drop_global=0.5, p_drop_segment=0.5, p_drop_lyrics=0.5)
+    state = adam_init(params, cfg.train.learning_rate)
     results = []
     for rows in (slice(None), slice(0, 3), slice(3, 5)):
-        zero_grads(params)
+        state.grads.fill(0.0)
         draws = np.random.default_rng(4)
         loss = cfm_loss(system.model, system.encoder, batch, draws, **drops, rows=rows)
         backward(loss)
@@ -266,14 +267,6 @@ def test_training_keeps_every_parameter_in_the_flat_layout(tmp_path, monkeypatch
     system.load(tmp_path / "checkpoint.json")
     _assert_flat_layout(system, state)
     assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
-
-    state.grads[...] = 1.0
-    zero_grads(params)
-    _assert_flat_layout(system, state)
-    assert not state.grads.any()
-    standalone = Tensor([1.0], requires_grad=True)
-    zero_grads([standalone])
-    assert standalone.grad is None
 
     seen = {}
     real_adam = flow_mod.adam_step

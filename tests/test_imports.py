@@ -3,9 +3,10 @@ must not leave its error class (or anything else) imported for nothing. And
 each module's `__all__` names exactly its public top-level functions and
 classes, plus constants it binds: no public def goes unexported and no
 deleted name stays exported. No module imports another module's private
-(`_`-prefixed) name: a name two modules share is public. Every top-level
-function and class is named somewhere other than its own definition: code
-that only tests reach is deleted."""
+(`_`-prefixed) name: a name two modules share is public. Every Tensor is
+built by `Tensor()`: no module calls `__new__`, and none but `tensor.py`
+sets a node. Every top-level function and class is named somewhere other
+than its own definition: code that only tests reach is deleted."""
 
 import ast
 from pathlib import Path
@@ -125,6 +126,40 @@ def test_the_check_finds_a_private_import():
         "    return _Node\n"
     )
     assert _private_imports(tree) == {"_is_cjk": 1, "_Node": 3}
+
+
+def _bypass_builds(tree: ast.Module, home: bool) -> list[int]:
+    """Lines that build a Tensor past its constructor: any `__new__` call,
+    and, outside the tensor module (`home` False), any assignment to an
+    `_node` attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and not home:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            lines += [t.lineno for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and t.attr == "_node"]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_tensor_is_built_by_its_constructor(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bypass = _bypass_builds(tree, home=path.name == "tensor.py")
+    assert not bypass, f"{path.name}: builds a Tensor past Tensor() on lines {bypass}"
+
+
+def test_the_check_finds_a_bypass_build():
+    snippet = (
+        "out = Tensor.__new__(Tensor)\n"
+        "out.data, out._node = data, None\n"
+        "other = cls.__new__(cls)\n"
+        "kept = Tensor(data)\n"
+        "node = kept._node\n"
+    )
+    assert _bypass_builds(ast.parse(snippet), home=False) == [1, 2, 3]
+    assert _bypass_builds(ast.parse(snippet), home=True) == [1, 3]
 
 
 def _names_read(node: ast.AST, strings: bool = False) -> set[str]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from songflow.errors import ParseError, ValidationError
+from songflow.errors import ValidationError
 from songflow.lrc import (
     LrcDocument,
     LrcLine,
@@ -33,15 +33,14 @@ def test_parse_accepts_equal_timestamps():
 
 
 def test_parse_rejects_out_of_range_seconds():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match=r"^line 1: "):
         parse_lrc("[00:61.00] x")
 
 
 def test_parse_rejects_a_minute_field_past_float_range():
     for digits in (308, 400, 5000):  # inf seconds, OverflowError, int()'s digit limit
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ValidationError, match=r"^line 2: "):
             parse_lrc("[00:00.00] a\n[" + "9" * digits + ":00.00] x")
-        assert err.value.line_number == 2
 
 
 @pytest.mark.parametrize(
@@ -50,26 +49,22 @@ def test_parse_rejects_a_minute_field_past_float_range():
 def test_parse_rejects_non_ascii_digits_in_a_timestamp(line):
     """int() reads every Unicode decimal digit, so only the pattern can keep
     "[\u0660\u0661:02.\u0660\u0663]" from parsing as 62.03 s."""
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match=r"^line 2: "):
         parse_lrc("[00:01.00] ok\n" + line)
-    assert err.value.line_number == 2
 
 
 def test_parse_rejects_malformed_and_reports_line():
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match=r"^line 2: "):
         parse_lrc("[00:01.00] ok\nnot a lyric line")
-    assert err.value.line_number == 2
 
 
 def test_malformed_line_after_blank_lines_keeps_its_line_number():
     """Blank lines are only recognised once the tag match has failed; they
     still count towards the reported line number."""
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match=r"^line 6: "):
         parse_lrc("\n  \n[00:01.00] ok\n\t\n\n[00:02.00]x no space\n")
-    assert err.value.line_number == 6
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError, match=r"^line 3: "):
         parse_lrc("\n\n   stray text\n")
-    assert err.value.line_number == 3
 
 
 def test_parse_rejects_decreasing_timestamps():
@@ -142,9 +137,9 @@ def test_crlf_and_cr_text_parse_as_lf():
     expected = parse_lrc(lf)
     assert parse_lrc(lf.replace("\n", "\r\n")) == expected
     assert parse_lrc(lf.replace("\n", "\r")) == expected
-    with pytest.raises(ParseError) as err:  # line numbers count CRLF and CR breaks once
+    # line numbers count CRLF and CR breaks once
+    with pytest.raises(ValidationError, match=r"^line 3: "):
         parse_lrc("[00:01.00] a\r\n\r\nstray\r")
-    assert err.value.line_number == 3
 
 
 def test_time_to_frame_examples():

@@ -10,7 +10,7 @@ import songflow.cli as cli
 from songflow.checkpoint import load_into, load_params, save_params
 from songflow.errors import ContractError, ValidationError
 from songflow.optim import adam_init, adam_step
-from songflow.tensor import Tensor, backward, mse, zero_grads
+from songflow.tensor import Tensor, backward, mse
 
 
 def test_zero_gradient_is_a_fixed_point():
@@ -36,7 +36,7 @@ def test_converges_to_quadratic_minimum():
     target = Tensor([3.0])
     state = adam_init([w], learning_rate=0.1)
     for _ in range(500):
-        zero_grads([w])
+        state.grads.fill(0.0)
         backward(mse(w, target))  # f(w) = (w - 3)^2
         adam_step([w], state)
     assert abs(float(w.data[0]) - 3.0) < 0.05

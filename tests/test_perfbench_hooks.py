@@ -13,7 +13,7 @@ from conftest import no_child_left
 from songflow import backbone
 from songflow.backbone import ModelConfig, VelocityModel
 from songflow.conditioning import ConditioningBundle
-from songflow.tensor import Tensor, backward, concat_channels, mse, zero_grads
+from songflow.tensor import Tensor, backward, concat_channels, mse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,7 +59,8 @@ def test_traced_backward_runs_every_wrapped_vjp(monkeypatch):
     params = [p for _, p in model.named_parameters()]
     backward(build_loss())
     untraced = [p.grad.copy() for p in params]
-    zero_grads(params)
+    for p in params:
+        p.grad = None
     tracer, patches = tracing.Tracer(), tracing.Patches()
     try:
         tracing.install_tracer(tracer, patches)

@@ -6,7 +6,7 @@ import pytest
 
 from songflow import cli
 from songflow.config import PipelineConfig
-from songflow.errors import ParseError, ValidationError
+from songflow.errors import ValidationError
 from songflow.lrc import parse_lrc
 from songflow.pipeline import (
     BOUNDARY_END_TEXT,
@@ -65,6 +65,34 @@ def test_quantile_matches_numpy_linear(rng):
             assert quantile(values, q) == pytest.approx(
                 float(np.quantile(values, q, method="linear"))
             )
+
+
+def test_quantile_of_neighbours_whose_distance_overflows(rng):
+    """Two finite neighbours more than the largest double apart are weighted
+    instead of subtracted; every other input keeps the one-formula bytes."""
+    assert quantile([-1e308, 1e308], 0.5) == 0.0
+    assert quantile([1e308, -1e308], 0.25) == -1e308 * 0.75 + 1e308 * 0.25
+    assert quantile([-10**308, 10**308], 0.5) == 0.0  # JSON integers, as a manifest gives them
+    for _ in range(50):
+        values = sorted(rng.uniform(-1e307, 1e307, size=int(rng.integers(2, 40))).tolist())
+        for q in (0.05, 0.25, 0.5, 0.75, 0.95):
+            pos = (len(values) - 1) * q
+            lo = int(pos)
+            assert quantile(values, q) == values[lo] + (pos - lo) * (values[lo + 1] - values[lo])
+
+
+def test_stage_gates_of_scores_whose_sum_or_distance_overflows():
+    """The true median of +-1e308 is 0 and the true 0.5 cutoff of the means
+    [1e308, 1.5e308, 5.0] is 1e308; an overflowing difference or sum made
+    them inf and NaN."""
+    records = [_record("low", scores={"q": -1e308}), _record("high", scores={"q": 1e308})]
+    report = finetune_filter(records, **_FINETUNE)
+    assert report.kept == ["high"] and report.rejected == [("low", "below-median:q")]
+    records = [_record("a", scores={"x": 1e308, "y": 1e308}),
+               _record("b", scores={"x": 1.5e308, "y": 1.5e308}),
+               _record("c", scores={"x": 5.0})]
+    report = pretrain_filter(records, **{**_PRETRAIN, "drop_fraction": 0.5})
+    assert report.kept == ["a", "b"] and report.rejected == [("c", "quality-percentile")]
 
 
 # -----------------------------------------------------------------------------
@@ -742,7 +770,7 @@ def test_a_raw_unicode_break_inside_a_string_keeps_one_record(tmp_path, brk):
 def _score_outcome(path):
     try:
         return cli._read_score_groups(path)
-    except ParseError as exc:
+    except ValidationError as exc:
         return str(exc)
 
 

@@ -24,15 +24,7 @@ from songflow.tensor import (
     slice_channels,
     softmax_rows,
     transpose,
-    zero_grads,
 )
-
-
-def test_tensor_rejects_non_finite():
-    with pytest.raises(ContractError):
-        Tensor([1.0, float("nan")])
-    with pytest.raises(ContractError):
-        Tensor([float("inf")])
 
 
 def test_matmul_identity():
@@ -222,7 +214,8 @@ def test_a_dropped_result_no_vjp_reads_is_freed_during_the_forward(rng):
     assert probe() is None and loss._node is not None
     backward(loss)
     dropped = [p.grad.copy() for p in params]
-    zero_grads(params)
+    for p in params:
+        p.grad = None
     loss, total = build(keep=True)
     backward(loss)
     assert np.array_equal(total.data, matmul(x, w).data + x.data)
